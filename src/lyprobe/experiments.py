@@ -2,7 +2,8 @@
 
 Builds uniform time grids, evaluates the dephasing factor and the closed-form
 observables over them, and post-processes the series: coherence-zero
-detection (refined on the analytic factor, not the sampled series), maximal
+detection (sign-change brackets of the analytic factor, refined all at once
+by bisection, not on the sampled series), maximal
 concurrence-vanishing domains, recovery-peak counts, and the exponential fit
 of the maximum original concurrence against ensemble size.
 """
@@ -12,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .channels import Channel, OatParameters, oat_reduced_state
 from .ising_bath import (
     IsingRing,
     LeeYangZeroSet,
     PartitionPolynomial,
-    _factor_values,
+    bisect_roots,
+    factor_values,
     lee_yang_zeros,
     partition_coefficients,
     zero_times,
@@ -186,11 +188,7 @@ def series_from_polynomial(
     mod_y0 = abs(state.y)
     root_vv = np.sqrt(state.v_plus * state.v_minus)
 
-    angles = _angle_multiplier(channel) * eta * times
-    a_complex = _factor_values(poly.coefficients, angles)
-    if np.max(np.abs(a_complex.imag), initial=0.0) > 1e-9:
-        raise RuntimeError("dephasing factor acquired a non-real component")
-    a = a_complex.real
+    a = factor_values(poly, _angle_multiplier(channel) * eta * times)
 
     if channel is Channel.I:
         damp_u = a * a * mod_u0
@@ -257,36 +255,38 @@ def default_steps(
 
 
 def _analytic_factor(series: ObservableSeries):
-    """Scalar callable t -> A(t) rebuilt from the series provenance."""
+    """Vectorized callable t -> A(t) rebuilt from the series provenance."""
     if series.polynomial is None or series.eta is None or series.channel is None:
         raise ValueError(
             "series carries no provenance metadata; zero refinement needs the "
             "generating polynomial, eta, and channel"
         )
-    coeffs = series.polynomial.coefficients
+    poly = series.polynomial
     mult = _angle_multiplier(series.channel)
     eta = series.eta
 
-    def a_of_t(t: float) -> float:
-        return float(_factor_values(coeffs, np.array([mult * eta * t]))[0].real)
+    def a_of_t(t) -> np.ndarray:
+        return factor_values(poly, mult * eta * np.asarray(t, dtype=float))
 
     return a_of_t
 
 
-def _coherence_at_factor(series: ObservableSeries, a: float) -> float:
+def _coherence_at_factor(series: ObservableSeries, a: np.ndarray) -> np.ndarray:
     state = oat_reduced_state(series.probe)
     if series.channel is Channel.I:
         return 2.0 * a * a * (abs(state.u) + abs(state.y))
-    return 2.0 * (abs(a) * abs(state.u) + abs(state.y))
+    return 2.0 * (np.abs(a) * abs(state.u) + abs(state.y))
 
 
 def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> np.ndarray:
     """Times where the probe coherence collapses to zero, refined analytically.
 
-    Local minima of the sampled coherence are candidate collapse points; each
-    is refined on the analytic factor (sign-change bisection when the factor
-    crosses zero, bounded minimization of |A| for grazing minima) and kept if
-    the refined coherence falls below epsilon times the series maximum.
+    Local minima of the sampled coherence are candidate collapse points.  The
+    factor is evaluated at every candidate's neighbours at once; brackets
+    where it changes sign are refined together by bisection, and the rare
+    grazing minima without a sign change by bounded minimization of |A|.  A
+    refined point is kept if its coherence falls below epsilon times the
+    series maximum.
     """
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
@@ -307,30 +307,26 @@ def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> n
     a_of_t = _analytic_factor(series)
     if series.probe is None:
         raise ValueError("series carries no probe metadata")
-    zeros: list[float] = []
-    for i in candidates:
-        lo, hi = t[i - 1], t[i + 1]
-        a_lo, a_hi = a_of_t(lo), a_of_t(hi)
-        if a_lo == 0.0:
-            refined = lo
-        elif a_hi == 0.0:
-            refined = hi
-        elif a_lo * a_hi < 0.0:
-            refined = brentq(a_of_t, lo, hi, xtol=1e-12, rtol=8.9e-16)
-        else:
-            result = minimize_scalar(
-                lambda tv: abs(a_of_t(tv)),
-                bounds=(lo, hi),
-                method="bounded",
-                options={"xatol": 1e-12 * max(1.0, t[-1])},
-            )
-            refined = float(result.x)
-        if _coherence_at_factor(series, a_of_t(refined)) < epsilon * peak:
-            zeros.append(refined)
-
-    if not zeros:
+    if _coherence_at_factor(series, 0.0) >= epsilon * peak:
+        # coherence grows with |A|: not even A = 0 brings it below the threshold
         return np.array([])
-    zeros = np.sort(np.asarray(zeros))
+    lo, hi = t[candidates - 1], t[candidates + 1]
+    # signs, not products: at weak coupling A itself can be ~1e-200
+    sign_lo, sign_hi = np.split(np.sign(a_of_t(np.concatenate([lo, hi]))), 2)
+    refined = np.where(sign_lo == 0.0, lo, hi)
+    crossing = sign_lo * sign_hi < 0.0
+    refined[crossing] = bisect_roots(a_of_t, lo[crossing], hi[crossing], sign_lo[crossing], 1e-15)
+    for i in np.nonzero(sign_lo * sign_hi > 0.0)[0]:
+        result = minimize_scalar(
+            lambda tv: abs(a_of_t([tv])[0]),
+            bounds=(lo[i], hi[i]),
+            method="bounded",
+            options={"xatol": 1e-12 * max(1.0, t[-1])},
+        )
+        refined[i] = float(result.x)
+    zeros = np.sort(refined[_coherence_at_factor(series, a_of_t(refined)) < epsilon * peak])
+    if zeros.size == 0:
+        return zeros
     # adjacent candidates can refine into the same zero; merge sub-grid duplicates
     spacing = np.min(np.diff(t))
     keep = np.concatenate(([True], np.diff(zeros) > 0.25 * spacing))
@@ -374,7 +370,9 @@ def vanishing_domains(
 def count_recovery_peaks(series: ObservableSeries) -> int:
     """Strict local maxima of coherence within one period after the first zero.
 
-    Returns 0 when no coherence zero is detected (nothing to recover from).
+    A run of equal samples counts as one point, at its first sample: a grid
+    symmetric about a maximum samples it as two equal values.  Returns 0 when
+    no coherence zero is detected (nothing to recover from).
 
     Raises:
         ValueError: if the series ends less than one period after the first
@@ -393,7 +391,8 @@ def count_recovery_peaks(series: ObservableSeries) -> int:
             f"series ends at t={t[-1]}, less than one period ({period}) after "
             f"the first zero at t={start}"
         )
-    coh = series.coherence
+    first = np.concatenate(([True], series.coherence[1:] != series.coherence[:-1]))
+    coh, t = series.coherence[first], t[first]
     inner = np.arange(1, t.size - 1)
     is_peak = (coh[inner] > coh[inner - 1]) & (coh[inner] > coh[inner + 1])
     in_window = (t[inner] > start) & (t[inner] <= start + period)

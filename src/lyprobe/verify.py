@@ -161,7 +161,7 @@ def check_factor_form_agreement() -> str:
                 a_prod = dephasing_factor_product(zs, x).value
                 worst = max(worst, abs(a_sum - a_prod))
     _require(worst <= 1e-8, f"factor form disagreement {worst}")
-    return f"coefficient vs product forms agree to {worst:.2e}"
+    return f"transfer vs product forms agree to {worst:.2e}"
 
 
 def check_factor_symmetry() -> str:

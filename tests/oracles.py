@@ -1,15 +1,19 @@
 """Independent oracle routes used to validate the package's closed forms.
 
 Everything here is deliberately implemented through different mathematics or
-different numerics than the package itself: transfer-matrix eigenvalue angles
-for the zero phases, arbitrary-precision simultaneous root iteration for the
-unit-circle certificates, matrix-exponential state-vector evolution for the
-twisted pair state, and the textbook non-Hermitian eigenvalue formulation of
-the spin-flip spectrum.
+different numerics than the package itself: arbitrary-precision coefficient
+sums for the dephasing factor, arbitrary-precision simultaneous root iteration
+for the zero phases and unit-circle certificates, matrix-exponential
+state-vector evolution for the twisted pair state, and the textbook
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Two entries
+are reference implementations rather than independent routes: the
+transfer-matrix phase formula (the package now uses it in atan2 form) and the
+scalar double loop the package's coefficient recurrence was vectorised from.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +34,57 @@ def transfer_phases(n_spins: int, beta_lambda: float) -> np.ndarray:
     s = np.sqrt(np.sin(gamma) ** 2 + q * np.cos(gamma) ** 2)
     alpha = np.where(gamma <= 0.5 * np.pi, np.arcsin(s), np.pi - np.arcsin(s))
     return np.sort(2.0 * np.pi - 2.0 * alpha)
+
+
+def ring_closed_form_loop(n_spins: int, wall_weight: float) -> np.ndarray:
+    """Ring coefficients by the scalar double loop over n and block count m.
+
+    The reference for the package's vectorised recurrence: the same
+    floating-point operations in the same order, one coefficient at a time,
+    so the two must agree bit for bit.
+    """
+    nb = n_spins
+    q = wall_weight
+    coeffs = np.zeros(nb + 1)
+    coeffs[0] = coeffs[nb] = 1.0
+    for n in range(1, nb // 2 + 1):
+        m_max = min(n, nb - n)
+        term = nb * q
+        total = term
+        for m in range(1, m_max):
+            term *= (n - m) * (nb - n - m) * q / (m * (m + 1))
+            total += term
+        coeffs[n] = total
+        coeffs[nb - n] = total
+    return coeffs
+
+
+def mp_ring_factor(n_spins: int, beta_lambda: float, angles, dps: int = 50) -> np.ndarray:
+    """Dephasing factor of a ring as an exact-count coefficient sum at dps digits.
+
+    The coefficient of z**n is sum_m (N/m) C(n-1, m-1) C(N-n-1, m-1) q**m
+    with q = exp(-4 beta_lambda), counted with exact integers; then
+    A(w) = sum_n f_n cos((N - 2n) w) / sum_n f_n.  No transfer matrix and no
+    double-precision rounding enter.
+    """
+    import mpmath as mp
+
+    nb = n_spins
+    with mp.workdps(dps):
+        q = mp.exp(-4 * mp.mpf(beta_lambda))
+        powers = [q**m for m in range(nb // 2 + 1)]
+        coeffs = [mp.mpf(1)] + [mp.mpf(0)] * (nb - 1) + [mp.mpf(1)]
+        for n in range(1, nb):
+            for m in range(1, min(n, nb - n) + 1):
+                count = nb * math.comb(n - 1, m - 1) * math.comb(nb - n - 1, m - 1) // m
+                coeffs[n] += count * powers[m]
+        norm = mp.fsum(coeffs)
+        values = []
+        for w in np.asarray(angles, dtype=float):
+            w_mp = mp.mpf(float(w))
+            total = mp.fsum(f * mp.cos((nb - 2 * n) * w_mp) for n, f in enumerate(coeffs))
+            values.append(float(total / norm))
+    return np.array(values)
 
 
 def highprecision_roots(coefficients: np.ndarray, dps: int = 50):

@@ -1,5 +1,7 @@
 """Exit codes, file outputs, and console text of the four subcommands."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,17 @@ class TestZeros:
         assert np.all(np.diff(data["phase"]) > 0.0)
         assert data["modulus_residual"].max() < 1e-10
         assert "10 zero phases" in capsys.readouterr().out
+
+    def test_coefficient_overflow_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "zeros.csv"
+        argv = ["zeros", "--nb", "2000", "--beta", "0.25", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "N_b=2000" in err and "beta*lambda=0.25" in err
+        assert not out.exists()
 
     def test_validation_exit_code(self, tmp_path, capsys):
         argv = ["zeros", "--nb", "10", "--beta", "-1.0", "--out", str(tmp_path / "z.csv")]

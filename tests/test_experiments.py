@@ -222,6 +222,28 @@ class TestZeroDetection:
             detected, expected, rtol=0.0, atol=1e-4 * coherence_period(ETA, Channel.I)
         )
 
+    @pytest.mark.parametrize("nb", [100, 400])
+    def test_weak_coupling_detects_exactly_the_ring_zeros(self, nb):
+        # at beta = 0.5 the factor sits ~1e-17 (N_b=100) to ~1e-67 (N_b=400)
+        # between collapses; every collapse must be found once, and nothing else
+        ring = IsingRing(n_spins=nb, inverse_temperature=0.5)
+        zeros = lee_yang_zeros(partition_coefficients(ring))
+        probe = OatParameters(n_probes=3, twist_angle=np.pi / 2)
+        for channel in (Channel.I, Channel.II):
+            period = coherence_period(ETA, channel)
+            t_max = 2.0 * period
+            steps = default_steps(zeros, ETA, t_max, channel)
+            series = run_scenario(Scenario(ring, probe, channel, t_max, steps, ETA))
+            detected = detect_coherence_zeros(series)
+            if channel is Channel.II:
+                assert detected.size == 0
+                continue
+            predicted = lee_yang_times(zeros, ETA, channel)
+            predicted = np.concatenate([predicted, predicted + period])
+            assert detected.size == 2 * nb
+            step = series.times[1] - series.times[0]
+            assert np.max(np.abs(detected - predicted)) <= step
+
     def test_even_multiplicity_zero_found_by_minimization(self):
         # binomial coefficients give A = cos^4(2 eta t) >= 0: the coherence
         # touches zero without a sign change, exercising the bounded-minimum
@@ -281,6 +303,13 @@ class TestRecoveryPeaks:
     def test_peak_count_per_period(self):
         period = coherence_period(ETA, Channel.I)
         series = run_scenario(make_scenario(nb=6, t_max=2.0 * period, steps=3201))
+        assert count_recovery_peaks(series) == 6
+
+    def test_peak_straddled_by_grid_counted_once(self):
+        # 3200 steps put t = period midway between two samples of equal
+        # coherence: the recovery peak there is a two-sample flat top
+        period = coherence_period(ETA, Channel.I)
+        series = run_scenario(make_scenario(nb=6, t_max=2.0 * period, steps=3200))
         assert count_recovery_peaks(series) == 6
 
     def test_rejects_short_window(self):

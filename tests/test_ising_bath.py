@@ -1,6 +1,7 @@
 """Ring polynomial coefficients, unit-circle zero phases, dephasing factors."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,14 @@ from lyprobe import (
     zero_times,
 )
 
-from .oracles import highprecision_roots, transfer_phases
+from lyprobe.ising_bath import factor_values
+
+from .oracles import (
+    highprecision_roots,
+    mp_ring_factor,
+    ring_closed_form_loop,
+    transfer_phases,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -127,6 +135,41 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="underflow"):
             ring_poly(10, 200.0)
 
+    @pytest.mark.parametrize("nb", [101, 1000])
+    @pytest.mark.parametrize("beta_lambda", [0.25, 2.0])
+    def test_vectorised_recurrence_matches_scalar_loop(self, nb, beta_lambda):
+        poly = ring_poly(nb, beta_lambda)
+        reference = ring_closed_form_loop(nb, np.exp(-4.0 * beta_lambda))
+        assert np.array_equal(poly.coefficients, reference)
+
+    @pytest.mark.parametrize(
+        "nb,beta_lambda", [(2000, 0.25), (1825, 0.121), (3090, 0.444), (1498, 0.25)]
+    )
+    def test_overflow_raises_up_front(self, nb, beta_lambda):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError) as info:
+                ring_poly(nb, beta_lambda)
+        message = str(info.value)
+        assert f"N_b={nb}" in message
+        assert f"beta*lambda={beta_lambda:g}" in message
+        assert "limit" in message
+
+    def test_largest_ring_below_overflow_is_finite(self):
+        # (1 + sqrt q)^N + (1 - sqrt q)^N first passes the double range at
+        # N_b = 1498 for beta*lambda = 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            poly = ring_poly(1497, 0.25)
+        assert np.all(np.isfinite(poly.coefficients))
+        assert np.isfinite(poly.coefficients.sum())
+
+    def test_ring_identity_carried(self):
+        assert ring_poly(7, 0.3).beta_lambda == 0.3
+        assert synthetic_palindrome().beta_lambda is None
+        with pytest.raises(ValueError, match="beta_lambda"):
+            PartitionPolynomial(np.array([1.0, 2.0, 2.0, 1.0]), 0.0, 1.0, beta_lambda=-1.0)
+
     def test_bruteforce_guard(self):
         with pytest.raises(ValueError, match="<= 24"):
             partition_coefficients_bruteforce(IsingRing(25))
@@ -180,7 +223,8 @@ class TestZeroExtraction:
         np.testing.assert_allclose(zs.phases, ref, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "nb,beta_lambda", [(4, 0.25), (10, 0.25), (10, 2.0), (40, 2.0)]
+        "nb,beta_lambda",
+        [(4, 0.25), (7, 0.5), (10, 0.25), (10, 2.0), (40, 0.5), (40, 2.0)],
     )
     def test_matches_highprecision_roots(self, nb, beta_lambda):
         poly = ring_poly(nb, beta_lambda)
@@ -188,6 +232,29 @@ class TestZeroExtraction:
         moduli, phases = highprecision_roots(poly.coefficients)
         np.testing.assert_allclose(moduli, 1.0, rtol=0.0, atol=1e-8)
         np.testing.assert_allclose(zs.phases, phases, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("nb,beta_lambda", [(9, 0.7), (13, 0.3)])
+    def test_matches_roots_of_enumerated_polynomial(self, nb, beta_lambda):
+        # enumeration and mpmath roots: neither the closed form nor the
+        # transfer matrix enters the reference
+        ring = IsingRing(n_spins=nb, inverse_temperature=beta_lambda)
+        brute = partition_coefficients_bruteforce(ring)
+        moduli, phases = highprecision_roots(brute.coefficients)
+        np.testing.assert_allclose(moduli, 1.0, rtol=0.0, atol=1e-8)
+        zs = lee_yang_zeros(partition_coefficients(ring))
+        np.testing.assert_allclose(zs.phases, phases, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("nb,beta_lambda", [(10, 0.5), (31, 2.0)])
+    def test_coefficient_route_matches_transfer_route(self, nb, beta_lambda):
+        ring = ring_poly(nb, beta_lambda)
+        hand_built = PartitionPolynomial(ring.coefficients, ring.scale_log, ring.beta)
+        np.testing.assert_allclose(
+            lee_yang_zeros(hand_built).phases, lee_yang_zeros(ring).phases, rtol=0.0, atol=1e-12
+        )
+        w = np.linspace(-4.0, 4.0, 101)
+        np.testing.assert_allclose(
+            factor_values(hand_built, w), factor_values(ring, w), rtol=0.0, atol=1e-12
+        )
 
     @pytest.mark.parametrize("nb", [6, 7])
     def test_infinite_temperature_degenerate(self, nb):
@@ -281,6 +348,18 @@ class TestDephasingFactor:
         zs = lee_yang_zeros(poly)
         x = zs.phases[0] / (2.0 * poly.beta)
         assert abs(dephasing_factor(poly, x).value) < 1e-8
+
+    @pytest.mark.parametrize("nb", [10, 100, 400])
+    @pytest.mark.parametrize("beta_lambda", [0.5, 5.0, 20.0])
+    def test_matches_highprecision_coefficient_sum(self, nb, beta_lambda):
+        poly = ring_poly(nb, beta_lambda)
+        phases = lee_yang_zeros(poly).phases
+        generic = np.array([0.0, 0.05, 0.3, 1.0, 1.4, 2.2, 3.0, -0.7])
+        # A vanishes at w = phi/2; probe within 1e-9 of four zeros
+        near_zero = phases[[0, nb // 3, nb // 2, -1]] / 2.0 + np.array([1.0, -0.5, 0.3, -1.0]) * 1e-9
+        w = np.concatenate([generic, near_zero])
+        reference = mp_ring_factor(nb, beta_lambda, w)
+        np.testing.assert_allclose(factor_values(poly, w), reference, rtol=0.0, atol=1e-12)
 
     def test_binomial_polynomial_gives_cosine_power(self):
         nb = 6
