@@ -11,6 +11,7 @@ from . import verify as verify_module
 from .channels import Channel, OatParameters
 from .experiments import (
     Scenario,
+    _write_csv,
     coherence_period,
     default_steps,
     emit_csv,
@@ -122,18 +123,7 @@ def _cmd_zeros(args) -> int:
     zeros = lee_yang_zeros(poly)
     roots = np.exp(1j * zeros.phases)
     residuals = np.abs(np.polyval(poly.coefficients[::-1], roots)) / poly.coefficients.sum()
-    data = np.column_stack([zeros.phases, residuals])
-    try:
-        np.savetxt(
-            args.out,
-            data,
-            fmt="%.12g",
-            delimiter=",",
-            header="phase,modulus_residual",
-            comments="",
-        )
-    except OSError as exc:
-        raise OSError(f"failed to write CSV to {args.out!r}: {exc}") from exc
+    _write_csv(args.out, "phase,modulus_residual", [zeros.phases, residuals])
     print(
         f"wrote {zeros.phases.size} zero phases to {args.out} "
         f"(residual bound {zeros.residual_bound:.3g})"

@@ -281,12 +281,15 @@ def _coherence_at_factor(series: ObservableSeries, a: np.ndarray) -> np.ndarray:
 def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> np.ndarray:
     """Times where the probe coherence collapses to zero, refined analytically.
 
-    Local minima of the sampled coherence are candidate collapse points.  The
-    factor is evaluated at every candidate's neighbours at once; brackets
-    where it changes sign are refined together by bisection, and the rare
-    grazing minima without a sign change by bounded minimization of |A|.  A
-    refined point is kept if its coherence falls below epsilon times the
-    series maximum.
+    Local minima of the sampled coherence are candidate collapse points, and
+    so is every sign change of the sampled factor that no minimum's bracket
+    already holds: at weak coupling and large rings the channel-I coherence
+    (~A^2) underflows between collapses, and minima with subnormal or zero
+    neighbours are ignored.  The factor is evaluated at the ends of every
+    candidate bracket at once; brackets where it changes sign are refined
+    together by bisection, and the rare grazing minima without a sign change
+    by bounded minimization of |A|.  A refined point is kept if its coherence
+    falls below epsilon times the series maximum.
     """
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
@@ -301,7 +304,22 @@ def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> n
     interior = np.arange(1, t.size - 1)
     is_min = (coh[interior] < coh[interior - 1]) & (coh[interior] <= coh[interior + 1])
     candidates = interior[is_min]
-    if candidates.size == 0:
+    flips = np.array([], dtype=int)
+    tiny = np.finfo(float).tiny
+    if coh.min() < tiny:
+        # the coherence underflows: a minimum with a subnormal or 0 neighbour
+        # is a rounding step, not a collapse, and the collapses there are the
+        # sign changes of A that no minimum brackets
+        resolved = np.minimum(coh[candidates - 1], coh[candidates + 1]) >= tiny
+        candidates = candidates[resolved]
+        a = series.a_factor
+        negative = np.signbit(a)
+        flips = np.flatnonzero(negative[:-1] != negative[1:])
+        flips = flips[(a[flips] != 0.0) & (a[flips + 1] != 0.0)]
+        # candidate c brackets the flips at c - 1 and c
+        next_min = np.append(candidates, t.size)[np.searchsorted(candidates, flips)]
+        flips = flips[next_min - flips > 1]
+    if candidates.size == 0 and flips.size == 0:
         return np.array([])
 
     a_of_t = _analytic_factor(series)
@@ -310,7 +328,8 @@ def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> n
     if _coherence_at_factor(series, 0.0) >= epsilon * peak:
         # coherence grows with |A|: not even A = 0 brings it below the threshold
         return np.array([])
-    lo, hi = t[candidates - 1], t[candidates + 1]
+    lo = np.concatenate([t[candidates - 1], t[flips]])
+    hi = np.concatenate([t[candidates + 1], t[flips + 1]])
     # signs, not products: at weak coupling A itself can be ~1e-200
     sign_lo, sign_hi = np.split(np.sign(a_of_t(np.concatenate([lo, hi]))), 2)
     refined = np.where(sign_lo == 0.0, lo, hi)
@@ -471,9 +490,49 @@ def fit_cmax_scaling(
     )
 
 
+# rows formatted per % expression: large enough to amortise the call and the
+# write, small enough that the formatted text of one block stays a few hundred KB
+_CSV_BLOCK_ROWS = 2048
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length 1-D columns as plain-text CSV under a header line.
+
+    Each value is formatted with ``%.12g``, the formatter numpy's savetxt
+    applies, so the bytes equal savetxt's with fmt="%.12g" and delimiter=",".
+    Rows are formatted a block at a time, one ``%`` expression and one write
+    per block.
+
+    Raises:
+        OSError: naming the path, if the file cannot be opened or written.
+    """
+    row_fmt = ",".join(["%.12g"] * len(columns)) + "\n"
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as handle:
+            handle.write(header + "\n")
+            for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
+                block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
+                handle.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+    except OSError as exc:
+        raise OSError(f"failed to write CSV to {path!r}: {exc}") from exc
+
+
 def emit_csv(series: ObservableSeries, path) -> None:
-    """Write the series as deterministic CSV with 12 significant digits."""
-    data = np.column_stack(
+    """Write the series as deterministic CSV with 12 significant digits.
+
+    Format: the header line
+    ``t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime``, then one row
+    per grid point, each value formatted with ``%.12g``, separated by commas,
+    every line ended by ``\\n``.  The file is always plain text: unlike
+    numpy's savetxt, a path ending in ``.gz`` is not compressed.
+    ``lyprobe zeros`` writes its CSV through the same writer.
+
+    Raises:
+        OSError: naming the path, if the file cannot be written.
+    """
+    _write_csv(
+        path,
+        "t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime",
         [
             series.times,
             series.a_factor,
@@ -481,16 +540,5 @@ def emit_csv(series: ObservableSeries, path) -> None:
             series.concurrence_rescaled,
             series.xi2,
             series.xi2_prime,
-        ]
+        ],
     )
-    try:
-        np.savetxt(
-            path,
-            data,
-            fmt="%.12g",
-            delimiter=",",
-            header="t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime",
-            comments="",
-        )
-    except OSError as exc:
-        raise OSError(f"failed to write CSV to {path!r}: {exc}") from exc

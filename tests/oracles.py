@@ -5,10 +5,11 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Two entries
-are reference implementations rather than independent routes: the
-transfer-matrix phase formula (the package now uses it in atan2 form) and the
-scalar double loop the package's coefficient recurrence was vectorised from.
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Three
+entries are reference implementations rather than independent routes: the
+transfer-matrix phase formula (the package now uses it in atan2 form), the
+scalar double loop the package's coefficient recurrence was vectorised from,
+and the np.savetxt call the package's block CSV writer replaced.
 """
 
 from __future__ import annotations
@@ -57,6 +58,15 @@ def ring_closed_form_loop(n_spins: int, wall_weight: float) -> np.ndarray:
         coeffs[n] = total
         coeffs[nb - n] = total
     return coeffs
+
+
+def savetxt_csv(path, header: str, data) -> None:
+    """CSV of the 2-D array data under a header line, written by np.savetxt.
+
+    The byte reference for the package's CSV writer: 12 significant digits,
+    comma separated, no comment prefix on the header.
+    """
+    np.savetxt(path, data, fmt="%.12g", delimiter=",", header=header, comments="")
 
 
 def mp_ring_factor(n_spins: int, beta_lambda: float, angles, dps: int = 50) -> np.ndarray:

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import lyprobe.cli as cli
+from lyprobe import IsingRing, lee_yang_zeros, partition_coefficients
+
+from .oracles import savetxt_csv
 
 CSV_HEADER = "t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime"
 
@@ -82,6 +85,22 @@ class TestZeros:
         assert np.all(np.diff(data["phase"]) > 0.0)
         assert data["modulus_residual"].max() < 1e-10
         assert "10 zero phases" in capsys.readouterr().out
+
+    def test_matches_savetxt(self, tmp_path):
+        out = tmp_path / "zeros.csv"
+        assert cli.main(["zeros", "--nb", "100", "--beta", "0.25", "--out", str(out)]) == 0
+        poly = partition_coefficients(IsingRing(n_spins=100, inverse_temperature=0.25))
+        phases = lee_yang_zeros(poly).phases
+        roots = np.exp(1j * phases)
+        residuals = np.abs(np.polyval(poly.coefficients[::-1], roots)) / poly.coefficients.sum()
+        reference = tmp_path / "savetxt.csv"
+        savetxt_csv(reference, "phase,modulus_residual", np.column_stack([phases, residuals]))
+        assert out.read_bytes() == reference.read_bytes()
+
+    def test_io_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "zeros.csv"
+        assert cli.main(["zeros", "--nb", "10", "--beta", "0.5", "--out", str(out)]) == 3
+        assert "failed to write CSV" in capsys.readouterr().err
 
     def test_coefficient_overflow_is_numerical_failure(self, tmp_path, capsys):
         out = tmp_path / "zeros.csv"

@@ -1,9 +1,15 @@
 """Scenario pipeline, zero detection, domain statistics, scaling fit, CSV."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import lyprobe.experiments as experiments
 
 from lyprobe import (
     Channel,
@@ -33,7 +39,11 @@ from lyprobe import (
     zero_times,
 )
 
+from .oracles import savetxt_csv
+
 ETA = 0.01
+CSV_HEADER = "t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime"
+BLOCK = experiments._CSV_BLOCK_ROWS
 
 
 def make_scenario(nb=6, beta=0.5, channel=Channel.I, t_max=None, steps=801, **kw):
@@ -244,6 +254,20 @@ class TestZeroDetection:
             step = series.times[1] - series.times[0]
             assert np.max(np.abs(detected - predicted)) <= step
 
+    def test_underflowed_coherence_detects_every_zero(self):
+        # A ~ 1e-200 between collapses, so the coherence ~ A^2 is exactly 0
+        # for most samples: collapses come from the sign changes of A
+        ring = IsingRing(n_spins=1200, inverse_temperature=0.5)
+        probe = OatParameters(n_probes=3, twist_angle=np.pi / 2)
+        period = coherence_period(ETA, Channel.I)
+        series = run_scenario(Scenario(ring, probe, Channel.I, period, 200_001, ETA))
+        assert np.mean(series.coherence == 0.0) > 0.5
+        detected = detect_coherence_zeros(series)
+        predicted = lee_yang_times(lee_yang_zeros(partition_coefficients(ring)), ETA, Channel.I)
+        assert detected.size == predicted.size == 1200
+        step = series.times[1] - series.times[0]
+        assert np.max(np.abs(detected - predicted)) <= step
+
     def test_even_multiplicity_zero_found_by_minimization(self):
         # binomial coefficients give A = cos^4(2 eta t) >= 0: the coherence
         # touches zero without a sign change, exercising the bounded-minimum
@@ -446,3 +470,108 @@ class TestCsvOutput:
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(OSError, match="out.csv"):
             emit_csv(series, target)
+
+
+def _series(nb, beta, channel, steps, probes=4, theta=1.2):
+    ring = IsingRing(n_spins=nb, inverse_temperature=beta)
+    period = coherence_period(ETA, channel)
+    return run_scenario(
+        Scenario(ring, OatParameters(probes, theta), channel, period, steps, ETA)
+    )
+
+
+def _columns(series):
+    return [
+        series.times,
+        series.a_factor,
+        series.coherence,
+        series.concurrence_rescaled,
+        series.xi2,
+        series.xi2_prime,
+    ]
+
+
+def _assert_matches_savetxt(series, tmp_path):
+    emit_csv(series, tmp_path / "block.csv")
+    savetxt_csv(tmp_path / "savetxt.csv", CSV_HEADER, np.column_stack(_columns(series)))
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+class TestCsvMatchesSavetxt:
+    @pytest.fixture(scope="class")
+    def strong(self):
+        return _series(20, 7.0, Channel.I, 2 * BLOCK + 3)
+
+    def test_strong_channel_I(self, strong, tmp_path):
+        assert np.any(strong.a_factor < 0.0)
+        c = strong.concurrence_rescaled
+        assert np.any((c[1:] == 0.0) & (c[:-1] == 0.0))
+        _assert_matches_savetxt(strong, tmp_path)
+
+    def test_channel_II(self, tmp_path):
+        _assert_matches_savetxt(_series(20, 7.0, Channel.II, 3001), tmp_path)
+
+    def test_weak_coupling_tiny_factor(self, tmp_path):
+        series = _series(1200, 0.5, Channel.I, 3001, probes=3, theta=np.pi / 2)
+        assert np.min(np.abs(series.a_factor)) < 1e-200
+        _assert_matches_savetxt(series, tmp_path)
+        assert "e-20" in (tmp_path / "block.csv").read_text()
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_block_edges(self, strong, rows, tmp_path):
+        head = ObservableSeries(*(column[:rows] for column in _columns(strong)))
+        _assert_matches_savetxt(head, tmp_path)
+
+
+# after rounding to 12 digits, %.12g writes exponent form below 1e-4 and from
+# 1e12 up; the 9.99...95 values round up to the next power of ten
+_EDGE_VALUES = [
+    0.0,
+    -0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    2.225073858507201e-308,
+    1.7976931348623157e308,
+    1e-5,
+    np.nextafter(1e-5, 0.0),
+    np.nextafter(1e-5, 1.0),
+    9.99999999999995e-6,
+    1e-4,
+    np.nextafter(1e-4, 0.0),
+    np.nextafter(1e-4, 1.0),
+    9.99999999999995e-5,
+    9.9999999999949e-5,
+    1e12,
+    np.nextafter(1e12, 0.0),
+    np.nextafter(1e12, np.inf),
+    999999999999.5,
+    999999999999.4,
+    9.9999999999995,
+    9.9999999999949,
+    0.99999999999995,
+]
+_csv_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_VALUES + [-v for v in _EDGE_VALUES]),
+)
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 12), st.integers(1, 6)),
+        elements=_csv_values,
+    ),
+    block=st.integers(1, 5),
+)
+def test_block_writer_matches_savetxt(csv_dir, data, block):
+    with mock.patch.object(experiments, "_CSV_BLOCK_ROWS", block):
+        experiments._write_csv(csv_dir / "block.csv", "h", list(data.T))
+    savetxt_csv(csv_dir / "savetxt.csv", "h", data)
+    assert (csv_dir / "block.csv").read_bytes() == (csv_dir / "savetxt.csv").read_bytes()
