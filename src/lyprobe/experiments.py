@@ -337,7 +337,7 @@ def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> n
     refined[crossing] = bisect_roots(a_of_t, lo[crossing], hi[crossing], sign_lo[crossing], 1e-15)
     for i in np.nonzero(sign_lo * sign_hi > 0.0)[0]:
         result = minimize_scalar(
-            lambda tv: abs(a_of_t([tv])[0]),
+            lambda tv: abs(a_of_t(tv)),
             bounds=(lo[i], hi[i]),
             method="bounded",
             options={"xatol": 1e-12 * max(1.0, t[-1])},

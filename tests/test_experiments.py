@@ -283,6 +283,43 @@ class TestZeroDetection:
         assert detected.size == 1
         assert detected[0] == pytest.approx(np.pi / (4.0 * ETA), abs=0.01)
 
+    @pytest.mark.parametrize("case", ["binomial-4", "binomial-8", "ring-6", "ring-100-weak"])
+    def test_scalar_objective_matches_one_element_array(self, case, monkeypatch):
+        # the grazing-minimum objective passes the scalar time straight to the
+        # factor; the detected times must equal those of the one-element-array
+        # objective bit for bit
+        if case.startswith("binomial"):
+            nb = int(case.split("-")[1])
+            coeffs = np.array([math.comb(nb, n) for n in range(nb + 1)], dtype=float)
+            poly = PartitionPolynomial(coefficients=coeffs, scale_log=0.0, beta=1.0)
+            times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
+            series = series_from_polynomial(poly, OatParameters(3, np.pi / 2), ETA, Channel.I, times)
+        elif case == "ring-6":
+            series = run_scenario(make_scenario(nb=6, steps=2401))
+        else:
+            zeros = lee_yang_zeros(partition_coefficients(IsingRing(100, inverse_temperature=0.5)))
+            t_max = coherence_period(ETA, Channel.I)
+            series = run_scenario(
+                make_scenario(nb=100, t_max=t_max, steps=default_steps(zeros, ETA, t_max, Channel.I))
+            )
+        detected = detect_coherence_zeros(series)
+        a_of_t = experiments._analytic_factor(series)
+        original = experiments.minimize_scalar
+        grazing = []
+
+        def one_element_objective(fun, **kwargs):
+            new = original(fun, **kwargs)
+            old = original(lambda tv: abs(a_of_t([tv])[0]), **kwargs)
+            assert (new.x, new.fun, new.nfev) == (old.x, old.fun, old.nfev)
+            grazing.append(new.x)
+            return old
+
+        monkeypatch.setattr(experiments, "minimize_scalar", one_element_objective)
+        reference = detect_coherence_zeros(series)
+        assert detected.tobytes() == reference.tobytes()
+        if case.startswith("binomial"):
+            assert len(grazing) > 0
+
 
 class TestVanishingDomains:
     def test_no_domains_before_first_zero(self):

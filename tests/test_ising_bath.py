@@ -212,6 +212,25 @@ class TestLeeYangZeroSetValidation:
         with pytest.raises(ValueError):
             zs.phases[0] = 1.0
 
+    def test_residuals_frozen(self):
+        zs = lee_yang_zeros(ring_poly(5, 0.5))
+        with pytest.raises(ValueError):
+            zs.residuals[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "residuals,bound,match",
+        [
+            ([0.0, 1e-12], 1e-12, "shape"),
+            ([0.0, 1e-12, 0.0], 1e-13, "maximum"),
+            ([-1e-12, 1e-12, 0.0], 1e-12, ">= 0"),
+            ([np.nan, 1e-12, 0.0], 1e-12, ">= 0"),
+        ],
+    )
+    def test_rejects_inconsistent_residuals(self, residuals, bound, match):
+        phases = np.array([1.0, np.pi, TWO_PI - 1.0])
+        with pytest.raises(ValueError, match=match):
+            LeeYangZeroSet(phases, bound, 1.0, np.array(residuals))
+
 
 class TestZeroExtraction:
     @pytest.mark.parametrize("nb", [4, 7, 10, 40, 100])
@@ -300,6 +319,18 @@ class TestZeroExtraction:
     def test_residual_bound_large_ring(self):
         assert lee_yang_zeros(ring_poly(100, 0.5)).residual_bound < 1e-8
 
+    @pytest.mark.parametrize(
+        "poly",
+        [ring_poly(7, 0.5), ring_poly(100, 0.25), ring_poly(1000, 5.0), synthetic_palindrome()],
+        ids=["ring-7", "ring-100", "ring-1000", "hand-built"],
+    )
+    def test_per_zero_residuals(self, poly):
+        zs = lee_yang_zeros(poly)
+        roots = np.exp(1j * zs.phases)
+        expected = np.abs(np.polyval(poly.coefficients[::-1], roots)) / poly.coefficients.sum()
+        assert zs.residuals.tobytes() == expected.tobytes()
+        assert zs.residual_bound == zs.residuals.max()
+
     def test_companion_roots_diagnostic(self):
         poly = ring_poly(10, 0.5)
         roots = companion_roots(poly)
@@ -320,6 +351,34 @@ class TestDephasingFactor:
         poly = ring_poly(5, 0.5)
         with pytest.raises(ValueError, match="finite"):
             dephasing_factor(poly, np.inf)
+
+    @pytest.mark.parametrize("hand_built", [False, True])
+    @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, float("nan"), np.float64(np.inf)])
+    def test_nonfinite_x_rejected_on_both_routes(self, x, hand_built):
+        poly = ring_poly(6, 0.5)
+        if hand_built:
+            poly = PartitionPolynomial(poly.coefficients, poly.scale_log, poly.beta)
+        with pytest.raises(ValueError, match="x must be finite"):
+            dephasing_factor(poly, x)
+
+    @pytest.mark.parametrize(
+        "value,argument,match",
+        [
+            (complex(np.nan, 0.0), 0.0, "value must be finite"),
+            (complex(0.0, np.inf), 0.0, "value must be finite"),
+            (complex(-np.inf, 0.0), 0.0, "value must be finite"),
+            (0.5 + 0.0j, np.nan, "argument must be finite"),
+            (0.5 + 0.0j, -np.inf, "argument must be finite"),
+            (1.0 + 2e-9 + 0.0j, 0.0, "exceed 1"),
+            (complex(0.0, -1.0 - 2e-9), 0.0, "exceed 1"),
+        ],
+    )
+    def test_rejects_invalid_fields(self, value, argument, match):
+        with pytest.raises(ValueError, match=match):
+            DephasingFactor(value=value, argument=argument)
+
+    def test_accepts_value_within_tolerance(self):
+        assert DephasingFactor(value=1.0 + 5e-10 + 0.0j, argument=1.0).value.real > 1.0
 
     def test_unity_at_zero_field(self):
         factor = dephasing_factor(ring_poly(8, 0.7), 0.0)
@@ -396,3 +455,82 @@ class TestZeroTimes:
         zs = lee_yang_zeros(ring_poly(6, 0.5))
         with pytest.raises(ValueError, match="eta"):
             zero_times(zs, eta)
+
+
+# rings across both eigenvalue branches, odd and even N_b, N_b up to 4000 and
+# beta*lambda from 0.05 to 186
+SCALAR_RINGS = [
+    (3, 0.05),
+    (4, 0.5),
+    (11, 2.0),
+    (100, 0.25),
+    (101, 5.0),
+    (1000, 0.05),
+    (3691, 20.0),
+    (4000, 186.0),
+]
+
+SCALAR_FORMS = {
+    "float": float,
+    "numpy scalar": np.float64,
+    "0-d array": lambda w: np.array(w),
+}
+
+
+def scalar_angles(poly):
+    """w = 0, multiples of pi, every collapse angle and generic points."""
+    collapse = lee_yang_zeros(poly).phases / 2.0
+    pis = np.pi * np.array([-3.0, -1.0, 1.0, 2.0, 7.0, 1000.0])
+    generic = np.random.default_rng(poly.degree).uniform(-20.0, 20.0, 64)
+    return np.concatenate([[0.0, -0.0], pis, collapse, -collapse, generic])
+
+
+def scalar_values(poly, angles, form):
+    values = [factor_values(poly, form(float(w))) for w in angles]
+    assert all(type(v) is np.float64 for v in values)
+    return np.array(values)
+
+
+class TestScalarRoute:
+    @pytest.mark.parametrize("form", SCALAR_FORMS)
+    @pytest.mark.parametrize("nb,beta_lambda", SCALAR_RINGS)
+    def test_ring_scalar_bit_identical_to_array(self, nb, beta_lambda, form):
+        poly = ring_poly(nb, beta_lambda)
+        w = scalar_angles(poly)
+        s2 = np.sin(w) ** 2
+        q = math.exp(-4.0 * beta_lambda)
+        # both eigenvalue branches are exercised
+        assert np.any(s2 > q) and np.any(s2 <= q)
+        reference = np.array([factor_values(poly, np.array([v]))[0] for v in w])
+        scalar = scalar_values(poly, w, SCALAR_FORMS[form])
+        np.testing.assert_array_equal(scalar.view(np.uint64), reference.view(np.uint64))
+        np.testing.assert_array_equal(scalar.view(np.uint64), factor_values(poly, w).view(np.uint64))
+
+    @pytest.mark.parametrize("form", SCALAR_FORMS)
+    @pytest.mark.parametrize("nb,beta_lambda", [(3, 0.05), (4, 0.5), (11, 2.0), (100, 0.25)])
+    def test_hand_built_scalar_bit_identical_to_array(self, nb, beta_lambda, form):
+        ring = ring_poly(nb, beta_lambda)
+        poly = PartitionPolynomial(ring.coefficients, ring.scale_log, ring.beta)
+        w = scalar_angles(ring)
+        reference = np.array([factor_values(poly, np.array([v]))[0] for v in w])
+        scalar = scalar_values(poly, w, SCALAR_FORMS[form])
+        np.testing.assert_array_equal(scalar.view(np.uint64), reference.view(np.uint64))
+
+    @pytest.mark.parametrize("form", SCALAR_FORMS)
+    def test_both_routes_return_the_same_types(self, form):
+        ring = ring_poly(10, 0.5)
+        hand_built = PartitionPolynomial(ring.coefficients, ring.scale_log, ring.beta)
+        for poly in (ring, hand_built):
+            assert type(factor_values(poly, SCALAR_FORMS[form](0.3))) is np.float64
+            values = factor_values(poly, np.array([[0.1, 0.2], [0.3, 0.4]]))
+            assert type(values) is np.ndarray and values.shape == (2, 2)
+
+    @pytest.mark.parametrize("nb,beta_lambda", [(4, 0.5), (101, 5.0), (4000, 186.0)])
+    def test_dephasing_factor_matches_array_route(self, nb, beta_lambda):
+        poly = ring_poly(nb, beta_lambda)
+        x = scalar_angles(poly)[:200] / poly.beta
+        values = np.array([dephasing_factor(poly, float(v)).value for v in x])
+        np.testing.assert_array_equal(values.imag, 0.0)
+        np.testing.assert_array_equal(
+            values.real.view(np.uint64), factor_values(poly, poly.beta * x).view(np.uint64)
+        )
