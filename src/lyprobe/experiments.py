@@ -26,6 +26,7 @@ from .ising_bath import (
     partition_coefficients,
     zero_times,
 )
+from .observables import x_state_observables
 
 
 @dataclass(frozen=True)
@@ -174,47 +175,25 @@ def series_from_polynomial(
     """Evaluate the closed-form observable pipeline over a time grid.
 
     Vectorized over the grid: one dephasing-factor evaluation per point, then
-    the X-state spin-flip singular values, coherence, rescaled concurrence,
-    and both squeezing parameters from the initial-state entries.
+    coherence, rescaled concurrence and both squeezing parameters from the
+    X-state kernel ``observables.x_state_observables``.
     """
     channel = Channel(channel)
     if not (np.isfinite(eta) and eta > 0.0):
         raise ValueError(f"eta must be positive, got {eta!r}")
     times = np.asarray(times, dtype=float)
 
-    state = oat_reduced_state(probe)
     n = probe.n_probes
-    mod_u0 = abs(state.u)
-    mod_y0 = abs(state.y)
-    root_vv = np.sqrt(state.v_plus * state.v_minus)
-
     a = factor_values(poly, _angle_multiplier(channel) * eta * times)
-
-    if channel is Channel.I:
-        damp_u = a * a * mod_u0
-        damp_y = a * a * mod_y0
-        coh = 2.0 * a * a * (mod_u0 + mod_y0)
-        xi2 = 1.0 + 2.0 * (n - 1) * a * a * (state.y - mod_u0)
-    else:
-        damp_u = np.abs(a) * mod_u0
-        damp_y = np.full_like(a, mod_y0)
-        coh = 2.0 * (np.abs(a) * mod_u0 + mod_y0)
-        xi2 = 1.0 + 2.0 * (n - 1) * (state.y - np.abs(a) * mod_u0)
-
-    lam1 = root_vv + damp_u
-    lam2 = np.abs(root_vv - damp_u)
-    lam3 = state.w + damp_y
-    lam4 = np.abs(state.w - damp_y)
-    total = lam1 + lam2 + lam3 + lam4
-    conc = np.maximum(0.0, 2.0 * np.maximum(lam1, lam3) - total)
-    rescaled = (n - 1) * conc
+    values = x_state_observables(oat_reduced_state(probe), channel, a, n)
+    rescaled = (n - 1) * values.concurrence
 
     return ObservableSeries(
         times=times,
         a_factor=a,
-        coherence=coh,
+        coherence=values.coherence,
         concurrence_rescaled=rescaled,
-        xi2=xi2,
+        xi2=values.xi2,
         xi2_prime=1.0 - rescaled,
         probe=probe,
         eta=eta,
@@ -271,13 +250,6 @@ def _analytic_factor(series: ObservableSeries):
     return a_of_t
 
 
-def _coherence_at_factor(series: ObservableSeries, a: np.ndarray) -> np.ndarray:
-    state = oat_reduced_state(series.probe)
-    if series.channel is Channel.I:
-        return 2.0 * a * a * (abs(state.u) + abs(state.y))
-    return 2.0 * (np.abs(a) * abs(state.u) + abs(state.y))
-
-
 def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> np.ndarray:
     """Times where the probe coherence collapses to zero, refined analytically.
 
@@ -325,7 +297,12 @@ def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> n
     a_of_t = _analytic_factor(series)
     if series.probe is None:
         raise ValueError("series carries no probe metadata")
-    if _coherence_at_factor(series, 0.0) >= epsilon * peak:
+    state = oat_reduced_state(series.probe)
+
+    def coherence_at(a):
+        return x_state_observables(state, series.channel, a, series.probe.n_probes).coherence
+
+    if coherence_at(0.0) >= epsilon * peak:
         # coherence grows with |A|: not even A = 0 brings it below the threshold
         return np.array([])
     lo = np.concatenate([t[candidates - 1], t[flips]])
@@ -343,7 +320,7 @@ def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> n
             options={"xatol": 1e-12 * max(1.0, t[-1])},
         )
         refined[i] = float(result.x)
-    zeros = np.sort(refined[_coherence_at_factor(series, a_of_t(refined)) < epsilon * peak])
+    zeros = np.sort(refined[coherence_at(a_of_t(refined)) < epsilon * peak])
     if zeros.size == 0:
         return zeros
     # adjacent candidates can refine into the same zero; merge sub-grid duplicates
@@ -440,6 +417,8 @@ def fit_cmax_scaling(
 
     For each N the maximum original concurrence over one coherence period is
     computed under channel I, then ln C_max is fit linearly against (N - 2).
+    The factor is evaluated once on the grid and shared by every N; each
+    C_max equals ``max_original_concurrence`` on the same grid bit for bit.
     Requires the strong-coupling regime (beta * coupling >= 10), where the
     maxima sit at the recovery times.
 
@@ -464,13 +443,15 @@ def fit_cmax_scaling(
     if steps is None:
         steps = default_steps(lee_yang_zeros(poly), eta, coherence_period(eta, Channel.I), Channel.I)
     times = np.linspace(0.0, coherence_period(eta, Channel.I), steps)
+    a = factor_values(poly, _angle_multiplier(Channel.I) * eta * times)
 
-    cmax = np.array(
-        [
-            max_original_concurrence(poly, OatParameters(int(n), theta), eta, times)
-            for n in n_values
-        ]
-    )
+    cmax = []
+    for n in n_values.tolist():
+        state = oat_reduced_state(OatParameters(n, theta))
+        rescaled = (n - 1) * x_state_observables(state, Channel.I, a, n).concurrence
+        # max_original_concurrence's expression, not conc.max(): the same bits
+        cmax.append(float(rescaled.max() / (n - 1)))
+    cmax = np.array(cmax)
     if np.any(cmax <= 0.0):
         raise ValueError(
             "C_max vanished for some ensemble size: parameters outside the "

@@ -329,9 +329,12 @@ def _zeros_from_coefficients(poly: PartitionPolynomial) -> np.ndarray:
     Scans (0, pi] on a uniform grid of 8 * degree points for sign changes of
     exp(-i*N*phi/2) P(exp(i*phi)) / P(1), which is real by palindromy,
     bisects every bracket at once, and doubles the grid (up to 512 * degree)
-    until the expected count ceil(degree / 2) is reached.  Fails if the count
-    is still short, which signals either a non-ferromagnetic input or zeros
-    clustered below double-precision resolution.
+    while the count is short of the expected ceil(degree / 2).  A count above
+    it fails at once: the grids are nested, so every sign change persists on
+    the finer grids, and an excess means the sum's rounding noise (about
+    1e-16 of P(1)) swamps the signal between zeros.  A count still short at
+    the finest grid signals a non-ferromagnetic input or zeros clustered
+    below double-precision resolution.
     """
     nb = poly.degree
     expected = (nb + 1) // 2
@@ -349,13 +352,21 @@ def _zeros_from_coefficients(poly: PartitionPolynomial) -> np.ndarray:
         lo = np.concatenate(([0.0], grid[:-1]))
         lo_sign = np.concatenate(([1.0], signs[:-1]))  # polynomial positive at phi -> 0+
         flips = lo_sign * signs < 0.0
-        refined = bisect_roots(symmetrized, lo[flips], grid[flips], lo_sign[flips], 1e-15)
-        roots = np.concatenate([refined, grid[signs == 0.0], [np.pi] * (nb % 2)])
-        if roots.size == expected:
-            return np.sort(roots)
+        found = np.count_nonzero(flips) + np.count_nonzero(signs == 0.0) + nb % 2
+        if found == expected:
+            refined = bisect_roots(symmetrized, lo[flips], grid[flips], lo_sign[flips], 1e-15)
+            return np.sort(np.concatenate([refined, grid[signs == 0.0], [np.pi] * (nb % 2)]))
+        if found > expected:
+            raise RuntimeError(
+                f"found {found} sign changes in (0, pi] for {expected} zero "
+                "phases: the coefficient sum's noise floor exceeds its value "
+                "between zeros, a double-precision resolution limit; build ring "
+                "polynomials with partition_coefficients, whose zeros come from "
+                "the transfer form"
+            )
         if density >= 512:
             raise RuntimeError(
-                f"found {roots.size} zero phases in (0, pi], expected {expected}: "
+                f"found {found} zero phases in (0, pi], expected {expected}: "
                 "input is not a ferromagnetic ring polynomial or its zeros are "
                 "clustered below double-precision resolution"
             )
@@ -372,8 +383,9 @@ def lee_yang_zeros(poly: PartitionPolynomial) -> LeeYangZeroSet:
     phase (``residuals``) and its maximum (``residual_bound``).
 
     Raises:
-        RuntimeError: if fewer than ceil(degree / 2) phases are found in
-            (0, pi], which signals non-ferromagnetic input.
+        RuntimeError: if a hand-built polynomial does not give ceil(degree / 2)
+            phases in (0, pi]: fewer signal non-ferromagnetic input, more the
+            resolution limit of the coefficient sum.
     """
     nb = poly.degree
     if poly.beta_lambda is not None:

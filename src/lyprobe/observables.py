@@ -1,13 +1,19 @@
 """Coherence, pairwise entanglement, and spin squeezing of dephased probes.
 
 All three observables reduce to closed forms in the five X-state entries and
-the dephasing factor.  A generic density-matrix concurrence is provided as an
-independent route for cross-checks.
+the dephasing factor.  One array-native kernel, ``x_state_observables``,
+writes those forms once for both channels and any array of factors; the time
+series, zero detection and the C_max fit call it on arrays, and the scalar
+functions ``coherence``, ``concurrence_channel_I``/``_II`` and
+``spin_squeezing`` are thin wrappers that validate one factor and pack the
+kernel's values into result types.  A generic density-matrix concurrence is
+provided as an independent route for cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +81,60 @@ class SqueezingReport:
             raise ValueError("improvement must equal xi2_prime - xi2")
 
 
+class XStateObservables(NamedTuple):
+    """Observables of a dephased X state, each broadcastable against A.
+
+    ``lambdas`` holds the four spin-flip singular values unsorted:
+    sqrt(v+ v-) + d_u, |sqrt(v+ v-) - d_u|, w + d_y and |w - d_y|, where
+    d_u and d_y are the damped cross-coherence moduli.
+    """
+
+    coherence: np.ndarray
+    lambdas: tuple
+    concurrence: np.ndarray
+    xi2: np.ndarray
+
+
+def x_state_observables(
+    state: TwoQubitXState, channel: Channel, a, n_probes: int
+) -> XStateObservables:
+    """Coherence, spin-flip values, concurrence and xi^2 at factor(s) A.
+
+    The channels differ only in how they damp the cross coherences: channel I
+    scales |u| and |y| by A^2, channel II scales |u| by |A| and leaves y.
+    The X pattern block-diagonalizes the spin-flip product, so the outer
+    block gives sqrt(v+ v-) +- d_u and the inner block w +- d_y, and the
+    concurrence is the largest value minus the other three.  xi^2 =
+    1 + 2(N-1)(<s1+ s2-> - |<s1- s2->|) from the damped pair correlators.
+
+    ``a`` is a float or an array and is not validated.  The order of every
+    operation is fixed: the bytes of the simulate CSV depend on it.
+    """
+    if n_probes < 2:
+        raise ValueError(f"n_probes must be at least 2, got {n_probes}")
+    mod_u = abs(state.u)
+    mod_y = abs(state.y)
+    root_vv = np.sqrt(state.v_plus * state.v_minus)
+    if Channel(channel) is Channel.I:
+        damp_u = a * a * mod_u
+        damp_y = a * a * mod_y
+        coh = 2.0 * a * a * (mod_u + mod_y)
+        xi2 = 1.0 + 2.0 * (n_probes - 1) * a * a * (state.y - mod_u)
+    else:
+        damp_u = np.abs(a) * mod_u
+        damp_y = mod_y
+        coh = 2.0 * (np.abs(a) * mod_u + mod_y)
+        xi2 = 1.0 + 2.0 * (n_probes - 1) * (state.y - np.abs(a) * mod_u)
+
+    lam1 = root_vv + damp_u
+    lam2 = np.abs(root_vv - damp_u)
+    lam3 = state.w + damp_y
+    lam4 = np.abs(state.w - damp_y)
+    total = lam1 + lam2 + lam3 + lam4
+    conc = np.maximum(0.0, 2.0 * np.maximum(lam1, lam3) - total)
+    return XStateObservables(coh, (lam1, lam2, lam3, lam4), conc, xi2)
+
+
 def coherence(state: TwoQubitXState, channel: Channel, factor) -> float:
     """l1 off-diagonal coherence of the dephased pair, from initial entries.
 
@@ -82,29 +142,8 @@ def coherence(state: TwoQubitXState, channel: Channel, factor) -> float:
     L = 2 A^2 (|u| + |y|); channel II damps only the double-flip coherence,
     L = 2 (|A' u| + |y|), which stays positive whenever y != 0.
     """
-    a = _factor_value(factor)
-    au = abs(state.u)
-    ay = abs(state.y)
-    if Channel(channel) is Channel.I:
-        return 2.0 * a * a * (au + ay)
-    return 2.0 * (abs(a) * au + ay)
-
-
-def _x_state_lambdas(root_vv: float, mod_u: float, w: float, mod_y: float) -> np.ndarray:
-    """Spin-flip singular values of an X-state, sorted descending.
-
-    The X pattern block-diagonalizes the spin-flip product: the outer block
-    contributes sqrt(v+ v-) +- |u|, the inner block w +- |y|.
-    """
-    lams = np.array(
-        [
-            root_vv + mod_u,
-            abs(root_vv - mod_u),
-            w + mod_y,
-            abs(w - mod_y),
-        ]
-    )
-    return np.sort(lams)[::-1]
+    # the coherence does not depend on the ensemble size; any N >= 2 serves
+    return float(x_state_observables(state, channel, _factor_value(factor), 2).coherence)
 
 
 def concurrence_generic(rho: np.ndarray, n_probes: int = 2) -> ConcurrenceResult:
@@ -154,6 +193,18 @@ def concurrence_generic(rho: np.ndarray, n_probes: int = 2) -> ConcurrenceResult
     )
 
 
+def _closed_form_concurrence(
+    state: TwoQubitXState, channel: Channel, factor, n_probes: int
+) -> ConcurrenceResult:
+    values = x_state_observables(state, channel, _factor_value(factor), n_probes)
+    conc = float(values.concurrence)
+    return ConcurrenceResult(
+        concurrence=conc,
+        rescaled=(n_probes - 1) * conc,
+        lambdas=np.sort(np.array(values.lambdas, dtype=float))[::-1],
+    )
+
+
 def concurrence_channel_I(state: TwoQubitXState, factor, n_probes: int) -> ConcurrenceResult:
     """Concurrence of the pair after independent-ring dephasing, closed form.
 
@@ -161,18 +212,7 @@ def concurrence_channel_I(state: TwoQubitXState, factor, n_probes: int) -> Concu
     are sqrt(v+ v-) +- A^2 |u| and w +- A^2 |y|; for the twisted ensemble
     (w = y) this collapses to C = 2 max{0, A^2 |u| - y, A^2 y - sqrt(v+ v-)}.
     """
-    if n_probes < 2:
-        raise ValueError(f"n_probes must be at least 2, got {n_probes}")
-    a = _factor_value(factor)
-    a2 = a * a
-    root_vv = np.sqrt(state.v_plus * state.v_minus)
-    lams = _x_state_lambdas(root_vv, a2 * abs(state.u), state.w, a2 * abs(state.y))
-    conc = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
-    return ConcurrenceResult(
-        concurrence=conc,
-        rescaled=(n_probes - 1) * conc,
-        lambdas=lams,
-    )
+    return _closed_form_concurrence(state, Channel.I, factor, n_probes)
 
 
 def concurrence_channel_II(state: TwoQubitXState, factor, n_probes: int) -> ConcurrenceResult:
@@ -182,17 +222,7 @@ def concurrence_channel_II(state: TwoQubitXState, factor, n_probes: int) -> Conc
     sqrt(v+ v-) +- |A' u| and w +- |y|; for the twisted ensemble
     C = 2 max{0, |A' u| - y} until the shared bath erases the advantage.
     """
-    if n_probes < 2:
-        raise ValueError(f"n_probes must be at least 2, got {n_probes}")
-    a = _factor_value(factor)
-    root_vv = np.sqrt(state.v_plus * state.v_minus)
-    lams = _x_state_lambdas(root_vv, abs(a) * abs(state.u), state.w, abs(state.y))
-    conc = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
-    return ConcurrenceResult(
-        concurrence=conc,
-        rescaled=(n_probes - 1) * conc,
-        lambdas=lams,
-    )
+    return _closed_form_concurrence(state, Channel.II, factor, n_probes)
 
 
 def spin_squeezing(
@@ -212,22 +242,15 @@ def spin_squeezing(
     for channel II the gap is never positive, so the maximum is 0.
     """
     channel = Channel(channel)
-    a = _factor_value(factor)
-    n = n_probes
+    values = x_state_observables(state, channel, _factor_value(factor), n_probes)
     au = abs(state.u)
     y = state.y
-    if channel is Channel.I:
-        conc = concurrence_channel_I(state, a, n)
-        xi2 = 1.0 + 2.0 * (n - 1) * (a * a) * (y - au)
-        if au > 0.0:
-            improvement_max = 2.0 * (n - 1) * (1.0 - y / au) * y
-        else:
-            improvement_max = 0.0
+    if channel is Channel.I and au > 0.0:
+        improvement_max = 2.0 * (n_probes - 1) * (1.0 - y / au) * y
     else:
-        conc = concurrence_channel_II(state, a, n)
-        xi2 = 1.0 + 2.0 * (n - 1) * (y - abs(a) * au)
         improvement_max = 0.0
-    xi2_prime = 1.0 - conc.rescaled
+    xi2 = float(values.xi2)
+    xi2_prime = 1.0 - (n_probes - 1) * float(values.concurrence)
     return SqueezingReport(
         xi2=xi2,
         xi2_prime=xi2_prime,

@@ -5,11 +5,12 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Three
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Four
 entries are reference implementations rather than independent routes: the
 transfer-matrix phase formula (the package now uses it in atan2 form), the
 scalar double loop the package's coefficient recurrence was vectorised from,
-and the np.savetxt call the package's block CSV writer replaced.
+the np.savetxt call the package's block CSV writer replaced, and the inline
+series formulas the package's X-state kernel replaced.
 """
 
 from __future__ import annotations
@@ -67,6 +68,38 @@ def savetxt_csv(path, header: str, data) -> None:
     comma separated, no comment prefix on the header.
     """
     np.savetxt(path, data, fmt="%.12g", delimiter=",", header=header, comments="")
+
+
+def series_observables_reference(state, channel, n, a):
+    """Coherence, rescaled concurrence, xi2 and xi2_prime over factors a.
+
+    The byte reference for the package's X-state kernel: the observable
+    block the time series was computed with before the kernel existed, with
+    the same operations in the same order.  ``channel`` is "I" or "II".
+    """
+    mod_u0 = abs(state.u)
+    mod_y0 = abs(state.y)
+    root_vv = np.sqrt(state.v_plus * state.v_minus)
+
+    if channel == "I":
+        damp_u = a * a * mod_u0
+        damp_y = a * a * mod_y0
+        coh = 2.0 * a * a * (mod_u0 + mod_y0)
+        xi2 = 1.0 + 2.0 * (n - 1) * a * a * (state.y - mod_u0)
+    else:
+        damp_u = np.abs(a) * mod_u0
+        damp_y = np.full_like(a, mod_y0)
+        coh = 2.0 * (np.abs(a) * mod_u0 + mod_y0)
+        xi2 = 1.0 + 2.0 * (n - 1) * (state.y - np.abs(a) * mod_u0)
+
+    lam1 = root_vv + damp_u
+    lam2 = np.abs(root_vv - damp_u)
+    lam3 = state.w + damp_y
+    lam4 = np.abs(state.w - damp_y)
+    total = lam1 + lam2 + lam3 + lam4
+    conc = np.maximum(0.0, 2.0 * np.maximum(lam1, lam3) - total)
+    rescaled = (n - 1) * conc
+    return coh, rescaled, xi2, 1.0 - rescaled
 
 
 def mp_ring_factor(n_spins: int, beta_lambda: float, angles, dps: int = 50) -> np.ndarray:

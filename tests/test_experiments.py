@@ -23,6 +23,7 @@ from lyprobe import (
     coherence,
     coherence_period,
     concurrence_channel_I,
+    concurrence_channel_II,
     count_recovery_peaks,
     default_steps,
     detect_coherence_zeros,
@@ -31,6 +32,7 @@ from lyprobe import (
     lee_yang_times,
     lee_yang_zeros,
     max_original_concurrence,
+    oat_reduced_state,
     partition_coefficients,
     run_scenario,
     series_from_polynomial,
@@ -164,20 +166,20 @@ class TestSeriesPipeline:
 
     @pytest.mark.parametrize("channel", [Channel.I, Channel.II])
     def test_grid_matches_scalar_operations(self, channel):
+        # the series and the scalar calls share one kernel: equal bit for bit
         scenario = make_scenario(channel=channel, steps=97)
         series = run_scenario(scenario)
         state = series.probe
+        pair = oat_reduced_state(state)
+        closed_form = concurrence_channel_I if channel is Channel.I else concurrence_channel_II
         for i in (0, 17, 48, 96):
             a = series.a_factor[i]
-            from lyprobe import oat_reduced_state
-
-            pair = oat_reduced_state(state)
-            assert series.coherence[i] == pytest.approx(
-                coherence(pair, channel, a), abs=1e-12
-            )
+            assert series.coherence[i] == coherence(pair, channel, a)
+            conc = closed_form(pair, a, state.n_probes)
+            assert series.concurrence_rescaled[i] == conc.rescaled
             report = spin_squeezing(pair, channel, a, state.n_probes)
-            assert series.xi2[i] == pytest.approx(report.xi2, abs=1e-12)
-            assert series.xi2_prime[i] == pytest.approx(report.xi2_prime, abs=1e-12)
+            assert series.xi2[i] == report.xi2
+            assert series.xi2_prime[i] == report.xi2_prime
 
     def test_periodicity(self):
         period = coherence_period(ETA, Channel.I)
@@ -427,6 +429,17 @@ class TestConcurrenceScaling:
         assert result.alpha == pytest.approx(alpha_ref, abs=1e-9)
         assert result.intercept == pytest.approx(intercept_ref, abs=1e-9)
         np.testing.assert_allclose(result.log_cmax, np.log(exact), atol=1e-12)
+
+    def test_fit_shares_max_original_concurrence_bits(self, strong_ring):
+        # the fit evaluates A once per grid; every C_max stays bit for bit
+        poly = partition_coefficients(strong_ring)
+        times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
+        n_values = [3, 5, 8, 20]
+        result = fit_cmax_scaling(n_values, 1.2, strong_ring, eta=ETA, steps=2001)
+        per_n = [
+            max_original_concurrence(poly, OatParameters(n, 1.2), ETA, times) for n in n_values
+        ]
+        assert np.array_equal(result.log_cmax, np.log(per_n))
 
     def test_fit_becomes_exponential_at_large_ensembles(self, strong_ring):
         # the pure-exponential law holds asymptotically; at N >= 20 the fit

@@ -22,6 +22,7 @@ from lyprobe import (
     zero_times,
 )
 
+import lyprobe.ising_bath as ising_bath
 from lyprobe.ising_bath import factor_values
 
 from .oracles import (
@@ -307,6 +308,33 @@ class TestZeroExtraction:
         poly = PartitionPolynomial(np.array([1.0, 6.0, 6.0, 1.0]), 0.0, 1.0)
         with pytest.raises(RuntimeError, match="not a ferromagnetic"):
             lee_yang_zeros(poly)
+
+    def test_hand_built_ring_past_resolution_fails_at_first_pass(self, monkeypatch):
+        # at N_b = 100, beta*lambda = 0.25 the coefficient sum's rounding noise
+        # already gives more sign changes than zeros on the coarsest grid;
+        # finer nested grids only add more, so no second pass may run
+        ring = ring_poly(100, 0.25)
+        hand_built = PartitionPolynomial(ring.coefficients, ring.scale_log, ring.beta)
+        calls = []
+        evaluate = ising_bath._factor_values
+
+        def spy(coeffs, angles):
+            calls.append(angles.size)
+            return evaluate(coeffs, angles)
+
+        monkeypatch.setattr(ising_bath, "_factor_values", spy)
+        with pytest.raises(RuntimeError, match="resolution limit") as info:
+            lee_yang_zeros(hand_built)
+        assert "partition_coefficients" in str(info.value)
+        assert calls == [8 * 100]
+
+    def test_hand_built_ring_within_resolution_keeps_all_phases(self):
+        ring = ring_poly(40, 0.25)
+        hand_built = PartitionPolynomial(ring.coefficients, ring.scale_log, ring.beta)
+        zs = lee_yang_zeros(hand_built)
+        assert zs.phases.size == 40
+        # near the limit the noise already shifts the bracketed phases by ~4e-6
+        np.testing.assert_allclose(zs.phases, lee_yang_zeros(ring).phases, rtol=0.0, atol=1e-5)
 
     def test_synthetic_palindrome_fallback(self):
         # not in the ring family, so this exercises coefficient-space bracketing

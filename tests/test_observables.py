@@ -20,7 +20,9 @@ from lyprobe import (
     spin_squeezing,
 )
 
-from .oracles import wootters_reference
+from lyprobe.observables import x_state_observables
+
+from .oracles import series_observables_reference, wootters_reference
 
 # three-probe half-turn twist: y = 1/8, u = -1/8 - i/4, |u| = sqrt(5)/8
 SQRT5 = np.sqrt(5.0)
@@ -90,6 +92,30 @@ class TestCoherence:
             assert coherence(probe_state, channel, -0.6) == coherence(
                 probe_state, channel, 0.6
             )
+
+
+class TestXStateKernel:
+    # signed unit and zero factors, a generic negative one, and magnitudes
+    # whose squares underflow to subnormals and to zero
+    FACTORS = np.array(
+        [1.0, -1.0, 0.0, -0.0, 0.73, -0.41, 1e-200, -1e-200, 1e-310, 5e-324, -5e-324]
+    )
+
+    @pytest.mark.parametrize("channel", ["I", "II"])
+    @pytest.mark.parametrize("n", [2, 3, 8, 40])
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 2, 2.9])
+    def test_matches_series_reference_bit_for_bit(self, channel, n, theta):
+        state = oat_reduced_state(OatParameters(n, theta))
+        values = x_state_observables(state, Channel(channel), self.FACTORS, n)
+        rescaled = (n - 1) * values.concurrence
+        expected = series_observables_reference(state, channel, n, self.FACTORS)
+        computed = (values.coherence, rescaled, values.xi2, 1.0 - rescaled)
+        for got, want in zip(computed, expected):
+            assert np.array_equal(got, want)
+
+    def test_rejects_small_ensemble(self, probe_state):
+        with pytest.raises(ValueError, match="at least 2"):
+            x_state_observables(probe_state, Channel.I, self.FACTORS, 1)
 
 
 class TestConcurrenceGeneric:
