@@ -41,7 +41,6 @@ from .ising_bath import (
     IsingRing,
     LeeYangZeroSet,
     PartitionPolynomial,
-    companion_roots,
     dephasing_factor,
     dephasing_factor_product,
     lee_yang_zeros,
@@ -78,7 +77,6 @@ __all__ = [
     "VanishingDomain",
     "coherence",
     "coherence_period",
-    "companion_roots",
     "concurrence_channel_I",
     "concurrence_channel_II",
     "concurrence_generic",

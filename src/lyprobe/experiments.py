@@ -20,7 +20,6 @@ from .ising_bath import (
     IsingRing,
     LeeYangZeroSet,
     PartitionPolynomial,
-    bisect_roots,
     factor_values,
     lee_yang_zeros,
     partition_coefficients,
@@ -220,7 +219,13 @@ def run_scenario(s: Scenario) -> ObservableSeries:
 def default_steps(
     zeros: LeeYangZeroSet, eta: float, t_max: float, channel: Channel
 ) -> int:
-    """Grid size placing at least 40 samples between adjacent collapse times."""
+    """Grid size placing at least 40 samples between adjacent collapse times.
+
+    Raises:
+        ValueError: if two collapse times coincide (every phase is pi at
+            beta * coupling = 0, or rounds to pi near it), so no spacing
+            separates them.
+    """
     tz = lee_yang_times(zeros, eta, channel)
     period = coherence_period(eta, channel)
     if tz.size > 1:
@@ -229,8 +234,28 @@ def default_steps(
         gap = min(gaps.min(), wrap) if wrap > 0 else gaps.min()
     else:
         gap = period
+    if gap == 0.0:
+        at = tz[np.argmin(np.diff(tz))]
+        raise ValueError(
+            f"collapse times coincide at t = {at:.6g}: no grid puts samples "
+            "between them; give the number of steps explicitly"
+        )
     steps = int(np.ceil(40.0 * t_max / gap)) + 1
     return max(steps, 2)
+
+
+def bisect_roots(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, xtol: float) -> np.ndarray:
+    """Roots of f in the sign-change brackets [lo, hi], refined all at once.
+
+    f maps an array of points to values and sign_lo is the sign of f at lo.
+    Each step evaluates f once at every midpoint; a bracket is done once it
+    is narrower than brentq's tolerance, xtol + 8.9e-16 |x|.
+    """
+    while np.any(hi - lo > xtol + 8.9e-16 * np.abs(hi)):
+        mid = 0.5 * (lo + hi)
+        right = np.sign(f(mid)) == sign_lo
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def _analytic_factor(series: ObservableSeries):

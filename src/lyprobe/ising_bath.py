@@ -8,17 +8,17 @@ coupled to the ring loses coherence: each phase maps to a time at which the
 probe's dephasing factor passes through zero.
 
 The ring's partition function is also ``lambda_+^N + lambda_-^N`` for the two
-eigenvalues of its transfer matrix.  The production routes use that form: the
-dephasing factor costs O(1) per point (log-polar ``2 r^N cos(N*gamma)`` where
-the eigenvalues are a complex pair), and the zero phases have a closed form.
+eigenvalues of its transfer matrix.  The factor and the zeros use that form:
+the dephasing factor costs O(1) per point (log-polar ``2 r^N cos(N*gamma)``
+where the eigenvalues are a complex pair), and the zero phases have a closed
+form.
 A single point goes through the same helpers as a grid, on numpy scalars
 instead of a one-element array: about 10 us per ``dephasing_factor`` call
 (CPython 3.11, numpy 2.4, one core of a 2-vCPU VM), nearly all of it numpy's
 per-call overhead.  The coefficient vector is still built (closed form, or
 brute-force enumeration for small rings) because it is the polynomial the
-residual certificate is measured on.  The coefficient sum with bisection
-bracketing, the companion-matrix roots and the product over zeros remain as
-cross-checks and as the route for hand-built polynomials that are not rings.
+residual certificate is measured on.  The product over zeros remains as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -88,20 +88,20 @@ class PartitionPolynomial:
     fugacity; the overall factor exp(scale_log) restores the physical
     normalization.  ``beta`` is the inverse temperature the coefficients were
     generated at; the dephasing factor needs it to convert a field argument
-    into a rotation angle.  ``beta_lambda`` is the ring's beta * coupling
-    when the coefficients come from :func:`partition_coefficients`; it
-    selects the transfer-matrix routes for the factor and the zeros.
-    Hand-built polynomials leave it None and use the coefficient-sum routes.
+    into a rotation angle.  ``beta_lambda`` is the ring's beta * coupling:
+    the dephasing factor and the zero phases come from the ring's transfer
+    form at it, and the coefficients serve the residual certificate and the
+    cross-checks.
 
     Invariants enforced at construction: palindromic coefficient vector,
     strictly positive entries, end coefficients equal to 1 within 1e-12,
-    degree >= 3, everything finite.
+    degree >= 3, beta_lambda >= 0, everything finite.
     """
 
     coefficients: np.ndarray
     scale_log: float
     beta: float
-    beta_lambda: float | None = None
+    beta_lambda: float
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients, dtype=float)
@@ -121,7 +121,7 @@ class PartitionPolynomial:
             raise ValueError(f"scale_log must be finite, got {self.scale_log!r}")
         if not np.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if self.beta_lambda is not None and not 0.0 <= self.beta_lambda < np.inf:
+        if not 0.0 <= self.beta_lambda < np.inf:
             raise ValueError(f"beta_lambda must be finite and >= 0, got {self.beta_lambda!r}")
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
@@ -289,6 +289,7 @@ def partition_coefficients_bruteforce(ring: IsingRing) -> PartitionPolynomial:
         coefficients=counts,
         scale_log=k * nb,
         beta=ring.inverse_temperature,
+        beta_lambda=k,
     )
 
 
@@ -309,97 +310,15 @@ def _ring_phases(nb: int, k: float) -> np.ndarray:
     return np.concatenate([lower, middle, TWO_PI - lower[::-1]])
 
 
-def bisect_roots(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, xtol: float) -> np.ndarray:
-    """Roots of f in the sign-change brackets [lo, hi], refined all at once.
-
-    f maps an array of points to values and sign_lo is the sign of f at lo.
-    Each step evaluates f once at every midpoint; a bracket is done once it
-    is narrower than brentq's tolerance, xtol + 8.9e-16 |x|.
-    """
-    while np.any(hi - lo > xtol + 8.9e-16 * np.abs(hi)):
-        mid = 0.5 * (lo + hi)
-        right = np.sign(f(mid)) == sign_lo
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _zeros_from_coefficients(poly: PartitionPolynomial) -> np.ndarray:
-    """Upper-half zero phases by sign-change bracketing of the coefficient sum.
-
-    Scans (0, pi] on a uniform grid of 8 * degree points for sign changes of
-    exp(-i*N*phi/2) P(exp(i*phi)) / P(1), which is real by palindromy,
-    bisects every bracket at once, and doubles the grid (up to 512 * degree)
-    while the count is short of the expected ceil(degree / 2).  A count above
-    it fails at once: the grids are nested, so every sign change persists on
-    the finer grids, and an excess means the sum's rounding noise (about
-    1e-16 of P(1)) swamps the signal between zeros.  A count still short at
-    the finest grid signals a non-ferromagnetic input or zeros clustered
-    below double-precision resolution.
-    """
-    nb = poly.degree
-    expected = (nb + 1) // 2
-
-    def symmetrized(phi):
-        return _factor_values(poly.coefficients, -0.5 * phi).real
-
-    density = 8
-    while True:
-        grid = np.linspace(0.0, np.pi, density * nb + 1)[1:]
-        if nb % 2 == 1:
-            # phi = pi is a guaranteed zero for odd rings; exclude its bracket
-            grid = grid[:-1]
-        signs = np.sign(symmetrized(grid))
-        lo = np.concatenate(([0.0], grid[:-1]))
-        lo_sign = np.concatenate(([1.0], signs[:-1]))  # polynomial positive at phi -> 0+
-        flips = lo_sign * signs < 0.0
-        found = np.count_nonzero(flips) + np.count_nonzero(signs == 0.0) + nb % 2
-        if found == expected:
-            refined = bisect_roots(symmetrized, lo[flips], grid[flips], lo_sign[flips], 1e-15)
-            return np.sort(np.concatenate([refined, grid[signs == 0.0], [np.pi] * (nb % 2)]))
-        if found > expected:
-            raise RuntimeError(
-                f"found {found} sign changes in (0, pi] for {expected} zero "
-                "phases: the coefficient sum's noise floor exceeds its value "
-                "between zeros, a double-precision resolution limit; build ring "
-                "polynomials with partition_coefficients, whose zeros come from "
-                "the transfer form"
-            )
-        if density >= 512:
-            raise RuntimeError(
-                f"found {found} zero phases in (0, pi], expected {expected}: "
-                "input is not a ferromagnetic ring polynomial or its zeros are "
-                "clustered below double-precision resolution"
-            )
-        density *= 2
-
-
 def lee_yang_zeros(poly: PartitionPolynomial) -> LeeYangZeroSet:
-    """All unit-circle zero phases of a normalized palindromic polynomial.
+    """All unit-circle zero phases of a ring polynomial.
 
-    Ring polynomials (``poly.beta_lambda`` set) take the closed-form phases
-    of the transfer eigenvalues; other palindromic inputs use coefficient-sum
-    bracketing.  The returned phases are sorted, closed under conjugation,
-    and carry the normalized residual of the coefficient polynomial at each
+    The phases come in closed form from the transfer eigenvalues at
+    ``poly.beta_lambda``.  They are sorted, closed under conjugation, and
+    carry the normalized residual of the coefficient polynomial at each
     phase (``residuals``) and its maximum (``residual_bound``).
-
-    Raises:
-        RuntimeError: if a hand-built polynomial does not give ceil(degree / 2)
-            phases in (0, pi]: fewer signal non-ferromagnetic input, more the
-            resolution limit of the coefficient sum.
     """
-    nb = poly.degree
-    if poly.beta_lambda is not None:
-        phases = _ring_phases(nb, poly.beta_lambda)
-    else:
-        upper = _zeros_from_coefficients(poly)
-        interior = upper[upper < np.pi - 1e-12]
-        at_pi = upper[upper >= np.pi - 1e-12]
-        phases = np.sort(np.concatenate([interior, at_pi, TWO_PI - interior]))
-        if phases.size != nb:
-            raise RuntimeError(
-                f"reconstructed {phases.size} phases for degree {nb}; zero set incomplete"
-            )
-
+    phases = _ring_phases(poly.degree, poly.beta_lambda)
     roots = np.exp(1j * phases)
     residuals = np.abs(np.polyval(poly.coefficients[::-1], roots)) / poly.coefficients.sum()
     return LeeYangZeroSet(
@@ -408,38 +327,6 @@ def lee_yang_zeros(poly: PartitionPolynomial) -> LeeYangZeroSet:
         beta=poly.beta,
         residuals=residuals,
     )
-
-
-def companion_roots(poly: PartitionPolynomial) -> np.ndarray:
-    """All complex roots via the companion-matrix eigenproblem (diagnostic route).
-
-    Independent of the bracketing solver; useful for cross-checks.  Accuracy
-    degrades for clustered roots at high degree: beyond degree ~40 at small
-    beta the rounded coefficient vector itself no longer pins the roots to the
-    unit circle.
-    """
-    return np.roots(poly.coefficients[::-1])
-
-
-def _factor_values(coeffs: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Dephasing factor for an array of rotation angles w = beta * x.
-
-    A(w) = exp(i*N*w) * sum_n f_n exp(-2*i*n*w) / sum_n f_n.  Chunked so large
-    time grids do not materialize a grid-by-degree matrix all at once.
-    """
-    nb = coeffs.size - 1
-    offsets = nb - 2.0 * np.arange(nb + 1)
-    norm = coeffs.sum()
-    out = np.empty(angles.shape, dtype=complex)
-    chunk = max(1, 8_388_608 // (nb + 1))
-    flat = angles.ravel()
-    flat_out = out.ravel()
-    for start in range(0, flat.size, chunk):
-        block = flat[start : start + chunk]
-        flat_out[start : start + chunk] = (
-            np.exp(1j * np.outer(block, offsets)) @ coeffs / norm
-        )
-    return out
 
 
 def _real_pair_sum(nb, root_q, q, s2, c):
@@ -508,24 +395,18 @@ def _transfer_norm(nb: int, k: float) -> float:
 def factor_values(poly: PartitionPolynomial, angles) -> np.ndarray | np.float64:
     """Real dephasing factor A(w) at rotation angles w = beta * x.
 
-    For a ring, A = (lambda_+^N + lambda_-^N) / (lambda_+(0)^N + lambda_-(0)^N)
-    from its two transfer eigenvalues: O(1) per point, a few 1e-16 absolute
-    at any N.  Hand-built polynomials use the coefficient sum, and raise
-    RuntimeError if its imaginary part exceeds 1e-9.
+    A = (lambda_+^N + lambda_-^N) / (lambda_+(0)^N + lambda_-(0)^N) from the
+    ring's two transfer eigenvalues: O(1) per point, a few 1e-16 absolute at
+    any N.
 
     ``angles`` may be an array or a scalar (Python float, numpy scalar or
     0-d array).  A scalar runs the same arithmetic on numpy scalars, so its
     value is bit-identical to that element of an array call, and it returns
-    an ``np.float64`` on both routes; an array returns an array of its shape.
+    an ``np.float64``; an array returns an array of its shape.
     """
     angles = np.asarray(angles, dtype=float)[()]
-    if poly.beta_lambda is not None:
-        k = poly.beta_lambda
-        return _transfer_power_sum(poly.degree, k, angles) / _transfer_norm(poly.degree, k)
-    values = _factor_values(poly.coefficients, angles)
-    if np.max(np.abs(values.imag), initial=0.0) > 1e-9:
-        raise RuntimeError("dephasing factor acquired a non-real component")
-    return values.real[()]
+    k = poly.beta_lambda
+    return _transfer_power_sum(poly.degree, k, angles) / _transfer_norm(poly.degree, k)
 
 
 def dephasing_factor(poly: PartitionPolynomial, x: float) -> DephasingFactor:

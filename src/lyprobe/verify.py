@@ -1,12 +1,12 @@
 """Self-contained invariant battery behind the `lyprobe verify` subcommand.
 
 Each check cross-validates one layer of the pipeline against an independent
-route: enumeration vs closed form, companion roots vs bracketing, Kraus maps
-vs closed-form updates, generic concurrence vs X-state formulas, and the
-series-level symmetries.  The closed-form pair state is checked against the
-full 2^N state-vector reduction in the test suite, not here.  Runs in under
-a second; every check runs and reports, and `lyprobe verify` exits 2 if any
-fails.
+route: enumeration vs closed form, companion-matrix roots (``np.roots``) vs
+the transfer-form zero phases, Kraus maps vs closed-form updates, generic
+concurrence vs X-state formulas, and the series-level symmetries.  The
+closed-form pair state is checked against the full 2^N state-vector
+reduction in the test suite, not here.  Runs in under a second; every check
+runs and reports, and `lyprobe verify` exits 2 if any fails.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .experiments import (
 )
 from .ising_bath import (
     IsingRing,
-    companion_roots,
     dephasing_factor,
     dephasing_factor_product,
     lee_yang_zeros,
@@ -120,7 +119,7 @@ def check_companion_cross_check() -> str:
     worst_phase = 0.0
     for nb, bl in cells:
         poly = partition_coefficients(IsingRing(n_spins=nb, inverse_temperature=bl))
-        roots = companion_roots(poly)
+        roots = np.roots(poly.coefficients[::-1])
         worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(roots) - 1.0))))
         angles = np.sort(np.mod(np.angle(roots), 2.0 * np.pi))
         phases = lee_yang_zeros(poly).phases

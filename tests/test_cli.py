@@ -72,6 +72,18 @@ class TestSimulate:
         assert cli.main(simulate_args(tmp_path / "x.csv")) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["0", "1e-40"])
+    def test_default_steps_with_coincident_collapses(self, tmp_path, capsys, beta):
+        out = tmp_path / "x.csv"
+        argv = [a for a in simulate_args(out) if a not in ("--steps", "41")]
+        argv[argv.index("--beta") + 1] = beta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "validation error: collapse times coincide at t = 78.5398" in err
+        assert not out.exists()
+
 
 class TestZeros:
     def test_writes_phases(self, tmp_path, capsys):

@@ -276,7 +276,7 @@ class TestZeroDetection:
         # refinement branch
         nb = 4
         coeffs = np.array([math.comb(nb, n) for n in range(nb + 1)], dtype=float)
-        poly = PartitionPolynomial(coefficients=coeffs, scale_log=0.0, beta=1.0)
+        poly = PartitionPolynomial(coefficients=coeffs, scale_log=0.0, beta=1.0, beta_lambda=0.0)
         times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
         series = series_from_polynomial(
             poly, OatParameters(3, np.pi / 2), ETA, Channel.I, times
@@ -293,7 +293,9 @@ class TestZeroDetection:
         if case.startswith("binomial"):
             nb = int(case.split("-")[1])
             coeffs = np.array([math.comb(nb, n) for n in range(nb + 1)], dtype=float)
-            poly = PartitionPolynomial(coefficients=coeffs, scale_log=0.0, beta=1.0)
+            poly = PartitionPolynomial(
+                coefficients=coeffs, scale_log=0.0, beta=1.0, beta_lambda=0.0
+            )
             times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
             series = series_from_polynomial(poly, OatParameters(3, np.pi / 2), ETA, Channel.I, times)
         elif case == "ring-6":
@@ -405,6 +407,14 @@ class TestTimingHelpers:
         min_gap = min(np.diff(tz).min(), wrap)
         assert steps >= 2
         assert t_max / (steps - 1) <= min_gap / 40.0 * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-40])
+    def test_default_steps_rejects_coincident_collapses(self, beta):
+        # every phase is pi at beta = 0 and rounds to pi at beta = 1e-40, so
+        # the smallest gap between collapse times is exactly 0
+        zs = lee_yang_zeros(partition_coefficients(IsingRing(6, inverse_temperature=beta)))
+        with pytest.raises(ValueError, match=r"collapse times coincide at t = 78\.5398"):
+            default_steps(zs, ETA, 10.0, Channel.I)
 
 
 class TestConcurrenceScaling:

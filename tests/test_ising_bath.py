@@ -13,7 +13,6 @@ from lyprobe import (
     IsingRing,
     LeeYangZeroSet,
     PartitionPolynomial,
-    companion_roots,
     dephasing_factor,
     dephasing_factor_product,
     lee_yang_zeros,
@@ -22,7 +21,6 @@ from lyprobe import (
     zero_times,
 )
 
-import lyprobe.ising_bath as ising_bath
 from lyprobe.ising_bath import factor_values
 
 from .oracles import (
@@ -45,14 +43,6 @@ def ring_poly(nb, beta_lambda):
     return partition_coefficients(
         IsingRing(n_spins=nb, coupling=1.0, inverse_temperature=beta_lambda)
     )
-
-
-def synthetic_palindrome():
-    """Degree-6 positive palindrome with roots at phases 2.0, 2.6, 3.0."""
-    coeffs = np.array([1.0])
-    for phi in (2.0, 2.6, 3.0):
-        coeffs = np.convolve(coeffs, np.array([1.0, -2.0 * np.cos(phi), 1.0]))
-    return PartitionPolynomial(coefficients=coeffs, scale_log=0.0, beta=1.0)
 
 
 class TestIsingRing:
@@ -88,27 +78,37 @@ class TestIsingRing:
 class TestPartitionPolynomial:
     def test_rejects_non_palindrome(self):
         with pytest.raises(ValueError, match="palindromic"):
-            PartitionPolynomial(np.array([1.0, 2.0, 3.0, 1.0]), 0.0, 1.0)
+            PartitionPolynomial(np.array([1.0, 2.0, 3.0, 1.0]), 0.0, 1.0, beta_lambda=0.5)
 
     def test_rejects_nonpositive_coefficient(self):
         with pytest.raises(ValueError, match="positive"):
-            PartitionPolynomial(np.array([1.0, -2.0, -2.0, 1.0]), 0.0, 1.0)
+            PartitionPolynomial(np.array([1.0, -2.0, -2.0, 1.0]), 0.0, 1.0, beta_lambda=0.5)
 
     def test_rejects_unnormalized_ends(self):
         with pytest.raises(ValueError, match="end coefficients"):
-            PartitionPolynomial(np.array([2.0, 3.0, 3.0, 2.0]), 0.0, 1.0)
+            PartitionPolynomial(np.array([2.0, 3.0, 3.0, 2.0]), 0.0, 1.0, beta_lambda=0.5)
 
     def test_rejects_low_degree(self):
         with pytest.raises(ValueError, match="degree"):
-            PartitionPolynomial(np.array([1.0, 2.0, 1.0]), 0.0, 1.0)
+            PartitionPolynomial(np.array([1.0, 2.0, 1.0]), 0.0, 1.0, beta_lambda=0.5)
 
     def test_rejects_nonfinite_scale(self):
         with pytest.raises(ValueError, match="scale_log"):
-            PartitionPolynomial(np.array([1.0, 2.0, 2.0, 1.0]), np.nan, 1.0)
+            PartitionPolynomial(np.array([1.0, 2.0, 2.0, 1.0]), np.nan, 1.0, beta_lambda=0.5)
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError, match="beta"):
-            PartitionPolynomial(np.array([1.0, 2.0, 2.0, 1.0]), 0.0, -1.0)
+            PartitionPolynomial(np.array([1.0, 2.0, 2.0, 1.0]), 0.0, -1.0, beta_lambda=0.5)
+
+    @pytest.mark.parametrize("beta_lambda", [-1.0, np.nan, np.inf])
+    def test_rejects_invalid_beta_lambda(self, beta_lambda):
+        with pytest.raises(ValueError, match="beta_lambda"):
+            PartitionPolynomial(np.array([1.0, 2.0, 2.0, 1.0]), 0.0, 1.0, beta_lambda=beta_lambda)
+
+    def test_requires_beta_lambda(self):
+        # every polynomial is a ring's: there is no coefficient-only form
+        with pytest.raises(TypeError, match="beta_lambda"):
+            PartitionPolynomial(np.array([1.0, 3.0, 3.0, 1.0]), 0.0, 1.0)
 
     def test_coefficients_frozen(self):
         poly = ring_poly(5, 0.5)
@@ -167,9 +167,16 @@ class TestCoefficients:
 
     def test_ring_identity_carried(self):
         assert ring_poly(7, 0.3).beta_lambda == 0.3
-        assert synthetic_palindrome().beta_lambda is None
-        with pytest.raises(ValueError, match="beta_lambda"):
-            PartitionPolynomial(np.array([1.0, 2.0, 2.0, 1.0]), 0.0, 1.0, beta_lambda=-1.0)
+
+    @pytest.mark.parametrize("nb,beta,coupling", [(6, 0.0, 1.0), (9, 0.7, 1.0), (13, 0.5, 0.6)])
+    def test_bruteforce_carries_ring_identity(self, nb, beta, coupling):
+        ring = IsingRing(n_spins=nb, coupling=coupling, inverse_temperature=beta)
+        brute = partition_coefficients_bruteforce(ring)
+        closed = partition_coefficients(ring)
+        assert brute.beta_lambda == closed.beta_lambda == beta * coupling
+        # the phases depend on the ring only, not on how its coefficients were built
+        brute_phases = lee_yang_zeros(brute).phases
+        assert brute_phases.tobytes() == lee_yang_zeros(closed).phases.tobytes()
 
     def test_bruteforce_guard(self):
         with pytest.raises(ValueError, match="<= 24"):
@@ -264,18 +271,6 @@ class TestZeroExtraction:
         zs = lee_yang_zeros(partition_coefficients(ring))
         np.testing.assert_allclose(zs.phases, phases, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("nb,beta_lambda", [(10, 0.5), (31, 2.0)])
-    def test_coefficient_route_matches_transfer_route(self, nb, beta_lambda):
-        ring = ring_poly(nb, beta_lambda)
-        hand_built = PartitionPolynomial(ring.coefficients, ring.scale_log, ring.beta)
-        np.testing.assert_allclose(
-            lee_yang_zeros(hand_built).phases, lee_yang_zeros(ring).phases, rtol=0.0, atol=1e-12
-        )
-        w = np.linspace(-4.0, 4.0, 101)
-        np.testing.assert_allclose(
-            factor_values(hand_built, w), factor_values(ring, w), rtol=0.0, atol=1e-12
-        )
-
     @pytest.mark.parametrize("nb", [6, 7])
     def test_infinite_temperature_degenerate(self, nb):
         zs = lee_yang_zeros(partition_coefficients(IsingRing(nb, inverse_temperature=0.0)))
@@ -303,54 +298,13 @@ class TestZeroExtraction:
             assert np.pi in zs.phases
         assert zs.residual_bound < 1e-10
 
-    def test_antiferromagnetic_like_input_raises(self):
-        # z^3 + 6 z^2 + 6 z + 1 has two real roots off the circle
-        poly = PartitionPolynomial(np.array([1.0, 6.0, 6.0, 1.0]), 0.0, 1.0)
-        with pytest.raises(RuntimeError, match="not a ferromagnetic"):
-            lee_yang_zeros(poly)
-
-    def test_hand_built_ring_past_resolution_fails_at_first_pass(self, monkeypatch):
-        # at N_b = 100, beta*lambda = 0.25 the coefficient sum's rounding noise
-        # already gives more sign changes than zeros on the coarsest grid;
-        # finer nested grids only add more, so no second pass may run
-        ring = ring_poly(100, 0.25)
-        hand_built = PartitionPolynomial(ring.coefficients, ring.scale_log, ring.beta)
-        calls = []
-        evaluate = ising_bath._factor_values
-
-        def spy(coeffs, angles):
-            calls.append(angles.size)
-            return evaluate(coeffs, angles)
-
-        monkeypatch.setattr(ising_bath, "_factor_values", spy)
-        with pytest.raises(RuntimeError, match="resolution limit") as info:
-            lee_yang_zeros(hand_built)
-        assert "partition_coefficients" in str(info.value)
-        assert calls == [8 * 100]
-
-    def test_hand_built_ring_within_resolution_keeps_all_phases(self):
-        ring = ring_poly(40, 0.25)
-        hand_built = PartitionPolynomial(ring.coefficients, ring.scale_log, ring.beta)
-        zs = lee_yang_zeros(hand_built)
-        assert zs.phases.size == 40
-        # near the limit the noise already shifts the bracketed phases by ~4e-6
-        np.testing.assert_allclose(zs.phases, lee_yang_zeros(ring).phases, rtol=0.0, atol=1e-5)
-
-    def test_synthetic_palindrome_fallback(self):
-        # not in the ring family, so this exercises coefficient-space bracketing
-        zs = lee_yang_zeros(synthetic_palindrome())
-        expected = np.sort(
-            np.array([2.0, 2.6, 3.0, TWO_PI - 3.0, TWO_PI - 2.6, TWO_PI - 2.0])
-        )
-        np.testing.assert_allclose(zs.phases, expected, rtol=0.0, atol=1e-12)
-
     def test_residual_bound_large_ring(self):
         assert lee_yang_zeros(ring_poly(100, 0.5)).residual_bound < 1e-8
 
     @pytest.mark.parametrize(
         "poly",
-        [ring_poly(7, 0.5), ring_poly(100, 0.25), ring_poly(1000, 5.0), synthetic_palindrome()],
-        ids=["ring-7", "ring-100", "ring-1000", "hand-built"],
+        [ring_poly(7, 0.5), ring_poly(100, 0.25), ring_poly(1000, 5.0), ring_poly(9, 0.0)],
+        ids=["ring-7", "ring-100", "ring-1000", "ring-9-binomial"],
     )
     def test_per_zero_residuals(self, poly):
         zs = lee_yang_zeros(poly)
@@ -361,7 +315,7 @@ class TestZeroExtraction:
 
     def test_companion_roots_diagnostic(self):
         poly = ring_poly(10, 0.5)
-        roots = companion_roots(poly)
+        roots = np.roots(poly.coefficients[::-1])
         assert roots.size == 10
         np.testing.assert_allclose(np.abs(roots), 1.0, rtol=0.0, atol=1e-8)
         phases = np.sort(np.mod(np.angle(roots), TWO_PI))
@@ -380,14 +334,17 @@ class TestDephasingFactor:
         with pytest.raises(ValueError, match="finite"):
             dephasing_factor(poly, np.inf)
 
-    @pytest.mark.parametrize("hand_built", [False, True])
+    @pytest.mark.parametrize("product", [False, True])
     @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, float("nan"), np.float64(np.inf)])
-    def test_nonfinite_x_rejected_on_both_routes(self, x, hand_built):
+    def test_nonfinite_x_rejected_on_both_routes(self, x, product):
+        # the transfer form and the product over zeros both take x
         poly = ring_poly(6, 0.5)
-        if hand_built:
-            poly = PartitionPolynomial(poly.coefficients, poly.scale_log, poly.beta)
+        zeros = lee_yang_zeros(poly)
         with pytest.raises(ValueError, match="x must be finite"):
-            dephasing_factor(poly, x)
+            if product:
+                dephasing_factor_product(zeros, x)
+            else:
+                dephasing_factor(poly, x)
 
     @pytest.mark.parametrize(
         "value,argument,match",
@@ -451,7 +408,7 @@ class TestDephasingFactor:
     def test_binomial_polynomial_gives_cosine_power(self):
         nb = 6
         coeffs = np.array([math.comb(nb, n) for n in range(nb + 1)], dtype=float)
-        poly = PartitionPolynomial(coefficients=coeffs, scale_log=0.0, beta=1.0)
+        poly = PartitionPolynomial(coefficients=coeffs, scale_log=0.0, beta=1.0, beta_lambda=0.0)
         for x in np.linspace(-2.0, 2.0, 17):
             factor = dephasing_factor(poly, x)
             assert abs(factor.value - np.cos(x) ** nb) < 1e-12
@@ -535,23 +492,12 @@ class TestScalarRoute:
         np.testing.assert_array_equal(scalar.view(np.uint64), factor_values(poly, w).view(np.uint64))
 
     @pytest.mark.parametrize("form", SCALAR_FORMS)
-    @pytest.mark.parametrize("nb,beta_lambda", [(3, 0.05), (4, 0.5), (11, 2.0), (100, 0.25)])
-    def test_hand_built_scalar_bit_identical_to_array(self, nb, beta_lambda, form):
-        ring = ring_poly(nb, beta_lambda)
-        poly = PartitionPolynomial(ring.coefficients, ring.scale_log, ring.beta)
-        w = scalar_angles(ring)
-        reference = np.array([factor_values(poly, np.array([v]))[0] for v in w])
-        scalar = scalar_values(poly, w, SCALAR_FORMS[form])
-        np.testing.assert_array_equal(scalar.view(np.uint64), reference.view(np.uint64))
-
-    @pytest.mark.parametrize("form", SCALAR_FORMS)
     def test_both_routes_return_the_same_types(self, form):
-        ring = ring_poly(10, 0.5)
-        hand_built = PartitionPolynomial(ring.coefficients, ring.scale_log, ring.beta)
-        for poly in (ring, hand_built):
-            assert type(factor_values(poly, SCALAR_FORMS[form](0.3))) is np.float64
-            values = factor_values(poly, np.array([[0.1, 0.2], [0.3, 0.4]]))
-            assert type(values) is np.ndarray and values.shape == (2, 2)
+        # a scalar gives an np.float64, an array an array of its shape
+        poly = ring_poly(10, 0.5)
+        assert type(factor_values(poly, SCALAR_FORMS[form](0.3))) is np.float64
+        values = factor_values(poly, np.array([[0.1, 0.2], [0.3, 0.4]]))
+        assert type(values) is np.ndarray and values.shape == (2, 2)
 
     @pytest.mark.parametrize("nb,beta_lambda", [(4, 0.5), (101, 5.0), (4000, 186.0)])
     def test_dephasing_factor_matches_array_route(self, nb, beta_lambda):
