@@ -48,11 +48,6 @@ class Scenario:
             raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
         if not (np.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError(f"eta must be positive, got {self.eta!r}")
-        if self.ring.inverse_temperature <= 0.0:
-            raise ValueError(
-                "scenario requires inverse_temperature > 0: the probe field "
-                "argument scales as 1/beta"
-            )
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,7 @@ def series_from_polynomial(
 
 
 def run_scenario(s: Scenario) -> ObservableSeries:
-    """Run one scenario: closed-form coefficients, uniform grid, full pipeline."""
+    """Run one scenario: the ring's polynomial, uniform grid, full pipeline."""
     times = np.linspace(0.0, s.t_max, s.steps)
     try:
         poly = partition_coefficients(s.ring)
@@ -216,6 +211,10 @@ def run_scenario(s: Scenario) -> ObservableSeries:
         raise type(exc)(f"{context}: {exc}") from exc
 
 
+# largest grid default_steps returns (about 0.5 GB for the six series arrays)
+_MAX_DEFAULT_STEPS = 10_000_000
+
+
 def default_steps(
     zeros: LeeYangZeroSet, eta: float, t_max: float, channel: Channel
 ) -> int:
@@ -224,7 +223,8 @@ def default_steps(
     Raises:
         ValueError: if two collapse times coincide (every phase is pi at
             beta * coupling = 0, or rounds to pi near it), so no spacing
-            separates them.
+            separates them; or if the grid would need more than 10,000,000
+            steps.
     """
     tz = lee_yang_times(zeros, eta, channel)
     period = coherence_period(eta, channel)
@@ -240,8 +240,14 @@ def default_steps(
             f"collapse times coincide at t = {at:.6g}: no grid puts samples "
             "between them; give the number of steps explicitly"
         )
-    steps = int(np.ceil(40.0 * t_max / gap)) + 1
-    return max(steps, 2)
+    steps = np.ceil(40.0 * t_max / gap) + 1
+    if steps > _MAX_DEFAULT_STEPS:
+        raise ValueError(
+            f"the default grid needs {steps:,.0f} steps for the narrowest collapse gap "
+            f"{gap:.6g}, past the limit of {_MAX_DEFAULT_STEPS:,}; pass the number of "
+            "steps explicitly (--steps)"
+        )
+    return max(int(steps), 2)
 
 
 def bisect_roots(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, xtol: float) -> np.ndarray:

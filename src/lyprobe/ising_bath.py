@@ -15,10 +15,12 @@ form.
 A single point goes through the same helpers as a grid, on numpy scalars
 instead of a one-element array: about 10 us per ``dephasing_factor`` call
 (CPython 3.11, numpy 2.4, one core of a 2-vCPU VM), nearly all of it numpy's
-per-call overhead.  The coefficient vector is still built (closed form, or
-brute-force enumeration for small rings) because it is the polynomial the
-residual certificate is measured on.  The product over zeros remains as a
-cross-check.
+per-call overhead.  A ring polynomial stores only ``(N_b, beta,
+beta*lambda)``; its coefficient vector is built (closed form) when it is
+read, by the residual certificate ``zero_residuals`` and the cross-checks.
+So ``A`` and the zeros need no coefficients and run past the ring size where
+they overflow.  Brute-force enumeration for small rings and the product over
+zeros remain as cross-checks.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,22 +53,18 @@ class IsingRing:
             circle and are rejected.
         inverse_temperature: beta >= 0.  beta = 0 is allowed and degenerates
             the zero set to a single phase at pi.
-        longitudinal_field: physical field h.  The zero phases and zero times
-            do not depend on it (it only rescales the fugacity prefactor); it
-            is stored so that a ring fully specifies its partition function.
     """
 
     n_spins: int
     coupling: float = 1.0
     inverse_temperature: float = 1.0
-    longitudinal_field: float = 0.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_spins, (int, np.integer)):
             raise ValueError(f"n_spins must be an integer, got {self.n_spins!r}")
         if self.n_spins < 3:
             raise ValueError(f"n_spins must be at least 3, got {self.n_spins}")
-        for name in ("coupling", "inverse_temperature", "longitudinal_field"):
+        for name in ("coupling", "inverse_temperature"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -82,53 +80,80 @@ class IsingRing:
 
 @dataclass(frozen=True)
 class PartitionPolynomial:
-    """Fugacity polynomial of a ring, normalized so both end coefficients are 1.
+    """Fugacity polynomial of a ring, stored as ``(degree, beta, beta_lambda)`` only.
 
-    ``coefficients[n]`` multiplies z**n where z = exp(-2*beta*h) is the
-    fugacity; the overall factor exp(scale_log) restores the physical
-    normalization.  ``beta`` is the inverse temperature the coefficients were
-    generated at; the dephasing factor needs it to convert a field argument
-    into a rotation angle.  ``beta_lambda`` is the ring's beta * coupling:
-    the dephasing factor and the zero phases come from the ring's transfer
-    form at it, and the coefficients serve the residual certificate and the
-    cross-checks.
-
-    Invariants enforced at construction: palindromic coefficient vector,
-    strictly positive entries, end coefficients equal to 1 within 1e-12,
-    degree >= 3, beta_lambda >= 0, everything finite.
+    ``degree`` is the ring size N_b, ``beta`` the inverse temperature (it
+    converts a field argument into a rotation angle), and ``beta_lambda`` the
+    ring's beta * coupling, at which the transfer form gives the dephasing
+    factor and the zero phases.  Equal triples compare equal and hash alike.
+    Construction checks: integer degree >= 3; beta and beta_lambda finite and
+    >= 0; exp(-2 beta_lambda) nonzero (beta_lambda <= ~372.5), the transfer
+    form's own limit.
     """
 
-    coefficients: np.ndarray
-    scale_log: float
+    degree: int
     beta: float
     beta_lambda: float
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size < 4:
-            raise ValueError(
-                f"coefficients must be a 1-D vector of degree >= 3, got shape {coeffs.shape}"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
-        if not np.all(coeffs > 0.0):
-            raise ValueError("coefficients must be strictly positive")
-        if abs(coeffs[0] - 1.0) > 1e-12 or abs(coeffs[-1] - 1.0) > 1e-12:
-            raise ValueError("end coefficients must equal 1 (normalized polynomial)")
-        if not np.allclose(coeffs, coeffs[::-1], rtol=0.0, atol=1e-12 * coeffs.max()):
-            raise ValueError("coefficients must be palindromic")
-        if not np.isfinite(self.scale_log):
-            raise ValueError(f"scale_log must be finite, got {self.scale_log!r}")
+        if not isinstance(self.degree, (int, np.integer)) or self.degree < 3:
+            raise ValueError(f"degree must be an integer >= 3, got {self.degree!r}")
         if not np.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if not 0.0 <= self.beta_lambda < np.inf:
-            raise ValueError(f"beta_lambda must be finite and >= 0, got {self.beta_lambda!r}")
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coefficients", coeffs)
+        if not (0.0 <= self.beta_lambda < np.inf and math.exp(-2.0 * self.beta_lambda) > 0.0):
+            raise ValueError(
+                "beta_lambda must be finite and >= 0, with exp(-2 beta_lambda) nonzero for "
+                f"the transfer form (beta_lambda <= ~372.5), got {self.beta_lambda!r}"
+            )
 
-    @property
-    def degree(self) -> int:
-        return self.coefficients.size - 1
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Normalized coefficients (both ends 1), built in closed form on first read; read-only.
+
+        ``coefficients[n]`` multiplies z**n, z = exp(-2*beta*h) the fugacity.
+        It counts configurations with n down spins, weighted by
+        q = exp(-4 beta_lambda) per pair of domain walls: n down spins in m
+        circular blocks contribute (N/m) C(n-1, m-1) C(N-n-1, m-1) q**m.  A
+        multiplicative term recurrence in m runs over every n <= N/2 at once
+        (block counts run up to min(n, N-n) = n); all terms are positive, so
+        the sum is stable.  O(N_b^2); beta_lambda = 0 gives exactly C(N, n).
+
+        Raises:
+            OverflowError: if the normalised coefficient sum
+                (1 + sqrt q)^N + (1 - sqrt q)^N exceeds the double range;
+                checked before any coefficient is built.
+            ValueError: if interior coefficients underflow to zero in double
+                precision (beta_lambda > ~186).
+        """
+        nb = self.degree
+        k = self.beta_lambda
+        root_q = math.exp(-2.0 * k)
+        log_sum = nb * math.log1p(root_q) + math.log1p(((1.0 - root_q) / (1.0 + root_q)) ** nb)
+        if log_sum > _LOG_DOUBLE_MAX:
+            raise OverflowError(
+                f"ring too large for double-precision coefficients: N_b={nb} at beta*lambda={k:.6g} "
+                f"has a normalised coefficient sum of e^{log_sum:.1f}, past the limit "
+                f"e^{_LOG_DOUBLE_MAX:.1f} (about N_b <= {int(_LOG_DOUBLE_MAX / math.log1p(root_q))})"
+            )
+        q = np.exp(-4.0 * k)
+        n = np.arange(1, nb // 2 + 1)
+        term = np.full(n.size, nb * q)
+        total = term.copy()
+        for m in range(1, n.size):
+            active = n[m:]
+            term[m:] *= (active - m) * (nb - active - m) * q / (m * (m + 1))
+            total[m:] += term[m:]
+        coeffs = np.empty(nb + 1)
+        coeffs[0] = coeffs[nb] = 1.0
+        coeffs[n] = total
+        coeffs[nb - n] = total
+        if np.any(coeffs <= 0.0):
+            raise ValueError(
+                "inverse_temperature * coupling too large: interior coefficients "
+                "underflow to zero in double precision"
+            )
+        coeffs.flags.writeable = False
+        return coeffs
 
 
 @dataclass(frozen=True)
@@ -136,18 +161,12 @@ class LeeYangZeroSet:
     """Unit-circle zero phases of a partition polynomial, sorted ascending.
 
     ``phases`` are the arguments phi_n of the roots exp(i*phi_n) in (0, 2*pi),
-    closed under conjugation (phi <-> 2*pi - phi).  ``residual_bound`` is the
-    largest normalized polynomial residual |P(exp(i*phi_n))| / P(1) over the
-    set, a backward-error certificate for the phases.  ``beta`` is inherited
+    closed under conjugation (phi <-> 2*pi - phi).  ``beta`` is inherited
     from the polynomial so the product-form dephasing factor can be evaluated.
-    ``residuals`` optionally holds the residual of each phase, in the same
-    order; when given, ``residual_bound`` must be its maximum.
     """
 
     phases: np.ndarray
-    residual_bound: float
     beta: float
-    residuals: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         phases = np.asarray(self.phases, dtype=float)
@@ -163,20 +182,10 @@ class LeeYangZeroSet:
         mirrored = np.sort(TWO_PI - phases)
         if not np.allclose(phases, mirrored, rtol=0.0, atol=1e-9):
             raise ValueError("phases must be closed under conjugation")
-        if not (np.isfinite(self.residual_bound) and self.residual_bound >= 0.0):
-            raise ValueError(f"residual_bound must be >= 0, got {self.residual_bound!r}")
         if not np.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
         phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
-        if self.residuals is not None:
-            residuals = np.asarray(self.residuals, dtype=float)
-            if residuals.shape != phases.shape:
-                raise ValueError(f"residuals must have the shape of phases, got {residuals.shape}")
-            if not (residuals.min() >= 0.0 and residuals.max() == self.residual_bound):
-                raise ValueError("residuals must be >= 0 with residual_bound their maximum")
-            residuals.flags.writeable = False
-            object.__setattr__(self, "residuals", residuals)
 
 
 @dataclass(frozen=True)
@@ -200,77 +209,26 @@ class DephasingFactor:
             raise ValueError(f"|value| must not exceed 1, got {abs(self.value)}")
 
 
-def _ring_closed_form(n_spins: int, wall_weight: float) -> np.ndarray:
-    """Normalized coefficients of the ring polynomial for q = wall_weight.
-
-    The coefficient of z**n counts configurations with n down spins, weighted
-    by q per pair of domain walls: n down spins arranged in m circular blocks
-    contribute (N/m) C(n-1, m-1) C(N-n-1, m-1) q**m.  Evaluated with a
-    multiplicative term recurrence in m, applied to every n <= N/2 at once
-    (block counts run up to min(n, N-n) = n); all terms are positive, so the
-    sum is stable.
-    """
-    nb = n_spins
-    q = wall_weight
-    n = np.arange(1, nb // 2 + 1)
-    term = np.full(n.size, nb * q)
-    total = term.copy()
-    for m in range(1, n.size):
-        active = n[m:]
-        term[m:] *= (active - m) * (nb - active - m) * q / (m * (m + 1))
-        total[m:] += term[m:]
-    coeffs = np.empty(nb + 1)
-    coeffs[0] = coeffs[nb] = 1.0
-    coeffs[n] = total
-    coeffs[nb - n] = total
-    return coeffs
-
-
 def partition_coefficients(ring: IsingRing) -> PartitionPolynomial:
-    """Closed-form normalized coefficients of the ring's fugacity polynomial.
+    """The ring's fugacity polynomial: its size, beta and beta * coupling.
 
-    Returns the polynomial with end coefficients 1 and
-    scale_log = beta * coupling * n_spins absorbed into the prefactor.
-    beta = 0 yields exactly the binomial coefficients C(N, n) (all spin
-    configurations weighted equally).
-
-    Raises:
-        OverflowError: if the normalised coefficient sum
-            (1 + sqrt q)^N + (1 - sqrt q)^N, q = exp(-4 * beta * coupling),
-            exceeds the double range; checked before any coefficient is built.
-        ValueError: if beta * coupling is so large that interior coefficients
-            underflow to zero in double precision (beta * coupling > ~186).
+    Builds nothing; the coefficients are built when
+    ``PartitionPolynomial.coefficients`` is read.
     """
-    nb = ring.n_spins
-    k = ring.inverse_temperature * ring.coupling
-    root_q = math.exp(-2.0 * k)
-    log_sum = nb * math.log1p(root_q) + math.log1p(((1.0 - root_q) / (1.0 + root_q)) ** nb)
-    if log_sum > _LOG_DOUBLE_MAX:
-        raise OverflowError(
-            f"ring too large for double-precision coefficients: N_b={nb} at beta*lambda={k:.6g} "
-            f"has a normalised coefficient sum of e^{log_sum:.1f}, past the limit "
-            f"e^{_LOG_DOUBLE_MAX:.1f} (about N_b <= {int(_LOG_DOUBLE_MAX / math.log1p(root_q))})"
-        )
-    coeffs = _ring_closed_form(nb, np.exp(-4.0 * k))
-    if np.any(coeffs <= 0.0):
-        raise ValueError(
-            "inverse_temperature * coupling too large: interior coefficients "
-            "underflow to zero in double precision"
-        )
     return PartitionPolynomial(
-        coefficients=coeffs,
-        scale_log=k * nb,
+        degree=ring.n_spins,
         beta=ring.inverse_temperature,
-        beta_lambda=k,
+        beta_lambda=ring.inverse_temperature * ring.coupling,
     )
 
 
-def partition_coefficients_bruteforce(ring: IsingRing) -> PartitionPolynomial:
-    """Coefficients by direct enumeration of all 2**n_spins configurations.
+def partition_coefficients_bruteforce(ring: IsingRing) -> np.ndarray:
+    """Normalized coefficients by direct enumeration of all 2**n_spins configurations.
 
     Independent of the closed form: walks every spin configuration, counts
     down spins and domain walls with bit operations, and accumulates the
-    Boltzmann weights.  Intended as a cross-check; limited to n_spins <= 24.
+    Boltzmann weights relative to the all-up configuration, so both end
+    coefficients are 1.  Intended as a cross-check; limited to n_spins <= 24.
     """
     nb = ring.n_spins
     if nb > 24:
@@ -285,12 +243,7 @@ def partition_coefficients_bruteforce(ring: IsingRing) -> PartitionPolynomial:
         walls = np.bitwise_count(x ^ rotated).astype(np.int64)
         down = np.bitwise_count(x).astype(np.int64)
         counts += np.bincount(down, weights=np.exp(-2.0 * k * walls), minlength=nb + 1)
-    return PartitionPolynomial(
-        coefficients=counts,
-        scale_log=k * nb,
-        beta=ring.inverse_temperature,
-        beta_lambda=k,
-    )
+    return counts
 
 
 def _ring_phases(nb: int, k: float) -> np.ndarray:
@@ -314,19 +267,20 @@ def lee_yang_zeros(poly: PartitionPolynomial) -> LeeYangZeroSet:
     """All unit-circle zero phases of a ring polynomial.
 
     The phases come in closed form from the transfer eigenvalues at
-    ``poly.beta_lambda``.  They are sorted, closed under conjugation, and
-    carry the normalized residual of the coefficient polynomial at each
-    phase (``residuals``) and its maximum (``residual_bound``).
+    ``poly.beta_lambda``, sorted and closed under conjugation.  The
+    coefficients are not built.
     """
-    phases = _ring_phases(poly.degree, poly.beta_lambda)
+    return LeeYangZeroSet(phases=_ring_phases(poly.degree, poly.beta_lambda), beta=poly.beta)
+
+
+def zero_residuals(poly: PartitionPolynomial, phases: np.ndarray) -> np.ndarray:
+    """Normalized residual |P(exp(i*phi))| / P(1) of the coefficient polynomial at each phase.
+
+    A backward-error certificate for the phases.  O(N_b^2): it reads
+    ``poly.coefficients`` and raises that property's errors.
+    """
     roots = np.exp(1j * phases)
-    residuals = np.abs(np.polyval(poly.coefficients[::-1], roots)) / poly.coefficients.sum()
-    return LeeYangZeroSet(
-        phases=phases,
-        residual_bound=float(residuals.max()),
-        beta=poly.beta,
-        residuals=residuals,
-    )
+    return np.abs(np.polyval(poly.coefficients[::-1], roots)) / poly.coefficients.sum()
 
 
 def _real_pair_sum(nb, root_q, q, s2, c):

@@ -5,12 +5,15 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Four
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Five
 entries are reference implementations rather than independent routes: the
 transfer-matrix phase formula (the package now uses it in atan2 form), the
-scalar double loop the package's coefficient recurrence was vectorised from,
-the np.savetxt call the package's block CSV writer replaced, and the inline
-series formulas the package's X-state kernel replaced.
+transfer eigenvalues at 50 digits (the package's mathematics without its
+double-precision branch split; the only reference cheap enough for rings
+whose coefficients overflow), the scalar double loop the package's
+coefficient recurrence was vectorised from, the np.savetxt call the
+package's block CSV writer replaced, and the inline series formulas the
+package's X-state kernel replaced.
 """
 
 from __future__ import annotations
@@ -127,6 +130,32 @@ def mp_ring_factor(n_spins: int, beta_lambda: float, angles, dps: int = 50) -> n
             w_mp = mp.mpf(float(w))
             total = mp.fsum(f * mp.cos((nb - 2 * n) * w_mp) for n, f in enumerate(coeffs))
             values.append(float(total / norm))
+    return np.array(values)
+
+
+def mp_transfer_factor(n_spins: int, beta_lambda: float, angles, dps: int = 50) -> np.ndarray:
+    """Dephasing factor of a ring from its transfer eigenvalues at dps digits.
+
+    The eigenvalues of the imaginary-field transfer matrix, scaled by
+    exp(beta_lambda), are cos w +- sqrt(q - sin^2 w) with q = exp(-4 beta_lambda),
+    taken as complex numbers on both branches; A(w) is the real part of the
+    sum of their N-th powers over its value at w = 0.  The same mathematics
+    as the package's transfer form, without its branch split, log-polar
+    form or double-precision rounding; cheap at any ring size, so it reaches
+    rings whose coefficient vector overflows.
+    """
+    import mpmath as mp
+
+    nb = n_spins
+    with mp.workdps(dps):
+        q = mp.exp(-4 * mp.mpf(beta_lambda))
+
+        def power_sum(w):
+            root = mp.sqrt(mp.mpc(q - mp.sin(w) ** 2))
+            return (mp.cos(w) + root) ** nb + (mp.cos(w) - root) ** nb
+
+        norm = mp.re(power_sum(mp.mpf(0)))
+        values = [float(mp.re(power_sum(mp.mpf(float(w)))) / norm) for w in np.asarray(angles, dtype=float)]
     return np.array(values)
 
 

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import lyprobe.cli as cli
-from lyprobe import IsingRing, lee_yang_zeros, partition_coefficients
+from lyprobe import (
+    Channel,
+    IsingRing,
+    OatParameters,
+    Scenario,
+    lee_yang_zeros,
+    partition_coefficients,
+    run_scenario,
+)
 
 from .oracles import savetxt_csv
 
@@ -83,6 +91,41 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "validation error: collapse times coincide at t = 78.5398" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("nb,beta", [("4000", "0.05"), ("6", "1e-12")])
+    def test_default_grid_past_the_ceiling(self, tmp_path, capsys, nb, beta):
+        out = tmp_path / "x.csv"
+        argv = [a for a in simulate_args(out) if a not in ("--steps", "41")]
+        argv[argv.index("--nb") + 1] = nb
+        argv[argv.index("--beta") + 1] = beta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "validation error: the default grid needs" in err
+        assert "past the limit of 10,000,000" in err and "--steps" in err
+        assert not out.exists()
+
+    def test_infinite_temperature_ring(self, tmp_path, capsys):
+        # beta = 0: every zero sits at pi and A = cos^N_b(2 eta t) in channel I
+        out = tmp_path / "hot.csv"
+        argv = [
+            "simulate", "--nb", "6", "--beta", "0", "--probes", "3", "--theta", "1",
+            "--channel", "I", "--t-max", "10",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([*argv, "--steps", "5", "--out", str(out)]) == 0
+            rows = np.genfromtxt(out, delimiter=",", names=True)
+            np.testing.assert_allclose(rows["a_factor"], np.cos(0.02 * rows["t"]) ** 6, rtol=1e-11)
+            series = run_scenario(
+                Scenario(IsingRing(6, inverse_temperature=0.0), OatParameters(3, 1.0), Channel.I, 10.0, 5)
+            )
+            expected = np.cos(2.0 * 0.01 * series.times) ** 6
+            np.testing.assert_allclose(series.a_factor, expected, rtol=0.0, atol=1e-15)
+            # without --steps the default grid cannot separate the collapses
+            assert cli.main([*argv, "--out", str(tmp_path / "auto.csv")]) == 1
+        assert "collapse times coincide" in capsys.readouterr().err
 
 
 class TestZeros:

@@ -76,10 +76,6 @@ def flat_series(times, coherence_values):
 
 
 class TestScenarioValidation:
-    def test_rejects_infinite_temperature_ring(self):
-        with pytest.raises(ValueError, match="inverse_temperature > 0"):
-            make_scenario(beta=0.0)
-
     def test_rejects_single_step(self):
         with pytest.raises(ValueError, match="steps"):
             make_scenario(steps=1)
@@ -191,7 +187,7 @@ class TestSeriesPipeline:
 
     def test_error_context_names_scenario(self):
         scenario = Scenario(
-            ring=IsingRing(5, inverse_temperature=200.0),
+            ring=IsingRing(5, inverse_temperature=400.0),
             oat=OatParameters(3, np.pi / 2),
             channel=Channel.I,
             t_max=1.0,
@@ -274,9 +270,7 @@ class TestZeroDetection:
         # binomial coefficients give A = cos^4(2 eta t) >= 0: the coherence
         # touches zero without a sign change, exercising the bounded-minimum
         # refinement branch
-        nb = 4
-        coeffs = np.array([math.comb(nb, n) for n in range(nb + 1)], dtype=float)
-        poly = PartitionPolynomial(coefficients=coeffs, scale_log=0.0, beta=1.0, beta_lambda=0.0)
+        poly = PartitionPolynomial(degree=4, beta=1.0, beta_lambda=0.0)
         times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
         series = series_from_polynomial(
             poly, OatParameters(3, np.pi / 2), ETA, Channel.I, times
@@ -291,11 +285,7 @@ class TestZeroDetection:
         # factor; the detected times must equal those of the one-element-array
         # objective bit for bit
         if case.startswith("binomial"):
-            nb = int(case.split("-")[1])
-            coeffs = np.array([math.comb(nb, n) for n in range(nb + 1)], dtype=float)
-            poly = PartitionPolynomial(
-                coefficients=coeffs, scale_log=0.0, beta=1.0, beta_lambda=0.0
-            )
+            poly = PartitionPolynomial(degree=int(case.split("-")[1]), beta=1.0, beta_lambda=0.0)
             times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
             series = series_from_polynomial(poly, OatParameters(3, np.pi / 2), ETA, Channel.I, times)
         elif case == "ring-6":
@@ -415,6 +405,32 @@ class TestTimingHelpers:
         zs = lee_yang_zeros(partition_coefficients(IsingRing(6, inverse_temperature=beta)))
         with pytest.raises(ValueError, match=r"collapse times coincide at t = 78\.5398"):
             default_steps(zs, ETA, 10.0, Channel.I)
+
+    @pytest.mark.parametrize(
+        "nb,beta,steps",
+        [(4000, 0.05, "432,950,935"), (1200, 0.05, "38,965,670"), (6, 1e-12, "242,763,640")],
+    )
+    def test_default_steps_rejects_grids_past_the_ceiling(self, nb, beta, steps):
+        # a weakly coupled large ring, and a ring near beta = 0 whose phases
+        # spread around pi only as ~2 sqrt(beta): the gap is nonzero but tiny
+        zs = lee_yang_zeros(partition_coefficients(IsingRing(nb, inverse_temperature=beta)))
+        t_max = coherence_period(ETA, Channel.I)
+        with pytest.raises(ValueError) as info:
+            default_steps(zs, ETA, t_max, Channel.I)
+        message = str(info.value)
+        assert f"needs {steps} steps" in message
+        assert "narrowest collapse gap" in message
+        assert "10,000,000" in message and "--steps" in message
+
+    def test_default_steps_ceiling_is_inclusive(self, monkeypatch):
+        zs = lee_yang_zeros(partition_coefficients(IsingRing(6, inverse_temperature=0.5)))
+        t_max = coherence_period(ETA, Channel.I)
+        steps = default_steps(zs, ETA, t_max, Channel.I)
+        monkeypatch.setattr(experiments, "_MAX_DEFAULT_STEPS", steps)
+        assert default_steps(zs, ETA, t_max, Channel.I) == steps
+        monkeypatch.setattr(experiments, "_MAX_DEFAULT_STEPS", steps - 1)
+        with pytest.raises(ValueError, match="past the limit"):
+            default_steps(zs, ETA, t_max, Channel.I)
 
 
 class TestConcurrenceScaling:

@@ -1,0 +1,52 @@
+"""Golden bytes: SHA-256 of fixed `simulate`, `zeros` and `fit-cmax` outputs.
+
+A change that moves any byte of these outputs fails here, so a refactor
+that must keep them unchanged is checked without a manual ``cmp``.  The
+printed floats depend on the last bits of libm and numpy results, so the
+hashes hold for one build (numpy 2.4, glibc 2.36, x86-64); another build may
+round a last digit differently.
+"""
+
+import hashlib
+
+import pytest
+
+import lyprobe.cli as cli
+
+SIMULATE = [
+    "simulate", "--nb", "200", "--beta", "7", "--probes", "4", "--theta", "1.2",
+    "--t-max", "314.159", "--steps", "16001",
+]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "channel,digest",
+    [
+        ("I", "b9741b1fee491fa98ac87076fb772a7a67a75c20eb8db2924174c9e1e6165e8b"),
+        ("II", "d6bfad68a9a02ff4d3ca613d032f299a4eeb2a74aa93df67d76144074d90d4f5"),
+    ],
+)
+def test_simulate_csv(tmp_path, channel, digest):
+    out = tmp_path / "series.csv"
+    assert cli.main([*SIMULATE, "--channel", channel, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == digest
+
+
+def test_zeros_csv(tmp_path):
+    out = tmp_path / "zeros.csv"
+    assert cli.main(["zeros", "--nb", "100", "--beta", "0.25", "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == "9859ce0f334a7db0b12c15f37daad997d79b3233e3ca174d5967a6bf2ab9c15e"
+
+
+def test_fit_cmax_stdout(capsys):
+    argv = [
+        "fit-cmax", "--nb", "200", "--beta", "10", "--theta", "1.0471976",
+        "--n-min", "20", "--n-max", "28",
+    ]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert sha256(stdout.encode()) == "0fba26ef29faa71847f81130f70320024b4161af22fb34d6246bd2a0329d5f4f"

@@ -21,11 +21,12 @@ from lyprobe import (
     zero_times,
 )
 
-from lyprobe.ising_bath import factor_values
+from lyprobe.ising_bath import factor_values, zero_residuals
 
 from .oracles import (
     highprecision_roots,
     mp_ring_factor,
+    mp_transfer_factor,
     ring_closed_form_loop,
     transfer_phases,
 )
@@ -50,7 +51,6 @@ class TestIsingRing:
         ring = IsingRing(n_spins=5)
         assert ring.coupling == 1.0
         assert ring.inverse_temperature == 1.0
-        assert ring.longitudinal_field == 0.0
 
     @pytest.mark.parametrize("nb", [2, 1, 0, -3])
     def test_rejects_small_ring(self, nb):
@@ -71,44 +71,63 @@ class TestIsingRing:
             IsingRing(n_spins=4, inverse_temperature=-0.1)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="finite"):
-            IsingRing(n_spins=4, longitudinal_field=np.inf)
+        for field in ("coupling", "inverse_temperature"):
+            for value in (np.inf, np.nan):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    IsingRing(n_spins=4, **{field: value})
 
 
 class TestPartitionPolynomial:
-    def test_rejects_non_palindrome(self):
-        with pytest.raises(ValueError, match="palindromic"):
-            PartitionPolynomial(np.array([1.0, 2.0, 3.0, 1.0]), 0.0, 1.0, beta_lambda=0.5)
-
-    def test_rejects_nonpositive_coefficient(self):
-        with pytest.raises(ValueError, match="positive"):
-            PartitionPolynomial(np.array([1.0, -2.0, -2.0, 1.0]), 0.0, 1.0, beta_lambda=0.5)
-
-    def test_rejects_unnormalized_ends(self):
-        with pytest.raises(ValueError, match="end coefficients"):
-            PartitionPolynomial(np.array([2.0, 3.0, 3.0, 2.0]), 0.0, 1.0, beta_lambda=0.5)
-
     def test_rejects_low_degree(self):
         with pytest.raises(ValueError, match="degree"):
-            PartitionPolynomial(np.array([1.0, 2.0, 1.0]), 0.0, 1.0, beta_lambda=0.5)
+            PartitionPolynomial(degree=2, beta=1.0, beta_lambda=0.5)
 
-    def test_rejects_nonfinite_scale(self):
-        with pytest.raises(ValueError, match="scale_log"):
-            PartitionPolynomial(np.array([1.0, 2.0, 2.0, 1.0]), np.nan, 1.0, beta_lambda=0.5)
+    @pytest.mark.parametrize("degree", [4.0, "4", None])
+    def test_rejects_non_integer_degree(self, degree):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            PartitionPolynomial(degree=degree, beta=1.0, beta_lambda=0.5)
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError, match="beta"):
-            PartitionPolynomial(np.array([1.0, 2.0, 2.0, 1.0]), 0.0, -1.0, beta_lambda=0.5)
+            PartitionPolynomial(degree=3, beta=-1.0, beta_lambda=0.5)
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf])
+    def test_rejects_nonfinite_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            PartitionPolynomial(degree=3, beta=beta, beta_lambda=0.5)
 
     @pytest.mark.parametrize("beta_lambda", [-1.0, np.nan, np.inf])
     def test_rejects_invalid_beta_lambda(self, beta_lambda):
         with pytest.raises(ValueError, match="beta_lambda"):
-            PartitionPolynomial(np.array([1.0, 2.0, 2.0, 1.0]), 0.0, 1.0, beta_lambda=beta_lambda)
+            PartitionPolynomial(degree=3, beta=1.0, beta_lambda=beta_lambda)
+
+    def test_rejects_beta_lambda_past_transfer_form(self):
+        # exp(-2 * 372.6) underflows to 0: the real eigenvalue branch would
+        # divide 0 by 0 at w = k pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="transfer form"):
+                PartitionPolynomial(degree=10, beta=1.0, beta_lambda=372.6)
+        PartitionPolynomial(degree=10, beta=1.0, beta_lambda=372.5)
 
     def test_requires_beta_lambda(self):
         # every polynomial is a ring's: there is no coefficient-only form
         with pytest.raises(TypeError, match="beta_lambda"):
-            PartitionPolynomial(np.array([1.0, 3.0, 3.0, 1.0]), 0.0, 1.0)
+            PartitionPolynomial(3, 1.0)
+
+    def test_hashable_and_equal(self):
+        poly = ring_poly(7, 0.3)
+        same = PartitionPolynomial(degree=7, beta=0.3, beta_lambda=0.3)
+        assert poly == same
+        assert hash(poly) == hash(same)
+        assert len({poly, same, ring_poly(7, 0.4)}) == 2
+        assert poly != PartitionPolynomial(degree=8, beta=0.3, beta_lambda=0.3)
+
+    def test_coefficients_built_once(self):
+        poly = ring_poly(9, 0.5)
+        assert poly.coefficients is poly.coefficients
+        # the cached vector is not part of the identity
+        assert poly == ring_poly(9, 0.5)
 
     def test_coefficients_frozen(self):
         poly = ring_poly(5, 0.5)
@@ -123,7 +142,6 @@ class TestCoefficients:
     def test_frozen_small_ring(self):
         poly = ring_poly(4, 0.5)
         np.testing.assert_allclose(poly.coefficients, FROZEN_NB4, rtol=1e-15)
-        assert poly.scale_log == 2.0
         assert poly.beta == 0.5
 
     @pytest.mark.parametrize("nb", [5, 12])
@@ -133,8 +151,11 @@ class TestCoefficients:
         assert np.array_equal(poly.coefficients, expected)
 
     def test_underflow_raises(self):
-        with pytest.raises(ValueError, match="underflow"):
-            ring_poly(10, 200.0)
+        poly = ring_poly(10, 200.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="underflow"):
+                poly.coefficients
 
     @pytest.mark.parametrize("nb", [101, 1000])
     @pytest.mark.parametrize("beta_lambda", [0.25, 2.0])
@@ -147,10 +168,11 @@ class TestCoefficients:
         "nb,beta_lambda", [(2000, 0.25), (1825, 0.121), (3090, 0.444), (1498, 0.25)]
     )
     def test_overflow_raises_up_front(self, nb, beta_lambda):
+        poly = ring_poly(nb, beta_lambda)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError) as info:
-                ring_poly(nb, beta_lambda)
+                poly.coefficients
         message = str(info.value)
         assert f"N_b={nb}" in message
         assert f"beta*lambda={beta_lambda:g}" in message
@@ -168,16 +190,6 @@ class TestCoefficients:
     def test_ring_identity_carried(self):
         assert ring_poly(7, 0.3).beta_lambda == 0.3
 
-    @pytest.mark.parametrize("nb,beta,coupling", [(6, 0.0, 1.0), (9, 0.7, 1.0), (13, 0.5, 0.6)])
-    def test_bruteforce_carries_ring_identity(self, nb, beta, coupling):
-        ring = IsingRing(n_spins=nb, coupling=coupling, inverse_temperature=beta)
-        brute = partition_coefficients_bruteforce(ring)
-        closed = partition_coefficients(ring)
-        assert brute.beta_lambda == closed.beta_lambda == beta * coupling
-        # the phases depend on the ring only, not on how its coefficients were built
-        brute_phases = lee_yang_zeros(brute).phases
-        assert brute_phases.tobytes() == lee_yang_zeros(closed).phases.tobytes()
-
     def test_bruteforce_guard(self):
         with pytest.raises(ValueError, match="<= 24"):
             partition_coefficients_bruteforce(IsingRing(25))
@@ -191,53 +203,26 @@ class TestCoefficients:
         ring = IsingRing(n_spins=nb, inverse_temperature=k)
         closed = partition_coefficients(ring)
         brute = partition_coefficients_bruteforce(ring)
-        np.testing.assert_allclose(
-            closed.coefficients, brute.coefficients, rtol=1e-12, atol=0.0
-        )
-        assert closed.scale_log == brute.scale_log
-        assert closed.beta == brute.beta
+        np.testing.assert_allclose(closed.coefficients, brute, rtol=1e-12, atol=0.0)
 
 
 class TestLeeYangZeroSetValidation:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="sorted"):
-            LeeYangZeroSet(np.array([TWO_PI - 1.0, 1.0]), 0.0, 1.0)
+            LeeYangZeroSet(np.array([TWO_PI - 1.0, 1.0]), 1.0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="inside"):
-            LeeYangZeroSet(np.array([0.0, np.pi]), 0.0, 1.0)
+            LeeYangZeroSet(np.array([0.0, np.pi]), 1.0)
 
     def test_rejects_broken_conjugate_closure(self):
         with pytest.raises(ValueError, match="conjugation"):
-            LeeYangZeroSet(np.array([1.0, np.pi]), 0.0, 1.0)
-
-    def test_rejects_negative_residual(self):
-        with pytest.raises(ValueError, match="residual_bound"):
-            LeeYangZeroSet(np.array([np.pi]), -1e-3, 1.0)
+            LeeYangZeroSet(np.array([1.0, np.pi]), 1.0)
 
     def test_phases_frozen(self):
         zs = lee_yang_zeros(ring_poly(5, 0.5))
         with pytest.raises(ValueError):
             zs.phases[0] = 1.0
-
-    def test_residuals_frozen(self):
-        zs = lee_yang_zeros(ring_poly(5, 0.5))
-        with pytest.raises(ValueError):
-            zs.residuals[0] = 1.0
-
-    @pytest.mark.parametrize(
-        "residuals,bound,match",
-        [
-            ([0.0, 1e-12], 1e-12, "shape"),
-            ([0.0, 1e-12, 0.0], 1e-13, "maximum"),
-            ([-1e-12, 1e-12, 0.0], 1e-12, ">= 0"),
-            ([np.nan, 1e-12, 0.0], 1e-12, ">= 0"),
-        ],
-    )
-    def test_rejects_inconsistent_residuals(self, residuals, bound, match):
-        phases = np.array([1.0, np.pi, TWO_PI - 1.0])
-        with pytest.raises(ValueError, match=match):
-            LeeYangZeroSet(phases, bound, 1.0, np.array(residuals))
 
 
 class TestZeroExtraction:
@@ -266,17 +251,18 @@ class TestZeroExtraction:
         # transfer matrix enters the reference
         ring = IsingRing(n_spins=nb, inverse_temperature=beta_lambda)
         brute = partition_coefficients_bruteforce(ring)
-        moduli, phases = highprecision_roots(brute.coefficients)
+        moduli, phases = highprecision_roots(brute)
         np.testing.assert_allclose(moduli, 1.0, rtol=0.0, atol=1e-8)
         zs = lee_yang_zeros(partition_coefficients(ring))
         np.testing.assert_allclose(zs.phases, phases, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("nb", [6, 7])
     def test_infinite_temperature_degenerate(self, nb):
-        zs = lee_yang_zeros(partition_coefficients(IsingRing(nb, inverse_temperature=0.0)))
+        poly = partition_coefficients(IsingRing(nb, inverse_temperature=0.0))
+        zs = lee_yang_zeros(poly)
         assert zs.phases.size == nb
         assert np.abs(zs.phases - np.pi).max() == 0.0
-        assert zs.residual_bound < 1e-10
+        assert zero_residuals(poly, zs.phases).max() < 1e-10
 
     def test_low_temperature_uniform_phases(self):
         zs = lee_yang_zeros(ring_poly(10, 10.0))
@@ -290,16 +276,18 @@ class TestZeroExtraction:
         k=st.floats(min_value=0.05, max_value=5.0),
     )
     def test_count_closure_and_odd_pi(self, nb, k):
-        zs = lee_yang_zeros(ring_poly(nb, k))
+        poly = ring_poly(nb, k)
+        zs = lee_yang_zeros(poly)
         assert zs.phases.size == nb
         mirrored = np.sort(TWO_PI - zs.phases)
         np.testing.assert_allclose(zs.phases, mirrored, rtol=0.0, atol=1e-9)
         if nb % 2 == 1:
             assert np.pi in zs.phases
-        assert zs.residual_bound < 1e-10
+        assert zero_residuals(poly, zs.phases).max() < 1e-10
 
     def test_residual_bound_large_ring(self):
-        assert lee_yang_zeros(ring_poly(100, 0.5)).residual_bound < 1e-8
+        poly = ring_poly(100, 0.5)
+        assert zero_residuals(poly, lee_yang_zeros(poly).phases).max() < 1e-8
 
     @pytest.mark.parametrize(
         "poly",
@@ -310,8 +298,8 @@ class TestZeroExtraction:
         zs = lee_yang_zeros(poly)
         roots = np.exp(1j * zs.phases)
         expected = np.abs(np.polyval(poly.coefficients[::-1], roots)) / poly.coefficients.sum()
-        assert zs.residuals.tobytes() == expected.tobytes()
-        assert zs.residual_bound == zs.residuals.max()
+        residuals = zero_residuals(poly, zs.phases)
+        assert residuals.tobytes() == expected.tobytes()
 
     def test_companion_roots_diagnostic(self):
         poly = ring_poly(10, 0.5)
@@ -407,8 +395,9 @@ class TestDephasingFactor:
 
     def test_binomial_polynomial_gives_cosine_power(self):
         nb = 6
-        coeffs = np.array([math.comb(nb, n) for n in range(nb + 1)], dtype=float)
-        poly = PartitionPolynomial(coefficients=coeffs, scale_log=0.0, beta=1.0, beta_lambda=0.0)
+        poly = PartitionPolynomial(degree=nb, beta=1.0, beta_lambda=0.0)
+        binomial = np.array([math.comb(nb, n) for n in range(nb + 1)], dtype=float)
+        assert np.array_equal(poly.coefficients, binomial)
         for x in np.linspace(-2.0, 2.0, 17):
             factor = dephasing_factor(poly, x)
             assert abs(factor.value - np.cos(x) ** nb) < 1e-12
@@ -423,9 +412,7 @@ class TestDephasingFactor:
             assert abs(direct - product) < 1e-10
 
     def test_product_form_rejects_phase_at_axis(self):
-        zs = LeeYangZeroSet(
-            np.array([1e-13, np.pi, TWO_PI - 1e-13]), 0.0, 1.0
-        )
+        zs = LeeYangZeroSet(np.array([1e-13, np.pi, TWO_PI - 1e-13]), 1.0)
         with pytest.raises(ValueError, match="positive real axis"):
             dephasing_factor_product(zs, 1.0)
 
@@ -508,3 +495,42 @@ class TestScalarRoute:
         np.testing.assert_array_equal(
             values.real.view(np.uint64), factor_values(poly, poly.beta * x).view(np.uint64)
         )
+
+
+class TestPastCoefficientLimit:
+    """Rings whose coefficient vector overflows or underflows: A and the phases still run."""
+
+    @pytest.mark.parametrize("nb", [1200, 4000, 10_000])
+    @pytest.mark.parametrize("beta_lambda", [0.05, 0.5])
+    def test_factor_and_phases_past_overflow(self, nb, beta_lambda):
+        poly = ring_poly(nb, beta_lambda)
+        # the coefficient sum passes the double range at N_b ~ 1,101 for
+        # beta_lambda = 0.05 and ~ 2,265 for 0.5
+        if (nb, beta_lambda) != (1200, 0.5):
+            with pytest.raises(OverflowError):
+                poly.coefficients
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phases = lee_yang_zeros(poly).phases
+            assert phases.size == nb
+            # both eigenvalue branches, near w = 0 where A is not negligible,
+            # and within 1e-9 of four collapse angles
+            generic = np.array([0.0, 1e-4, 1e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 1.4, 2.2, 3.0, -0.7])
+            near_zero = phases[[0, nb // 3, nb // 2, -1]] / 2.0 + np.array([1.0, -0.5, 0.3, -1.0]) * 1e-9
+            w = np.concatenate([generic, near_zero])
+            values = factor_values(poly, w)
+        np.testing.assert_allclose(values, mp_transfer_factor(nb, beta_lambda, w), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("nb", [10, 101, 4000])
+    @pytest.mark.parametrize("beta_lambda", [200.0, 300.0])
+    def test_past_underflow_is_the_frozen_ring(self, nb, beta_lambda):
+        # q = exp(-4 beta_lambda) underflows to 0: A = cos(N w), phases (2j - 1) pi / N
+        poly = ring_poly(nb, beta_lambda)
+        with pytest.raises(ValueError, match="underflow"):
+            poly.coefficients
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = np.linspace(-4.0, 4.0, 801)
+            np.testing.assert_allclose(factor_values(poly, w), np.cos(nb * w), rtol=0.0, atol=1e-12)
+            expected = (2.0 * np.arange(1, nb + 1) - 1.0) * np.pi / nb
+            np.testing.assert_allclose(lee_yang_zeros(poly).phases, expected, rtol=0.0, atol=1e-12)
