@@ -13,6 +13,8 @@ shape, so states are carried as their five independent X-state entries.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,7 +47,7 @@ class OatParameters:
             raise ValueError(f"n_probes must be an integer, got {self.n_probes!r}")
         if self.n_probes < 2:
             raise ValueError(f"n_probes must be at least 2, got {self.n_probes}")
-        if not np.isfinite(self.twist_angle):
+        if not math.isfinite(self.twist_angle):
             raise ValueError(f"twist_angle must be finite, got {self.twist_angle!r}")
 
 
@@ -71,9 +73,9 @@ class TwoQubitXState:
     def __post_init__(self) -> None:
         for name in ("v_plus", "v_minus", "w", "y"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not (np.isfinite(self.u.real) and np.isfinite(self.u.imag)):
+        if not cmath.isfinite(self.u):
             raise ValueError(f"u must be finite, got {self.u!r}")
         trace = self.v_plus + self.v_minus + 2.0 * self.w
         if abs(trace - 1.0) > 1e-12:
@@ -130,30 +132,39 @@ class TwoQubitXState:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A complete set of Kraus operators of one common square dimension."""
+    """A complete set of Kraus operators of one common square dimension.
 
-    operators: tuple
+    ``operators`` is stored as a copy in one read-only complex (k, d, d)
+    array; iterating it yields each d x d operator in turn.
+    """
+
+    operators: np.ndarray
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(m, dtype=complex) for m in self.operators)
-        if not ops:
+        try:
+            ops = np.array(self.operators, dtype=complex)
+        except ValueError:
+            raise ValueError("operators must share one square shape") from None
+        if ops.shape[:1] == (0,):
             raise ValueError("at least one Kraus operator required")
-        dim = ops[0].shape[0]
-        for m in ops:
-            if m.ndim != 2 or m.shape != (dim, dim):
-                raise ValueError("operators must share one square shape")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("operators must be finite")
-        total = sum(m.conj().T @ m for m in ops)
-        if not np.allclose(total, np.eye(dim), rtol=0.0, atol=1e-12):
-            raise ValueError("completeness violated: sum M^dag M != identity")
-        for m in ops:
-            m.flags.writeable = False
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError("operators must share one square shape")
+        if not np.isfinite(ops).all():
+            raise ValueError("operators must be finite")
+        _check_complete(ops)
+        ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
+
+
+def _check_complete(ops: np.ndarray) -> None:
+    """Raise unless sum_i M_i^dag M_i equals the identity within 1e-12."""
+    total = np.einsum("kji,kjl->il", ops.conj(), ops)
+    if not np.abs(total - np.eye(ops.shape[1])).max() <= 1e-12:
+        raise ValueError("completeness violated: sum M^dag M != identity")
 
 
 def oat_reduced_state(params: OatParameters) -> TwoQubitXState:
@@ -202,7 +213,7 @@ def _factor_value(factor) -> float:
         value = value.real
     else:
         value = float(factor)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"dephasing factor must be finite, got {value!r}")
     if abs(value) > 1.0 + 1e-9:
         raise ValueError(f"|factor| must not exceed 1, got {value!r}")
@@ -243,6 +254,15 @@ def evolve_channel_II(state: TwoQubitXState, factor) -> TwoQubitXState:
     )
 
 
+def _diagonal_kraus(diagonals) -> KrausSet:
+    """Kraus set of diagonal operators, one row of ``diagonals`` per operator."""
+    diagonals = np.asarray(diagonals, dtype=complex)
+    k, dim = diagonals.shape
+    ops = np.zeros((k, dim, dim), dtype=complex)
+    ops.reshape(k, dim * dim)[:, :: dim + 1] = diagonals
+    return KrausSet(operators=ops)
+
+
 def kraus_channel_I(factor) -> KrausSet:
     """Single-qubit Kraus set realizing the independent-ring dephasing.
 
@@ -252,18 +272,11 @@ def kraus_channel_I(factor) -> KrausSet:
     by {sqrt((1+A)/2) I, sqrt((1-A)/2) sigma_z}.
     """
     a = _factor_value(factor)
-    eye = np.eye(2, dtype=complex)
     if a >= 0.0:
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p1 = np.diag([0.0, 1.0]).astype(complex)
-        ops = (np.sqrt(a) * eye, np.sqrt(1.0 - a) * p0, np.sqrt(1.0 - a) * p1)
-    else:
-        sigma_z = np.diag([1.0, -1.0]).astype(complex)
-        ops = (
-            np.sqrt(0.5 * (1.0 + a)) * eye,
-            np.sqrt(0.5 * (1.0 - a)) * sigma_z,
-        )
-    return KrausSet(operators=ops)
+        s, r = math.sqrt(a), math.sqrt(1.0 - a)
+        return _diagonal_kraus([[s, s], [r, 0.0], [0.0, r]])
+    s, r = math.sqrt(0.5 * (1.0 + a)), math.sqrt(0.5 * (1.0 - a))
+    return _diagonal_kraus([[s, s], [r, -r]])
 
 
 def kraus_channel_II(factor) -> KrausSet:
@@ -275,29 +288,19 @@ def kraus_channel_II(factor) -> KrausSet:
     (P00 + P11, P00 - P11) pair, mirroring the single-qubit construction.
     """
     a = _factor_value(factor)
-    p00 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    p11 = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
-    inner = np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex)
+    inner = [0.0, 1.0, 1.0, 0.0]
     if a >= 0.0:
-        ops = (
-            np.sqrt(1.0 - a) * p00,
-            np.sqrt(1.0 - a) * p11,
-            np.sqrt(a) * (p00 + p11),
-            inner,
-        )
-    else:
-        ops = (
-            np.sqrt(0.5 * (1.0 + a)) * (p00 + p11),
-            np.sqrt(0.5 * (1.0 - a)) * (p00 - p11),
-            inner,
-        )
-    return KrausSet(operators=ops)
+        s, r = math.sqrt(a), math.sqrt(1.0 - a)
+        return _diagonal_kraus([[r, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, r], [s, 0.0, 0.0, s], inner])
+    s, r = math.sqrt(0.5 * (1.0 + a)), math.sqrt(0.5 * (1.0 - a))
+    return _diagonal_kraus([[s, 0.0, 0.0, s], [r, 0.0, 0.0, -r], inner])
 
 
 def kraus_tensor(left: KrausSet, right: KrausSet) -> KrausSet:
     """Tensor product set {L_i kron R_j}, acting on the joint system."""
-    ops = tuple(np.kron(a, b) for a in left.operators for b in right.operators)
-    return KrausSet(operators=ops)
+    dim = left.dim * right.dim
+    ops = np.einsum("aij,bkl->abikjl", left.operators, right.operators)
+    return KrausSet(operators=ops.reshape(-1, dim, dim))
 
 
 def kraus_apply(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
@@ -311,10 +314,6 @@ def kraus_apply(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
     dim = kraus.dim
     if rho.shape != (dim, dim):
         raise ValueError(f"rho shape {rho.shape} does not match operators ({dim}x{dim})")
-    total = sum(m.conj().T @ m for m in kraus.operators)
-    if not np.allclose(total, np.eye(dim), rtol=0.0, atol=1e-12):
-        raise ValueError("completeness violated: sum M^dag M != identity")
-    out = np.zeros_like(rho)
-    for m in kraus.operators:
-        out += m @ rho @ m.conj().T
-    return out
+    ops = kraus.operators
+    _check_complete(ops)
+    return (ops @ rho @ ops.conj().swapaxes(1, 2)).sum(0)

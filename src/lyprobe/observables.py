@@ -12,6 +12,7 @@ provided as an independent route for cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +23,10 @@ from .channels import Channel, TwoQubitXState, _factor_value
 # eigenvalues above this magnitude below zero indicate a genuinely non-PSD
 # input rather than rounding noise
 _PSD_FLOOR = -1e-9
+
+# sigma_y kron sigma_y in the (|00>, |01>, |10>, |11>) basis
+_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])).astype(complex)
+_SIGMA_YY.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -42,11 +47,12 @@ class ConcurrenceResult:
         lams = np.asarray(self.lambdas, dtype=float)
         if lams.shape != (4,):
             raise ValueError(f"lambdas must have exactly 4 entries, got {lams.shape}")
-        if not np.all(np.isfinite(lams)) or np.any(lams < -1e-12):
+        l0, l1, l2, l3 = values = lams.tolist()
+        if not all(map(math.isfinite, values)) or min(values) < -1e-12:
             raise ValueError("lambdas must be finite and nonnegative")
-        if np.any(np.diff(lams) > 1e-12):
+        if l1 - l0 > 1e-12 or l2 - l1 > 1e-12 or l3 - l2 > 1e-12:
             raise ValueError("lambdas must be sorted descending")
-        expected = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+        expected = max(0.0, l0 - l1 - l2 - l3)
         if abs(self.concurrence - expected) > 1e-9:
             raise ValueError("concurrence inconsistent with lambdas")
         if not (0.0 <= self.concurrence <= 1.0 + 1e-9):
@@ -75,7 +81,7 @@ class SqueezingReport:
 
     def __post_init__(self) -> None:
         for name in ("xi2", "xi2_prime", "improvement", "improvement_max"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if abs(self.improvement - (self.xi2_prime - self.xi2)) > 1e-12:
             raise ValueError("improvement must equal xi2_prime - xi2")
@@ -162,28 +168,20 @@ def concurrence_generic(rho: np.ndarray, n_probes: int = 2) -> ConcurrenceResult
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-9):
+    if not np.abs(rho - rho.conj().T).max() <= 1e-9:
         raise ValueError("density matrix must be Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-9:
         raise ValueError("density matrix must have unit trace")
 
     evals, vecs = np.linalg.eigh(rho)
-    if evals.min() < _PSD_FLOOR:
-        raise ValueError(f"density matrix not positive semidefinite: eigenvalue {evals.min()}")
-    sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+    lowest = evals.min()
+    if lowest < _PSD_FLOOR:
+        raise ValueError(f"density matrix not positive semidefinite: eigenvalue {lowest}")
+    sqrt_rho = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.conj().T
 
-    sy2 = np.array(
-        [
-            [0, 0, 0, -1],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [-1, 0, 0, 0],
-        ],
-        dtype=complex,
-    )
-    # sqrt(rho_tilde) = sy2 conj(sqrt(rho)) sy2, so the Wootters lambdas are
-    # singular values of one small product
-    sqrt_tilde = sy2 @ sqrt_rho.conj() @ sy2
+    # sqrt(rho_tilde) = S conj(sqrt(rho)) S for S = sigma_y kron sigma_y, so the
+    # Wootters lambdas are singular values of one small product
+    sqrt_tilde = _SIGMA_YY @ sqrt_rho.conj() @ _SIGMA_YY
     lams = np.linalg.svd(sqrt_rho @ sqrt_tilde, compute_uv=False)
     conc = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
     return ConcurrenceResult(

@@ -5,15 +5,16 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Five
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Six
 entries are reference implementations rather than independent routes: the
 transfer-matrix phase formula (the package now uses it in atan2 form), the
 transfer eigenvalues at 50 digits (the package's mathematics without its
 double-precision branch split; the only reference cheap enough for rings
 whose coefficients overflow), the scalar double loop the package's
 coefficient recurrence was vectorised from, the np.savetxt call the
-package's block CSV writer replaced, and the inline series formulas the
-package's X-state kernel replaced.
+package's block CSV writer replaced, the inline series formulas the
+package's X-state kernel replaced, and the per-operator ``np.kron`` products
+and loop sum the package's stacked Kraus sets replaced.
 """
 
 from __future__ import annotations
@@ -71,6 +72,19 @@ def savetxt_csv(path, header: str, data) -> None:
     comma separated, no comment prefix on the header.
     """
     np.savetxt(path, data, fmt="%.12g", delimiter=",", header=header, comments="")
+
+
+def kraus_tensor_kron(left_ops, right_ops) -> tuple:
+    """Tensor product of two Kraus sets as one ``np.kron`` per operator pair."""
+    return tuple(np.kron(a, b) for a in left_ops for b in right_ops)
+
+
+def kraus_apply_loop(rho: np.ndarray, ops) -> np.ndarray:
+    """sum_i M_i rho M_i^dag accumulated one operator at a time."""
+    out = np.zeros_like(rho, dtype=complex)
+    for m in ops:
+        out += m @ rho @ m.conj().T
+    return out
 
 
 def series_observables_reference(state, channel, n, a):

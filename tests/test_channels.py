@@ -19,7 +19,9 @@ from lyprobe import (
     oat_reduced_state,
 )
 
-from .oracles import exact_pair_state
+from lyprobe.channels import _factor_value
+
+from .oracles import exact_pair_state, kraus_apply_loop, kraus_tensor_kron
 
 
 def x_states():
@@ -55,8 +57,35 @@ class TestOatParameters:
         with pytest.raises(ValueError, match="finite"):
             OatParameters(n_probes=3, twist_angle=np.nan)
 
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf])
+    def test_rejects_infinite_angle(self, angle):
+        with pytest.raises(ValueError, match="twist_angle must be finite"):
+            OatParameters(n_probes=3, twist_angle=angle)
+
+
+VALID_X_ENTRIES = {"v_plus": 0.25, "v_minus": 0.25, "w": 0.25, "y": 0.1, "u": 0.1 + 0.1j}
+
 
 class TestTwoQubitXState:
+    @pytest.mark.parametrize("field", ["v_plus", "v_minus", "w", "y", "u"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_entry(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TwoQubitXState(**{**VALID_X_ENTRIES, field: bad})
+
+    @pytest.mark.parametrize(
+        "u",
+        [complex(0.1, np.nan), complex(np.nan, 0.0), complex(0.0, np.inf), np.complex128(-np.inf)],
+    )
+    def test_rejects_nonfinite_double_flip_part(self, u):
+        with pytest.raises(ValueError, match="^u must be finite"):
+            TwoQubitXState(**{**VALID_X_ENTRIES, "u": u})
+
+    def test_accepts_numpy_scalars(self):
+        entries = {k: np.float64(v) for k, v in VALID_X_ENTRIES.items() if k != "u"}
+        entries["u"] = np.complex128(VALID_X_ENTRIES["u"])
+        assert TwoQubitXState(**entries) == TwoQubitXState(**VALID_X_ENTRIES)
+
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
             TwoQubitXState(v_plus=0.5, v_minus=0.5, w=0.1, y=0.0, u=0.0)
@@ -197,6 +226,35 @@ class TestEvolve:
         assert out == probe_state
 
 
+class TestFactorValue:
+    @pytest.mark.parametrize("bad", [np.nan, np.float64(np.nan), np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            _factor_value(bad)
+
+    @pytest.mark.parametrize("value", [1.0 + 2e-9, -1.0 - 2e-9])
+    def test_rejects_magnitude_past_slack(self, value):
+        with pytest.raises(ValueError, match="must not exceed 1"):
+            _factor_value(value)
+
+    @pytest.mark.parametrize(
+        "value, clamped", [(1.0 + 5e-10, 1.0), (-1.0 - 5e-10, -1.0), (-0.3, -0.3)]
+    )
+    def test_clamps_within_slack(self, value, clamped):
+        assert _factor_value(value) == clamped
+
+    @pytest.mark.parametrize("imag", [2e-9, -2e-9])
+    def test_rejects_non_real_dephasing_factor(self, imag):
+        with pytest.raises(ValueError, match="non-real"):
+            _factor_value(DephasingFactor(value=complex(0.5, imag), argument=0.1))
+
+    def test_takes_real_part_within_noise(self):
+        assert _factor_value(DephasingFactor(value=complex(0.5, 5e-10), argument=0.1)) == 0.5
+
+
+FACTORS = [-1.0, -0.4, 0.0, 0.6, 1.0]
+
+
 class TestKraus:
     def test_completeness_enforced(self):
         with pytest.raises(ValueError, match="completeness"):
@@ -205,6 +263,80 @@ class TestKraus:
     def test_rejects_mixed_shapes(self):
         with pytest.raises(ValueError, match="square shape"):
             KrausSet(operators=(np.eye(2), np.eye(3)))
+
+    @pytest.mark.parametrize("ops", [[np.ones(2)], [np.ones((2, 3))], np.ones((1, 2, 2, 2))])
+    def test_rejects_non_square_operators(self, ops):
+        with pytest.raises(ValueError, match="^operators must share one square shape$"):
+            KrausSet(operators=ops)
+
+    @pytest.mark.parametrize("ops", [(), [], np.zeros((0, 2, 2))])
+    def test_rejects_empty_set(self, ops):
+        with pytest.raises(ValueError, match="^at least one Kraus operator required$"):
+            KrausSet(operators=ops)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_nonfinite_entries(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="^operators must be finite$"):
+            KrausSet(operators=(m,))
+
+    def test_completeness_tolerance_is_1e12(self):
+        # sum M^dag M = (1 + excess) I, so the deviation is the excess itself
+        KrausSet(operators=(np.sqrt(1.0 + 0.9e-12) * np.eye(2),))
+        with pytest.raises(ValueError, match="^completeness violated: sum M\\^dag M != identity$"):
+            KrausSet(operators=(np.sqrt(1.0 + 1.1e-12) * np.eye(2),))
+
+    def test_operators_are_one_read_only_stack(self):
+        kraus = kraus_channel_I(0.36)
+        ops = kraus.operators
+        assert isinstance(ops, np.ndarray)
+        assert ops.shape == (3, 2, 2) and ops.dtype == complex
+        assert not ops.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ops[0, 0, 0] = 0.0
+        expected = [0.6 * np.eye(2), np.diag([0.8, 0.0]), np.diag([0.0, 0.8])]
+        assert len(list(kraus.operators)) == 3
+        for m, want in zip(kraus.operators, expected):
+            assert m.shape == (2, 2)
+            np.testing.assert_allclose(m, want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_copies_the_callers_operators(self, stacked):
+        ops = np.eye(2, dtype=complex)[None].copy() if stacked else [np.eye(2, dtype=complex)]
+        kraus = KrausSet(operators=ops)
+        assert ops[0].flags.writeable
+        ops[0][0, 0] = 5.0
+        assert kraus.operators[0, 0, 0] == 1.0
+
+    @pytest.mark.parametrize("scale", [0.5, np.nan])
+    def test_apply_rechecks_completeness(self, scale):
+        kraus = kraus_channel_II(0.3)
+        object.__setattr__(kraus, "operators", scale * kraus.operators)
+        with pytest.raises(ValueError, match="completeness"):
+            kraus_apply(np.eye(4) / 4.0, kraus)
+
+    @pytest.mark.parametrize("a", FACTORS)
+    @pytest.mark.parametrize("b", FACTORS)
+    def test_tensor_equals_kron_products(self, a, b):
+        pairs = [
+            (kraus_channel_I(a), kraus_channel_I(b)),
+            (kraus_channel_I(a), kraus_channel_II(b)),
+            (kraus_channel_II(a), kraus_channel_I(b)),
+        ]
+        for left, right in pairs:
+            stacked = kraus_tensor(left, right).operators
+            reference = kraus_tensor_kron(left.operators, right.operators)
+            assert np.array_equal(stacked, np.array(reference))
+
+    @settings(max_examples=40, deadline=None)
+    @given(state=x_states(), a=st.floats(min_value=-1.0, max_value=1.0))
+    def test_apply_matches_loop_sum(self, state, a):
+        rho = state.to_matrix()
+        single = kraus_channel_I(a)
+        for kraus in (kraus_tensor(single, single), kraus_channel_II(a)):
+            deviation = np.abs(kraus_apply(rho, kraus) - kraus_apply_loop(rho, kraus.operators))
+            assert deviation.max() <= 1e-15
 
     def test_dim(self):
         assert kraus_channel_I(0.5).dim == 2
@@ -234,7 +366,7 @@ class TestKraus:
         closed = evolve_channel_II(state, a).to_matrix()
         np.testing.assert_allclose(via_kraus, closed, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("a", [-1.0, -0.4, 0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("a", FACTORS)
     def test_kraus_sets_complete_across_sign(self, a):
         for kraus in (kraus_channel_I(a), kraus_channel_II(a)):
             total = sum(m.conj().T @ m for m in kraus.operators)

@@ -1,11 +1,13 @@
 """Exit codes, file outputs, and console text of the four subcommands."""
 
+import gc
 import warnings
 
 import numpy as np
 import pytest
 
 import lyprobe.cli as cli
+from lyprobe import verify
 from lyprobe import (
     Channel,
     IsingRing,
@@ -180,6 +182,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_leaves_no_file_open(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert verify.run_checks(verbose=False)
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
 
 
 class TestFitCmax:

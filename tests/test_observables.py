@@ -62,6 +62,29 @@ class TestResultValidation:
         with pytest.raises(ValueError, match="rescaled"):
             ConcurrenceResult(0.0, -0.5, np.array([0.5, 0.25, 0.15, 0.1]))
 
+    @pytest.mark.parametrize(
+        "lams", [[0.5, 0.25, 0.1, -2e-12], [0.5, 0.25, np.nan, 0.1], [np.inf, 0.25, 0.15, 0.1]]
+    )
+    def test_concurrence_needs_finite_nonnegative_lambdas(self, lams):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ConcurrenceResult(0.0, 0.0, np.array(lams))
+
+    def test_concurrence_tolerates_rounding_in_lambdas(self):
+        # a negative below 1e-12 and an inversion below 1e-12 are noise
+        result = ConcurrenceResult(0.0, 0.0, np.array([0.5, 0.5 + 0.5e-12, 0.25, -0.5e-12]))
+        assert not result.lambdas.flags.writeable
+
+    @pytest.mark.parametrize("lams", [[0.5, 0.5 + 2e-12, 0.25, 0.0], [0.5, 0.25, 0.1, 0.1 + 2e-12]])
+    def test_concurrence_rejects_inversion_past_1e12(self, lams):
+        with pytest.raises(ValueError, match="descending"):
+            ConcurrenceResult(0.0, 0.0, np.array(lams))
+
+    @pytest.mark.parametrize("name", ["xi2", "xi2_prime", "improvement", "improvement_max"])
+    def test_squeezing_fields_must_be_finite(self, name):
+        fields = {"xi2": 0.5, "xi2_prime": 0.6, "improvement": 0.1, "improvement_max": 0.3}
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            SqueezingReport(**{**fields, name: np.inf})
+
     def test_squeezing_gap_consistency(self):
         with pytest.raises(ValueError, match="improvement"):
             SqueezingReport(xi2=0.5, xi2_prime=0.6, improvement=0.2, improvement_max=0.3)
@@ -151,6 +174,21 @@ class TestConcurrenceGeneric:
     def test_rejects_non_hermitian(self):
         rho = np.eye(4, dtype=complex) / 4.0
         rho[0, 1] = 0.1
+        with pytest.raises(ValueError, match="Hermitian"):
+            concurrence_generic(rho)
+
+    def test_hermitian_tolerance_is_1e9(self):
+        # an anti-Hermitian perturbation K gives rho - rho^dag = 2K
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 1], rho[1, 0] = 0.45e-9, -0.45e-9
+        assert concurrence_generic(rho).concurrence == 0.0
+        rho[0, 1], rho[1, 0] = 0.55e-9, -0.55e-9
+        with pytest.raises(ValueError, match="^density matrix must be Hermitian$"):
+            concurrence_generic(rho)
+
+    def test_rejects_nan_as_non_hermitian(self):
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[0, 1] = rho[1, 0] = np.nan
         with pytest.raises(ValueError, match="Hermitian"):
             concurrence_generic(rho)
 
