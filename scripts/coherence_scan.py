@@ -29,7 +29,6 @@ from lyprobe import (
     lee_yang_times,
     lee_yang_zeros,
     oat_reduced_state,
-    partition_coefficients,
     run_scenario,
 )
 
@@ -53,7 +52,7 @@ def main() -> None:
     period = coherence_period(args.eta, channel)
     t_max = args.periods * period
 
-    zeros = lee_yang_zeros(partition_coefficients(ring))
+    zeros = lee_yang_zeros(ring)
     predicted = lee_yang_times(zeros, args.eta, channel)
     steps = args.steps or 4 * args.periods * default_steps(zeros, args.eta, period, channel)
 

@@ -24,7 +24,6 @@ from lyprobe import (
     lee_yang_times,
     lee_yang_zeros,
     oat_reduced_state,
-    partition_coefficients,
     run_scenario,
     spin_squeezing,
     vanishing_domains,
@@ -45,7 +44,7 @@ def main() -> None:
 
     ring = IsingRing(args.nb, coupling=args.coupling, inverse_temperature=args.beta)
     period = coherence_period(args.eta, Channel.I)
-    zeros = lee_yang_zeros(partition_coefficients(ring))
+    zeros = lee_yang_zeros(ring)
     t_zero = lee_yang_times(zeros, args.eta, Channel.I)
     steps = args.steps or 4 * default_steps(zeros, args.eta, period, Channel.I)
 

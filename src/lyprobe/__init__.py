@@ -40,7 +40,6 @@ from .ising_bath import (
     DephasingFactor,
     IsingRing,
     LeeYangZeroSet,
-    PartitionPolynomial,
     dephasing_factor,
     dephasing_factor_product,
     lee_yang_zeros,
@@ -70,7 +69,6 @@ __all__ = [
     "LeeYangZeroSet",
     "OatParameters",
     "ObservableSeries",
-    "PartitionPolynomial",
     "Scenario",
     "SqueezingReport",
     "TwoQubitXState",

@@ -99,36 +99,6 @@ class TwoQubitXState:
         rho[3, 0] = np.conj(self.u)
         return rho
 
-    @classmethod
-    def from_matrix(cls, rho: np.ndarray) -> "TwoQubitXState":
-        """Read the X entries back off a density matrix.
-
-        Raises:
-            ValueError: if rho is not 4x4, not Hermitian, or has weight
-                outside the X pattern above 1e-9.
-        """
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-        if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=1e-9):
-            raise ValueError("matrix must be Hermitian")
-        mask = np.zeros((4, 4), dtype=bool)
-        mask[np.arange(4), np.arange(4)] = True
-        mask[0, 3] = mask[3, 0] = mask[1, 2] = mask[2, 1] = True
-        if np.max(np.abs(rho[~mask])) > 1e-9:
-            raise ValueError("matrix has weight outside the X pattern")
-        if abs(rho[1, 1] - rho[2, 2]) > 1e-9:
-            raise ValueError("middle populations must be equal")
-        if abs(rho[1, 2].imag) > 1e-9:
-            raise ValueError("cross coherence must be real")
-        return cls(
-            v_plus=rho[0, 0].real,
-            v_minus=rho[3, 3].real,
-            w=0.5 * (rho[1, 1].real + rho[2, 2].real),
-            y=rho[1, 2].real,
-            u=complex(rho[0, 3]),
-        )
-
 
 @dataclass(frozen=True)
 class KrausSet:

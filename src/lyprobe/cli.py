@@ -18,7 +18,7 @@ from .experiments import (
     fit_cmax_scaling,
     run_scenario,
 )
-from .ising_bath import IsingRing, lee_yang_zeros, partition_coefficients, zero_residuals
+from .ising_bath import IsingRing, lee_yang_zeros, zero_residuals
 
 
 class _UsageError(ValueError):
@@ -93,7 +93,7 @@ def _cmd_simulate(args) -> int:
     channel = Channel(args.channel)
     steps = args.steps
     if steps is None:
-        zeros = lee_yang_zeros(partition_coefficients(ring))
+        zeros = lee_yang_zeros(ring)
         steps = default_steps(zeros, args.eta, args.t_max, channel)
     scenario = Scenario(
         ring=ring,
@@ -119,9 +119,8 @@ def _cmd_zeros(args) -> int:
         coupling=args.coupling,
         inverse_temperature=args.beta,
     )
-    poly = partition_coefficients(ring)
-    phases = lee_yang_zeros(poly).phases
-    residuals = zero_residuals(poly, phases)
+    phases = lee_yang_zeros(ring).phases
+    residuals = zero_residuals(ring, phases)
     _write_csv(args.out, "phase,modulus_residual", [phases, residuals])
     print(
         f"wrote {phases.size} zero phases to {args.out} "

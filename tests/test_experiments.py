@@ -1,6 +1,7 @@
 """Scenario pipeline, zero detection, domain statistics, scaling fit, CSV."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,6 @@ from lyprobe import (
     IsingRing,
     OatParameters,
     ObservableSeries,
-    PartitionPolynomial,
     Scenario,
     VanishingDomain,
     coherence,
@@ -33,7 +33,6 @@ from lyprobe import (
     lee_yang_zeros,
     max_original_concurrence,
     oat_reduced_state,
-    partition_coefficients,
     run_scenario,
     series_from_polynomial,
     spin_squeezing,
@@ -186,21 +185,25 @@ class TestSeriesPipeline:
             assert np.abs(values[half:] - values[: half + 1]).max() < 1e-8
 
     def test_error_context_names_scenario(self):
+        # the field angle 2 * eta * t overflows at t_max
         scenario = Scenario(
-            ring=IsingRing(5, inverse_temperature=400.0),
+            ring=IsingRing(5, inverse_temperature=0.5),
             oat=OatParameters(3, np.pi / 2),
             channel=Channel.I,
-            t_max=1.0,
-            steps=10,
+            t_max=1e10,
+            steps=3,
+            eta=1e300,
         )
-        with pytest.raises(ValueError, match=r"scenario\(n_spins=5"):
-            run_scenario(scenario)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"scenario\(n_spins=5.*field angle"):
+                run_scenario(scenario)
 
     def test_series_carries_provenance(self):
         series = run_scenario(make_scenario())
         assert series.eta == ETA
         assert series.channel is Channel.I
-        assert series.polynomial is not None
+        assert series.ring == IsingRing(n_spins=6, inverse_temperature=0.5)
         assert series.probe is not None
 
 
@@ -223,8 +226,7 @@ class TestZeroDetection:
         scenario = make_scenario(nb=6, steps=2401)
         series = run_scenario(scenario)
         detected = detect_coherence_zeros(series)
-        poly = partition_coefficients(scenario.ring)
-        expected = zero_times(lee_yang_zeros(poly), ETA)
+        expected = zero_times(lee_yang_zeros(scenario.ring), ETA)
         assert detected.size == expected.size
         np.testing.assert_allclose(
             detected, expected, rtol=0.0, atol=1e-4 * coherence_period(ETA, Channel.I)
@@ -235,7 +237,7 @@ class TestZeroDetection:
         # at beta = 0.5 the factor sits ~1e-17 (N_b=100) to ~1e-67 (N_b=400)
         # between collapses; every collapse must be found once, and nothing else
         ring = IsingRing(n_spins=nb, inverse_temperature=0.5)
-        zeros = lee_yang_zeros(partition_coefficients(ring))
+        zeros = lee_yang_zeros(ring)
         probe = OatParameters(n_probes=3, twist_angle=np.pi / 2)
         for channel in (Channel.I, Channel.II):
             period = coherence_period(ETA, channel)
@@ -261,7 +263,7 @@ class TestZeroDetection:
         series = run_scenario(Scenario(ring, probe, Channel.I, period, 200_001, ETA))
         assert np.mean(series.coherence == 0.0) > 0.5
         detected = detect_coherence_zeros(series)
-        predicted = lee_yang_times(lee_yang_zeros(partition_coefficients(ring)), ETA, Channel.I)
+        predicted = lee_yang_times(lee_yang_zeros(ring), ETA, Channel.I)
         assert detected.size == predicted.size == 1200
         step = series.times[1] - series.times[0]
         assert np.max(np.abs(detected - predicted)) <= step
@@ -270,10 +272,10 @@ class TestZeroDetection:
         # binomial coefficients give A = cos^4(2 eta t) >= 0: the coherence
         # touches zero without a sign change, exercising the bounded-minimum
         # refinement branch
-        poly = PartitionPolynomial(degree=4, beta=1.0, beta_lambda=0.0)
+        ring = IsingRing(4, inverse_temperature=0.0)
         times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
         series = series_from_polynomial(
-            poly, OatParameters(3, np.pi / 2), ETA, Channel.I, times
+            ring, OatParameters(3, np.pi / 2), ETA, Channel.I, times
         )
         detected = detect_coherence_zeros(series)
         assert detected.size == 1
@@ -285,13 +287,13 @@ class TestZeroDetection:
         # factor; the detected times must equal those of the one-element-array
         # objective bit for bit
         if case.startswith("binomial"):
-            poly = PartitionPolynomial(degree=int(case.split("-")[1]), beta=1.0, beta_lambda=0.0)
+            ring = IsingRing(int(case.split("-")[1]), inverse_temperature=0.0)
             times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
-            series = series_from_polynomial(poly, OatParameters(3, np.pi / 2), ETA, Channel.I, times)
+            series = series_from_polynomial(ring, OatParameters(3, np.pi / 2), ETA, Channel.I, times)
         elif case == "ring-6":
             series = run_scenario(make_scenario(nb=6, steps=2401))
         else:
-            zeros = lee_yang_zeros(partition_coefficients(IsingRing(100, inverse_temperature=0.5)))
+            zeros = lee_yang_zeros(IsingRing(100, inverse_temperature=0.5))
             t_max = coherence_period(ETA, Channel.I)
             series = run_scenario(
                 make_scenario(nb=100, t_max=t_max, steps=default_steps(zeros, ETA, t_max, Channel.I))
@@ -331,7 +333,7 @@ class TestVanishingDomains:
         scenario = make_scenario(nb=6, beta=10.0, steps=2401)
         series = run_scenario(scenario)
         domains = vanishing_domains(series)
-        tz = zero_times(lee_yang_zeros(partition_coefficients(scenario.ring)), ETA)
+        tz = zero_times(lee_yang_zeros(scenario.ring), ETA)
         interior = [d for d in domains if not d.clipped]
         assert len(interior) == tz.size
         for domain, t0 in zip(interior, tz):
@@ -340,7 +342,7 @@ class TestVanishingDomains:
     def test_boundary_domain_flagged_clipped(self):
         scenario = make_scenario(nb=6, steps=1201)
         series = run_scenario(scenario)
-        tz = zero_times(lee_yang_zeros(partition_coefficients(scenario.ring)), ETA)
+        tz = zero_times(lee_yang_zeros(scenario.ring), ETA)
         clipped_run = run_scenario(make_scenario(nb=6, t_max=float(tz[0]), steps=601))
         domains = vanishing_domains(clipped_run)
         assert len(domains) == 1
@@ -375,7 +377,7 @@ class TestRecoveryPeaks:
 
 class TestTimingHelpers:
     def test_channel_II_times_are_halved(self):
-        zs = lee_yang_zeros(partition_coefficients(IsingRing(6, inverse_temperature=0.5)))
+        zs = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5))
         np.testing.assert_allclose(
             lee_yang_times(zs, ETA, Channel.II),
             0.5 * lee_yang_times(zs, ETA, Channel.I),
@@ -389,7 +391,7 @@ class TestTimingHelpers:
             coherence_period(0.0, Channel.I)
 
     def test_default_steps_resolves_zero_gaps(self):
-        zs = lee_yang_zeros(partition_coefficients(IsingRing(6, inverse_temperature=0.5)))
+        zs = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5))
         t_max = coherence_period(ETA, Channel.I)
         steps = default_steps(zs, ETA, t_max, Channel.I)
         tz = lee_yang_times(zs, ETA, Channel.I)
@@ -402,7 +404,7 @@ class TestTimingHelpers:
     def test_default_steps_rejects_coincident_collapses(self, beta):
         # every phase is pi at beta = 0 and rounds to pi at beta = 1e-40, so
         # the smallest gap between collapse times is exactly 0
-        zs = lee_yang_zeros(partition_coefficients(IsingRing(6, inverse_temperature=beta)))
+        zs = lee_yang_zeros(IsingRing(6, inverse_temperature=beta))
         with pytest.raises(ValueError, match=r"collapse times coincide at t = 78\.5398"):
             default_steps(zs, ETA, 10.0, Channel.I)
 
@@ -413,7 +415,7 @@ class TestTimingHelpers:
     def test_default_steps_rejects_grids_past_the_ceiling(self, nb, beta, steps):
         # a weakly coupled large ring, and a ring near beta = 0 whose phases
         # spread around pi only as ~2 sqrt(beta): the gap is nonzero but tiny
-        zs = lee_yang_zeros(partition_coefficients(IsingRing(nb, inverse_temperature=beta)))
+        zs = lee_yang_zeros(IsingRing(nb, inverse_temperature=beta))
         t_max = coherence_period(ETA, Channel.I)
         with pytest.raises(ValueError) as info:
             default_steps(zs, ETA, t_max, Channel.I)
@@ -423,7 +425,7 @@ class TestTimingHelpers:
         assert "10,000,000" in message and "--steps" in message
 
     def test_default_steps_ceiling_is_inclusive(self, monkeypatch):
-        zs = lee_yang_zeros(partition_coefficients(IsingRing(6, inverse_temperature=0.5)))
+        zs = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5))
         t_max = coherence_period(ETA, Channel.I)
         steps = default_steps(zs, ETA, t_max, Channel.I)
         monkeypatch.setattr(experiments, "_MAX_DEFAULT_STEPS", steps)
@@ -440,10 +442,9 @@ class TestConcurrenceScaling:
 
     def test_pair_maximum_is_initial_double_flip(self, strong_ring):
         # N = 2 has y = 0, so C_max = 2|u| = sin(theta/2), reached at t = 0
-        poly = partition_coefficients(strong_ring)
         times = np.linspace(0.0, coherence_period(ETA, Channel.I), 501)
         value = max_original_concurrence(
-            poly, OatParameters(2, np.pi / 3), ETA, times
+            strong_ring, OatParameters(2, np.pi / 3), ETA, times
         )
         assert value == pytest.approx(np.sin(np.pi / 6.0), abs=1e-12)
 
@@ -458,12 +459,11 @@ class TestConcurrenceScaling:
 
     def test_fit_shares_max_original_concurrence_bits(self, strong_ring):
         # the fit evaluates A once per grid; every C_max stays bit for bit
-        poly = partition_coefficients(strong_ring)
         times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
         n_values = [3, 5, 8, 20]
         result = fit_cmax_scaling(n_values, 1.2, strong_ring, eta=ETA, steps=2001)
         per_n = [
-            max_original_concurrence(poly, OatParameters(n, 1.2), ETA, times) for n in n_values
+            max_original_concurrence(strong_ring, OatParameters(n, 1.2), ETA, times) for n in n_values
         ]
         assert np.array_equal(result.log_cmax, np.log(per_n))
 

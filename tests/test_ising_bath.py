@@ -12,7 +12,6 @@ from lyprobe import (
     DephasingFactor,
     IsingRing,
     LeeYangZeroSet,
-    PartitionPolynomial,
     dephasing_factor,
     dephasing_factor_product,
     lee_yang_zeros,
@@ -40,10 +39,8 @@ FROZEN_NB4 = np.array(
 )
 
 
-def ring_poly(nb, beta_lambda):
-    return partition_coefficients(
-        IsingRing(n_spins=nb, coupling=1.0, inverse_temperature=beta_lambda)
-    )
+def ring_at(nb, beta_lambda):
+    return IsingRing(n_spins=nb, coupling=1.0, inverse_temperature=beta_lambda)
 
 
 class TestIsingRing:
@@ -78,28 +75,31 @@ class TestIsingRing:
 
 
 class TestPartitionPolynomial:
-    def test_rejects_low_degree(self):
-        with pytest.raises(ValueError, match="degree"):
-            PartitionPolynomial(degree=2, beta=1.0, beta_lambda=0.5)
+    """The ring is its own partition polynomial: degree N_b, beta and beta_lambda."""
 
-    @pytest.mark.parametrize("degree", [4.0, "4", None])
-    def test_rejects_non_integer_degree(self, degree):
-        with pytest.raises(ValueError, match="degree must be an integer"):
-            PartitionPolynomial(degree=degree, beta=1.0, beta_lambda=0.5)
+    def test_rejects_low_degree(self):
+        with pytest.raises(ValueError, match="n_spins"):
+            IsingRing(n_spins=2, inverse_temperature=0.5)
+
+    @pytest.mark.parametrize("n_spins", [4.0, "4", None])
+    def test_rejects_non_integer_degree(self, n_spins):
+        with pytest.raises(ValueError, match="n_spins must be an integer"):
+            IsingRing(n_spins=n_spins, inverse_temperature=0.5)
 
     def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError, match="beta"):
-            PartitionPolynomial(degree=3, beta=-1.0, beta_lambda=0.5)
+        with pytest.raises(ValueError, match="inverse_temperature"):
+            IsingRing(n_spins=3, inverse_temperature=-1.0)
 
     @pytest.mark.parametrize("beta", [np.nan, np.inf])
     def test_rejects_nonfinite_beta(self, beta):
-        with pytest.raises(ValueError, match="beta must be finite"):
-            PartitionPolynomial(degree=3, beta=beta, beta_lambda=0.5)
+        with pytest.raises(ValueError, match="inverse_temperature must be finite"):
+            IsingRing(n_spins=3, inverse_temperature=beta)
 
     @pytest.mark.parametrize("beta_lambda", [-1.0, np.nan, np.inf])
     def test_rejects_invalid_beta_lambda(self, beta_lambda):
-        with pytest.raises(ValueError, match="beta_lambda"):
-            PartitionPolynomial(degree=3, beta=1.0, beta_lambda=beta_lambda)
+        # at unit coupling beta_lambda is the inverse temperature
+        with pytest.raises(ValueError, match="inverse_temperature"):
+            ring_at(3, beta_lambda)
 
     def test_rejects_beta_lambda_past_transfer_form(self):
         # exp(-2 * 372.6) underflows to 0: the real eigenvalue branch would
@@ -107,72 +107,84 @@ class TestPartitionPolynomial:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="transfer form"):
-                PartitionPolynomial(degree=10, beta=1.0, beta_lambda=372.6)
-        PartitionPolynomial(degree=10, beta=1.0, beta_lambda=372.5)
+                IsingRing(10, inverse_temperature=372.6)
+            # finite factors whose product overflows to inf
+            with pytest.raises(ValueError, match="transfer form"):
+                IsingRing(10, coupling=1e200, inverse_temperature=1e200)
+            with pytest.raises(ValueError, match="transfer form"):
+                IsingRing(10, coupling=np.float64(1e200), inverse_temperature=np.float64(1e200))
+        assert IsingRing(10, inverse_temperature=372.5).beta_lambda == 372.5
 
     def test_requires_beta_lambda(self):
-        # every polynomial is a ring's: there is no coefficient-only form
+        # beta_lambda is the ring's beta * coupling, never given on its own
         with pytest.raises(TypeError, match="beta_lambda"):
-            PartitionPolynomial(3, 1.0)
+            IsingRing(3, beta_lambda=0.5)
+        ring = IsingRing(3, coupling=0.7, inverse_temperature=0.3)
+        assert ring.beta == 0.3
+        assert ring.beta_lambda == 0.3 * 0.7
 
     def test_hashable_and_equal(self):
-        poly = ring_poly(7, 0.3)
-        same = PartitionPolynomial(degree=7, beta=0.3, beta_lambda=0.3)
-        assert poly == same
-        assert hash(poly) == hash(same)
-        assert len({poly, same, ring_poly(7, 0.4)}) == 2
-        assert poly != PartitionPolynomial(degree=8, beta=0.3, beta_lambda=0.3)
+        ring = ring_at(7, 0.3)
+        same = IsingRing(n_spins=7, coupling=1.0, inverse_temperature=0.3)
+        assert ring == same
+        assert hash(ring) == hash(same)
+        assert len({ring, same, ring_at(7, 0.4)}) == 2
+        assert ring != ring_at(8, 0.3)
 
     def test_coefficients_built_once(self):
-        poly = ring_poly(9, 0.5)
-        assert poly.coefficients is poly.coefficients
+        ring = ring_at(9, 0.5)
+        assert ring.coefficients is ring.coefficients
         # the cached vector is not part of the identity
-        assert poly == ring_poly(9, 0.5)
+        assert ring == ring_at(9, 0.5)
 
     def test_coefficients_frozen(self):
-        poly = ring_poly(5, 0.5)
+        ring = ring_at(5, 0.5)
         with pytest.raises(ValueError):
-            poly.coefficients[0] = 2.0
+            ring.coefficients[0] = 2.0
 
     def test_degree(self):
-        assert ring_poly(7, 0.3).degree == 7
+        assert ring_at(7, 0.3).coefficients.size == 8
+
+    def test_partition_coefficients_is_the_ring(self):
+        ring = ring_at(7, 0.3)
+        assert partition_coefficients(ring) is ring
 
 
 class TestCoefficients:
     def test_frozen_small_ring(self):
-        poly = ring_poly(4, 0.5)
-        np.testing.assert_allclose(poly.coefficients, FROZEN_NB4, rtol=1e-15)
-        assert poly.beta == 0.5
+        ring = ring_at(4, 0.5)
+        np.testing.assert_allclose(ring.coefficients, FROZEN_NB4, rtol=1e-15)
+        assert ring.beta == 0.5
 
     @pytest.mark.parametrize("nb", [5, 12])
     def test_infinite_temperature_is_binomial(self, nb):
-        poly = partition_coefficients(IsingRing(nb, inverse_temperature=0.0))
+        ring = IsingRing(nb, inverse_temperature=0.0)
         expected = np.array([math.comb(nb, n) for n in range(nb + 1)], dtype=float)
-        assert np.array_equal(poly.coefficients, expected)
+        assert np.array_equal(ring.coefficients, expected)
 
     def test_underflow_raises(self):
-        poly = ring_poly(10, 200.0)
+        ring = ring_at(10, 200.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="underflow"):
-                poly.coefficients
+                ring.coefficients
 
     @pytest.mark.parametrize("nb", [101, 1000])
     @pytest.mark.parametrize("beta_lambda", [0.25, 2.0])
     def test_vectorised_recurrence_matches_scalar_loop(self, nb, beta_lambda):
-        poly = ring_poly(nb, beta_lambda)
+        ring = ring_at(nb, beta_lambda)
         reference = ring_closed_form_loop(nb, np.exp(-4.0 * beta_lambda))
-        assert np.array_equal(poly.coefficients, reference)
+        assert np.array_equal(ring.coefficients, reference)
 
     @pytest.mark.parametrize(
         "nb,beta_lambda", [(2000, 0.25), (1825, 0.121), (3090, 0.444), (1498, 0.25)]
     )
     def test_overflow_raises_up_front(self, nb, beta_lambda):
-        poly = ring_poly(nb, beta_lambda)
+        ring = ring_at(nb, beta_lambda)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError) as info:
-                poly.coefficients
+                ring.coefficients
         message = str(info.value)
         assert f"N_b={nb}" in message
         assert f"beta*lambda={beta_lambda:g}" in message
@@ -183,12 +195,12 @@ class TestCoefficients:
         # N_b = 1498 for beta*lambda = 0.25
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            poly = ring_poly(1497, 0.25)
-        assert np.all(np.isfinite(poly.coefficients))
-        assert np.isfinite(poly.coefficients.sum())
+            ring = ring_at(1497, 0.25)
+        assert np.all(np.isfinite(ring.coefficients))
+        assert np.isfinite(ring.coefficients.sum())
 
     def test_ring_identity_carried(self):
-        assert ring_poly(7, 0.3).beta_lambda == 0.3
+        assert ring_at(7, 0.3).beta_lambda == 0.3
 
     def test_bruteforce_guard(self):
         with pytest.raises(ValueError, match="<= 24"):
@@ -201,9 +213,8 @@ class TestCoefficients:
     )
     def test_closed_form_matches_enumeration(self, nb, k):
         ring = IsingRing(n_spins=nb, inverse_temperature=k)
-        closed = partition_coefficients(ring)
         brute = partition_coefficients_bruteforce(ring)
-        np.testing.assert_allclose(closed.coefficients, brute, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ring.coefficients, brute, rtol=1e-12, atol=0.0)
 
 
 class TestLeeYangZeroSetValidation:
@@ -220,7 +231,7 @@ class TestLeeYangZeroSetValidation:
             LeeYangZeroSet(np.array([1.0, np.pi]), 1.0)
 
     def test_phases_frozen(self):
-        zs = lee_yang_zeros(ring_poly(5, 0.5))
+        zs = lee_yang_zeros(ring_at(5, 0.5))
         with pytest.raises(ValueError):
             zs.phases[0] = 1.0
 
@@ -229,7 +240,7 @@ class TestZeroExtraction:
     @pytest.mark.parametrize("nb", [4, 7, 10, 40, 100])
     @pytest.mark.parametrize("beta_lambda", [0.25, 2.0])
     def test_matches_transfer_oracle(self, nb, beta_lambda):
-        zs = lee_yang_zeros(ring_poly(nb, beta_lambda))
+        zs = lee_yang_zeros(ring_at(nb, beta_lambda))
         ref = transfer_phases(nb, beta_lambda)
         assert zs.phases.size == nb
         np.testing.assert_allclose(zs.phases, ref, rtol=0.0, atol=1e-12)
@@ -239,9 +250,9 @@ class TestZeroExtraction:
         [(4, 0.25), (7, 0.5), (10, 0.25), (10, 2.0), (40, 0.5), (40, 2.0)],
     )
     def test_matches_highprecision_roots(self, nb, beta_lambda):
-        poly = ring_poly(nb, beta_lambda)
-        zs = lee_yang_zeros(poly)
-        moduli, phases = highprecision_roots(poly.coefficients)
+        ring = ring_at(nb, beta_lambda)
+        zs = lee_yang_zeros(ring)
+        moduli, phases = highprecision_roots(ring.coefficients)
         np.testing.assert_allclose(moduli, 1.0, rtol=0.0, atol=1e-8)
         np.testing.assert_allclose(zs.phases, phases, rtol=0.0, atol=1e-9)
 
@@ -253,19 +264,19 @@ class TestZeroExtraction:
         brute = partition_coefficients_bruteforce(ring)
         moduli, phases = highprecision_roots(brute)
         np.testing.assert_allclose(moduli, 1.0, rtol=0.0, atol=1e-8)
-        zs = lee_yang_zeros(partition_coefficients(ring))
+        zs = lee_yang_zeros(ring)
         np.testing.assert_allclose(zs.phases, phases, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("nb", [6, 7])
     def test_infinite_temperature_degenerate(self, nb):
-        poly = partition_coefficients(IsingRing(nb, inverse_temperature=0.0))
-        zs = lee_yang_zeros(poly)
+        ring = IsingRing(nb, inverse_temperature=0.0)
+        zs = lee_yang_zeros(ring)
         assert zs.phases.size == nb
         assert np.abs(zs.phases - np.pi).max() == 0.0
-        assert zero_residuals(poly, zs.phases).max() < 1e-10
+        assert zero_residuals(ring, zs.phases).max() < 1e-10
 
     def test_low_temperature_uniform_phases(self):
-        zs = lee_yang_zeros(ring_poly(10, 10.0))
+        zs = lee_yang_zeros(ring_at(10, 10.0))
         n = np.arange(1, 11)
         expected = np.sort((2.0 * n - 1.0) * np.pi / 10.0)
         np.testing.assert_allclose(zs.phases, expected, rtol=0.0, atol=1e-12)
@@ -276,39 +287,39 @@ class TestZeroExtraction:
         k=st.floats(min_value=0.05, max_value=5.0),
     )
     def test_count_closure_and_odd_pi(self, nb, k):
-        poly = ring_poly(nb, k)
-        zs = lee_yang_zeros(poly)
+        ring = ring_at(nb, k)
+        zs = lee_yang_zeros(ring)
         assert zs.phases.size == nb
         mirrored = np.sort(TWO_PI - zs.phases)
         np.testing.assert_allclose(zs.phases, mirrored, rtol=0.0, atol=1e-9)
         if nb % 2 == 1:
             assert np.pi in zs.phases
-        assert zero_residuals(poly, zs.phases).max() < 1e-10
+        assert zero_residuals(ring, zs.phases).max() < 1e-10
 
     def test_residual_bound_large_ring(self):
-        poly = ring_poly(100, 0.5)
-        assert zero_residuals(poly, lee_yang_zeros(poly).phases).max() < 1e-8
+        ring = ring_at(100, 0.5)
+        assert zero_residuals(ring, lee_yang_zeros(ring).phases).max() < 1e-8
 
     @pytest.mark.parametrize(
-        "poly",
-        [ring_poly(7, 0.5), ring_poly(100, 0.25), ring_poly(1000, 5.0), ring_poly(9, 0.0)],
+        "ring",
+        [ring_at(7, 0.5), ring_at(100, 0.25), ring_at(1000, 5.0), ring_at(9, 0.0)],
         ids=["ring-7", "ring-100", "ring-1000", "ring-9-binomial"],
     )
-    def test_per_zero_residuals(self, poly):
-        zs = lee_yang_zeros(poly)
+    def test_per_zero_residuals(self, ring):
+        zs = lee_yang_zeros(ring)
         roots = np.exp(1j * zs.phases)
-        expected = np.abs(np.polyval(poly.coefficients[::-1], roots)) / poly.coefficients.sum()
-        residuals = zero_residuals(poly, zs.phases)
+        expected = np.abs(np.polyval(ring.coefficients[::-1], roots)) / ring.coefficients.sum()
+        residuals = zero_residuals(ring, zs.phases)
         assert residuals.tobytes() == expected.tobytes()
 
     def test_companion_roots_diagnostic(self):
-        poly = ring_poly(10, 0.5)
-        roots = np.roots(poly.coefficients[::-1])
+        ring = ring_at(10, 0.5)
+        roots = np.roots(ring.coefficients[::-1])
         assert roots.size == 10
         np.testing.assert_allclose(np.abs(roots), 1.0, rtol=0.0, atol=1e-8)
         phases = np.sort(np.mod(np.angle(roots), TWO_PI))
         np.testing.assert_allclose(
-            phases, lee_yang_zeros(poly).phases, rtol=0.0, atol=1e-9
+            phases, lee_yang_zeros(ring).phases, rtol=0.0, atol=1e-9
         )
 
 
@@ -318,21 +329,21 @@ class TestDephasingFactor:
             DephasingFactor(value=1.5 + 0.0j, argument=0.0)
 
     def test_nonfinite_argument_rejected(self):
-        poly = ring_poly(5, 0.5)
+        ring = ring_at(5, 0.5)
         with pytest.raises(ValueError, match="finite"):
-            dephasing_factor(poly, np.inf)
+            dephasing_factor(ring, np.inf)
 
     @pytest.mark.parametrize("product", [False, True])
     @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, float("nan"), np.float64(np.inf)])
     def test_nonfinite_x_rejected_on_both_routes(self, x, product):
         # the transfer form and the product over zeros both take x
-        poly = ring_poly(6, 0.5)
-        zeros = lee_yang_zeros(poly)
+        ring = ring_at(6, 0.5)
+        zeros = lee_yang_zeros(ring)
         with pytest.raises(ValueError, match="x must be finite"):
             if product:
                 dephasing_factor_product(zeros, x)
             else:
-                dephasing_factor(poly, x)
+                dephasing_factor(ring, x)
 
     @pytest.mark.parametrize(
         "value,argument,match",
@@ -354,7 +365,7 @@ class TestDephasingFactor:
         assert DephasingFactor(value=1.0 + 5e-10 + 0.0j, argument=1.0).value.real > 1.0
 
     def test_unity_at_zero_field(self):
-        factor = dephasing_factor(ring_poly(8, 0.7), 0.0)
+        factor = dephasing_factor(ring_at(8, 0.7), 0.0)
         assert factor.value == 1.0 + 0.0j
 
     @settings(max_examples=40, deadline=None)
@@ -364,50 +375,50 @@ class TestDephasingFactor:
         x=st.floats(min_value=-50.0, max_value=50.0),
     )
     def test_real_even_bounded_periodic(self, nb, k, x):
-        poly = ring_poly(nb, k)
-        factor = dephasing_factor(poly, x)
+        ring = ring_at(nb, k)
+        factor = dephasing_factor(ring, x)
         assert abs(factor.value.imag) < 1e-9
         assert abs(factor.value) <= 1.0 + 1e-9
-        mirror = dephasing_factor(poly, -x)
+        mirror = dephasing_factor(ring, -x)
         assert abs(factor.value - mirror.value) < 1e-12
         # shifting the rotation angle w = beta*x by pi flips the sign for odd rings
-        shifted = dephasing_factor(poly, x + np.pi / poly.beta)
+        shifted = dephasing_factor(ring, x + np.pi / ring.beta)
         parity = -1.0 if nb % 2 else 1.0
         assert abs(shifted.value - parity * factor.value) < 1e-9
 
     def test_vanishes_at_zero_phase_field(self):
-        poly = ring_poly(10, 0.5)
-        zs = lee_yang_zeros(poly)
-        x = zs.phases[0] / (2.0 * poly.beta)
-        assert abs(dephasing_factor(poly, x).value) < 1e-8
+        ring = ring_at(10, 0.5)
+        zs = lee_yang_zeros(ring)
+        x = zs.phases[0] / (2.0 * ring.beta)
+        assert abs(dephasing_factor(ring, x).value) < 1e-8
 
     @pytest.mark.parametrize("nb", [10, 100, 400])
     @pytest.mark.parametrize("beta_lambda", [0.5, 5.0, 20.0])
     def test_matches_highprecision_coefficient_sum(self, nb, beta_lambda):
-        poly = ring_poly(nb, beta_lambda)
-        phases = lee_yang_zeros(poly).phases
+        ring = ring_at(nb, beta_lambda)
+        phases = lee_yang_zeros(ring).phases
         generic = np.array([0.0, 0.05, 0.3, 1.0, 1.4, 2.2, 3.0, -0.7])
         # A vanishes at w = phi/2; probe within 1e-9 of four zeros
         near_zero = phases[[0, nb // 3, nb // 2, -1]] / 2.0 + np.array([1.0, -0.5, 0.3, -1.0]) * 1e-9
         w = np.concatenate([generic, near_zero])
         reference = mp_ring_factor(nb, beta_lambda, w)
-        np.testing.assert_allclose(factor_values(poly, w), reference, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(factor_values(ring, w), reference, rtol=0.0, atol=1e-12)
 
     def test_binomial_polynomial_gives_cosine_power(self):
         nb = 6
-        poly = PartitionPolynomial(degree=nb, beta=1.0, beta_lambda=0.0)
+        ring = IsingRing(nb, inverse_temperature=0.0)
         binomial = np.array([math.comb(nb, n) for n in range(nb + 1)], dtype=float)
-        assert np.array_equal(poly.coefficients, binomial)
-        for x in np.linspace(-2.0, 2.0, 17):
-            factor = dephasing_factor(poly, x)
-            assert abs(factor.value - np.cos(x) ** nb) < 1e-12
+        assert np.array_equal(ring.coefficients, binomial)
+        # beta = 0 maps every field to angle 0, so A is read at the angle itself
+        w = np.linspace(-2.0, 2.0, 17)
+        assert np.max(np.abs(factor_values(ring, w) - np.cos(w) ** nb)) < 1e-12
 
     @pytest.mark.parametrize("nb,beta_lambda", [(5, 0.3), (12, 1.5)])
     def test_product_form_agreement(self, nb, beta_lambda):
-        poly = ring_poly(nb, beta_lambda)
-        zs = lee_yang_zeros(poly)
+        ring = ring_at(nb, beta_lambda)
+        zs = lee_yang_zeros(ring)
         for x in np.linspace(-4.0, 4.0, 23):
-            direct = dephasing_factor(poly, x).value
+            direct = dephasing_factor(ring, x).value
             product = dephasing_factor_product(zs, x).value
             assert abs(direct - product) < 1e-10
 
@@ -419,12 +430,13 @@ class TestDephasingFactor:
 
 class TestZeroTimes:
     def test_values(self):
-        zs = lee_yang_zeros(ring_poly(6, 0.5))
+        zs = lee_yang_zeros(ring_at(6, 0.5))
         np.testing.assert_allclose(zero_times(zs, 0.01), zs.phases / 0.04, rtol=1e-15)
 
-    @pytest.mark.parametrize("eta", [0.0, -0.5, np.nan])
+    # 1e-320: pi/(2 eta), the coherence period, overflows
+    @pytest.mark.parametrize("eta", [0.0, -0.5, np.nan, np.inf, 1e-320, np.float64(1e-320)])
     def test_rejects_bad_eta(self, eta):
-        zs = lee_yang_zeros(ring_poly(6, 0.5))
+        zs = lee_yang_zeros(ring_at(6, 0.5))
         with pytest.raises(ValueError, match="eta"):
             zero_times(zs, eta)
 
@@ -449,16 +461,16 @@ SCALAR_FORMS = {
 }
 
 
-def scalar_angles(poly):
+def scalar_angles(ring):
     """w = 0, multiples of pi, every collapse angle and generic points."""
-    collapse = lee_yang_zeros(poly).phases / 2.0
+    collapse = lee_yang_zeros(ring).phases / 2.0
     pis = np.pi * np.array([-3.0, -1.0, 1.0, 2.0, 7.0, 1000.0])
-    generic = np.random.default_rng(poly.degree).uniform(-20.0, 20.0, 64)
+    generic = np.random.default_rng(ring.n_spins).uniform(-20.0, 20.0, 64)
     return np.concatenate([[0.0, -0.0], pis, collapse, -collapse, generic])
 
 
-def scalar_values(poly, angles, form):
-    values = [factor_values(poly, form(float(w))) for w in angles]
+def scalar_values(ring, angles, form):
+    values = [factor_values(ring, form(float(w))) for w in angles]
     assert all(type(v) is np.float64 for v in values)
     return np.array(values)
 
@@ -467,33 +479,33 @@ class TestScalarRoute:
     @pytest.mark.parametrize("form", SCALAR_FORMS)
     @pytest.mark.parametrize("nb,beta_lambda", SCALAR_RINGS)
     def test_ring_scalar_bit_identical_to_array(self, nb, beta_lambda, form):
-        poly = ring_poly(nb, beta_lambda)
-        w = scalar_angles(poly)
+        ring = ring_at(nb, beta_lambda)
+        w = scalar_angles(ring)
         s2 = np.sin(w) ** 2
         q = math.exp(-4.0 * beta_lambda)
         # both eigenvalue branches are exercised
         assert np.any(s2 > q) and np.any(s2 <= q)
-        reference = np.array([factor_values(poly, np.array([v]))[0] for v in w])
-        scalar = scalar_values(poly, w, SCALAR_FORMS[form])
+        reference = np.array([factor_values(ring, np.array([v]))[0] for v in w])
+        scalar = scalar_values(ring, w, SCALAR_FORMS[form])
         np.testing.assert_array_equal(scalar.view(np.uint64), reference.view(np.uint64))
-        np.testing.assert_array_equal(scalar.view(np.uint64), factor_values(poly, w).view(np.uint64))
+        np.testing.assert_array_equal(scalar.view(np.uint64), factor_values(ring, w).view(np.uint64))
 
     @pytest.mark.parametrize("form", SCALAR_FORMS)
     def test_both_routes_return_the_same_types(self, form):
         # a scalar gives an np.float64, an array an array of its shape
-        poly = ring_poly(10, 0.5)
-        assert type(factor_values(poly, SCALAR_FORMS[form](0.3))) is np.float64
-        values = factor_values(poly, np.array([[0.1, 0.2], [0.3, 0.4]]))
+        ring = ring_at(10, 0.5)
+        assert type(factor_values(ring, SCALAR_FORMS[form](0.3))) is np.float64
+        values = factor_values(ring, np.array([[0.1, 0.2], [0.3, 0.4]]))
         assert type(values) is np.ndarray and values.shape == (2, 2)
 
     @pytest.mark.parametrize("nb,beta_lambda", [(4, 0.5), (101, 5.0), (4000, 186.0)])
     def test_dephasing_factor_matches_array_route(self, nb, beta_lambda):
-        poly = ring_poly(nb, beta_lambda)
-        x = scalar_angles(poly)[:200] / poly.beta
-        values = np.array([dephasing_factor(poly, float(v)).value for v in x])
+        ring = ring_at(nb, beta_lambda)
+        x = scalar_angles(ring)[:200] / ring.beta
+        values = np.array([dephasing_factor(ring, float(v)).value for v in x])
         np.testing.assert_array_equal(values.imag, 0.0)
         np.testing.assert_array_equal(
-            values.real.view(np.uint64), factor_values(poly, poly.beta * x).view(np.uint64)
+            values.real.view(np.uint64), factor_values(ring, ring.beta * x).view(np.uint64)
         )
 
 
@@ -503,34 +515,34 @@ class TestPastCoefficientLimit:
     @pytest.mark.parametrize("nb", [1200, 4000, 10_000])
     @pytest.mark.parametrize("beta_lambda", [0.05, 0.5])
     def test_factor_and_phases_past_overflow(self, nb, beta_lambda):
-        poly = ring_poly(nb, beta_lambda)
+        ring = ring_at(nb, beta_lambda)
         # the coefficient sum passes the double range at N_b ~ 1,101 for
         # beta_lambda = 0.05 and ~ 2,265 for 0.5
         if (nb, beta_lambda) != (1200, 0.5):
             with pytest.raises(OverflowError):
-                poly.coefficients
+                ring.coefficients
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            phases = lee_yang_zeros(poly).phases
+            phases = lee_yang_zeros(ring).phases
             assert phases.size == nb
             # both eigenvalue branches, near w = 0 where A is not negligible,
             # and within 1e-9 of four collapse angles
             generic = np.array([0.0, 1e-4, 1e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 1.4, 2.2, 3.0, -0.7])
             near_zero = phases[[0, nb // 3, nb // 2, -1]] / 2.0 + np.array([1.0, -0.5, 0.3, -1.0]) * 1e-9
             w = np.concatenate([generic, near_zero])
-            values = factor_values(poly, w)
+            values = factor_values(ring, w)
         np.testing.assert_allclose(values, mp_transfer_factor(nb, beta_lambda, w), rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("nb", [10, 101, 4000])
     @pytest.mark.parametrize("beta_lambda", [200.0, 300.0])
     def test_past_underflow_is_the_frozen_ring(self, nb, beta_lambda):
         # q = exp(-4 beta_lambda) underflows to 0: A = cos(N w), phases (2j - 1) pi / N
-        poly = ring_poly(nb, beta_lambda)
+        ring = ring_at(nb, beta_lambda)
         with pytest.raises(ValueError, match="underflow"):
-            poly.coefficients
+            ring.coefficients
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w = np.linspace(-4.0, 4.0, 801)
-            np.testing.assert_allclose(factor_values(poly, w), np.cos(nb * w), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(factor_values(ring, w), np.cos(nb * w), rtol=0.0, atol=1e-12)
             expected = (2.0 * np.arange(1, nb + 1) - 1.0) * np.pi / nb
-            np.testing.assert_allclose(lee_yang_zeros(poly).phases, expected, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(lee_yang_zeros(ring).phases, expected, rtol=0.0, atol=1e-12)

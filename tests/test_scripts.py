@@ -1,4 +1,4 @@
-"""The README's three `scripts/` commands run end to end on the library API."""
+"""The README's `scripts/` and `lyprobe` commands run end to end on the library API."""
 
 import os
 import subprocess
@@ -11,36 +11,64 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "script,args,expected",
+    "command,expected",
     [
         (
-            "coherence_scan.py",
-            ["--nb", "6", "--beta", "0.5", "--periods", "2"],
+            [str(ROOT / "scripts" / "coherence_scan.py"), "--nb", "6", "--beta", "0.5", "--periods", "2"],
             "recovery peaks in first period: 6 (ring size 6)",
         ),
         (
-            "entanglement_domains.py",
-            ["--nb", "10", "--beta", "10"],
+            [str(ROOT / "scripts" / "entanglement_domains.py"), "--nb", "10", "--beta", "10"],
             "interior domains covering a predicted zero: 10/10",
         ),
         (
-            "cmax_scaling.py",
-            ["--n-min", "20", "--n-max", "28"],
+            [str(ROOT / "scripts" / "cmax_scaling.py"), "--n-min", "20", "--n-max", "28"],
             "fit: ln C_max = ",
         ),
+        (
+            [
+                "-m", "lyprobe.cli", "simulate", "--nb", "10", "--beta", "0.5", "--probes", "3",
+                "--theta", "1.5707963", "--channel", "I", "--t-max", "157.08", "--out", "series.csv",
+            ],
+            "wrote 671 rows to series.csv (channel I, period 157.08)",
+        ),
+        (
+            ["-m", "lyprobe.cli", "zeros", "--nb", "100", "--beta", "0.25", "--out", "zeros.csv"],
+            "wrote 100 zero phases to zeros.csv (residual bound ",
+        ),
+        (
+            ["-m", "lyprobe.cli", "verify"],
+            "PASS  zero set geometry: counts, closure, pi membership; max residual ",
+        ),
+        (
+            [
+                "-m", "lyprobe.cli", "fit-cmax", "--theta", "1.0471976", "--n-min", "20",
+                "--n-max", "28", "--nb", "20",
+            ],
+            "alpha=-0.287085808",
+        ),
     ],
-    ids=["coherence_scan", "entanglement_domains", "cmax_scaling"],
+    ids=[
+        "coherence_scan",
+        "entanglement_domains",
+        "cmax_scaling",
+        "lyprobe_simulate",
+        "lyprobe_zeros",
+        "lyprobe_verify",
+        "lyprobe_fit_cmax",
+    ],
 )
-def test_readme_command(script, args, expected):
+def test_readme_command(command, expected, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", *command],
         capture_output=True,
         text=True,
         env=env,
+        cwd=tmp_path,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
