@@ -2,8 +2,9 @@
 
 Builds uniform time grids, evaluates the dephasing factor and the closed-form
 observables over them, and post-processes the series: coherence-zero
-detection (sign-change brackets of the analytic factor, refined all at once
-by bisection, not on the sampled series), maximal
+detection (candidates from the signs of the sampled factor, refined on the
+analytic factor: sign changes all at once by bisection, same-sign minima of
+|A| all at once by golden-section search), maximal
 concurrence-vanishing domains, recovery-peak counts, and the exponential fit
 of the maximum original concurrence against ensemble size.
 """
@@ -14,14 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .channels import Channel, OatParameters, oat_reduced_state
 from .ising_bath import (
-    _DOUBLE_MAX,
     IsingRing,
     LeeYangZeroSet,
     _check_eta,
+    _check_phase,
     factor_values,
     lee_yang_zeros,
     zero_times,
@@ -180,14 +180,7 @@ def series_from_polynomial(
     _check_eta(eta)
     times = np.asarray(times, dtype=float)
     mult = _angle_multiplier(channel)
-    # Python floats: a phase past the double range is inf, not a numpy warning
-    reach = float(np.abs(times).max(initial=0.0))
-    if not math.isfinite(float(ring.n_spins) * mult * float(eta) * reach):
-        raise ValueError(
-            f"the field angle w = {mult:g} * eta * t at |t| = {reach:.6g}, eta = {eta!r} "
-            f"gives a phase N_b * w that is not finite: N_b * eta * |t| must stay below "
-            f"{_DOUBLE_MAX / mult:.6g}"
-        )
+    _check_phase(ring.n_spins, mult, "eta", eta, "t", float(np.abs(times).max(initial=0.0)))
 
     n = probe.n_probes
     a = factor_values(ring, mult * eta * times)
@@ -232,11 +225,13 @@ def default_steps(
     """Grid size placing at least 40 samples between adjacent collapse times.
 
     Raises:
-        ValueError: if two collapse times coincide (every phase is pi at
-            beta * coupling = 0, or rounds to pi near it), so no spacing
-            separates them; or if the grid would need more than 10,000,000
-            steps.
+        ValueError: if t_max is not positive and finite; if two collapse
+            times coincide (every phase is pi at beta * coupling = 0, or
+            rounds to pi near it), so no spacing separates them; or if the
+            grid would need more than 10,000,000 steps.
     """
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     tz = lee_yang_times(zeros, eta, channel)
     period = coherence_period(eta, channel)
     if tz.size > 1:
@@ -255,7 +250,7 @@ def default_steps(
     steps = np.ceil(40.0 * float(t_max) / float(gap)) + 1
     if steps > _MAX_DEFAULT_STEPS:
         raise ValueError(
-            f"the default grid needs {steps:,.0f} steps for the narrowest collapse gap "
+            f"the default grid needs {steps:.3g} steps for the narrowest collapse gap "
             f"{gap:.6g}, past the limit of {_MAX_DEFAULT_STEPS:,}; pass the number of "
             "steps explicitly (--steps)"
         )
@@ -276,93 +271,79 @@ def bisect_roots(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, xtol: f
     return 0.5 * (lo + hi)
 
 
-def _analytic_factor(series: ObservableSeries):
-    """Vectorized callable t -> A(t) rebuilt from the series provenance."""
-    if series.ring is None or series.eta is None or series.channel is None:
-        raise ValueError(
-            "series carries no provenance metadata; zero refinement needs the "
-            "generating ring, eta, and channel"
-        )
-    ring = series.ring
-    mult = _angle_multiplier(series.channel)
-    eta = series.eta
+def _golden_minima(f, lo: np.ndarray, hi: np.ndarray, xatol: float) -> np.ndarray:
+    """Minima of f on the brackets [lo, hi], narrowed all at once to below xatol.
 
-    def a_of_t(t) -> np.ndarray:
-        return factor_values(ring, mult * eta * np.asarray(t, dtype=float))
-
-    return a_of_t
+    f maps an array of points to values; each golden-section step evaluates
+    it once, at both interior points of every bracket.
+    """
+    shrink = 0.5 * (math.sqrt(5.0) - 1.0)
+    while np.any(hi - lo > xatol):
+        step = shrink * (hi - lo)
+        left, right = np.split(f(np.concatenate([hi - step, lo + step])), 2)
+        lower_left = left < right
+        lo, hi = np.where(lower_left, lo, hi - step), np.where(lower_left, lo + step, hi)
+    return 0.5 * (lo + hi)
 
 
 def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> np.ndarray:
     """Times where the probe coherence collapses to zero, refined analytically.
 
-    Local minima of the sampled coherence are candidate collapse points, and
-    so is every sign change of the sampled factor that no minimum's bracket
-    already holds: at weak coupling and large rings the channel-I coherence
-    (~A^2) underflows between collapses, and minima with subnormal or zero
-    neighbours are ignored.  The factor is evaluated at the ends of every
-    candidate bracket at once; brackets where it changes sign are refined
-    together by bisection, and the rare grazing minima without a sign change
-    by bounded minimization of |A|.  A refined point is kept if its coherence
+    The coherence vanishes only where the factor A does, so the candidates
+    come from the sampled ``a_factor`` column alone: every sign change of A
+    between adjacent samples, and every local minimum of |A| whose three
+    samples share one sign (a zero of even order, such as A = cos^N_b at
+    beta * coupling = 0).  A run of equal samples is one point, and a sample
+    that underflowed to 0 has no sign.  Sign changes are refined together by
+    bisection of the analytic factor, and the same-sign minima together by a
+    golden-section search on |A|.  A refined point is kept if its coherence
     falls below epsilon times the series maximum.
     """
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    coh = series.coherence
     t = series.times
     if t.size < 3:
         return np.array([])
-    peak = coh.max()
+    peak = series.coherence.max()
     if peak <= 0.0:
         return np.array([])
 
-    interior = np.arange(1, t.size - 1)
-    is_min = (coh[interior] < coh[interior - 1]) & (coh[interior] <= coh[interior + 1])
-    candidates = interior[is_min]
-    flips = np.array([], dtype=int)
-    tiny = np.finfo(float).tiny
-    if coh.min() < tiny:
-        # the coherence underflows: a minimum with a subnormal or 0 neighbour
-        # is a rounding step, not a collapse, and the collapses there are the
-        # sign changes of A that no minimum brackets
-        resolved = np.minimum(coh[candidates - 1], coh[candidates + 1]) >= tiny
-        candidates = candidates[resolved]
-        a = series.a_factor
-        negative = np.signbit(a)
-        flips = np.flatnonzero(negative[:-1] != negative[1:])
-        flips = flips[(a[flips] != 0.0) & (a[flips + 1] != 0.0)]
-        # candidate c brackets the flips at c - 1 and c
-        next_min = np.append(candidates, t.size)[np.searchsorted(candidates, flips)]
-        flips = flips[next_min - flips > 1]
-    if candidates.size == 0 and flips.size == 0:
+    # a run of equal samples is one point: a grid symmetric about an even
+    # zero samples it twice, and an A that underflows steps down in runs
+    a = series.a_factor
+    points = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    a = a[points]
+    # signs, not products: at weak coupling A itself can be ~1e-200, and a
+    # sample that underflowed to 0 has sign 0, so it brackets nothing
+    pairs = np.sign(a[:-1]) * np.sign(a[1:])
+    flips = np.flatnonzero(pairs < 0.0)
+    mag = np.abs(a)
+    dips = 1 + np.flatnonzero(
+        (pairs[:-1] > 0.0) & (pairs[1:] > 0.0) & (mag[1:-1] < np.minimum(mag[:-2], mag[2:]))
+    )
+    if flips.size == 0 and dips.size == 0:
         return np.array([])
 
-    a_of_t = _analytic_factor(series)
-    if series.probe is None:
-        raise ValueError("series carries no probe metadata")
+    if any(v is None for v in (series.ring, series.probe, series.eta, series.channel)):
+        raise ValueError(
+            "series carries no provenance metadata; zero refinement needs the "
+            "generating ring, probe, eta, and channel"
+        )
     state = oat_reduced_state(series.probe)
 
-    def coherence_at(a):
-        return x_state_observables(state, series.channel, a, series.probe.n_probes).coherence
+    def a_of_t(x):
+        return factor_values(series.ring, _angle_multiplier(series.channel) * series.eta * x)
+
+    def coherence_at(factor):
+        return x_state_observables(state, series.channel, factor, series.probe.n_probes).coherence
 
     if coherence_at(0.0) >= epsilon * peak:
         # coherence grows with |A|: not even A = 0 brings it below the threshold
         return np.array([])
-    lo = np.concatenate([t[candidates - 1], t[flips]])
-    hi = np.concatenate([t[candidates + 1], t[flips + 1]])
-    # signs, not products: at weak coupling A itself can be ~1e-200
-    sign_lo, sign_hi = np.split(np.sign(a_of_t(np.concatenate([lo, hi]))), 2)
-    refined = np.where(sign_lo == 0.0, lo, hi)
-    crossing = sign_lo * sign_hi < 0.0
-    refined[crossing] = bisect_roots(a_of_t, lo[crossing], hi[crossing], sign_lo[crossing], 1e-15)
-    for i in np.nonzero(sign_lo * sign_hi > 0.0)[0]:
-        result = minimize_scalar(
-            lambda tv: abs(a_of_t(tv)),
-            bounds=(lo[i], hi[i]),
-            method="bounded",
-            options={"xatol": 1e-12 * max(1.0, t[-1])},
-        )
-        refined[i] = float(result.x)
+    roots = bisect_roots(a_of_t, t[points[flips]], t[points[flips + 1]], np.sign(a[flips]), 1e-15)
+    lo, hi = t[points[dips - 1]], t[points[dips + 1]]
+    minima = _golden_minima(lambda x: np.abs(a_of_t(x)), lo, hi, 1e-12 * max(1.0, t[-1]))
+    refined = np.concatenate([roots, minima])
     zeros = np.sort(refined[coherence_at(a_of_t(refined)) < epsilon * peak])
     if zeros.size == 0:
         return zeros

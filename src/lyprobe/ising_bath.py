@@ -370,10 +370,12 @@ def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
     bit-identical to the one an array call gives at that point.
 
     Raises:
-        ValueError: if x is not finite.
+        ValueError: if x is not finite, or the phase N_b * beta * |x| the
+            transfer form takes is not finite.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
+    _check_phase(ring.n_spins, 1.0, "beta", ring.beta, "x", abs(x))
     value = complex(factor_values(ring, ring.beta * x))
     return DephasingFactor(value=value, argument=float(x))
 
@@ -413,6 +415,21 @@ def _check_eta(eta: float) -> None:
         raise ValueError(
             "eta must be positive and finite, with a finite coherence period pi/(2 eta) "
             f"(eta >= ~{0.5 * math.pi / _DOUBLE_MAX:.2g}), got {eta!r}"
+        )
+
+
+def _check_phase(
+    n_spins: int, mult: float, name: str, value: float, var: str, reach: float
+) -> None:
+    """Refuse a field angle w = mult * value * reach whose phase N_b * w is not finite.
+
+    Python floats: a phase past the double range is inf, not a numpy warning.
+    """
+    if not math.isfinite(float(n_spins) * mult * float(value) * float(reach)):
+        raise ValueError(
+            f"the field angle w = {mult:g} * {name} * {var} at |{var}| = {reach:.6g}, "
+            f"{name} = {value!r} gives a phase N_b * w that is not finite: "
+            f"N_b * {name} * |{var}| must stay below {_DOUBLE_MAX / mult:.6g}"
         )
 
 

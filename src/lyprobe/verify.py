@@ -55,6 +55,7 @@ from .observables import (
     concurrence_channel_II,
     concurrence_generic,
     spin_squeezing,
+    x_state_observables,
 )
 
 
@@ -238,30 +239,28 @@ def check_coherence_properties() -> str:
 
 
 def check_squeezing_identities() -> str:
-    state = oat_reduced_state(OatParameters(5, np.pi / 3))
+    # the array kernel gives the bits spin_squeezing and the concurrence
+    # wrappers give point by point
+    n = 5
+    state = oat_reduced_state(OatParameters(n, np.pi / 3))
     y0 = state.y
     u0 = abs(state.u)
-    worst_identity = 0.0
-    for a in np.linspace(-1.0, 1.0, 101):
-        report = spin_squeezing(state, Channel.II, float(a), 5)
-        if abs(a) * u0 >= y0:
-            worst_identity = max(
-                worst_identity, abs(report.xi2 - (1.0 - concurrence_channel_II(state, a, 5).rescaled))
-            )
+    a = np.linspace(-1.0, 1.0, 101)
+    shared = x_state_observables(state, Channel.II, a, n)
+    identity = np.abs(shared.xi2 - (1.0 - (n - 1) * shared.concurrence))
+    worst_identity = float(np.max(identity[np.abs(a) * u0 >= y0], initial=0.0))
     _require(worst_identity <= 1e-12, f"shared-bath identity broken {worst_identity}")
 
     # the gap is piecewise linear in A^2 with its kink at A^2 = y/|u|, so the
     # scan must include that point to attain the closed-form maximum
     factors = np.sort(np.append(np.linspace(0.0, 1.0, 2001), np.sqrt(y0 / u0)))
-    gaps = []
-    for a in factors:
-        report = spin_squeezing(state, Channel.I, float(a), 5)
-        _require(report.improvement >= -1e-12, "improvement negative under channel I")
-        gaps.append(report.improvement)
-    closed_max = spin_squeezing(state, Channel.I, 1.0, 5).improvement_max
+    own = x_state_observables(state, Channel.I, factors, n)
+    gaps = (1.0 - (n - 1) * own.concurrence) - own.xi2
+    _require(bool(np.all(gaps >= -1e-12)), "improvement negative under channel I")
+    closed_max = spin_squeezing(state, Channel.I, 1.0, n).improvement_max
     _require(
-        abs(max(gaps) - closed_max) <= 1e-12,
-        f"improvement maximum off: grid {max(gaps)} closed {closed_max}",
+        abs(gaps.max() - closed_max) <= 1e-12,
+        f"improvement maximum off: grid {gaps.max()} closed {closed_max}",
     )
     return f"identity {worst_identity:.2e}; improvement max attained at A^2 = y/|u|"
 

@@ -5,7 +5,7 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Six
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Seven
 entries are reference implementations rather than independent routes: the
 transfer-matrix phase formula (the package now uses it in atan2 form), the
 transfer eigenvalues at 50 digits (the package's mathematics without its
@@ -13,8 +13,10 @@ double-precision branch split; the only reference cheap enough for rings
 whose coefficients overflow), the scalar double loop the package's
 coefficient recurrence was vectorised from, the np.savetxt call the
 package's block CSV writer replaced, the inline series formulas the
-package's X-state kernel replaced, and the per-operator ``np.kron`` products
-and loop sum the package's stacked Kraus sets replaced.
+package's X-state kernel replaced, the per-operator ``np.kron`` products
+and loop sum the package's stacked Kraus sets replaced, and the per-bracket
+bounded minimization (scipy's ``minimize_scalar``) the package's vectorized
+golden-section search replaced.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 
 def transfer_phases(n_spins: int, beta_lambda: float) -> np.ndarray:
@@ -85,6 +88,25 @@ def kraus_apply_loop(rho: np.ndarray, ops) -> np.ndarray:
     for m in ops:
         out += m @ rho @ m.conj().T
     return out
+
+
+def bounded_minima(f, lo, hi, xatol: float) -> np.ndarray:
+    """Minimum of f on each bracket [lo_i, hi_i], one bounded Brent search each.
+
+    f maps an array of points to values; each search calls it on
+    one-element arrays, with scipy's absolute tolerance xatol.
+    """
+    return np.array(
+        [
+            minimize_scalar(
+                lambda x: float(f(np.array([x]))[0]),
+                bounds=(left, right),
+                method="bounded",
+                options={"xatol": xatol},
+            ).x
+            for left, right in zip(lo, hi)
+        ]
+    )
 
 
 def series_observables_reference(state, channel, n, a):

@@ -245,13 +245,20 @@ class TestProbeTimeOverflow:
                 "N_b * eta * |t| must stay below 8.98847e+307",
             ),
             ([*SIMULATE, "--t-max", "1e300"], "past the limit of 10,000,000"),
+            ([*SIMULATE, "--t-max", "nan"], "t_max must be positive and finite, got nan"),
             ([*SIMULATE, "--t-max", "10", "--eta", "1e-320"], "eta >= ~8.7e-309"),
             (
                 ["fit-cmax", "--theta", "1", "--nb", "100", "--beta", "10", "--eta", "1e-320"],
                 "eta >= ~8.7e-309",
             ),
         ],
-        ids=["field-angle", "default-steps", "subnormal-eta-simulate", "subnormal-eta-fit-cmax"],
+        ids=[
+            "field-angle",
+            "default-steps",
+            "nan-t-max",
+            "subnormal-eta-simulate",
+            "subnormal-eta-fit-cmax",
+        ],
     )
     def test_exits_one_naming_the_limit(self, tmp_path, capsys, argv, limit):
         out = tmp_path / "a.csv"

@@ -40,7 +40,7 @@ from lyprobe import (
     zero_times,
 )
 
-from .oracles import savetxt_csv
+from .oracles import bounded_minima, savetxt_csv
 
 ETA = 0.01
 CSV_HEADER = "t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime"
@@ -61,12 +61,12 @@ def make_scenario(nb=6, beta=0.5, channel=Channel.I, t_max=None, steps=801, **kw
     )
 
 
-def flat_series(times, coherence_values):
+def flat_series(times, coherence_values, a_factor=None):
     """Hand-built series without provenance metadata."""
     n = len(times)
     return ObservableSeries(
         times=np.asarray(times, dtype=float),
-        a_factor=np.ones(n),
+        a_factor=np.ones(n) if a_factor is None else np.asarray(a_factor, dtype=float),
         coherence=np.asarray(coherence_values, dtype=float),
         concurrence_rescaled=np.full(n, 0.5),
         xi2=np.full(n, 0.5),
@@ -213,9 +213,30 @@ class TestZeroDetection:
         assert detect_coherence_zeros(series).size == 0
 
     def test_requires_provenance_for_refinement(self):
-        series = flat_series([0.0, 1.0, 2.0], [1.0, 0.05, 1.0])
+        series = flat_series([0.0, 1.0, 2.0], [1.0, 0.05, 1.0], a_factor=[1.0, 0.2, 1.0])
         with pytest.raises(ValueError, match="provenance"):
             detect_coherence_zeros(series)
+
+    @pytest.mark.parametrize(
+        "a_factor,candidate",
+        [
+            ([1.0, 0.5, -0.5, -1.0], True),
+            ([1.0, 0.5, 0.5, 1.0], True),
+            ([-1.0, -0.5, -0.5, -0.25], False),
+            ([1e-322, 5e-323, 5e-323, 1e-323], False),
+            ([1.0, 0.0, 0.0, -1.0], False),
+        ],
+        ids=["sign-change", "flat-minimum", "staircase", "subnormal-staircase", "zero-samples"],
+    )
+    def test_candidates_come_from_the_sampled_factor(self, a_factor, candidate):
+        # a candidate needs provenance to be refined; a run of equal samples
+        # is one point, and a sample at 0 has no sign
+        series = flat_series([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0], a_factor=a_factor)
+        if candidate:
+            with pytest.raises(ValueError, match="provenance"):
+                detect_coherence_zeros(series)
+        else:
+            assert detect_coherence_zeros(series).size == 0
 
     def test_rejects_bad_epsilon(self):
         series = flat_series([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
@@ -268,10 +289,23 @@ class TestZeroDetection:
         step = series.times[1] - series.times[0]
         assert np.max(np.abs(detected - predicted)) <= step
 
+    def test_no_false_zeros_where_the_factor_underflows(self):
+        # past the factor's own underflow A is 0 between collapses and steps
+        # down to it in runs of equal subnormals: none of that is a zero
+        ring = IsingRing(n_spins=2000, inverse_temperature=0.05)
+        period = coherence_period(ETA, Channel.I)
+        probe = OatParameters(3, 1.0)
+        series = run_scenario(Scenario(ring, probe, Channel.I, period, 300_001, ETA))
+        assert np.mean(series.a_factor == 0.0) > 0.5
+        detected = detect_coherence_zeros(series)
+        predicted = lee_yang_times(lee_yang_zeros(ring), ETA, Channel.I)
+        step = series.times[1] - series.times[0]
+        assert np.all(np.min(np.abs(detected[:, None] - predicted[None, :]), axis=1) <= step)
+
     def test_even_multiplicity_zero_found_by_minimization(self):
         # binomial coefficients give A = cos^4(2 eta t) >= 0: the coherence
-        # touches zero without a sign change, exercising the bounded-minimum
-        # refinement branch
+        # touches zero without a sign change, exercising the golden-section
+        # refinement
         ring = IsingRing(4, inverse_temperature=0.0)
         times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
         series = series_from_polynomial(
@@ -282,10 +316,10 @@ class TestZeroDetection:
         assert detected[0] == pytest.approx(np.pi / (4.0 * ETA), abs=0.01)
 
     @pytest.mark.parametrize("case", ["binomial-4", "binomial-8", "ring-6", "ring-100-weak"])
-    def test_scalar_objective_matches_one_element_array(self, case, monkeypatch):
-        # the grazing-minimum objective passes the scalar time straight to the
-        # factor; the detected times must equal those of the one-element-array
-        # objective bit for bit
+    def test_golden_section_matches_bounded_brent(self, case, monkeypatch):
+        # the same-sign minima refined one bracket at a time by scipy's
+        # bounded Brent search give the same zeros; Brent stops within about
+        # sqrt(eps) |t| + xatol of a minimum, the golden search within xatol / 2
         if case.startswith("binomial"):
             ring = IsingRing(int(case.split("-")[1]), inverse_temperature=0.0)
             times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
@@ -299,22 +333,32 @@ class TestZeroDetection:
                 make_scenario(nb=100, t_max=t_max, steps=default_steps(zeros, ETA, t_max, Channel.I))
             )
         detected = detect_coherence_zeros(series)
-        a_of_t = experiments._analytic_factor(series)
-        original = experiments.minimize_scalar
-        grazing = []
+        brackets = []
 
-        def one_element_objective(fun, **kwargs):
-            new = original(fun, **kwargs)
-            old = original(lambda tv: abs(a_of_t([tv])[0]), **kwargs)
-            assert (new.x, new.fun, new.nfev) == (old.x, old.fun, old.nfev)
-            grazing.append(new.x)
-            return old
+        def reference(f, lo, hi, xatol):
+            brackets.append(lo.size)
+            return bounded_minima(f, lo, hi, xatol)
 
-        monkeypatch.setattr(experiments, "minimize_scalar", one_element_objective)
-        reference = detect_coherence_zeros(series)
-        assert detected.tobytes() == reference.tobytes()
+        monkeypatch.setattr(experiments, "_golden_minima", reference)
+        expected = detect_coherence_zeros(series)
+        assert detected.size == expected.size
+        xatol = 1e-12 * max(1.0, series.times[-1])
+        np.testing.assert_allclose(detected, expected, rtol=2.0 * math.sqrt(2.2e-16), atol=xatol)
         if case.startswith("binomial"):
-            assert len(grazing) > 0
+            assert sum(brackets) > 0
+
+    @pytest.mark.parametrize("nb,beta,steps", [(200, 1.0, 2001), (60, 0.05, 4001)])
+    def test_zeros_in_adjacent_cells_are_both_found(self, nb, beta, steps):
+        # the coarse grid puts close pairs of zeros in adjacent cells: A
+        # changes sign twice across three samples, where the coherence has
+        # one minimum
+        ring = IsingRing(n_spins=nb, inverse_temperature=beta)
+        period = coherence_period(ETA, Channel.I)
+        series = run_scenario(Scenario(ring, OatParameters(3, 1.0), Channel.I, period, steps, ETA))
+        detected = detect_coherence_zeros(series)
+        predicted = lee_yang_times(lee_yang_zeros(ring), ETA, Channel.I)
+        assert detected.size == predicted.size == nb
+        assert np.max(np.abs(detected - predicted)) <= 1e-9 * period
 
 
 class TestVanishingDomains:
@@ -410,7 +454,7 @@ class TestTimingHelpers:
 
     @pytest.mark.parametrize(
         "nb,beta,steps",
-        [(4000, 0.05, "432,950,935"), (1200, 0.05, "38,965,670"), (6, 1e-12, "242,763,640")],
+        [(4000, 0.05, "4.33e+08"), (1200, 0.05, "3.9e+07"), (6, 1e-12, "2.43e+08")],
     )
     def test_default_steps_rejects_grids_past_the_ceiling(self, nb, beta, steps):
         # a weakly coupled large ring, and a ring near beta = 0 whose phases
@@ -423,6 +467,12 @@ class TestTimingHelpers:
         assert f"needs {steps} steps" in message
         assert "narrowest collapse gap" in message
         assert "10,000,000" in message and "--steps" in message
+
+    @pytest.mark.parametrize("t_max", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_default_steps_rejects_bad_t_max(self, t_max):
+        zs = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5))
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            default_steps(zs, ETA, t_max, Channel.I)
 
     def test_default_steps_ceiling_is_inclusive(self, monkeypatch):
         zs = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5))

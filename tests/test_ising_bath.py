@@ -345,6 +345,13 @@ class TestDephasingFactor:
             else:
                 dephasing_factor(ring, x)
 
+    @pytest.mark.parametrize("x", [1e308, 5e307])
+    def test_phase_past_double_range_rejected(self, x):
+        # beta * x overflows at 1e308; at 5e307 only N_b * beta * x does
+        ring = IsingRing(6, inverse_temperature=2.0, coupling=0.1)
+        with pytest.raises(ValueError, match=r"N_b \* beta \* \|x\| must stay below"):
+            dephasing_factor(ring, x)
+
     @pytest.mark.parametrize(
         "value,argument,match",
         [

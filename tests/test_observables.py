@@ -140,6 +140,20 @@ class TestXStateKernel:
         with pytest.raises(ValueError, match="at least 2"):
             x_state_observables(probe_state, Channel.I, self.FACTORS, 1)
 
+    @pytest.mark.parametrize("channel", ["I", "II"])
+    def test_scalar_wrappers_give_the_array_bits(self, channel):
+        # verify's squeezing check reads its factor grids from one array call
+        channel = Channel(channel)
+        wrapper = concurrence_channel_I if channel is Channel.I else concurrence_channel_II
+        state = oat_reduced_state(OatParameters(5, np.pi / 3))
+        factors = np.linspace(-1.0, 1.0, 101)
+        values = x_state_observables(state, channel, factors, 5)
+        reports = [spin_squeezing(state, channel, float(a), 5) for a in factors]
+        assert np.array_equal(values.xi2, [r.xi2 for r in reports])
+        assert np.array_equal(1.0 - 4 * values.concurrence, [r.xi2_prime for r in reports])
+        rescaled = [wrapper(state, a, 5).rescaled for a in factors]
+        assert np.array_equal(4 * values.concurrence, rescaled)
+
 
 class TestConcurrenceGeneric:
     def test_bell_state(self):

@@ -10,6 +10,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_python(args, **kwargs):
+    """Run this interpreter on args with the checkout's src/ on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, **kwargs
+    )
+
+
 @pytest.mark.parametrize(
     "command,expected",
     [
@@ -59,17 +70,13 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_readme_command(command, expected, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", *command],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-        timeout=120,
-    )
+    result = run_python(["-W", "error::RuntimeWarning", *command], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert expected in result.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test-side oracle, not a runtime dependency
+    result = run_python(["-c", "import sys, lyprobe.cli; print('scipy' in sys.modules)"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
