@@ -1,8 +1,9 @@
-"""Fit the decay of the recovered pair concurrence against ensemble size.
+"""Fit the decay of the maximum pair concurrence against ensemble size.
 
-In the strong-coupling regime the per-pair concurrence returns to its full
-initial value at the recovery times, so its maximum over one period equals
-the t = 0 value.  That maximum decays with the number of probes N; this
+Under the independent-bath channel the per-pair concurrence grows with |A|,
+and A(0) = 1, so at any coupling its maximum over time is the t = 0 value,
+the concurrence of the initial state; the ring options do not change it.
+That maximum decays with the number of probes N; this
 script fits ln C_max linearly in (N - 2) and compares the slope with the
 large-N prediction ln(cos^2(theta/2)).  The fit is asymptotic: small-N
 windows carry visible curvature and a correspondingly large residual.

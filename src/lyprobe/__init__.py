@@ -31,7 +31,6 @@ from .experiments import (
     emit_csv,
     fit_cmax_scaling,
     lee_yang_times,
-    max_original_concurrence,
     run_scenario,
     series_from_polynomial,
     vanishing_domains,
@@ -41,10 +40,8 @@ from .ising_bath import (
     IsingRing,
     LeeYangZeroSet,
     dephasing_factor,
-    dephasing_factor_product,
     lee_yang_zeros,
     partition_coefficients,
-    partition_coefficients_bruteforce,
     zero_times,
 )
 from .observables import (
@@ -81,7 +78,6 @@ __all__ = [
     "count_recovery_peaks",
     "default_steps",
     "dephasing_factor",
-    "dephasing_factor_product",
     "detect_coherence_zeros",
     "emit_csv",
     "evolve_channel_I",
@@ -93,10 +89,8 @@ __all__ = [
     "kraus_tensor",
     "lee_yang_times",
     "lee_yang_zeros",
-    "max_original_concurrence",
     "oat_reduced_state",
     "partition_coefficients",
-    "partition_coefficients_bruteforce",
     "run_scenario",
     "series_from_polynomial",
     "spin_squeezing",

@@ -172,17 +172,9 @@ def oat_reduced_state(params: OatParameters) -> TwoQubitXState:
 def _factor_value(factor) -> float:
     """Extract the real dephasing factor from a DephasingFactor or a number.
 
-    The ring factor is real up to summation noise; an imaginary part above
-    1e-9 or a magnitude above 1 + 1e-9 is rejected rather than silently
-    truncated.
+    A magnitude above 1 + 1e-9 is rejected rather than silently truncated.
     """
-    if isinstance(factor, DephasingFactor):
-        value = factor.value
-        if abs(value.imag) > 1e-9:
-            raise ValueError(f"dephasing factor has non-real value {value!r}")
-        value = value.real
-    else:
-        value = float(factor)
+    value = float(factor.value if isinstance(factor, DephasingFactor) else factor)
     if not math.isfinite(value):
         raise ValueError(f"dephasing factor must be finite, got {value!r}")
     if abs(value) > 1.0 + 1e-9:

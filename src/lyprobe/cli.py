@@ -72,7 +72,15 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("verify", help="run the full invariant suite")
 
-    fit = sub.add_parser("fit-cmax", help="fit ln C_max against ensemble size")
+    fit = sub.add_parser(
+        "fit-cmax",
+        help="fit ln C_max against ensemble size",
+        description=(
+            "Fit ln C_max against ensemble size. C_max(N) is the pair concurrence of the "
+            "initial state (A = 1), its maximum over time at any coupling: the ring flags "
+            "(--nb, --beta, --lambda) and --eta are validated but do not change it."
+        ),
+    )
     fit.add_argument("--theta", type=float, required=True, help="twisting angle (radians)")
     fit.add_argument("--beta", type=float, default=10.0, help="inverse temperature (default 10)")
     fit.add_argument("--n-min", type=int, default=3, help="smallest ensemble size (default 3)")

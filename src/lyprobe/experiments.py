@@ -6,7 +6,8 @@ detection (candidates from the signs of the sampled factor, refined on the
 analytic factor: sign changes all at once by bisection, same-sign minima of
 |A| all at once by golden-section search), maximal
 concurrence-vanishing domains, recovery-peak counts, and the exponential fit
-of the maximum original concurrence against ensemble size.
+of the maximum concurrence, the initial state's (A = 1), against ensemble
+size.
 """
 
 from __future__ import annotations
@@ -286,6 +287,24 @@ def _golden_minima(f, lo: np.ndarray, hi: np.ndarray, xatol: float) -> np.ndarra
     return 0.5 * (lo + hi)
 
 
+def _reaches_zero(series: ObservableSeries, epsilon: float) -> bool:
+    """Whether A = 0 brings the coherence below epsilon times the series maximum.
+
+    The coherence grows with |A|, so where A = 0 does not, it never collapses.
+
+    Raises:
+        ValueError: if the series carries no provenance metadata.
+    """
+    if any(v is None for v in (series.ring, series.probe, series.eta, series.channel)):
+        raise ValueError(
+            "series carries no provenance metadata; zero refinement and the collapse "
+            "times need the generating ring, probe, eta, and channel"
+        )
+    state = oat_reduced_state(series.probe)
+    floor = x_state_observables(state, series.channel, 0.0, series.probe.n_probes).coherence
+    return floor < epsilon * series.coherence.max()
+
+
 def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> np.ndarray:
     """Times where the probe coherence collapses to zero, refined analytically.
 
@@ -324,11 +343,8 @@ def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> n
     if flips.size == 0 and dips.size == 0:
         return np.array([])
 
-    if any(v is None for v in (series.ring, series.probe, series.eta, series.channel)):
-        raise ValueError(
-            "series carries no provenance metadata; zero refinement needs the "
-            "generating ring, probe, eta, and channel"
-        )
+    if not _reaches_zero(series, epsilon):
+        return np.array([])
     state = oat_reduced_state(series.probe)
 
     def a_of_t(x):
@@ -337,9 +353,6 @@ def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> n
     def coherence_at(factor):
         return x_state_observables(state, series.channel, factor, series.probe.n_probes).coherence
 
-    if coherence_at(0.0) >= epsilon * peak:
-        # coherence grows with |A|: not even A = 0 brings it below the threshold
-        return np.array([])
     roots = bisect_roots(a_of_t, t[points[flips]], t[points[flips + 1]], np.sign(a[flips]), 1e-15)
     lo, hi = t[points[dips - 1]], t[points[dips + 1]]
     minima = _golden_minima(lambda x: np.abs(a_of_t(x)), lo, hi, 1e-12 * max(1.0, t[-1]))
@@ -388,28 +401,31 @@ def vanishing_domains(
 
 
 def count_recovery_peaks(series: ObservableSeries) -> int:
-    """Strict local maxima of coherence within one period after the first zero.
+    """Strict local maxima of coherence within one period after the first collapse.
 
-    A run of equal samples counts as one point, at its first sample: a grid
-    symmetric about a maximum samples it as two equal values.  Returns 0 when
-    no coherence zero is detected (nothing to recover from).
+    The window opens at the first collapse time the zero phases predict.  A
+    run of equal samples counts as one point, at its first sample: a grid
+    symmetric about a maximum samples it as two equal values.  Returns 0
+    when the coherence cannot reach zero (not even A = 0 brings it below
+    the threshold ``detect_coherence_zeros`` uses) or when the grid ends
+    before the first collapse (nothing to recover from).
 
     Raises:
-        ValueError: if the series ends less than one period after the first
-            detected zero.
+        ValueError: if the series carries no provenance, or ends less than
+            one period after the first collapse.
     """
-    zeros = detect_coherence_zeros(series)
-    if zeros.size == 0:
-        return 0
-    if series.eta is None or series.channel is None:
-        raise ValueError("series carries no eta/channel metadata")
-    start = zeros[0]
-    period = coherence_period(series.eta, series.channel)
     t = series.times
+    # the threshold detect_coherence_zeros applies by default
+    if t.size < 3 or not _reaches_zero(series, 1e-6):
+        return 0
+    start = lee_yang_times(lee_yang_zeros(series.ring), series.eta, series.channel)[0]
+    if start > t[-1]:
+        return 0
+    period = coherence_period(series.eta, series.channel)
     if start + period > t[-1] + 1e-9 * max(1.0, t[-1]):
         raise ValueError(
             f"series ends at t={t[-1]}, less than one period ({period}) after "
-            f"the first zero at t={start}"
+            f"the first collapse at t={start}"
         )
     first = np.concatenate(([True], series.coherence[1:] != series.coherence[:-1]))
     coh, t = series.coherence[first], t[first]
@@ -419,35 +435,22 @@ def count_recovery_peaks(series: ObservableSeries) -> int:
     return int(np.count_nonzero(is_peak & in_window))
 
 
-def max_original_concurrence(
-    ring: IsingRing,
-    probe: OatParameters,
-    eta: float,
-    times: np.ndarray,
-) -> float:
-    """Maximum over the grid of the per-pair concurrence under channel I."""
-    series = series_from_polynomial(ring, probe, eta, Channel.I, times)
-    return float(series.concurrence_rescaled.max() / (probe.n_probes - 1))
-
-
 def fit_cmax_scaling(
     n_values,
     theta: float,
     ring: IsingRing,
     eta: float = 0.01,
-    steps: int | None = None,
 ) -> FitResult:
     """Exponential-decay fit of the maximum concurrence against ensemble size.
 
-    For each N the maximum original concurrence over one coherence period is
-    computed under channel I, then ln C_max is fit linearly against (N - 2).
-    The factor is evaluated once on the grid and shared by every N; each
-    C_max equals ``max_original_concurrence`` on the same grid bit for bit.
-    Requires the strong-coupling regime (beta * coupling >= 10), where the
-    maxima sit at the recovery times.
+    Under channel I the pair concurrence grows with |A|, and A(0) = 1, so its
+    maximum over time is the concurrence of the initial state, A = 1, at any
+    coupling.  C_max(N) is that value, one kernel call per N, and ln C_max is
+    fit linearly against (N - 2).  The result depends on neither ``ring`` nor
+    ``eta``; ``eta`` is still validated.
 
     Raises:
-        ValueError: on fewer than 3 ensemble sizes, weak coupling, or any
+        ValueError: on fewer than 3 ensemble sizes, an invalid eta, or any
             C_max = 0 (log undefined; parameters outside the squeezed regime).
     """
     n_values = np.asarray(n_values, dtype=int)
@@ -455,24 +458,14 @@ def fit_cmax_scaling(
         raise ValueError("n_values must contain at least 3 ensemble sizes")
     if np.any(n_values < 2):
         raise ValueError("ensemble sizes must be >= 2")
-    if ring.beta_lambda < 10.0:
-        raise ValueError(
-            "fit requires the strong-coupling regime: inverse_temperature * "
-            "coupling >= 10"
-        )
     _check_eta(eta)
-
-    if steps is None:
-        steps = default_steps(lee_yang_zeros(ring), eta, coherence_period(eta, Channel.I), Channel.I)
-    times = np.linspace(0.0, coherence_period(eta, Channel.I), steps)
-    a = factor_values(ring, _angle_multiplier(Channel.I) * eta * times)
 
     cmax = []
     for n in n_values.tolist():
         state = oat_reduced_state(OatParameters(n, theta))
-        rescaled = (n - 1) * x_state_observables(state, Channel.I, a, n).concurrence
-        # max_original_concurrence's expression, not conc.max(): the same bits
-        cmax.append(float(rescaled.max() / (n - 1)))
+        rescaled = (n - 1) * x_state_observables(state, Channel.I, 1.0, n).concurrence
+        # (N - 1) C / (N - 1), not C: the bits of the series' rescaled column at t = 0
+        cmax.append(float(rescaled / (n - 1)))
     cmax = np.array(cmax)
     if np.any(cmax <= 0.0):
         raise ValueError(

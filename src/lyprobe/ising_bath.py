@@ -19,14 +19,13 @@ per-call overhead.  One type, ``IsingRing``, is both the ring and its
 polynomial: ``(N_b, beta, beta*lambda)``, with the coefficient vector built
 (closed form) only when it is read, by the residual certificate
 ``zero_residuals`` and the cross-checks.  So ``A`` and the zeros need no
-coefficients and run past the ring size where they overflow.  Brute-force
-enumeration for small rings and the product over zeros remain as
-cross-checks.
+coefficients and run past the ring size where they overflow.  The
+cross-check routes, brute-force enumeration for small rings and the product
+over zeros, live in ``verify``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -193,21 +192,19 @@ class LeeYangZeroSet:
 class DephasingFactor:
     """Value of the probe dephasing factor at one field argument.
 
-    ``value`` is A evaluated at imaginary field i*x; it is real for the
-    symmetric ring polynomial but stored complex so that consumers can check
-    the imaginary part is numerical noise.  |value| <= 1 always.
+    ``value`` is the real factor A at imaginary field i*x; |value| <= 1
+    (within 1e-9).
     """
 
-    value: complex
+    value: float
     argument: float
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.argument):
             raise ValueError(f"argument must be finite, got {self.argument!r}")
-        if not cmath.isfinite(self.value):
-            raise ValueError(f"value must be finite, got {self.value!r}")
-        if abs(self.value) > 1.0 + 1e-9:
-            raise ValueError(f"|value| must not exceed 1, got {abs(self.value)}")
+        # not <=: a nan value is refused too
+        if not abs(self.value) <= 1.0 + 1e-9:
+            raise ValueError(f"value must be finite and must not exceed 1, got {self.value!r}")
 
 
 def partition_coefficients(ring: IsingRing) -> IsingRing:
@@ -218,30 +215,6 @@ def partition_coefficients(ring: IsingRing) -> IsingRing:
     the coefficient layer.
     """
     return ring
-
-
-def partition_coefficients_bruteforce(ring: IsingRing) -> np.ndarray:
-    """Normalized coefficients by direct enumeration of all 2**n_spins configurations.
-
-    Independent of the closed form: walks every spin configuration, counts
-    down spins and domain walls with bit operations, and accumulates the
-    Boltzmann weights relative to the all-up configuration, so both end
-    coefficients are 1.  Intended as a cross-check; limited to n_spins <= 24.
-    """
-    nb = ring.n_spins
-    if nb > 24:
-        raise ValueError(f"brute force limited to n_spins <= 24, got {nb}")
-    k = ring.beta_lambda
-    counts = np.zeros(nb + 1)
-    # chunk the configuration range to bound memory at large n_spins
-    chunk = 1 << min(nb, 20)
-    for start in range(0, 1 << nb, chunk):
-        x = np.arange(start, start + chunk, dtype=np.uint64)
-        rotated = (x >> np.uint64(1)) | ((x & np.uint64(1)) << np.uint64(nb - 1))
-        walls = np.bitwise_count(x ^ rotated).astype(np.int64)
-        down = np.bitwise_count(x).astype(np.int64)
-        counts += np.bincount(down, weights=np.exp(-2.0 * k * walls), minlength=nb + 1)
-    return counts
 
 
 def _ring_phases(nb: int, k: float) -> np.ndarray:
@@ -376,32 +349,7 @@ def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     _check_phase(ring.n_spins, 1.0, "beta", ring.beta, "x", abs(x))
-    value = complex(factor_values(ring, ring.beta * x))
-    return DephasingFactor(value=value, argument=float(x))
-
-
-def dephasing_factor_product(zeros: LeeYangZeroSet, x: float) -> DephasingFactor:
-    """Probe dephasing factor from the zero phases, product form.
-
-    A = exp(i*N*w) * prod_n (exp(-2*i*w) - exp(i*phi_n)) / (1 - exp(i*phi_n))
-    with w = beta * x.  Agrees with :func:`dephasing_factor` wherever both are
-    well conditioned.
-
-    Raises:
-        ValueError: if any phase sits at the positive real axis (the
-            denominator 1 - exp(i*phi_n) vanishes, signalling an invalid set).
-    """
-    if not np.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    roots = np.exp(1j * zeros.phases)
-    denom = 1.0 - roots
-    if np.any(np.abs(denom) < 1e-12):
-        raise ValueError("zero phase at the positive real axis: invalid zero set")
-    w = zeros.beta * x
-    nb = zeros.phases.size
-    zeta = np.exp(-2j * w)
-    value = np.exp(1j * nb * w) * np.prod((zeta - roots) / denom)
-    return DephasingFactor(value=complex(value), argument=float(x))
+    return DephasingFactor(value=float(factor_values(ring, ring.beta * x)), argument=float(x))
 
 
 def _check_eta(eta: float) -> None:

@@ -3,8 +3,8 @@
 All three observables reduce to closed forms in the five X-state entries and
 the dephasing factor.  One array-native kernel, ``x_state_observables``,
 writes those forms once for both channels and any array of factors; the time
-series, zero detection and the C_max fit call it on arrays, and the scalar
-functions ``coherence``, ``concurrence_channel_I``/``_II`` and
+series and zero detection call it on arrays, the C_max fit at A = 1, and the
+scalar functions ``coherence``, ``concurrence_channel_I``/``_II`` and
 ``spin_squeezing`` are thin wrappers that validate one factor and pack the
 kernel's values into result types.  A generic density-matrix concurrence is
 provided as an independent route for cross-checks.

@@ -1,9 +1,12 @@
 """Self-contained invariant battery behind the `lyprobe verify` subcommand.
 
 Each check cross-validates one layer of the pipeline against an independent
-route: enumeration vs closed form, companion-matrix roots (``np.roots``) vs
-the transfer-form zero phases, Kraus maps vs closed-form updates, generic
-concurrence vs X-state formulas, and the series-level symmetries.  The
+route: enumeration (``partition_coefficients_bruteforce``) vs the closed-form
+coefficients, companion-matrix roots (``np.roots``) vs the transfer-form zero
+phases, the product over zeros (``dephasing_factor_product``) vs the
+transfer-form factor, Kraus maps vs closed-form updates, generic
+concurrence vs X-state formulas, and the series-level symmetries.  Both
+named routes live here, the only place the program runs them.  The
 closed-form pair state is checked against the full 2^N state-vector
 reduction in the test suite, not here.  ``run_checks`` takes 0.10-0.17 s on
 a shared 2-vCPU Xeon VM (CPython 3.11.7, numpy 2.4.6); every check runs and
@@ -41,11 +44,10 @@ from .experiments import (
 )
 from .ising_bath import (
     IsingRing,
+    LeeYangZeroSet,
     dephasing_factor,
-    dephasing_factor_product,
     factor_values,
     lee_yang_zeros,
-    partition_coefficients_bruteforce,
     zero_residuals,
     zero_times,
 )
@@ -66,6 +68,55 @@ class CheckFailure(AssertionError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CheckFailure(message)
+
+
+def partition_coefficients_bruteforce(ring: IsingRing) -> np.ndarray:
+    """Normalized coefficients by direct enumeration of all 2**n_spins configurations.
+
+    Independent of the closed form: walks every spin configuration, counts
+    down spins and domain walls with bit operations, and accumulates the
+    Boltzmann weights relative to the all-up configuration, so both end
+    coefficients are 1.  Intended as a cross-check; limited to n_spins <= 24.
+    """
+    nb = ring.n_spins
+    if nb > 24:
+        raise ValueError(f"brute force limited to n_spins <= 24, got {nb}")
+    k = ring.beta_lambda
+    counts = np.zeros(nb + 1)
+    # chunk the configuration range to bound memory at large n_spins
+    chunk = 1 << min(nb, 20)
+    for start in range(0, 1 << nb, chunk):
+        x = np.arange(start, start + chunk, dtype=np.uint64)
+        rotated = (x >> np.uint64(1)) | ((x & np.uint64(1)) << np.uint64(nb - 1))
+        walls = np.bitwise_count(x ^ rotated).astype(np.int64)
+        down = np.bitwise_count(x).astype(np.int64)
+        counts += np.bincount(down, weights=np.exp(-2.0 * k * walls), minlength=nb + 1)
+    return counts
+
+
+def dephasing_factor_product(zeros: LeeYangZeroSet, x: float) -> complex:
+    """Probe dephasing factor from the zero phases, product form, as a raw complex.
+
+    A = exp(i*N*w) * prod_n (exp(-2*i*w) - exp(i*phi_n)) / (1 - exp(i*phi_n))
+    with w = beta * x.  The raw complex product: it agrees with
+    ``ising_bath.dephasing_factor`` wherever both are well conditioned, and
+    the caller sets the tolerance on its distance and its imaginary part.
+
+    Raises:
+        ValueError: if any phase sits at the positive real axis (the
+            denominator 1 - exp(i*phi_n) vanishes, signalling an invalid set).
+    """
+    if not np.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    roots = np.exp(1j * zeros.phases)
+    denom = 1.0 - roots
+    if np.any(np.abs(denom) < 1e-12):
+        raise ValueError("zero phase at the positive real axis: invalid zero set")
+    w = zeros.beta * x
+    nb = zeros.phases.size
+    zeta = np.exp(-2j * w)
+    value = np.exp(1j * nb * w) * np.prod((zeta - roots) / denom)
+    return complex(value)
 
 
 def check_coefficients_vs_enumeration() -> str:
@@ -140,7 +191,7 @@ def check_factor_form_agreement() -> str:
             zs = lee_yang_zeros(ring)
             for x in np.linspace(0.0, 2.0 * np.pi, 41):
                 a_sum = dephasing_factor(ring, x).value
-                a_prod = dephasing_factor_product(zs, x).value
+                a_prod = dephasing_factor_product(zs, x)
                 worst = max(worst, abs(a_sum - a_prod))
     _require(worst <= 1e-8, f"factor form disagreement {worst}")
     return f"transfer vs product forms agree to {worst:.2e}"
@@ -224,7 +275,8 @@ def check_coherence_properties() -> str:
     state = oat_reduced_state(OatParameters(4, 1.1))
     factors = np.linspace(-1.0, 1.0, 81)
     for channel in (Channel.I, Channel.II):
-        values = np.array([coherence(state, channel, float(a)) for a in factors])
+        # the array kernel gives the bits the coherence wrapper gives point by point
+        values = x_state_observables(state, channel, factors, 4).coherence
         magnitudes = np.abs(factors)
         order = np.argsort(magnitudes)
         _require(

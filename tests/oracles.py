@@ -5,7 +5,7 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Seven
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Eight
 entries are reference implementations rather than independent routes: the
 transfer-matrix phase formula (the package now uses it in atan2 form), the
 transfer eigenvalues at 50 digits (the package's mathematics without its
@@ -16,7 +16,8 @@ package's block CSV writer replaced, the inline series formulas the
 package's X-state kernel replaced, the per-operator ``np.kron`` products
 and loop sum the package's stacked Kraus sets replaced, and the per-bracket
 bounded minimization (scipy's ``minimize_scalar``) the package's vectorized
-golden-section search replaced.
+golden-section search replaced, and the maximum of the concurrence over a
+time grid the package's C_max fit replaced with its value at A = 1.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+
+from lyprobe import Channel, series_from_polynomial
 
 
 def transfer_phases(n_spins: int, beta_lambda: float) -> np.ndarray:
@@ -107,6 +110,12 @@ def bounded_minima(f, lo, hi, xatol: float) -> np.ndarray:
             for left, right in zip(lo, hi)
         ]
     )
+
+
+def max_original_concurrence(ring, probe, eta: float, times: np.ndarray) -> float:
+    """Maximum over the grid of the per-pair concurrence under channel I."""
+    series = series_from_polynomial(ring, probe, eta, Channel.I, times)
+    return float(series.concurrence_rescaled.max() / (probe.n_probes - 1))
 
 
 def series_observables_reference(state, channel, n, a):

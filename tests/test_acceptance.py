@@ -29,7 +29,6 @@ from lyprobe import (
     lee_yang_times,
     lee_yang_zeros,
     oat_reduced_state,
-    partition_coefficients_bruteforce,
     run_scenario,
     spin_squeezing,
     vanishing_domains,
@@ -37,6 +36,7 @@ from lyprobe import (
 )
 
 from lyprobe.ising_bath import zero_residuals
+from lyprobe.verify import partition_coefficients_bruteforce
 
 from .criterion_log import record
 from .oracles import exact_pair_state, highprecision_roots

@@ -188,13 +188,8 @@ class TestEvolve:
         assert out.y == 0.0
 
     def test_accepts_dephasing_factor_objects(self, probe_state):
-        factor = DephasingFactor(value=0.5 + 0.0j, argument=0.3)
+        factor = DephasingFactor(value=0.5, argument=0.3)
         assert evolve_channel_I(probe_state, factor) == evolve_channel_I(probe_state, 0.5)
-
-    def test_rejects_non_real_factor(self, probe_state):
-        factor = DephasingFactor(value=0.5 + 1e-6j, argument=0.3)
-        with pytest.raises(ValueError, match="non-real"):
-            evolve_channel_I(probe_state, factor)
 
     def test_rejects_oversized_factor(self, probe_state):
         with pytest.raises(ValueError, match="exceed 1"):
@@ -221,14 +216,6 @@ class TestFactorValue:
     )
     def test_clamps_within_slack(self, value, clamped):
         assert _factor_value(value) == clamped
-
-    @pytest.mark.parametrize("imag", [2e-9, -2e-9])
-    def test_rejects_non_real_dephasing_factor(self, imag):
-        with pytest.raises(ValueError, match="non-real"):
-            _factor_value(DephasingFactor(value=complex(0.5, imag), argument=0.1))
-
-    def test_takes_real_part_within_noise(self):
-        assert _factor_value(DephasingFactor(value=complex(0.5, 5e-10), argument=0.1)) == 0.5
 
 
 FACTORS = [-1.0, -0.4, 0.0, 0.6, 1.0]

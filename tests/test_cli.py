@@ -205,6 +205,14 @@ class TestFitCmax:
         assert "alpha=" in out
         assert "N=3: C_max=" in out
 
+    def test_ring_does_not_change_cmax(self, capsys):
+        # C_max is the A = 1 value: weak coupling prints the strong-coupling lines
+        argv = ["fit-cmax", "--theta", "1.0471976", "--n-min", "20", "--n-max", "28", "--nb", "20"]
+        assert cli.main([*argv, "--beta", "10"]) == 0
+        strong = capsys.readouterr().out
+        assert cli.main([*argv, "--beta", "0.5"]) == 0
+        assert capsys.readouterr().out == strong
+
     def test_rejects_inverted_range(self, capsys):
         argv = ["fit-cmax", "--theta", "1.0", "--n-min", "6", "--n-max", "4"]
         assert cli.main(argv) == 1

@@ -31,7 +31,6 @@ from lyprobe import (
     fit_cmax_scaling,
     lee_yang_times,
     lee_yang_zeros,
-    max_original_concurrence,
     oat_reduced_state,
     run_scenario,
     series_from_polynomial,
@@ -40,7 +39,9 @@ from lyprobe import (
     zero_times,
 )
 
-from .oracles import bounded_minima, savetxt_csv
+from lyprobe.observables import x_state_observables
+
+from .oracles import bounded_minima, max_original_concurrence, savetxt_csv
 
 ETA = 0.01
 CSV_HEADER = "t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime"
@@ -398,8 +399,23 @@ class TestVanishingDomains:
 
 class TestRecoveryPeaks:
     def test_zero_when_no_collapse(self):
-        series = flat_series([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0])
+        # the shared bath leaves the coherence floor 2|y| > 0: it never collapses
+        period = coherence_period(ETA, Channel.II)
+        series = run_scenario(
+            make_scenario(nb=6, channel=Channel.II, t_max=2.0 * period, steps=1601)
+        )
+        assert series.coherence.min() > 0.1 * series.coherence.max()
         assert count_recovery_peaks(series) == 0
+
+    def test_zero_before_first_collapse(self):
+        tz = zero_times(lee_yang_zeros(IsingRing(6, inverse_temperature=0.5)), ETA)
+        series = run_scenario(make_scenario(nb=6, t_max=0.5 * float(tz[0]), steps=101))
+        assert count_recovery_peaks(series) == 0
+
+    def test_requires_provenance(self):
+        series = flat_series([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="provenance"):
+            count_recovery_peaks(series)
 
     def test_peak_count_per_period(self):
         period = coherence_period(ETA, Channel.I)
@@ -508,14 +524,41 @@ class TestConcurrenceScaling:
         np.testing.assert_allclose(result.log_cmax, np.log(exact), atol=1e-12)
 
     def test_fit_shares_max_original_concurrence_bits(self, strong_ring):
-        # the fit evaluates A once per grid; every C_max stays bit for bit
+        # the maximum over a grid from t = 0 is the fit's A = 1 value, bit for bit
         times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
         n_values = [3, 5, 8, 20]
-        result = fit_cmax_scaling(n_values, 1.2, strong_ring, eta=ETA, steps=2001)
+        result = fit_cmax_scaling(n_values, 1.2, strong_ring, eta=ETA)
         per_n = [
             max_original_concurrence(strong_ring, OatParameters(n, 1.2), ETA, times) for n in n_values
         ]
         assert np.array_equal(result.log_cmax, np.log(per_n))
+
+    @pytest.mark.parametrize("eta", [0.01, 0.003])
+    @pytest.mark.parametrize("beta_lambda", [0.05, 0.5, 10.0, 40.0])
+    def test_cmax_is_the_initial_state_value(self, beta_lambda, eta):
+        # concurrence grows with |A| and A(0) = 1: the maximum over time is
+        # the initial state's at any coupling
+        ring = IsingRing(n_spins=10, inverse_temperature=beta_lambda)
+        n_values = [3, 5, 8, 20]
+        result = fit_cmax_scaling(n_values, 1.2, ring, eta=eta)
+        at_one = []
+        for n in n_values:
+            state = oat_reduced_state(OatParameters(n, 1.2))
+            at_one.append((n - 1) * x_state_observables(state, Channel.I, 1.0, n).concurrence / (n - 1))
+        assert np.array_equal(result.log_cmax, np.log(at_one))
+        # the grid maximum over one period sits at most rounding above it
+        times = np.linspace(0.0, coherence_period(eta, Channel.I), 2001)
+        grid = [max_original_concurrence(ring, OatParameters(n, 1.2), eta, times) for n in n_values]
+        np.testing.assert_allclose(result.log_cmax, np.log(grid), rtol=0.0, atol=1e-13)
+
+    def test_fit_builds_no_grid(self, strong_ring):
+        with (
+            mock.patch.object(experiments, "factor_values", wraps=experiments.factor_values) as factor,
+            mock.patch.object(experiments, "default_steps", wraps=experiments.default_steps) as steps,
+        ):
+            fit_cmax_scaling(range(3, 9), np.pi / 2, strong_ring, eta=ETA)
+        assert factor.call_count == 0
+        assert steps.call_count == 0
 
     def test_fit_becomes_exponential_at_large_ensembles(self, strong_ring):
         # the pure-exponential law holds asymptotically; at N >= 20 the fit
@@ -532,11 +575,6 @@ class TestConcurrenceScaling:
     def test_rejects_pairs_below_two(self, strong_ring):
         with pytest.raises(ValueError, match=">= 2"):
             fit_cmax_scaling([1, 3, 4], np.pi / 2, strong_ring)
-
-    def test_rejects_weak_coupling(self):
-        ring = IsingRing(n_spins=10, inverse_temperature=1.0)
-        with pytest.raises(ValueError, match="strong-coupling"):
-            fit_cmax_scaling([3, 4, 5], np.pi / 2, ring)
 
     def test_rejects_unentangled_regime(self, strong_ring):
         with pytest.raises(ValueError, match="vanished"):
