@@ -117,6 +117,10 @@ class IsingRing:
         multiplicative term recurrence in m runs over every n <= N/2 at once
         (block counts run up to min(n, N-n) = n); all terms are positive, so
         the sum is stable.  O(N_b^2); beta_lambda = 0 gives exactly C(N, n).
+        The recurrence stops once every active term has underflowed to 0: a
+        zero term stays zero and adds nothing, so the stop leaves every bit
+        unchanged, and a ring past the underflow limit (N_b * q == 0) is
+        refused after one step.
 
         Raises:
             OverflowError: if the normalised coefficient sum
@@ -140,6 +144,10 @@ class IsingRing:
         term = np.full(n.size, nb * q)
         total = term.copy()
         for m in range(1, n.size):
+            # the last term (n = N_b // 2) is the largest in exact arithmetic,
+            # so it filters the full test cheaply
+            if term[-1] == 0.0 and not term[m:].any():
+                break
             active = n[m:]
             term[m:] *= (active - m) * (nb - active - m) * q / (m * (m + 1))
             total[m:] += term[m:]

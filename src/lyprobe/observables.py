@@ -6,8 +6,11 @@ writes those forms once for both channels and any array of factors; the time
 series and zero detection call it on arrays, the C_max fit at A = 1, and the
 scalar functions ``coherence``, ``concurrence_channel_I``/``_II`` and
 ``spin_squeezing`` are thin wrappers that validate one factor and pack the
-kernel's values into result types.  A generic density-matrix concurrence is
-provided as an independent route for cross-checks.
+kernel's values into result types.  The generic density-matrix concurrence,
+the independent route for cross-checks, is split the same way: the private
+stack kernel ``_wootters_stack`` takes any (..., 4, 4) stack of density
+matrices in one batched ``eigh`` and one batched ``svd``, and
+``concurrence_generic`` is its wrapper for one matrix.
 """
 
 from __future__ import annotations
@@ -152,6 +155,42 @@ def coherence(state: TwoQubitXState, channel: Channel, factor) -> float:
     return float(x_state_observables(state, channel, _factor_value(factor), 2).coherence)
 
 
+def _wootters_stack(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted Wootters lambdas and concurrence of each matrix in a (..., 4, 4) stack.
+
+    The generic route behind ``concurrence_generic``: one batched ``eigh``
+    and one batched ``svd`` for the whole stack, each matrix computed by the
+    same operations as a single call, so every element carries a single
+    call's bits.  The Hermitian, unit-trace and PSD-floor checks run on
+    every matrix and raise the single-call message of the first that fails.
+    Returns lambdas of shape (..., 4), sorted descending, and the
+    concurrences, of shape (...).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    # the largest deviation over the stack: nan fails the comparison too
+    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max() <= 1e-9:
+        raise ValueError("density matrix must be Hermitian")
+    if abs(rho.trace(axis1=-2, axis2=-1).real - 1.0).max() > 1e-9:
+        raise ValueError("density matrix must have unit trace")
+
+    evals, vecs = np.linalg.eigh(rho)
+    if evals.min() < _PSD_FLOOR:
+        lowest = evals.min(axis=-1).ravel()
+        first = lowest[lowest < _PSD_FLOOR][0]
+        raise ValueError(f"density matrix not positive semidefinite: eigenvalue {first}")
+    root_evals = np.sqrt(np.maximum(evals, 0.0))[..., None, :]
+    sqrt_rho = (vecs * root_evals) @ vecs.conj().swapaxes(-1, -2)
+
+    # sqrt(rho_tilde) = S conj(sqrt(rho)) S for S = sigma_y kron sigma_y, so the
+    # Wootters lambdas are singular values of one small product
+    sqrt_tilde = _SIGMA_YY @ sqrt_rho.conj() @ _SIGMA_YY
+    lams = np.linalg.svd(sqrt_rho @ sqrt_tilde, compute_uv=False)
+    conc = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
+    return lams, conc
+
+
 def concurrence_generic(rho: np.ndarray, n_probes: int = 2) -> ConcurrenceResult:
     """Wootters concurrence of an arbitrary two-qubit density matrix.
 
@@ -162,28 +201,15 @@ def concurrence_generic(rho: np.ndarray, n_probes: int = 2) -> ConcurrenceResult
     near-zero lambdas keep absolute accuracy instead of inheriting the
     square root of eigensolver noise.  Density-matrix eigenvalues below
     -1e-9 raise; smaller negatives are rounding noise and are clamped.
+    One matrix through ``_wootters_stack``, which takes a whole stack.
     """
     if n_probes < 2:
         raise ValueError(f"n_probes must be at least 2, got {n_probes}")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    if not np.abs(rho - rho.conj().T).max() <= 1e-9:
-        raise ValueError("density matrix must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
-        raise ValueError("density matrix must have unit trace")
-
-    evals, vecs = np.linalg.eigh(rho)
-    lowest = evals.min()
-    if lowest < _PSD_FLOOR:
-        raise ValueError(f"density matrix not positive semidefinite: eigenvalue {lowest}")
-    sqrt_rho = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.conj().T
-
-    # sqrt(rho_tilde) = S conj(sqrt(rho)) S for S = sigma_y kron sigma_y, so the
-    # Wootters lambdas are singular values of one small product
-    sqrt_tilde = _SIGMA_YY @ sqrt_rho.conj() @ _SIGMA_YY
-    lams = np.linalg.svd(sqrt_rho @ sqrt_tilde, compute_uv=False)
-    conc = max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
+    lams, conc = _wootters_stack(rho)
+    conc = float(conc)
     return ConcurrenceResult(
         concurrence=conc,
         rescaled=(n_probes - 1) * conc,

@@ -5,19 +5,21 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Eight
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Ten
 entries are reference implementations rather than independent routes: the
 transfer-matrix phase formula (the package now uses it in atan2 form), the
 transfer eigenvalues at 50 digits (the package's mathematics without its
 double-precision branch split; the only reference cheap enough for rings
 whose coefficients overflow), the scalar double loop the package's
-coefficient recurrence was vectorised from, the np.savetxt call the
-package's block CSV writer replaced, the inline series formulas the
-package's X-state kernel replaced, the per-operator ``np.kron`` products
-and loop sum the package's stacked Kraus sets replaced, and the per-bracket
-bounded minimization (scipy's ``minimize_scalar``) the package's vectorized
-golden-section search replaced, and the maximum of the concurrence over a
-time grid the package's C_max fit replaced with its value at A = 1.
+coefficient recurrence was vectorised from, that vectorised recurrence
+before it stopped at underflow, the np.savetxt call the package's block CSV
+writer replaced, the inline series formulas the package's X-state kernel
+replaced, the one-matrix Wootters route the package's stacked kernel
+replaced, the per-operator ``np.kron`` products and loop sum the package's
+stacked Kraus sets replaced, and the per-bracket bounded minimization
+(scipy's ``minimize_scalar``) the package's vectorized golden-section search
+replaced, and the maximum of the concurrence over a time grid the package's
+C_max fit replaced with its value at A = 1.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from lyprobe import Channel, series_from_polynomial
+
+# natural log of the largest double, as the package's overflow refusal uses it
+_LOG_DOUBLE_MAX = math.log(float(np.finfo(float).max))
 
 
 def transfer_phases(n_spins: int, beta_lambda: float) -> np.ndarray:
@@ -69,6 +74,63 @@ def ring_closed_form_loop(n_spins: int, wall_weight: float) -> np.ndarray:
         coeffs[n] = total
         coeffs[nb - n] = total
     return coeffs
+
+
+def ring_coefficients_full_recurrence(n_spins: int, beta_lambda: float) -> np.ndarray:
+    """Ring coefficients by the vectorised recurrence run over every block count.
+
+    The reference for the package's early stop: ``IsingRing.coefficients``
+    as it was before the recurrence stopped at underflow, copied verbatim
+    with its overflow and underflow refusals, so the two must agree bit for
+    bit and raise the same errors.
+    """
+    nb = n_spins
+    k = beta_lambda
+    root_q = math.exp(-2.0 * k)
+    log_sum = nb * math.log1p(root_q) + math.log1p(((1.0 - root_q) / (1.0 + root_q)) ** nb)
+    if log_sum > _LOG_DOUBLE_MAX:
+        raise OverflowError(
+            f"ring too large for double-precision coefficients: N_b={nb} at beta*lambda={k:.6g} "
+            f"has a normalised coefficient sum of e^{log_sum:.1f}, past the limit "
+            f"e^{_LOG_DOUBLE_MAX:.1f} (about N_b <= {int(_LOG_DOUBLE_MAX / math.log1p(root_q))})"
+        )
+    q = np.exp(-4.0 * k)
+    n = np.arange(1, nb // 2 + 1)
+    term = np.full(n.size, nb * q)
+    total = term.copy()
+    for m in range(1, n.size):
+        active = n[m:]
+        term[m:] *= (active - m) * (nb - active - m) * q / (m * (m + 1))
+        total[m:] += term[m:]
+    coeffs = np.empty(nb + 1)
+    coeffs[0] = coeffs[nb] = 1.0
+    coeffs[n] = total
+    coeffs[nb - n] = total
+    if np.any(coeffs <= 0.0):
+        raise ValueError(
+            "inverse_temperature * coupling too large: interior coefficients "
+            "underflow to zero in double precision"
+        )
+    return coeffs
+
+
+# sigma_y kron sigma_y in the (|00>, |01>, |10>, |11>) basis
+_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])).astype(complex)
+
+
+def wootters_one_matrix(rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """Sorted Wootters lambdas and concurrence of one 4x4 density matrix.
+
+    The reference for the package's stack kernel: the single-matrix
+    arithmetic ``concurrence_generic`` ran before it took stacks (singular
+    values of sqrt(rho) sqrt(rho_tilde)), without the input checks, so the
+    kernel must give its bits for every matrix of a stack.
+    """
+    evals, vecs = np.linalg.eigh(rho)
+    sqrt_rho = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.conj().T
+    sqrt_tilde = _SIGMA_YY @ sqrt_rho.conj() @ _SIGMA_YY
+    lams = np.linalg.svd(sqrt_rho @ sqrt_tilde, compute_uv=False)
+    return lams, max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
 
 
 def savetxt_csv(path, header: str, data) -> None:

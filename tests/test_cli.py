@@ -182,6 +182,17 @@ class TestVerify:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda values: values.astype(complex), lambda values: np.where(values > 0.5, np.nan, values)],
+        ids=["complex-dtype", "nan"],
+    )
+    def test_factor_symmetry_needs_finite_floats(self, monkeypatch, spoil):
+        route = verify.factor_values
+        monkeypatch.setattr(verify, "factor_values", lambda ring, w: spoil(route(ring, w)))
+        with pytest.raises(verify.CheckFailure, match="finite float64"):
+            verify.check_factor_symmetry()
+
     def test_leaves_no_file_open(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -1,4 +1,4 @@
-"""Golden bytes: SHA-256 of fixed `simulate`, `zeros` and `fit-cmax` outputs.
+"""Golden bytes: SHA-256 of fixed `simulate`, `zeros`, `fit-cmax` and `verify` outputs.
 
 A change that moves any byte of these outputs fails here, so a refactor
 that must keep them unchanged is checked without a manual ``cmp``.  The
@@ -50,3 +50,11 @@ def test_fit_cmax_stdout(capsys):
     assert cli.main(argv) == 0
     stdout = capsys.readouterr().out
     assert sha256(stdout.encode()) == "0fba26ef29faa71847f81130f70320024b4161af22fb34d6246bd2a0329d5f4f"
+
+
+def test_verify_stdout(capsys):
+    # every check's line, its .2e deviations included: a batched check must
+    # print the bytes its point-by-point form printed
+    assert cli.main(["verify"]) == 0
+    stdout = capsys.readouterr().out
+    assert sha256(stdout.encode()) == "300a93fa4b7181a7ef2dbae145c115d757deeceb5d2cd663adab6e78a4898f58"

@@ -1,6 +1,7 @@
 """Ring polynomial coefficients, unit-circle zero phases, dephasing factors."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from .oracles import (
     mp_ring_factor,
     mp_transfer_factor,
     ring_closed_form_loop,
+    ring_coefficients_full_recurrence,
     transfer_phases,
 )
 
@@ -173,6 +175,23 @@ class TestCoefficients:
     def test_vectorised_recurrence_matches_scalar_loop(self, nb, beta_lambda):
         ring = ring_at(nb, beta_lambda)
         reference = ring_closed_form_loop(nb, np.exp(-4.0 * beta_lambda))
+        assert np.array_equal(ring.coefficients, reference)
+
+    @pytest.mark.parametrize("nb", [3, 10, 101, 1000, 3691])
+    @pytest.mark.parametrize("beta_lambda", [0.0, 0.05, 0.5, 3.4, 12.0, 94.5, 150.0, 200.0])
+    def test_early_stop_matches_full_recurrence(self, nb, beta_lambda):
+        # the recurrence stops once every active term is 0; run to the end,
+        # it gives the same bits, or raises the same error
+        ring = ring_at(nb, beta_lambda)
+        try:
+            reference = ring_coefficients_full_recurrence(nb, beta_lambda)
+        except (OverflowError, ValueError) as exc:
+            if beta_lambda == 200.0:
+                assert isinstance(exc, ValueError) and "underflow" in str(exc)
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                ring.coefficients
+            return
+        assert beta_lambda != 200.0
         assert np.array_equal(ring.coefficients, reference)
 
     @pytest.mark.parametrize(

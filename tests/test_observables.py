@@ -1,5 +1,7 @@
 """Coherence, concurrence (closed-form and generic), and squeezing reports."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,9 +22,9 @@ from lyprobe import (
     spin_squeezing,
 )
 
-from lyprobe.observables import x_state_observables
+from lyprobe.observables import _wootters_stack, x_state_observables
 
-from .oracles import series_observables_reference, wootters_reference
+from .oracles import series_observables_reference, wootters_one_matrix, wootters_reference
 
 # three-probe half-turn twist: y = 1/8, u = -1/8 - i/4, |u| = sqrt(5)/8
 SQRT5 = np.sqrt(5.0)
@@ -230,6 +232,81 @@ class TestConcurrenceGeneric:
         # near-zero lambdas, hence the looser tolerance
         assert result.concurrence == pytest.approx(wootters_reference(rho), abs=1e-7)
         assert np.all(np.diff(result.lambdas) <= 1e-12)
+
+
+def verify_battery_matrices():
+    """The 400 evolved pair states the verify battery draws, in its rng order."""
+    rng = np.random.default_rng(11)
+    mats = []
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        theta = float(rng.uniform(0.05, np.pi - 0.05))
+        a = float(rng.uniform(-1.0, 1.0))
+        state = oat_reduced_state(OatParameters(n, theta))
+        mats += [evolve_channel_I(state, a).to_matrix(), evolve_channel_II(state, a).to_matrix()]
+    return mats
+
+
+def named_matrices():
+    """The single-call cases of TestConcurrenceGeneric, plus random full-rank states."""
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    product = np.zeros((4, 4), dtype=complex)
+    product[1, 1] = 1.0
+    mats = [
+        np.outer(bell, bell),
+        np.eye(4) / 4.0,
+        product,
+        0.8 * np.outer(bell, bell) + 0.2 * np.eye(4) / 4.0,
+    ]
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = g @ g.conj().T
+        mats.append(rho / np.trace(rho).real)
+    return mats
+
+
+class TestWoottersStack:
+    @pytest.mark.parametrize("matrices", [verify_battery_matrices, named_matrices])
+    def test_stack_gives_the_single_call_bits(self, matrices):
+        mats = matrices()
+        lams, conc = _wootters_stack(np.array(mats))
+        singles = [concurrence_generic(rho) for rho in mats]
+        assert lams.shape == (len(mats), 4) and conc.shape == (len(mats),)
+        assert np.array_equal(lams, [r.lambdas for r in singles])
+        assert np.array_equal(conc, [r.concurrence for r in singles])
+        # and the bits of the one-matrix route the kernel replaced
+        reference = [wootters_one_matrix(np.asarray(rho, dtype=complex)) for rho in mats]
+        assert np.array_equal(lams, [lam for lam, _ in reference])
+        assert np.array_equal(conc, [c for _, c in reference])
+        # any leading shape: the verify battery's (200, 2) pairs give the same bits
+        pairs_lams, pairs_conc = _wootters_stack(np.array(mats).reshape(-1, 2, 4, 4))
+        assert np.array_equal(pairs_lams.reshape(-1, 4), lams)
+        assert np.array_equal(pairs_conc.ravel(), conc)
+
+    @pytest.mark.parametrize("defect", ["hermitian", "trace", "psd"])
+    def test_one_bad_matrix_raises_the_single_call_message(self, defect):
+        bad = {
+            "hermitian": np.eye(4, dtype=complex) / 4.0 + np.triu(np.full((4, 4), 0.1), 1),
+            "trace": np.eye(4, dtype=complex) / 2.0,
+            "psd": np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex),
+        }[defect]
+        with pytest.raises(ValueError) as single:
+            concurrence_generic(bad)
+        stack = np.array(named_matrices())
+        stack[7] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+            _wootters_stack(stack)
+
+    def test_single_matrix_gives_a_scalar_result(self):
+        result = concurrence_generic(np.eye(4) / 4.0, n_probes=3)
+        assert isinstance(result, ConcurrenceResult)
+        assert type(result.concurrence) is float and type(result.rescaled) is float
+        assert result.lambdas.shape == (4,)
+
+    def test_single_call_refuses_a_stack(self):
+        with pytest.raises(ValueError, match="4x4"):
+            concurrence_generic(np.array(named_matrices()))
 
 
 class TestClosedFormConcurrence:
