@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -28,6 +28,11 @@ class Channel(str, Enum):
 
     I = "I"
     II = "II"
+
+    @property
+    def rate(self) -> float:
+        """Field angle per unit eta * t: 2 for channel I, 4 for channel II."""
+        return 2.0 if self is Channel.I else 4.0
 
 
 @dataclass(frozen=True)
@@ -190,14 +195,7 @@ def evolve_channel_I(state: TwoQubitXState, factor) -> TwoQubitXState:
     while all populations stay fixed.
     """
     a = _factor_value(factor)
-    a2 = a * a
-    return TwoQubitXState(
-        v_plus=state.v_plus,
-        v_minus=state.v_minus,
-        w=state.w,
-        y=a2 * state.y,
-        u=a2 * state.u,
-    )
+    return replace(state, y=a * a * state.y, u=a * a * state.u)
 
 
 def evolve_channel_II(state: TwoQubitXState, factor) -> TwoQubitXState:
@@ -206,14 +204,7 @@ def evolve_channel_II(state: TwoQubitXState, factor) -> TwoQubitXState:
     The shared ring couples to the total spin, so only the double-flip
     coherence decays: u -> A' u with y, w and the populations untouched.
     """
-    a = _factor_value(factor)
-    return TwoQubitXState(
-        v_plus=state.v_plus,
-        v_minus=state.v_minus,
-        w=state.w,
-        y=state.y,
-        u=a * state.u,
-    )
+    return replace(state, u=_factor_value(factor) * state.u)
 
 
 def _diagonal_kraus(diagonals) -> KrausSet:

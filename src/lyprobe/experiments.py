@@ -57,8 +57,7 @@ class ObservableSeries:
 
     The six arrays share one length.  The trailing metadata (probe, eta,
     channel, ring) records what generated the series so that zero
-    detection can refine candidates on the analytic factor; hand-built series
-    may leave them None, which restricts post-processing to grid-only checks.
+    detection can refine candidates on the analytic factor.
     """
 
     times: np.ndarray
@@ -67,10 +66,10 @@ class ObservableSeries:
     concurrence_rescaled: np.ndarray
     xi2: np.ndarray
     xi2_prime: np.ndarray
-    probe: OatParameters | None = None
-    eta: float | None = None
-    channel: Channel | None = None
-    ring: IsingRing | None = None
+    probe: OatParameters
+    eta: float
+    channel: Channel
+    ring: IsingRing
 
     def __post_init__(self) -> None:
         arrays = {}
@@ -97,8 +96,8 @@ class ObservableSeries:
         for name, arr in arrays.items():
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.channel is not None:
-            object.__setattr__(self, "channel", Channel(self.channel))
+        object.__setattr__(self, "channel", Channel(self.channel))
+        _check_eta(self.eta)
 
 
 @dataclass(frozen=True)
@@ -138,15 +137,10 @@ class FitResult:
             raise ValueError(f"residual must be >= 0, got {self.residual}")
 
 
-def _angle_multiplier(channel: Channel) -> float:
-    # channel I: x = 2*eta*t/beta; channel II: x = 4*eta*t/beta
-    return 2.0 if Channel(channel) is Channel.I else 4.0
-
-
 def coherence_period(eta: float, channel: Channel) -> float:
     """Period of the sampled coherence: pi/(2 eta) for channel I, half for II."""
     _check_eta(eta)
-    return np.pi / (2.0 * eta) if Channel(channel) is Channel.I else np.pi / (4.0 * eta)
+    return np.pi / (Channel(channel).rate * eta)
 
 
 def lee_yang_times(zeros: LeeYangZeroSet, eta: float, channel: Channel) -> np.ndarray:
@@ -155,8 +149,7 @@ def lee_yang_times(zeros: LeeYangZeroSet, eta: float, channel: Channel) -> np.nd
     Channel I: t_n = phi_n / (4 eta); channel II accumulates twist twice as
     fast, t_n = phi_n / (8 eta).
     """
-    base = zero_times(zeros, eta)
-    return base if Channel(channel) is Channel.I else 0.5 * base
+    return zero_times(zeros, eta) * (2.0 / Channel(channel).rate)
 
 
 def series_from_polynomial(
@@ -174,17 +167,18 @@ def series_from_polynomial(
 
     Raises:
         ValueError: if eta is invalid, or if the largest field angle
-            w = multiplier * eta * |t|, or the phase N_b * w the transfer
+            w = channel.rate * eta * |t|, or the phase N_b * w the transfer
             form takes, is not finite; checked before any point is evaluated.
     """
     channel = Channel(channel)
     _check_eta(eta)
     times = np.asarray(times, dtype=float)
-    mult = _angle_multiplier(channel)
-    _check_phase(ring.n_spins, mult, "eta", eta, "t", float(np.abs(times).max(initial=0.0)))
+    _check_phase(
+        ring.n_spins, channel.rate, "eta", eta, "t", float(np.abs(times).max(initial=0.0))
+    )
 
     n = probe.n_probes
-    a = factor_values(ring, mult * eta * times)
+    a = factor_values(ring, channel.rate * eta * times)
     values = x_state_observables(oat_reduced_state(probe), channel, a, n)
     rescaled = (n - 1) * values.concurrence
 
@@ -287,25 +281,21 @@ def _golden_minima(f, lo: np.ndarray, hi: np.ndarray, xatol: float) -> np.ndarra
     return 0.5 * (lo + hi)
 
 
-def _reaches_zero(series: ObservableSeries, epsilon: float) -> bool:
-    """Whether A = 0 brings the coherence below epsilon times the series maximum.
+# a collapse: the coherence falls below this fraction of the series maximum
+_COLLAPSE_THRESHOLD = 1e-6
+
+
+def _reaches_zero(series: ObservableSeries) -> bool:
+    """Whether A = 0 brings the coherence below the collapse threshold.
 
     The coherence grows with |A|, so where A = 0 does not, it never collapses.
-
-    Raises:
-        ValueError: if the series carries no provenance metadata.
     """
-    if any(v is None for v in (series.ring, series.probe, series.eta, series.channel)):
-        raise ValueError(
-            "series carries no provenance metadata; zero refinement and the collapse "
-            "times need the generating ring, probe, eta, and channel"
-        )
     state = oat_reduced_state(series.probe)
     floor = x_state_observables(state, series.channel, 0.0, series.probe.n_probes).coherence
-    return floor < epsilon * series.coherence.max()
+    return floor < _COLLAPSE_THRESHOLD * series.coherence.max()
 
 
-def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> np.ndarray:
+def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     """Times where the probe coherence collapses to zero, refined analytically.
 
     The coherence vanishes only where the factor A does, so the candidates
@@ -316,10 +306,8 @@ def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> n
     that underflowed to 0 has no sign.  Sign changes are refined together by
     bisection of the analytic factor, and the same-sign minima together by a
     golden-section search on |A|.  A refined point is kept if its coherence
-    falls below epsilon times the series maximum.
+    falls below ``_COLLAPSE_THRESHOLD`` (1e-6) times the series maximum.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     t = series.times
     if t.size < 3:
         return np.array([])
@@ -343,12 +331,12 @@ def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> n
     if flips.size == 0 and dips.size == 0:
         return np.array([])
 
-    if not _reaches_zero(series, epsilon):
+    if not _reaches_zero(series):
         return np.array([])
     state = oat_reduced_state(series.probe)
 
     def a_of_t(x):
-        return factor_values(series.ring, _angle_multiplier(series.channel) * series.eta * x)
+        return factor_values(series.ring, series.channel.rate * series.eta * x)
 
     def coherence_at(factor):
         return x_state_observables(state, series.channel, factor, series.probe.n_probes).coherence
@@ -357,7 +345,7 @@ def detect_coherence_zeros(series: ObservableSeries, epsilon: float = 1e-6) -> n
     lo, hi = t[points[dips - 1]], t[points[dips + 1]]
     minima = _golden_minima(lambda x: np.abs(a_of_t(x)), lo, hi, 1e-12 * max(1.0, t[-1]))
     refined = np.concatenate([roots, minima])
-    zeros = np.sort(refined[coherence_at(a_of_t(refined)) < epsilon * peak])
+    zeros = np.sort(refined[coherence_at(a_of_t(refined)) < _COLLAPSE_THRESHOLD * peak])
     if zeros.size == 0:
         return zeros
     # adjacent candidates can refine into the same zero; merge sub-grid duplicates
@@ -407,16 +395,15 @@ def count_recovery_peaks(series: ObservableSeries) -> int:
     run of equal samples counts as one point, at its first sample: a grid
     symmetric about a maximum samples it as two equal values.  Returns 0
     when the coherence cannot reach zero (not even A = 0 brings it below
-    the threshold ``detect_coherence_zeros`` uses) or when the grid ends
-    before the first collapse (nothing to recover from).
+    ``_COLLAPSE_THRESHOLD``, the threshold ``detect_coherence_zeros`` uses)
+    or when the grid ends before the first collapse (nothing to recover from).
 
     Raises:
-        ValueError: if the series carries no provenance, or ends less than
-            one period after the first collapse.
+        ValueError: if the series ends less than one period after the first
+            collapse.
     """
     t = series.times
-    # the threshold detect_coherence_zeros applies by default
-    if t.size < 3 or not _reaches_zero(series, 1e-6):
+    if t.size < 3 or not _reaches_zero(series):
         return 0
     start = lee_yang_times(lee_yang_zeros(series.ring), series.eta, series.channel)[0]
     if start > t[-1]:

@@ -228,7 +228,7 @@ def check_zero_time_collapse() -> str:
     worst = 0.0
     for t in zero_times(zs, eta):
         # channel-I field argument at the collapse time
-        x = 2.0 * eta * t / ring.beta
+        x = Channel.I.rate * eta * t / ring.beta
         worst = max(worst, abs(dephasing_factor(ring, float(x)).value))
     _require(worst <= 1e-9, f"factor at collapse times {worst}")
     return f"|A| <= {worst:.2e} at all predicted collapse times"

@@ -5,7 +5,7 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Ten
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Eleven
 entries are reference implementations rather than independent routes: the
 transfer-matrix phase formula (the package now uses it in atan2 form), the
 transfer eigenvalues at 50 digits (the package's mathematics without its
@@ -16,10 +16,11 @@ before it stopped at underflow, the np.savetxt call the package's block CSV
 writer replaced, the inline series formulas the package's X-state kernel
 replaced, the one-matrix Wootters route the package's stacked kernel
 replaced, the per-operator ``np.kron`` products and loop sum the package's
-stacked Kraus sets replaced, and the per-bracket bounded minimization
+stacked Kraus sets replaced, the per-bracket bounded minimization
 (scipy's ``minimize_scalar``) the package's vectorized golden-section search
-replaced, and the maximum of the concurrence over a time grid the package's
-C_max fit replaced with its value at A = 1.
+replaced, the maximum of the concurrence over a time grid the package's
+C_max fit replaced with its value at A = 1, and the explicit X-state
+constructors the channel updates replaced with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from lyprobe import Channel, series_from_polynomial
+from lyprobe import Channel, TwoQubitXState, series_from_polynomial
+from lyprobe.channels import _factor_value
 
 # natural log of the largest double, as the package's overflow refusal uses it
 _LOG_DOUBLE_MAX = math.log(float(np.finfo(float).max))
@@ -178,6 +180,31 @@ def max_original_concurrence(ring, probe, eta: float, times: np.ndarray) -> floa
     """Maximum over the grid of the per-pair concurrence under channel I."""
     series = series_from_polynomial(ring, probe, eta, Channel.I, times)
     return float(series.concurrence_rescaled.max() / (probe.n_probes - 1))
+
+
+def evolve_channel_I_explicit(state: TwoQubitXState, factor) -> TwoQubitXState:
+    """Channel I update as the package wrote it before ``dataclasses.replace``."""
+    a = _factor_value(factor)
+    a2 = a * a
+    return TwoQubitXState(
+        v_plus=state.v_plus,
+        v_minus=state.v_minus,
+        w=state.w,
+        y=a2 * state.y,
+        u=a2 * state.u,
+    )
+
+
+def evolve_channel_II_explicit(state: TwoQubitXState, factor) -> TwoQubitXState:
+    """Channel II update as the package wrote it before ``dataclasses.replace``."""
+    a = _factor_value(factor)
+    return TwoQubitXState(
+        v_plus=state.v_plus,
+        v_minus=state.v_minus,
+        w=state.w,
+        y=state.y,
+        u=a * state.u,
+    )
 
 
 def series_observables_reference(state, channel, n, a):

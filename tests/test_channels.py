@@ -21,7 +21,13 @@ from lyprobe import (
 
 from lyprobe.channels import _factor_value
 
-from .oracles import exact_pair_state, kraus_apply_loop, kraus_tensor_kron
+from .oracles import (
+    evolve_channel_I_explicit,
+    evolve_channel_II_explicit,
+    exact_pair_state,
+    kraus_apply_loop,
+    kraus_tensor_kron,
+)
 
 
 def x_states():
@@ -198,6 +204,33 @@ class TestEvolve:
     def test_clamps_rounding_slack(self, probe_state):
         out = evolve_channel_I(probe_state, 1.0 + 5e-10)
         assert out == probe_state
+
+    @pytest.mark.parametrize(
+        "factor",
+        [1.0, -1.0, 0.0, -0.0, 0.73, -0.41, DephasingFactor(value=-0.41, argument=0.3)],
+        ids=["1", "-1", "0", "-0", "0.73", "-0.41", "DephasingFactor"],
+    )
+    @pytest.mark.parametrize(
+        "evolve,explicit",
+        [
+            (evolve_channel_I, evolve_channel_I_explicit),
+            (evolve_channel_II, evolve_channel_II_explicit),
+        ],
+        ids=["I", "II"],
+    )
+    def test_matches_explicit_constructor(self, evolve, explicit, factor):
+        # replace() restates only the damped fields; every field keeps its bits
+        states = [
+            oat_reduced_state(OatParameters(3, np.pi / 2)),
+            oat_reduced_state(OatParameters(5, 1.2)),
+            TwoQubitXState(v_plus=0.4, v_minus=0.2, w=0.2, y=-0.15, u=-0.1 + 0.2j),
+        ]
+        for state in states:
+            got, want = evolve(state, factor), explicit(state, factor)
+            for name in ("v_plus", "v_minus", "w", "y", "u"):
+                g, w = complex(getattr(got, name)), complex(getattr(want, name))
+                assert getattr(got, name) == getattr(want, name)
+                assert (g.real.hex(), g.imag.hex()) == (w.real.hex(), w.imag.hex())
 
 
 class TestFactorValue:

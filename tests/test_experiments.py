@@ -46,6 +46,13 @@ from .oracles import bounded_minima, max_original_concurrence, savetxt_csv
 ETA = 0.01
 CSV_HEADER = "t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime"
 BLOCK = experiments._CSV_BLOCK_ROWS
+# a fixed provenance for hand-built series
+PROVENANCE = dict(
+    probe=OatParameters(n_probes=3, twist_angle=np.pi / 2),
+    eta=ETA,
+    channel=Channel.I,
+    ring=IsingRing(n_spins=6, inverse_temperature=0.5),
+)
 
 
 def make_scenario(nb=6, beta=0.5, channel=Channel.I, t_max=None, steps=801, **kw):
@@ -63,7 +70,7 @@ def make_scenario(nb=6, beta=0.5, channel=Channel.I, t_max=None, steps=801, **kw
 
 
 def flat_series(times, coherence_values, a_factor=None):
-    """Hand-built series without provenance metadata."""
+    """Hand-built series with the fixed provenance."""
     n = len(times)
     return ObservableSeries(
         times=np.asarray(times, dtype=float),
@@ -72,6 +79,7 @@ def flat_series(times, coherence_values, a_factor=None):
         concurrence_rescaled=np.full(n, 0.5),
         xi2=np.full(n, 0.5),
         xi2_prime=np.full(n, 0.5),
+        **PROVENANCE,
     )
 
 
@@ -116,7 +124,26 @@ class TestObservableSeriesValidation:
                 concurrence_rescaled=np.array([0.0, 0.0]),
                 xi2=np.array([1.0, 1.0]),
                 xi2_prime=np.array([1.0, 1.0]),
+                **PROVENANCE,
             )
+
+    def test_requires_provenance(self):
+        columns = [np.array([0.0, 1.0])] * 6
+        with pytest.raises(TypeError):
+            ObservableSeries(*columns)
+        for name in PROVENANCE:
+            partial = {k: v for k, v in PROVENANCE.items() if k != name}
+            with pytest.raises(TypeError, match=name):
+                ObservableSeries(*columns, **partial)
+
+    @pytest.mark.parametrize("eta", [0.0, -0.01, np.nan, np.inf])
+    def test_rejects_bad_eta(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            ObservableSeries(*[np.array([0.0, 1.0])] * 6, **{**PROVENANCE, "eta": eta})
+
+    def test_coerces_channel_string(self):
+        series = ObservableSeries(*[np.array([0.0, 1.0])] * 6, **{**PROVENANCE, "channel": "II"})
+        assert series.channel is Channel.II
 
     def test_rejects_non_increasing_times(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -213,11 +240,6 @@ class TestZeroDetection:
         series = flat_series([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0])
         assert detect_coherence_zeros(series).size == 0
 
-    def test_requires_provenance_for_refinement(self):
-        series = flat_series([0.0, 1.0, 2.0], [1.0, 0.05, 1.0], a_factor=[1.0, 0.2, 1.0])
-        with pytest.raises(ValueError, match="provenance"):
-            detect_coherence_zeros(series)
-
     @pytest.mark.parametrize(
         "a_factor,candidate",
         [
@@ -230,19 +252,13 @@ class TestZeroDetection:
         ids=["sign-change", "flat-minimum", "staircase", "subnormal-staircase", "zero-samples"],
     )
     def test_candidates_come_from_the_sampled_factor(self, a_factor, candidate):
-        # a candidate needs provenance to be refined; a run of equal samples
-        # is one point, and a sample at 0 has no sign
+        # refinement starts, with the threshold check, only where a candidate
+        # exists; a run of equal samples is one point, and a sample at 0 has
+        # no sign
         series = flat_series([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0], a_factor=a_factor)
-        if candidate:
-            with pytest.raises(ValueError, match="provenance"):
-                detect_coherence_zeros(series)
-        else:
+        with mock.patch.object(experiments, "_reaches_zero", return_value=False) as spy:
             assert detect_coherence_zeros(series).size == 0
-
-    def test_rejects_bad_epsilon(self):
-        series = flat_series([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="epsilon"):
-            detect_coherence_zeros(series, epsilon=0.0)
+        assert spy.call_count == int(candidate)
 
     def test_matches_zero_times(self):
         scenario = make_scenario(nb=6, steps=2401)
@@ -412,11 +428,6 @@ class TestRecoveryPeaks:
         series = run_scenario(make_scenario(nb=6, t_max=0.5 * float(tz[0]), steps=101))
         assert count_recovery_peaks(series) == 0
 
-    def test_requires_provenance(self):
-        series = flat_series([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="provenance"):
-            count_recovery_peaks(series)
-
     def test_peak_count_per_period(self):
         period = coherence_period(ETA, Channel.I)
         series = run_scenario(make_scenario(nb=6, t_max=2.0 * period, steps=3201))
@@ -443,6 +454,15 @@ class TestTimingHelpers:
             0.5 * lee_yang_times(zs, ETA, Channel.I),
             rtol=1e-15,
         )
+
+    def test_rates_keep_the_parent_bits(self):
+        zs = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5))
+        assert (Channel.I.rate, Channel.II.rate) == (2.0, 4.0)
+        for eta in (ETA, 0.003, 1.7):
+            assert coherence_period(eta, Channel.I) == np.pi / (2.0 * eta)
+            assert coherence_period(eta, Channel.II) == np.pi / (4.0 * eta)
+            assert np.array_equal(lee_yang_times(zs, eta, Channel.I), zero_times(zs, eta))
+            assert np.array_equal(lee_yang_times(zs, eta, Channel.II), 0.5 * zero_times(zs, eta))
 
     def test_coherence_period_values(self):
         assert coherence_period(ETA, Channel.I) == pytest.approx(np.pi / (2.0 * ETA))
@@ -600,6 +620,7 @@ class TestCsvOutput:
             concurrence_rescaled=np.array([]),
             xi2=np.array([]),
             xi2_prime=np.array([]),
+            **PROVENANCE,
         )
         path = tmp_path / "empty.csv"
         emit_csv(empty, path)
@@ -683,7 +704,7 @@ class TestCsvMatchesSavetxt:
 
     @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_block_edges(self, strong, rows, tmp_path):
-        head = ObservableSeries(*(column[:rows] for column in _columns(strong)))
+        head = ObservableSeries(*(column[:rows] for column in _columns(strong)), **PROVENANCE)
         _assert_matches_savetxt(head, tmp_path)
 
 
