@@ -136,9 +136,12 @@ class KrausSet:
 
 
 def _check_complete(ops: np.ndarray) -> None:
-    """Raise unless sum_i M_i^dag M_i equals the identity within 1e-12."""
-    total = np.einsum("kji,kjl->il", ops.conj(), ops)
-    if not np.abs(total - np.eye(ops.shape[1])).max() <= 1e-12:
+    """Raise unless sum_i M_i^dag M_i equals the identity within 1e-12.
+
+    ``ops`` is one (k, d, d) set or a stack (..., k, d, d) of sets.
+    """
+    total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
+    if not np.abs(total - np.eye(ops.shape[-1])).max() <= 1e-12:
         raise ValueError("completeness violated: sum M^dag M != identity")
 
 
@@ -267,6 +270,33 @@ def kraus_apply(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
     dim = kraus.dim
     if rho.shape != (dim, dim):
         raise ValueError(f"rho shape {rho.shape} does not match operators ({dim}x{dim})")
-    ops = kraus.operators
+    return _apply_complete(kraus.operators, rho)
+
+
+def kraus_apply_each(rhos: np.ndarray, sets) -> np.ndarray:
+    """``kraus_apply`` of each state rhos[i] under sets[i], in one stacked call.
+
+    Shorter sets are padded with zero operators, whose terms are exact
+    zeros, so each result has the bits ``kraus_apply`` gives it.
+
+    Raises:
+        ValueError: if a state does not match the operator dimension, the
+            states and sets differ in number or the sets in dimension, or a
+            set fails the completeness check.
+    """
+    rhos = np.asarray(rhos, dtype=complex)
+    dim = sets[0].dim
+    if rhos.shape[1:] != (dim, dim):
+        raise ValueError(f"rho shape {rhos.shape[1:]} does not match operators ({dim}x{dim})")
+    if len(rhos) != len(sets) or any(kraus.dim != dim for kraus in sets):
+        raise ValueError("need one state per Kraus set, and sets of one dimension")
+    ops = np.zeros((len(sets), max(len(s.operators) for s in sets), dim, dim), dtype=complex)
+    for stacked, kraus in zip(ops, sets):
+        stacked[: len(kraus.operators)] = kraus.operators
+    return _apply_complete(ops, rhos[:, None])
+
+
+def _apply_complete(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_i M_i rho M_i^dag over the (k, d, d) operators of one set or a stack of sets."""
     _check_complete(ops)
-    return (ops @ rho @ ops.conj().swapaxes(1, 2)).sum(0)
+    return (ops @ rho @ ops.conj().swapaxes(-1, -2)).sum(-3)

@@ -365,27 +365,21 @@ def vanishing_domains(
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
     below = series.concurrence_rescaled <= epsilon
-    if not below.any():
-        return []
+    # +1 where a run of below-epsilon samples starts, -1 one past where it ends
+    edges = np.diff(np.concatenate(([False], below, [False])).astype(np.int8))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
     t = series.times
-    edges = np.diff(below.astype(int))
-    starts = list(np.nonzero(edges == 1)[0] + 1)
-    ends = list(np.nonzero(edges == -1)[0])
-    if below[0]:
-        starts.insert(0, 0)
-    if below[-1]:
-        ends.append(below.size - 1)
-    domains = []
-    for i0, i1 in zip(starts, ends):
-        domains.append(
-            VanishingDomain(
-                start=float(t[i0]),
-                center=float(0.5 * (t[i0] + t[i1])),
-                end=float(t[i1]),
-                clipped=bool(i0 == 0 or i1 == below.size - 1),
-            )
+    clipped = (starts == 0) | (ends == below.size - 1)
+    return [
+        VanishingDomain(start=s, center=c, end=e, clipped=k)
+        for s, c, e, k in zip(
+            t[starts].tolist(),
+            (0.5 * (t[starts] + t[ends])).tolist(),
+            t[ends].tolist(),
+            clipped.tolist(),
         )
-    return domains
+    ]
 
 
 def count_recovery_peaks(series: ObservableSeries) -> int:
@@ -473,29 +467,138 @@ def fit_cmax_scaling(
     )
 
 
-# rows formatted per % expression: large enough to amortise the call and the
-# write, small enough that the formatted text of one block stays a few hundred KB
+# rows formatted per kernel call: large enough to amortise numpy's per-call cost,
+# small enough that the block's arrays stay in cache
 _CSV_BLOCK_ROWS = 2048
 
 
-def _write_csv(path, header: str, columns) -> None:
-    """Write equal-length 1-D columns as plain-text CSV under a header line.
+def _words(codes) -> np.ndarray:
+    """Rows of up to 8 byte codes packed into uint64 words, first byte lowest."""
+    codes = np.asarray(codes, dtype=np.uint64)
+    return (codes << np.arange(0, 8 * codes.shape[-1], 8, dtype=np.uint64)).sum(axis=-1)
 
-    Each value is formatted with ``%.12g``, the formatter numpy's savetxt
-    applies, so the bytes equal savetxt's with fmt="%.12g" and delimiter=",".
-    Rows are formatted a block at a time, one ``%`` expression and one write
-    per block.
+
+# Tables of the %.12g kernel.  A field is four words: the sign and "0.000" lead
+# (right-aligned), a 16-byte body of digits and point (two words), and the
+# exponent and separator.  Each 4-digit group 0000 ... 9999 as text, and its
+# count of trailing zero digits:
+_DIGIT = np.ix_(*[np.arange(48, 58, dtype=np.uint64)] * 4)
+_DIGITS4 = (_DIGIT[0] | _DIGIT[1] << 8 | _DIGIT[2] << 16 | _DIGIT[3] << 24).ravel()
+_ZEROS4 = (
+    (_DIGIT[3] == 48) * (1 + (_DIGIT[2] == 48) * (1 + (_DIGIT[1] == 48) * (1 + (_DIGIT[0] == 48))))
+).ravel()
+# low and high body word of: a mask of the first k bytes, "." at byte k
+_FIRST_LO, _FIRST_HI = _words(255 * (np.arange(16) < np.arange(17)[:, None]).reshape(17, 2, 8)).T
+_POINT_LO, _POINT_HI = _words(46 * (np.arange(16) == np.arange(17)[:, None]).reshape(17, 2, 8)).T
+# at 5 * sign + k: "-" if negative, then "0." and k - 1 zeros (k = 1 ... 4 below 1)
+_LEAD = _words(
+    [
+        list((sign + lead).rjust(8, b"\0"))
+        for sign in (b"", b"-")
+        for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")
+    ]
+)
+# at 634 * (last column) + e + 324: "e-324" ... "e+308", then "," or "\n";
+# slot 633 holds the separator alone, for the fixed-point form
+_E = np.arange(-324, 309)
+_WIDE = (np.abs(_E) >= 100).astype(np.uint64)
+_SEPARATORS = np.array([[ord(",")], [ord("\n")]], dtype=np.uint64)
+_EXPONENT = np.concatenate(
+    [
+        np.where(_E < 0, ord("e") | ord("-") << 8, ord("e") | ord("+") << 8).astype(np.uint64)
+        | _DIGITS4[np.abs(_E)] >> 8 * (2 - _WIDE) << 16
+        | _SEPARATORS << 32 + 8 * _WIDE,
+        _SEPARATORS,
+    ],
+    axis=1,
+).ravel()
+# 10**(11 - e) for e = 308 down to -324, held at 1e308: a value below 1e-297
+# then scales below 1e11 and takes the exact route
+_SCALE = 10.0 ** np.minimum(np.arange(-297, 336), 308)
+# the scaled value (error below 4e-4) is trusted this far from a rounding tie
+_TIE_MARGIN = 2e-3
+
+
+def _exact_digits(values: np.ndarray) -> tuple[list[int], list[int]]:
+    """12 correctly rounded digits and the decimal exponent of each positive value.
+
+    Read from the C library's ``%.11e``, the rounding ``%.12g`` applies.
+    """
+    texts = ["%.11e" % v for v in values.tolist()]
+    return [int(t[0] + t[2:13]) for t in texts], [int(t[14:]) for t in texts]
+
+
+def _format_rows(block: np.ndarray) -> np.ndarray:
+    """The bytes ``'%.12g' % v`` gives each finite value of a 2-D block, as CSV rows.
+
+    Each value is split into a 12-digit integer M and a decimal exponent e,
+    |v| ~ M * 10**(e - 11), by one product with a tabulated power of ten.
+    Values whose product lands near a rounding tie, whose decade estimate
+    is off, or that round up to 10**12 take their digits from
+    ``_exact_digits``.  The fields are assembled from the tables above, and
+    the NUL padding is dropped at the end.
+    """
+    x = np.asarray(block, dtype=np.float64).ravel()
+    a = np.abs(x)
+    nonzero = a > 0.0
+    e = np.floor(np.log10(a, out=np.zeros_like(a), where=nonzero)).astype(np.int64)
+    scaled = a * _SCALE.take(308 - e)
+    m = np.rint(scaled)
+    exact = (scaled < 1e11) | (m >= 1e12) | (np.abs(scaled - np.floor(scaled) - 0.5) < _TIE_MARGIN)
+    redo = np.flatnonzero(exact & nonzero)
+    if redo.size:
+        m[redo], e[redo] = _exact_digits(a[redo])
+    m = m.astype(np.int64)
+    top = m // 100_000_000
+    rest = m - top * 100_000_000
+    mid = rest // 10_000
+    low = rest - mid * 10_000
+    zeros = _ZEROS4.take(low) + (low == 0) * (_ZEROS4.take(mid) + (mid == 0) * _ZEROS4.take(top))
+
+    # digits before the point: %.12g writes e < -4 and e >= 12 in exponent
+    # form, one digit before the point; at or below 0 the lead holds the point
+    fixed = (e >= -4) & (e < 12)
+    point = np.where(fixed, e + 1, 1)
+    split = np.where(point > 0, point, 16)
+    # body bytes kept: trailing zeros after the point go, and the point with them
+    keep = np.where(zeros + point >= 12, point, 13 - zeros - (point <= 0))
+    lo = _DIGITS4.take(top) | _DIGITS4.take(mid) << 32
+    hi = _DIGITS4.take(low)
+    below_lo, below_hi = _FIRST_LO.take(split), _FIRST_HI.take(split)
+    moved = lo & ~below_lo
+    fields = np.empty((x.size, 4), dtype=np.uint64)
+    fields[:, 0] = _LEAD.take(5 * np.signbit(x) + np.maximum(1 - point, 0))
+    fields[:, 1] = ((lo & below_lo) | _POINT_LO.take(split) | moved << 8) & _FIRST_LO.take(keep)
+    fields[:, 2] = (
+        (hi & below_hi) | _POINT_HI.take(split) | (hi & ~below_hi) << 8 | moved >> 56
+    ) & _FIRST_HI.take(keep)
+    last = np.arange(block.shape[1]) == block.shape[1] - 1
+    exponent = np.where(fixed, _E.size, e + 324).reshape(block.shape) + 634 * last
+    fields[:, 3] = _EXPONENT.take(exponent).ravel()
+    text = fields.astype("<u8", copy=False).view(np.uint8).ravel()
+    return text[text != 0]
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write equal-length 1-D columns of finite values as CSV under a header line.
+
+    The bytes equal numpy's savetxt with fmt="%.12g" and delimiter=",":
+    each value is written as ``'%.12g' % v`` would write it, but the text
+    is assembled in numpy from digit and exponent tables, a block of rows at
+    a time (see ``_format_rows``).
 
     Raises:
+        ValueError: if a value is not finite; nothing is written.
         OSError: naming the path, if the file cannot be opened or written.
     """
-    row_fmt = ",".join(["%.12g"] * len(columns)) + "\n"
+    if not all(np.isfinite(c).all() for c in columns):
+        raise ValueError(f"CSV values for {path!r} must be finite")
     try:
-        with open(path, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(header + "\n")
+        with open(path, "wb") as handle:
+            handle.write(header.encode("ascii") + b"\n")
             for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
                 block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
-                handle.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+                handle.write(_format_rows(block))
     except OSError as exc:
         raise OSError(f"failed to write CSV to {path!r}: {exc}") from exc
 
@@ -505,10 +608,11 @@ def emit_csv(series: ObservableSeries, path) -> None:
 
     Format: the header line
     ``t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime``, then one row
-    per grid point, each value formatted with ``%.12g``, separated by commas,
-    every line ended by ``\\n``.  The file is always plain text: unlike
-    numpy's savetxt, a path ending in ``.gz`` is not compressed.
-    ``lyprobe zeros`` writes its CSV through the same writer.
+    per grid point, each value formatted as ``'%.12g' % v`` formats it,
+    separated by commas, every line ended by ``\\n``.  The file is always
+    plain text: unlike numpy's savetxt, a path ending in ``.gz`` is not
+    compressed.  The text is assembled in numpy a block of rows at a time
+    (``_write_csv``); ``lyprobe zeros`` writes its CSV through the same writer.
 
     Raises:
         OSError: naming the path, if the file cannot be written.

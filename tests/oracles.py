@@ -5,22 +5,24 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Eleven
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Twelve
 entries are reference implementations rather than independent routes: the
 transfer-matrix phase formula (the package now uses it in atan2 form), the
 transfer eigenvalues at 50 digits (the package's mathematics without its
 double-precision branch split; the only reference cheap enough for rings
 whose coefficients overflow), the scalar double loop the package's
 coefficient recurrence was vectorised from, that vectorised recurrence
-before it stopped at underflow, the np.savetxt call the package's block CSV
-writer replaced, the inline series formulas the package's X-state kernel
-replaced, the one-matrix Wootters route the package's stacked kernel
-replaced, the per-operator ``np.kron`` products and loop sum the package's
-stacked Kraus sets replaced, the per-bracket bounded minimization
-(scipy's ``minimize_scalar``) the package's vectorized golden-section search
-replaced, the maximum of the concurrence over a time grid the package's
-C_max fit replaced with its value at A = 1, and the explicit X-state
-constructors the channel updates replaced with ``dataclasses.replace``.
+before it stopped at underflow, the np.savetxt call the package's CSV
+writer reproduces byte for byte, the per-domain loop the package's array
+form of ``vanishing_domains`` replaced, the inline series formulas the
+package's X-state kernel replaced, the one-matrix Wootters route the
+package's stacked kernel replaced, the per-operator ``np.kron`` products and
+loop sum the package's stacked Kraus sets replaced, the per-bracket bounded
+minimization (scipy's ``minimize_scalar``) the package's vectorized
+golden-section search replaced, the maximum of the concurrence over a time
+grid the package's C_max fit replaced with its value at A = 1, and the
+explicit X-state constructors the channel updates replaced with
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from lyprobe import Channel, TwoQubitXState, series_from_polynomial
+from lyprobe import Channel, TwoQubitXState, VanishingDomain, series_from_polynomial
 from lyprobe.channels import _factor_value
 
 # natural log of the largest double, as the package's overflow refusal uses it
@@ -142,6 +144,39 @@ def savetxt_csv(path, header: str, data) -> None:
     comma separated, no comment prefix on the header.
     """
     np.savetxt(path, data, fmt="%.12g", delimiter=",", header=header, comments="")
+
+
+def vanishing_domains_loop(series, epsilon: float = 1e-12) -> list:
+    """Vanishing domains built one at a time from numpy scalars.
+
+    The reference for the package's array form of ``vanishing_domains``:
+    its body before the starts, ends, centres and clipped flags became
+    arrays, copied verbatim, so the two must agree field for field.
+    """
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
+    below = series.concurrence_rescaled <= epsilon
+    if not below.any():
+        return []
+    t = series.times
+    edges = np.diff(below.astype(int))
+    starts = list(np.nonzero(edges == 1)[0] + 1)
+    ends = list(np.nonzero(edges == -1)[0])
+    if below[0]:
+        starts.insert(0, 0)
+    if below[-1]:
+        ends.append(below.size - 1)
+    domains = []
+    for i0, i1 in zip(starts, ends):
+        domains.append(
+            VanishingDomain(
+                start=float(t[i0]),
+                center=float(0.5 * (t[i0] + t[i1])),
+                end=float(t[i1]),
+                clipped=bool(i0 == 0 or i1 == below.size - 1),
+            )
+        )
+    return domains
 
 
 def kraus_tensor_kron(left_ops, right_ops) -> tuple:

@@ -19,7 +19,7 @@ from lyprobe import (
     oat_reduced_state,
 )
 
-from lyprobe.channels import _factor_value
+from lyprobe.channels import _factor_value, kraus_apply_each
 
 from .oracles import (
     evolve_channel_I_explicit,
@@ -336,6 +336,27 @@ class TestKraus:
         for kraus in (kraus_tensor(single, single), kraus_channel_II(a)):
             deviation = np.abs(kraus_apply(rho, kraus) - kraus_apply_loop(rho, kraus.operators))
             assert deviation.max() <= 1e-15
+
+    def test_apply_each_gives_the_bits_of_apply(self):
+        # mixed signs: sets of 9 and 4 operators, and of 4 and 3, in one stack
+        states = [oat_reduced_state(OatParameters(n, 0.3 * n)) for n in range(2, 2 + len(FACTORS))]
+        rhos = np.array([state.to_matrix() for state in states])
+        for build in (lambda a: kraus_tensor(kraus_channel_I(a), kraus_channel_I(a)), kraus_channel_II):
+            sets = [build(a) for a in FACTORS]
+            assert len({len(kraus.operators) for kraus in sets}) == 2
+            stacked = kraus_apply_each(rhos, sets)
+            for rho, kraus, got in zip(rhos, sets, stacked):
+                assert np.array_equal(got, kraus_apply(rho, kraus))
+
+    def test_apply_each_rejects_mismatches(self):
+        rho = np.eye(4) / 4.0
+        with pytest.raises(ValueError, match="does not match"):
+            kraus_apply_each(np.array([np.eye(2) / 2.0]), [kraus_channel_II(0.5)])
+        with pytest.raises(ValueError, match="one state per Kraus set"):
+            kraus_apply_each(np.array([rho, rho]), [kraus_channel_II(0.5)])
+        pair = kraus_tensor(kraus_channel_I(0.5), kraus_channel_I(0.5))
+        with pytest.raises(ValueError, match="sets of one dimension"):
+            kraus_apply_each(np.array([rho, rho]), [pair, kraus_channel_I(0.5)])
 
     def test_dim(self):
         assert kraus_channel_I(0.5).dim == 2

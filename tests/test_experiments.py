@@ -41,7 +41,12 @@ from lyprobe import (
 
 from lyprobe.observables import x_state_observables
 
-from .oracles import bounded_minima, max_original_concurrence, savetxt_csv
+from .oracles import (
+    bounded_minima,
+    max_original_concurrence,
+    savetxt_csv,
+    vanishing_domains_loop,
+)
 
 ETA = 0.01
 CSV_HEADER = "t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime"
@@ -687,25 +692,44 @@ class TestCsvMatchesSavetxt:
     def strong(self):
         return _series(20, 7.0, Channel.I, 2 * BLOCK + 3)
 
+    @pytest.fixture(scope="class")
+    def channel_II(self):
+        return _series(20, 7.0, Channel.II, 3001)
+
+    @pytest.fixture(scope="class")
+    def weak(self):
+        return _series(1200, 0.5, Channel.I, 3001, probes=3, theta=np.pi / 2)
+
     def test_strong_channel_I(self, strong, tmp_path):
         assert np.any(strong.a_factor < 0.0)
         c = strong.concurrence_rescaled
         assert np.any((c[1:] == 0.0) & (c[:-1] == 0.0))
         _assert_matches_savetxt(strong, tmp_path)
 
-    def test_channel_II(self, tmp_path):
-        _assert_matches_savetxt(_series(20, 7.0, Channel.II, 3001), tmp_path)
+    def test_channel_II(self, channel_II, tmp_path):
+        _assert_matches_savetxt(channel_II, tmp_path)
 
-    def test_weak_coupling_tiny_factor(self, tmp_path):
-        series = _series(1200, 0.5, Channel.I, 3001, probes=3, theta=np.pi / 2)
-        assert np.min(np.abs(series.a_factor)) < 1e-200
-        _assert_matches_savetxt(series, tmp_path)
+    def test_weak_coupling_tiny_factor(self, weak, tmp_path):
+        assert np.min(np.abs(weak.a_factor)) < 1e-200
+        _assert_matches_savetxt(weak, tmp_path)
         assert "e-20" in (tmp_path / "block.csv").read_text()
 
     @pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_block_edges(self, strong, rows, tmp_path):
         head = ObservableSeries(*(column[:rows] for column in _columns(strong)), **PROVENANCE)
         _assert_matches_savetxt(head, tmp_path)
+
+    @pytest.mark.parametrize("name", ["strong", "channel_II", "weak"])
+    def test_domains_match_loop(self, name, request):
+        series = request.getfixturevalue(name)
+        domains = vanishing_domains(series)
+        reference = vanishing_domains_loop(series)
+        assert domains and domains == reference
+        for got, want in zip(domains, reference):
+            assert [float.hex(v) for v in (got.start, got.center, got.end)] == [
+                float.hex(v) for v in (want.start, want.center, want.end)
+            ]
+            assert type(got.clipped) is bool
 
 
 # after rounding to 12 digits, %.12g writes exponent form below 1e-4 and from
@@ -760,3 +784,62 @@ def test_block_writer_matches_savetxt(csv_dir, data, block):
         experiments._write_csv(csv_dir / "block.csv", "h", list(data.T))
     savetxt_csv(csv_dir / "savetxt.csv", "h", data)
     assert (csv_dir / "block.csv").read_bytes() == (csv_dir / "savetxt.csv").read_bytes()
+
+
+def _writer_matches_savetxt(csv_dir, values) -> bool:
+    """Write values as 6-column rows both ways; report whether the exact route ran."""
+    values = np.concatenate([values, np.zeros(-len(values) % 6)]).reshape(-1, 6)
+    with mock.patch.object(experiments, "_exact_digits", wraps=experiments._exact_digits) as spy:
+        experiments._write_csv(csv_dir / "kernel.csv", "h", list(values.T))
+    savetxt_csv(csv_dir / "savetxt.csv", "h", values)
+    assert (csv_dir / "kernel.csv").read_bytes() == (csv_dir / "savetxt.csv").read_bytes()
+    return spy.called
+
+
+def _with_negatives(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+def test_writer_matches_savetxt_on_random_bit_patterns(csv_dir):
+    bits = np.random.default_rng(20261018).integers(0, 2**64, 1_001_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][:1_000_000]
+    assert values.size == 1_000_000
+    assert _writer_matches_savetxt(csv_dir, values)
+
+
+def test_writer_matches_savetxt_next_to_powers_of_ten(csv_dir):
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    values = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    _writer_matches_savetxt(csv_dir, _with_negatives(values))
+
+
+def test_writer_rounds_exact_ties_half_even(csv_dir):
+    ties = [1000000000005.0, 1000000000015.0, 123456789012.5]
+    assert _writer_matches_savetxt(csv_dir, _with_negatives(ties))
+    text = (csv_dir / "kernel.csv").read_text()
+    assert text.startswith("h\n1e+12,1.00000000002e+12,123456789012,-1e+12,")
+
+
+def test_writer_matches_savetxt_on_subnormals_zeros_and_roll_overs(csv_dir):
+    subnormals = [5e-324, 1e-320, 1.5e-310, 2.225073858507201e-308, 9.99999999999995e-321]
+    _writer_matches_savetxt(csv_dir, _with_negatives(_EDGE_VALUES + subnormals))
+
+
+def test_writer_vectorized_route_alone(csv_dir):
+    # every format class (fixed above and below 1, two- and three-digit
+    # exponents, stripped zeros, signed zero) without the exact route
+    values = [
+        0.0, 1.5, 3.14159265358979, 42.0, 100.0, 123456789012.0, 1234567.125,
+        0.5, 0.0123, 0.000123, 7e-5, 6.02214076e23, 2.5e100, 1.6e-290,
+    ]
+    assert not _writer_matches_savetxt(csv_dir, _with_negatives(values))
+
+
+def test_writer_rejects_non_finite_values(tmp_path):
+    target = tmp_path / "out.csv"
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            experiments._write_csv(target, "h", [np.array([1.0, bad])])
+        assert not target.exists()

@@ -36,6 +36,20 @@ def test_simulate_csv(tmp_path, channel, digest):
     assert sha256(out.read_bytes()) == digest
 
 
+def test_simulate_weak_coupling_csv(tmp_path):
+    # the factor column is negative in places and reaches three-digit
+    # exponents (e-2xx, e-3xx); the other columns write 0.000ddd fixed forms
+    out = tmp_path / "weak.csv"
+    argv = [
+        "simulate", "--nb", "1200", "--beta", "0.5", "--probes", "3", "--theta", "1.5707963",
+        "--channel", "I", "--t-max", "157.08", "--steps", "3001", "--out", str(out),
+    ]
+    assert cli.main(argv) == 0
+    data = out.read_bytes()
+    assert b"e-2" in data and b",-" in data and b",0.000" in data
+    assert sha256(data) == "c0cdf7b6de0b9d81f61c8b248f503d13ffb1049bf6fd2bfbbbaf9d770066a585"
+
+
 def test_zeros_csv(tmp_path):
     out = tmp_path / "zeros.csv"
     assert cli.main(["zeros", "--nb", "100", "--beta", "0.25", "--out", str(out)]) == 0
