@@ -12,16 +12,19 @@ eigenvalues of its transfer matrix.  The factor and the zeros use that form:
 the dephasing factor costs O(1) per point (log-polar ``2 r^N cos(N*gamma)``
 where the eigenvalues are a complex pair), and the zero phases have a closed
 form.
-A single point goes through the same helpers as a grid, on numpy scalars
-instead of a one-element array: about 10 us per ``dephasing_factor`` call
-(CPython 3.11, numpy 2.4, one core of a 2-vCPU VM), nearly all of it numpy's
-per-call overhead.  One type, ``IsingRing``, is both the ring and its
-polynomial: ``(N_b, beta, beta*lambda)``, with the coefficient vector built
-(closed form) only when it is read, by the residual certificate
-``zero_residuals`` and the cross-checks.  So ``A`` and the zeros need no
-coefficients and run past the ring size where they overflow.  The
-cross-check routes, brute-force enumeration for small rings and the product
-over zeros, live in ``verify``.
+A single point runs the same formulas as a grid, on Python floats: about
+6.5 us per ``dephasing_factor`` call, 4.5 us of it in ``factor_values``
+(10-12 us on numpy scalars before; CPython 3.11, numpy 2.4, one core of a
+2-vCPU VM).  ``math`` gives the array
+route's bits for sqrt, fmod, copysign, sin and cos (libm in both); arctan2,
+exp and log1p stay numpy calls, since numpy may run them through SIMD loops
+that differ from libm in the last bit.  One type, ``IsingRing``, is both
+the ring and its polynomial: ``(N_b, beta, beta*lambda)``, with the
+coefficient vector built (closed form) only when it is read, by the
+residual certificate ``zero_residuals`` and the cross-checks.  So ``A`` and
+the zeros need no coefficients and run past the ring size where they
+overflow.  The cross-check routes, brute-force enumeration for small rings
+and the product over zeros, live in ``verify``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -262,67 +266,92 @@ def zero_residuals(ring: IsingRing, phases: np.ndarray) -> np.ndarray:
     return np.abs(np.polyval(ring.coefficients[::-1], roots)) / ring.coefficients.sum()
 
 
-def _real_pair_sum(nb, root_q, q, s2, c):
+# The elementwise functions the pair-sum formulas run on.  math gives the
+# bits of the numpy loops for the IEEE-exact steps and for sin/cos (libm in
+# both; pinned by a test).  numpy's arctan2, exp and log1p loops may be SVML,
+# which differs from libm in the last bit, so on floats they stay numpy calls
+# and become floats at once.
+_ARRAY = SimpleNamespace(
+    sin=np.sin, cos=np.cos, sqrt=np.sqrt, abs=np.abs, minimum=np.minimum,
+    copysign=np.copysign, fmod=np.fmod, arctan2=np.arctan2, exp=np.exp, log1p=np.log1p,
+)
+_FLOAT = SimpleNamespace(
+    sin=math.sin, cos=math.cos, sqrt=math.sqrt, abs=abs, minimum=min,
+    copysign=math.copysign, fmod=math.fmod,
+    arctan2=lambda y, x: float(np.arctan2(y, x)),
+    exp=lambda v: float(np.exp(v)),
+    log1p=lambda v: float(np.log1p(v)),
+)
+
+
+def _real_pair_sum(nb, root_q, q, s2, c, f):
     # both eigenvalues real, with the sign of c: |r_+-| = 1 - x_+-, each x a
     # sum of positive terms (1 - |c| = s2 / (1 + |c|)), so exp(N log1p(-x))
     # keeps relative accuracy at large N
-    bend = s2 / (1.0 + np.abs(c))
-    root = np.sqrt(q - s2)
-    x_plus = np.minimum((bend + s2 / (root_q + root)) / (1.0 + root_q), _BELOW_ONE)
-    x_minus = np.minimum((bend + root_q + root) / (1.0 + root_q), _BELOW_ONE)
-    total = np.exp(nb * np.log1p(-x_plus)) + np.exp(nb * np.log1p(-x_minus))
-    return np.copysign(total, c) if nb % 2 else total
+    bend = s2 / (1.0 + f.abs(c))
+    root = f.sqrt(q - s2)
+    x_plus = f.minimum((bend + s2 / (root_q + root)) / (1.0 + root_q), _BELOW_ONE)
+    x_minus = f.minimum((bend + root_q + root) / (1.0 + root_q), _BELOW_ONE)
+    total = f.exp(nb * f.log1p(-x_plus)) + f.exp(nb * f.log1p(-x_minus))
+    return f.copysign(total, c) if nb % 2 else total
 
 
-def _complex_pair_sum(nb, root_q, q, w, s, c, s2):
+def _complex_pair_sum(nb, root_q, q, w, s, c, s2, f):
     # r_+- = sqrt(t) e^{+-i gamma}, t = (1 - sqrt q) / (1 + sqrt q): the sum
     # is 2 t^(N/2) cos(N gamma).  N gamma = N w + N (gamma - |w| folded to
     # (0, pi)): N w is split so its large part is an exact product (|w| < 32)
     # and the offset is written without cancellation, so the phase is good to
     # a few ulp of 1, not of N gamma
-    abs_s = np.abs(s)
-    root = np.sqrt(s2 - q)
-    offset = np.arctan2(-c * q / (root + abs_s), c * c + root * abs_s)
-    low = np.fmod(w, 2.0**-20)
+    abs_s = f.abs(s)
+    root = f.sqrt(s2 - q)
+    offset = f.arctan2(-c * q / (root + abs_s), c * c + root * abs_s)
+    low = f.fmod(w, 2.0**-20)
     head = nb * (w - low)
-    tail = nb * low + np.copysign(nb, s) * offset
+    tail = nb * low + f.copysign(nb, s) * offset
     x0 = 2.0 * root_q / (1.0 + root_q)  # 1 - t
     amplitude = 2.0 * math.exp(0.5 * nb * math.log1p(-x0)) if x0 < 1.0 else 0.0
-    return amplitude * (np.cos(head) * np.cos(tail) - np.sin(head) * np.sin(tail))
+    return amplitude * (f.cos(head) * f.cos(tail) - f.sin(head) * f.sin(tail))
 
 
-def _transfer_power_sum(nb: int, k: float, w: np.ndarray) -> np.ndarray:
+def _transfer_power_sum(
+    nb: int, k: float, w: float | np.ndarray, f: SimpleNamespace
+) -> float | np.ndarray:
     """(lambda_+^N + lambda_-^N) / lambda_+(0)^N at rotation angles w.
 
     The scaled eigenvalues are r_+- = (cos w +- sqrt(q - sin^2 w)) / (1 + sqrt q),
     q = exp(-4k): a real pair where sin^2 w <= q, a complex pair elsewhere.
-    A 0-d w (a numpy scalar) takes its one branch directly and returns a
-    numpy scalar; an array is split by branch with a mask.
+    ``f`` is ``_FLOAT`` for a Python float w, which takes its one branch
+    directly and returns a float, or ``_ARRAY`` for an array, which is split
+    by branch with a mask.  Both run the same formulas with the same bits.
+    A float point costs about 4 us on either branch (CPython 3.11, numpy
+    2.4, one core of a 2-vCPU VM); the numpy calls that keep the array
+    route's bits take about 1.6 us of it: arctan2 on the arc, two exp and
+    two log1p on the real branch.
     """
     root_q = math.exp(-2.0 * k)
     q = root_q * root_q
-    s = np.sin(w)
-    c = np.cos(w)
+    s = f.sin(w)
+    c = f.cos(w)
     s2 = s * s
     arc = s2 > q
-    if arc.ndim == 0:
+    if f is _FLOAT:
         if arc:
-            return _complex_pair_sum(nb, root_q, q, w, s, c, s2)
-        return _real_pair_sum(nb, root_q, q, s2, c)
+            return _complex_pair_sum(nb, root_q, q, w, s, c, s2, f)
+        return _real_pair_sum(nb, root_q, q, s2, c, f)
     if arc.all():
-        return _complex_pair_sum(nb, root_q, q, w, s, c, s2)
+        return _complex_pair_sum(nb, root_q, q, w, s, c, s2, f)
     if not arc.any():
-        return _real_pair_sum(nb, root_q, q, s2, c)
+        return _real_pair_sum(nb, root_q, q, s2, c, f)
     out = np.empty(w.shape)
-    out[arc] = _complex_pair_sum(nb, root_q, q, w[arc], s[arc], c[arc], s2[arc])
-    out[~arc] = _real_pair_sum(nb, root_q, q, s2[~arc], c[~arc])
+    out[arc] = _complex_pair_sum(nb, root_q, q, w[arc], s[arc], c[arc], s2[arc], f)
+    out[~arc] = _real_pair_sum(nb, root_q, q, s2[~arc], c[~arc], f)
     return out
 
 
 @lru_cache(maxsize=64)
 def _transfer_norm(nb: int, k: float) -> float:
     # the same arithmetic as every other point, so A(0) == 1 exactly
-    return float(_transfer_power_sum(nb, k, np.zeros(1))[0])
+    return float(_transfer_power_sum(nb, k, np.zeros(1), _ARRAY)[0])
 
 
 def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
@@ -333,13 +362,28 @@ def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
     any N.
 
     ``angles`` may be an array or a scalar (Python float, numpy scalar or
-    0-d array).  A scalar runs the same arithmetic on numpy scalars, so its
-    value is bit-identical to that element of an array call, and it returns
-    an ``np.float64``; an array returns an array of its shape.
+    0-d array).  A scalar becomes one Python float and runs the same
+    formulas on floats, so its value is bit-identical to that element of an
+    array call, and it returns an ``np.float64``; an array returns an array
+    of its shape.
+
+    Raises:
+        ValueError: if a scalar angle is not finite, or its phase N_b * w
+            is not.
     """
-    angles = np.asarray(angles, dtype=float)[()]
+    nb = ring.n_spins
     k = ring.beta_lambda
-    return _transfer_power_sum(ring.n_spins, k, angles) / _transfer_norm(ring.n_spins, k)
+    if not isinstance(angles, float):
+        angles = np.asarray(angles, dtype=float)
+        if angles.ndim:
+            return _transfer_power_sum(nb, k, angles, _ARRAY) / _transfer_norm(nb, k)
+    w = float(angles)
+    # math.sin raises a bare "math domain error" past the double range
+    if not math.isfinite(float(nb) * w):
+        raise ValueError(
+            f"the angle w must be finite, with a finite phase N_b * w, got w = {w!r} at N_b = {nb}"
+        )
+    return np.float64(_transfer_power_sum(nb, k, w, _FLOAT) / _transfer_norm(nb, k))
 
 
 def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:

@@ -533,6 +533,89 @@ class TestScalarRoute:
         )
 
 
+def branch_boundary(q):
+    """The largest w in [0, pi/2] with sin(w)**2 <= q, bisected on the float64 bit patterns.
+
+    Positive doubles order like their bit patterns, so the search ends on the
+    last float of the real branch; the next float is on the arc.
+    """
+    lo, hi = 0, int(np.float64(np.pi / 2.0).view(np.uint64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        w = float(np.uint64(mid).view(np.float64))
+        lo, hi = (mid, hi) if math.sin(w) ** 2 <= q else (lo, mid)
+    return float(np.uint64(lo).view(np.float64))
+
+
+def sweep_angles(ring):
+    """5,000 seeded angles in [-20, 20], the branch boundary +-4 ulp, +-0, subnormals and 1e15."""
+    q = math.exp(-4.0 * ring.beta_lambda)
+    near = (np.array([branch_boundary(q)]).view(np.int64) + np.arange(-4, 5)).view(np.float64)
+    s2 = np.sin(near) ** 2
+    # the boundary points lie on both branches
+    assert np.any(s2 <= q) and np.any(s2 > q)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e15, -1e15]
+    generic = np.random.default_rng(7919 + ring.n_spins).uniform(-20.0, 20.0, 5000)
+    return np.concatenate([generic, near, -near, special])
+
+
+class TestFloatRoute:
+    """A scalar runs the pair-sum formulas on Python floats with the array route's bits."""
+
+    @pytest.mark.parametrize("form", [*SCALAR_FORMS, "dephasing_factor"])
+    @pytest.mark.parametrize("nb,beta_lambda", SCALAR_RINGS)
+    def test_sweep_bit_identical_to_one_array_call(self, nb, beta_lambda, form):
+        ring = ring_at(nb, beta_lambda)
+        w = sweep_angles(ring)
+        if form == "dephasing_factor":
+            # dephasing_factor takes x and forms w = beta * x itself
+            x = w / ring.beta
+            values = np.array([dephasing_factor(ring, float(v)).value for v in x])
+            reference = factor_values(ring, ring.beta * x)
+        else:
+            values = np.array([factor_values(ring, SCALAR_FORMS[form](float(v))) for v in w])
+            reference = factor_values(ring, w)
+        mismatched = np.flatnonzero(values.view(np.uint64) != reference.view(np.uint64))
+        assert mismatched.size == 0, f"{mismatched.size} values differ, first near w = {w[mismatched[:5]]}"
+
+    def test_math_sin_cos_give_the_bits_of_numpy(self):
+        # the float route takes sin and cos from math and the array route from
+        # numpy; both must be libm for the two routes to agree
+        rng = np.random.default_rng(20201)
+        w = np.concatenate([
+            rng.uniform(-20.0, 20.0, 100_000),
+            rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-30.0, 15.0, 100_000),
+        ])
+        for name, scalar, array in (("sin", math.sin, np.sin), ("cos", math.cos, np.cos)):
+            expected = np.array([scalar(v) for v in w])
+            differ = np.count_nonzero(array(w).view(np.uint64) != expected.view(np.uint64))
+            assert differ == 0, (
+                f"the float route assumes math.{name} == np.{name} bit for bit on float64; "
+                f"they differ on {differ} of {w.size} angles with this numpy build"
+            )
+
+    @pytest.mark.parametrize("form", SCALAR_FORMS)
+    @pytest.mark.parametrize(
+        "w,shown", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")]
+    )
+    def test_nonfinite_angle_rejected(self, w, shown, form):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                factor_values(ring_at(6, 0.5), SCALAR_FORMS[form](w))
+        assert str(raised.value) == (
+            f"the angle w must be finite, with a finite phase N_b * w, got w = {shown} at N_b = 6"
+        )
+
+    def test_angle_with_overflowing_phase_rejected(self):
+        # w is finite, but N_b * w, the phase the arc's cos and sin take, is not
+        with pytest.raises(ValueError) as raised:
+            factor_values(ring_at(6, 0.5), 1e308)
+        assert str(raised.value) == (
+            "the angle w must be finite, with a finite phase N_b * w, got w = 1e+308 at N_b = 6"
+        )
+
+
 class TestPastCoefficientLimit:
     """Rings whose coefficient vector overflows or underflows: A and the phases still run."""
 
