@@ -77,17 +77,13 @@ def _build_parser() -> _Parser:
         help="fit ln C_max against ensemble size",
         description=(
             "Fit ln C_max against ensemble size. C_max(N) is the pair concurrence of the "
-            "initial state (A = 1), its maximum over time at any coupling: the ring flags "
-            "(--nb, --beta, --lambda) and --eta are validated but do not change it."
+            "initial state (A = 1), its maximum over time at any coupling, so it depends "
+            "only on N and theta."
         ),
     )
     fit.add_argument("--theta", type=float, required=True, help="twisting angle (radians)")
-    fit.add_argument("--beta", type=float, default=10.0, help="inverse temperature (default 10)")
     fit.add_argument("--n-min", type=int, default=3, help="smallest ensemble size (default 3)")
     fit.add_argument("--n-max", type=int, default=8, help="largest ensemble size (default 8)")
-    fit.add_argument("--nb", type=int, default=100, help="ring size (default 100)")
-    fit.add_argument("--lambda", dest="coupling", type=float, default=1.0, help="ring coupling (default 1.0)")
-    fit.add_argument("--eta", type=float, default=0.01, help="probe-ring coupling (default 0.01)")
 
     return parser
 
@@ -144,17 +140,7 @@ def _cmd_verify(_args) -> int:
 def _cmd_fit_cmax(args) -> int:
     if args.n_min > args.n_max:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
-    ring = IsingRing(
-        n_spins=args.nb,
-        coupling=args.coupling,
-        inverse_temperature=args.beta,
-    )
-    result = fit_cmax_scaling(
-        list(range(args.n_min, args.n_max + 1)),
-        theta=args.theta,
-        ring=ring,
-        eta=args.eta,
-    )
+    result = fit_cmax_scaling(list(range(args.n_min, args.n_max + 1)), args.theta)
     for n, log_c in zip(result.n_values, result.log_cmax):
         print(f"N={n}: C_max={np.exp(log_c):.9g}")
     print(f"alpha={result.alpha:.9g}")

@@ -419,7 +419,7 @@ def count_recovery_peaks(series: ObservableSeries) -> int:
 def fit_cmax_scaling(
     n_values,
     theta: float,
-    ring: IsingRing,
+    ring: IsingRing | None = None,
     eta: float = 0.01,
 ) -> FitResult:
     """Exponential-decay fit of the maximum concurrence against ensemble size.
@@ -427,8 +427,9 @@ def fit_cmax_scaling(
     Under channel I the pair concurrence grows with |A|, and A(0) = 1, so its
     maximum over time is the concurrence of the initial state, A = 1, at any
     coupling.  C_max(N) is that value, one kernel call per N, and ln C_max is
-    fit linearly against (N - 2).  The result depends on neither ``ring`` nor
-    ``eta``; ``eta`` is still validated.
+    fit linearly against (N - 2): the result depends only on ``n_values`` and
+    ``theta``.  ``ring`` is never read and ``eta`` is only validated; both
+    remain because the benchmark harness passes them by keyword.
 
     Raises:
         ValueError: on fewer than 3 ensemble sizes, an invalid eta, or any

@@ -14,8 +14,7 @@ where the eigenvalues are a complex pair), and the zero phases have a closed
 form.
 A single point runs the same formulas as a grid, on Python floats: about
 6.5 us per ``dephasing_factor`` call, 4.5 us of it in ``factor_values``
-(10-12 us on numpy scalars before; CPython 3.11, numpy 2.4, one core of a
-2-vCPU VM).  ``math`` gives the array
+(CPython 3.11, numpy 2.4, one core of a 2-vCPU VM).  ``math`` gives the array
 route's bits for sqrt, fmod, copysign, sin and cos (libm in both); arctan2,
 exp and log1p stay numpy calls, since numpy may run them through SIMD loops
 that differ from libm in the last bit.  One type, ``IsingRing``, is both
@@ -368,22 +367,31 @@ def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
     of its shape.
 
     Raises:
-        ValueError: if a scalar angle is not finite, or its phase N_b * w
-            is not.
+        ValueError: if an angle is not finite, or its phase N_b * w is not;
+            an array is checked before anything is evaluated.
     """
     nb = ring.n_spins
     k = ring.beta_lambda
     if not isinstance(angles, float):
         angles = np.asarray(angles, dtype=float)
         if angles.ndim:
+            # one reduction: max |w| is nan, or its phase inf, exactly when some
+            # element's is; numpy would warn on sin(inf) and on N_b * 1e308
+            if not math.isfinite(float(nb) * float(np.abs(angles).max(initial=0.0))):
+                bad = next(w for w in angles.ravel().tolist() if not math.isfinite(float(nb) * w))
+                raise _angle_error(nb, bad)
             return _transfer_power_sum(nb, k, angles, _ARRAY) / _transfer_norm(nb, k)
     w = float(angles)
     # math.sin raises a bare "math domain error" past the double range
     if not math.isfinite(float(nb) * w):
-        raise ValueError(
-            f"the angle w must be finite, with a finite phase N_b * w, got w = {w!r} at N_b = {nb}"
-        )
+        raise _angle_error(nb, w)
     return np.float64(_transfer_power_sum(nb, k, w, _FLOAT) / _transfer_norm(nb, k))
+
+
+def _angle_error(nb: int, w: float) -> ValueError:
+    return ValueError(
+        f"the angle w must be finite, with a finite phase N_b * w, got w = {w!r} at N_b = {nb}"
+    )
 
 
 def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:

@@ -1,5 +1,6 @@
 """Exit codes, file outputs, and console text of the four subcommands."""
 
+import argparse
 import gc
 import warnings
 
@@ -207,7 +208,6 @@ class TestFitCmax:
         argv = [
             "fit-cmax",
             "--theta", "1.5707963267948966",
-            "--nb", "20",
             "--n-min", "3",
             "--n-max", "5",
         ]
@@ -216,13 +216,13 @@ class TestFitCmax:
         assert "alpha=" in out
         assert "N=3: C_max=" in out
 
-    def test_ring_does_not_change_cmax(self, capsys):
-        # C_max is the A = 1 value: weak coupling prints the strong-coupling lines
-        argv = ["fit-cmax", "--theta", "1.0471976", "--n-min", "20", "--n-max", "28", "--nb", "20"]
-        assert cli.main([*argv, "--beta", "10"]) == 0
-        strong = capsys.readouterr().out
-        assert cli.main([*argv, "--beta", "0.5"]) == 0
-        assert capsys.readouterr().out == strong
+    @pytest.mark.parametrize(
+        "flag,value", [("--nb", "20"), ("--beta", "0.5"), ("--lambda", "3"), ("--eta", "0.2")]
+    )
+    def test_rejects_ring_options(self, capsys, flag, value):
+        # C_max is the A = 1 value, so the fit takes no ring or coupling
+        assert cli.main(["fit-cmax", "--theta", "1.0", flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_rejects_inverted_range(self, capsys):
         argv = ["fit-cmax", "--theta", "1.0", "--n-min", "6", "--n-max", "4"]
@@ -248,6 +248,23 @@ class TestParsing:
         assert cli.main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
 
+    def test_option_set_of_each_subcommand(self):
+        parser = cli._build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {o for action in sub._actions for o in action.option_strings} - {"-h", "--help"}
+            for name, sub in commands.choices.items()
+        }
+        assert options == {
+            "simulate": {
+                "--nb", "--beta", "--lambda", "--probes", "--theta", "--eta", "--channel",
+                "--t-max", "--steps", "--out",
+            },
+            "zeros": {"--nb", "--beta", "--lambda", "--out"},
+            "verify": set(),
+            "fit-cmax": {"--theta", "--n-min", "--n-max"},
+        }
+
 
 class TestProbeTimeOverflow:
     """Probe-time arithmetic past the double range is refused by name, without a numpy warning."""
@@ -266,23 +283,17 @@ class TestProbeTimeOverflow:
             ([*SIMULATE, "--t-max", "1e300"], "past the limit of 10,000,000"),
             ([*SIMULATE, "--t-max", "nan"], "t_max must be positive and finite, got nan"),
             ([*SIMULATE, "--t-max", "10", "--eta", "1e-320"], "eta >= ~8.7e-309"),
-            (
-                ["fit-cmax", "--theta", "1", "--nb", "100", "--beta", "10", "--eta", "1e-320"],
-                "eta >= ~8.7e-309",
-            ),
         ],
         ids=[
             "field-angle",
             "default-steps",
             "nan-t-max",
             "subnormal-eta-simulate",
-            "subnormal-eta-fit-cmax",
         ],
     )
     def test_exits_one_naming_the_limit(self, tmp_path, capsys, argv, limit):
         out = tmp_path / "a.csv"
-        if argv[0] == "simulate":
-            argv = [*argv, "--out", str(out)]
+        argv = [*argv, "--out", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(argv) == 1

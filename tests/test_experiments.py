@@ -571,6 +571,13 @@ class TestConcurrenceScaling:
             state = oat_reduced_state(OatParameters(n, 1.2))
             at_one.append((n - 1) * x_state_observables(state, Channel.I, 1.0, n).concurrence / (n - 1))
         assert np.array_equal(result.log_cmax, np.log(at_one))
+        # the ring is never read: the call without it gives the same bits
+        no_ring = fit_cmax_scaling(n_values, 1.2)
+        for field in ("log_cmax", "alpha", "intercept", "residual"):
+            assert np.array_equal(
+                np.asarray(getattr(no_ring, field)).view(np.uint64),
+                np.asarray(getattr(result, field)).view(np.uint64),
+            ), field
         # the grid maximum over one period sits at most rounding above it
         times = np.linspace(0.0, coherence_period(eta, Channel.I), 2001)
         grid = [max_original_concurrence(ring, OatParameters(n, 1.2), eta, times) for n in n_values]

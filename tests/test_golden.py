@@ -58,8 +58,7 @@ def test_zeros_csv(tmp_path):
 
 def test_fit_cmax_stdout(capsys):
     argv = [
-        "fit-cmax", "--nb", "200", "--beta", "10", "--theta", "1.0471976",
-        "--n-min", "20", "--n-max", "28",
+        "fit-cmax", "--theta", "1.0471976", "--n-min", "20", "--n-max", "28",
     ]
     assert cli.main(argv) == 0
     stdout = capsys.readouterr().out

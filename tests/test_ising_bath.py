@@ -485,6 +485,9 @@ SCALAR_FORMS = {
     "0-d array": lambda w: np.array(w),
 }
 
+# the same angle inside an array of finite ones: checked before anything is evaluated
+ANGLE_FORMS = {**SCALAR_FORMS, "array": lambda w: np.array([[0.3, 1.0], [w, -2.0]])}
+
 
 def scalar_angles(ring):
     """w = 0, multiples of pi, every collapse angle and generic points."""
@@ -594,7 +597,7 @@ class TestFloatRoute:
                 f"they differ on {differ} of {w.size} angles with this numpy build"
             )
 
-    @pytest.mark.parametrize("form", SCALAR_FORMS)
+    @pytest.mark.parametrize("form", ANGLE_FORMS)
     @pytest.mark.parametrize(
         "w,shown", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")]
     )
@@ -602,18 +605,26 @@ class TestFloatRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as raised:
-                factor_values(ring_at(6, 0.5), SCALAR_FORMS[form](w))
+                factor_values(ring_at(6, 0.5), ANGLE_FORMS[form](w))
         assert str(raised.value) == (
             f"the angle w must be finite, with a finite phase N_b * w, got w = {shown} at N_b = 6"
         )
 
     def test_angle_with_overflowing_phase_rejected(self):
         # w is finite, but N_b * w, the phase the arc's cos and sin take, is not
-        with pytest.raises(ValueError) as raised:
-            factor_values(ring_at(6, 0.5), 1e308)
-        assert str(raised.value) == (
-            "the angle w must be finite, with a finite phase N_b * w, got w = 1e+308 at N_b = 6"
-        )
+        for w in (1e308, ANGLE_FORMS["array"](1e308)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as raised:
+                    factor_values(ring_at(6, 0.5), w)
+            assert str(raised.value) == (
+                "the angle w must be finite, with a finite phase N_b * w, got w = 1e+308 at N_b = 6"
+            )
+
+    def test_empty_array(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert factor_values(ring_at(6, 0.5), np.empty((0, 3))).shape == (0, 3)
 
 
 class TestPastCoefficientLimit:

@@ -54,7 +54,7 @@ def run_python(args, **kwargs):
         (
             [
                 "-m", "lyprobe.cli", "fit-cmax", "--theta", "1.0471976", "--n-min", "20",
-                "--n-max", "28", "--nb", "20",
+                "--n-max", "28",
             ],
             "alpha=-0.287085808",
         ),
@@ -73,6 +73,13 @@ def test_readme_command(command, expected, tmp_path):
     result = run_python(["-W", "error::RuntimeWarning", *command], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert expected in result.stdout
+
+
+def test_cmax_script_takes_no_ring():
+    # C_max depends only on (N, theta): argparse refuses a ring option (exit 2)
+    result = run_python([str(ROOT / "scripts" / "cmax_scaling.py"), "--beta", "10"])
+    assert result.returncode == 2
+    assert "unrecognized arguments: --beta 10" in result.stderr
 
 
 def test_cli_import_leaves_scipy_out():
