@@ -48,12 +48,17 @@ class OatParameters:
     twist_angle: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_probes, (int, np.integer)):
-            raise ValueError(f"n_probes must be an integer, got {self.n_probes!r}")
-        if self.n_probes < 2:
-            raise ValueError(f"n_probes must be at least 2, got {self.n_probes}")
+        _check_n_probes(self.n_probes)
         if not math.isfinite(self.twist_angle):
             raise ValueError(f"twist_angle must be finite, got {self.twist_angle!r}")
+
+
+def _check_n_probes(n_probes) -> None:
+    """Refuse an ensemble size N that is not an integer N >= 2."""
+    if not isinstance(n_probes, (int, np.integer)):
+        raise ValueError(f"n_probes must be an integer, got {n_probes!r}")
+    if n_probes < 2:
+        raise ValueError(f"n_probes must be at least 2, got {n_probes}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +112,10 @@ class TwoQubitXState:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """A complete set of Kraus operators of one common square dimension.
+    """A complete set of Kraus operators of one common square dimension, or a stack of sets.
 
-    ``operators`` is stored as a copy in one read-only complex (k, d, d)
-    array; iterating it yields each d x d operator in turn.
+    ``operators`` is stored as a copy in one read-only complex array: (k, d, d)
+    for one set, which iterates as its d x d operators, or (..., k, d, d).
     """
 
     operators: np.ndarray
@@ -120,9 +125,9 @@ class KrausSet:
             ops = np.array(self.operators, dtype=complex)
         except ValueError:
             raise ValueError("operators must share one square shape") from None
-        if ops.shape[:1] == (0,):
+        if ops.size == 0:
             raise ValueError("at least one Kraus operator required")
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        if ops.ndim < 3 or ops.shape[-1] != ops.shape[-2]:
             raise ValueError("operators must share one square shape")
         if not np.isfinite(ops).all():
             raise ValueError("operators must be finite")
@@ -132,14 +137,11 @@ class KrausSet:
 
     @property
     def dim(self) -> int:
-        return self.operators.shape[1]
+        return self.operators.shape[-1]
 
 
 def _check_complete(ops: np.ndarray) -> None:
-    """Raise unless sum_i M_i^dag M_i equals the identity within 1e-12.
-
-    ``ops`` is one (k, d, d) set or a stack (..., k, d, d) of sets.
-    """
+    """Raise unless sum_i M_i^dag M_i equals the identity within 1e-12, set by set."""
     total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
     if not np.abs(total - np.eye(ops.shape[-1])).max() <= 1e-12:
         raise ValueError("completeness violated: sum M^dag M != identity")
@@ -210,93 +212,79 @@ def evolve_channel_II(state: TwoQubitXState, factor) -> TwoQubitXState:
     return replace(state, u=_factor_value(factor) * state.u)
 
 
-def _diagonal_kraus(diagonals) -> KrausSet:
-    """Kraus set of diagonal operators, one row of ``diagonals`` per operator."""
-    diagonals = np.asarray(diagonals, dtype=complex)
-    k, dim = diagonals.shape
-    ops = np.zeros((k, dim, dim), dtype=complex)
-    ops.reshape(k, dim * dim)[:, :: dim + 1] = diagonals
-    return KrausSet(operators=ops)
+def _phase_flip(factor) -> np.ndarray:
+    """Operators {sqrt((1+A)/2) I, sqrt((1-A)/2) sigma_z}, (2, 2, 2), or a stack (..., 2, 2, 2).
+
+    One factor runs on Python floats.  An array is checked at its largest |A|
+    or first NaN as one factor is, and each set keeps the bits of its own
+    factor's.
+    """
+    if isinstance(factor, np.ndarray):
+        a = np.asarray(factor, dtype=float)
+        if a.size:
+            _factor_value(a.flat[np.argmax(np.abs(a))])
+        a, sqrt = np.clip(a, -1.0, 1.0), np.sqrt
+    else:
+        a, sqrt = _factor_value(factor), math.sqrt
+    s, r = sqrt(0.5 * (1.0 + a)), sqrt(0.5 * (1.0 - a))
+    ops = np.zeros((*np.shape(a), 2, 2, 2), dtype=complex)
+    ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = s
+    ops[..., 1, 0, 0], ops[..., 1, 1, 1] = r, -r
+    return ops
 
 
 def kraus_channel_I(factor) -> KrausSet:
     """Single-qubit Kraus set realizing the independent-ring dephasing.
 
-    For A >= 0 the set is {sqrt(A) I, sqrt(1-A)|0><0|, sqrt(1-A)|1><1|}.  A
-    negative factor cannot be absorbed into those operators (a phase cancels
-    in M rho M^dag), so for A < 0 the channel u_local -> A u_local is realized
-    by {sqrt((1+A)/2) I, sqrt((1-A)/2) sigma_z}.
+    u_local -> A u_local is a phase flip with probability (1 - A)/2, which
+    {sqrt((1+A)/2) I, sqrt((1-A)/2) sigma_z} realizes for either sign of A.
+    An array of factors gives a stack of sets, one per factor.
     """
-    a = _factor_value(factor)
-    if a >= 0.0:
-        s, r = math.sqrt(a), math.sqrt(1.0 - a)
-        return _diagonal_kraus([[s, s], [r, 0.0], [0.0, r]])
-    s, r = math.sqrt(0.5 * (1.0 + a)), math.sqrt(0.5 * (1.0 - a))
-    return _diagonal_kraus([[s, s], [r, -r]])
+    return KrausSet(operators=_phase_flip(factor))
 
 
 def kraus_channel_II(factor) -> KrausSet:
     """Two-qubit Kraus set realizing the shared-ring dephasing.
 
-    Block structure in the basis (|00>, |01>, |10>, |11>): the outer block
-    {|00>, |11>} is dephased with factor A', the inner block passes through
-    untouched.  For A' < 0 the outer-block sign is realized with the
-    (P00 + P11, P00 - P11) pair, mirroring the single-qubit construction.
+    In the basis (|00>, |01>, |10>, |11>) the outer block {|00>, |11>} takes
+    the phase flip of ``kraus_channel_I``, {sqrt((1+A')/2)(P00 + P11),
+    sqrt((1-A')/2)(P00 - P11)}, and P01 + P10 passes the inner block
+    untouched.  An array of factors gives a stack of sets, one per factor.
     """
-    a = _factor_value(factor)
-    inner = [0.0, 1.0, 1.0, 0.0]
-    if a >= 0.0:
-        s, r = math.sqrt(a), math.sqrt(1.0 - a)
-        return _diagonal_kraus([[r, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, r], [s, 0.0, 0.0, s], inner])
-    s, r = math.sqrt(0.5 * (1.0 + a)), math.sqrt(0.5 * (1.0 - a))
-    return _diagonal_kraus([[s, 0.0, 0.0, s], [r, 0.0, 0.0, -r], inner])
+    flip = _phase_flip(factor)
+    ops = np.zeros((*flip.shape[:-3], 3, 4, 4), dtype=complex)
+    ops[..., :2, ::3, ::3] = flip
+    ops[..., 2, 1, 1] = ops[..., 2, 2, 2] = 1.0
+    return KrausSet(operators=ops)
 
 
 def kraus_tensor(left: KrausSet, right: KrausSet) -> KrausSet:
-    """Tensor product set {L_i kron R_j}, acting on the joint system."""
+    """Tensor product set {L_i kron R_j}, acting on the joint system; set by set over a stack.
+
+    Raises:
+        ValueError: if the two stacks differ in shape.
+    """
+    stack = left.operators.shape[:-3]
+    if right.operators.shape[:-3] != stack:
+        raise ValueError(f"Kraus stacks of shapes {stack} and {right.operators.shape[:-3]} differ")
     dim = left.dim * right.dim
-    ops = np.einsum("aij,bkl->abikjl", left.operators, right.operators)
-    return KrausSet(operators=ops.reshape(-1, dim, dim))
+    ops = np.einsum("...aij,...bkl->...abikjl", left.operators, right.operators)
+    return KrausSet(operators=ops.reshape(*stack, -1, dim, dim))
 
 
 def kraus_apply(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
     """Apply sum_i M_i rho M_i^dag after re-checking completeness.
 
+    ``rho`` is one d x d state, or a stack (..., d, d), one per set of a stack.
+
     Raises:
-        ValueError: if rho does not match the operator dimension or the set
-            fails the completeness check.
+        ValueError: if rho does not match the stack and the operators'
+            dimension, or the set fails the completeness check.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = kraus.dim
-    if rho.shape != (dim, dim):
-        raise ValueError(f"rho shape {rho.shape} does not match operators ({dim}x{dim})")
-    return _apply_complete(kraus.operators, rho)
-
-
-def kraus_apply_each(rhos: np.ndarray, sets) -> np.ndarray:
-    """``kraus_apply`` of each state rhos[i] under sets[i], in one stacked call.
-
-    Shorter sets are padded with zero operators, whose terms are exact
-    zeros, so each result has the bits ``kraus_apply`` gives it.
-
-    Raises:
-        ValueError: if a state does not match the operator dimension, the
-            states and sets differ in number or the sets in dimension, or a
-            set fails the completeness check.
-    """
-    rhos = np.asarray(rhos, dtype=complex)
-    dim = sets[0].dim
-    if rhos.shape[1:] != (dim, dim):
-        raise ValueError(f"rho shape {rhos.shape[1:]} does not match operators ({dim}x{dim})")
-    if len(rhos) != len(sets) or any(kraus.dim != dim for kraus in sets):
-        raise ValueError("need one state per Kraus set, and sets of one dimension")
-    ops = np.zeros((len(sets), max(len(s.operators) for s in sets), dim, dim), dtype=complex)
-    for stacked, kraus in zip(ops, sets):
-        stacked[: len(kraus.operators)] = kraus.operators
-    return _apply_complete(ops, rhos[:, None])
-
-
-def _apply_complete(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_i M_i rho M_i^dag over the (k, d, d) operators of one set or a stack of sets."""
+    ops = kraus.operators
+    expected = ops.shape[:-3] + ops.shape[-2:]
+    if rho.shape != expected:
+        raise ValueError(f"rho shape {rho.shape} does not match {expected}")
     _check_complete(ops)
-    return (ops @ rho @ ops.conj().swapaxes(-1, -2)).sum(-3)
+    return (ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)).sum(-3)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Channel, TwoQubitXState, _factor_value
+from .channels import Channel, TwoQubitXState, _check_n_probes, _factor_value
 
 # eigenvalues above this magnitude below zero indicate a genuinely non-PSD
 # input rather than rounding noise
@@ -119,8 +119,7 @@ def x_state_observables(
     ``a`` is a float or an array and is not validated.  The order of every
     operation is fixed: the bytes of the simulate CSV depend on it.
     """
-    if n_probes < 2:
-        raise ValueError(f"n_probes must be at least 2, got {n_probes}")
+    _check_n_probes(n_probes)
     mod_u = abs(state.u)
     mod_y = abs(state.y)
     root_vv = np.sqrt(state.v_plus * state.v_minus)
@@ -203,8 +202,7 @@ def concurrence_generic(rho: np.ndarray, n_probes: int = 2) -> ConcurrenceResult
     -1e-9 raise; smaller negatives are rounding noise and are clamped.
     One matrix through ``_wootters_stack``, which takes a whole stack.
     """
-    if n_probes < 2:
-        raise ValueError(f"n_probes must be at least 2, got {n_probes}")
+    _check_n_probes(n_probes)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")

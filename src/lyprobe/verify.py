@@ -3,16 +3,15 @@
 Each check cross-validates one layer of the pipeline against an independent
 route: enumeration (``partition_coefficients_bruteforce``) vs the closed-form
 coefficients, companion-matrix roots (``np.roots``) vs the transfer-form zero
-phases, the product over zeros (``dephasing_factor_product``) vs the
-transfer-form factor, Kraus maps (one stacked application per channel for
-all 100 samples) vs closed-form updates, generic concurrence (one stacked
-call for all 400 matrices) vs X-state formulas,
-and the series-level symmetries.  Both
-named routes live here, the only place the program runs them.  The
-closed-form pair state is checked against the full 2^N state-vector
-reduction in the test suite, not here.  ``run_checks`` takes 0.05-0.07 s on
-a shared 2-vCPU Xeon VM (CPython 3.11.7, numpy 2.4.6); every check runs and
-reports, and `lyprobe verify` exits 2 if any fails.
+phases, the product over zeros (``dephasing_factor_product``, one call per
+ring) vs the transfer-form factor, Kraus maps (one stacked set per channel
+for all 100 samples) vs closed-form updates, generic concurrence (one stacked
+call for all 400 matrices) vs X-state formulas, and the series-level
+symmetries.  Both named routes live here, the only place the program runs
+them.  The closed-form pair state is checked against the full 2^N
+state-vector reduction in the test suite, not here.  ``run_checks`` takes
+0.03-0.05 s on a shared 2-vCPU Xeon VM (CPython 3.11.7, numpy 2.4.6); every
+check runs and reports, and `lyprobe verify` exits 2 if any fails.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .channels import (
     OatParameters,
     evolve_channel_I,
     evolve_channel_II,
-    kraus_apply_each,
+    kraus_apply,
     kraus_channel_I,
     kraus_channel_II,
     kraus_tensor,
@@ -47,6 +46,7 @@ from .experiments import (
 from .ising_bath import (
     IsingRing,
     LeeYangZeroSet,
+    _check_phase,
     dephasing_factor,
     factor_values,
     lee_yang_zeros,
@@ -94,29 +94,33 @@ def partition_coefficients_bruteforce(ring: IsingRing) -> np.ndarray:
     return counts
 
 
-def dephasing_factor_product(zeros: LeeYangZeroSet, x: float) -> complex:
+def dephasing_factor_product(zeros: LeeYangZeroSet, x):
     """Probe dephasing factor from the zero phases, product form, as a raw complex.
 
     A = exp(i*N*w) * prod_n (exp(-2*i*w) - exp(i*phi_n)) / (1 - exp(i*phi_n))
     with w = beta * x.  The raw complex product: it agrees with
     ``ising_bath.dephasing_factor`` wherever both are well conditioned, and
     the caller sets the tolerance on its distance and its imaginary part.
+    An array x gives an array, each element within the last bit of its point's.
 
     Raises:
-        ValueError: if any phase sits at the positive real axis (the
-            denominator 1 - exp(i*phi_n) vanishes, signalling an invalid set).
+        ValueError: if an x or its phase N_b * beta * |x| is not finite, or
+            any phase sits at the positive real axis (the denominator
+            1 - exp(i*phi_n) vanishes, signalling an invalid set).
     """
-    if not np.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"x must be finite, got {float(x.flat[np.argmin(np.isfinite(x))])!r}")
+    nb = zeros.phases.size
+    _check_phase(nb, 1.0, "beta", zeros.beta, "x", float(np.abs(x).max(initial=0.0)))
     roots = np.exp(1j * zeros.phases)
     denom = 1.0 - roots
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("zero phase at the positive real axis: invalid zero set")
     w = zeros.beta * x
-    nb = zeros.phases.size
     zeta = np.exp(-2j * w)
-    value = np.exp(1j * nb * w) * np.prod((zeta - roots) / denom)
-    return complex(value)
+    value = np.exp(1j * nb * w) * np.prod((zeta[..., None] - roots) / denom, axis=-1)
+    return value if value.ndim else complex(value)
 
 
 def check_coefficients_vs_enumeration() -> str:
@@ -184,16 +188,15 @@ def check_companion_cross_check() -> str:
 
 
 def check_factor_form_agreement() -> str:
-    # the array route gives the bits dephasing_factor gives point by point
+    # both routes take the whole grid, the transfer route with point-call bits
     xs = np.linspace(0.0, 2.0 * np.pi, 41)
     worst = 0.0
     for nb in (5, 10, 40):
         for bl in (0.5, 2.0):
             ring = IsingRing(n_spins=nb, inverse_temperature=1.0, coupling=bl)
-            zs = lee_yang_zeros(ring)
             transfer = factor_values(ring, ring.beta * xs)
-            for x, a_sum in zip(xs, transfer.tolist()):
-                worst = max(worst, abs(a_sum - dephasing_factor_product(zs, x)))
+            product = dephasing_factor_product(lee_yang_zeros(ring), xs)
+            worst = max(worst, float(np.abs(transfer - product).max()))
     _require(worst <= 1e-8, f"factor form disagreement {worst}")
     return f"transfer vs product forms agree to {worst:.2e}"
 
@@ -236,25 +239,21 @@ def check_zero_time_collapse() -> str:
 
 
 def check_channels_closed_vs_kraus() -> str:
-    # per channel, one stacked Kraus call applies all 100 samples' sets; each
+    # one stacked Kraus set per channel holds all 100 samples' sets; each
     # deviation keeps the bits of a call per sample
     rng = np.random.default_rng(7)
-    rhos, pair_sets, shared_sets, closed_I, closed_II = [], [], [], [], []
+    states, factors = [], []
     for _ in range(100):
-        n = int(rng.integers(2, 9))
-        theta = float(rng.uniform(0.05, np.pi - 0.05))
-        a = float(rng.uniform(-1.0, 1.0))
-        state = oat_reduced_state(OatParameters(n, theta))
-        single = kraus_channel_I(a)
-        rhos.append(state.to_matrix())
-        pair_sets.append(kraus_tensor(single, single))
-        shared_sets.append(kraus_channel_II(a))
-        closed_I.append(evolve_channel_I(state, a).to_matrix())
-        closed_II.append(evolve_channel_II(state, a).to_matrix())
-    worst = max(
-        float(np.max(np.abs(kraus_apply_each(rhos, pair_sets) - np.array(closed_I)))),
-        float(np.max(np.abs(kraus_apply_each(rhos, shared_sets) - np.array(closed_II)))),
-    )
+        n, theta = int(rng.integers(2, 9)), float(rng.uniform(0.05, np.pi - 0.05))
+        states.append(oat_reduced_state(OatParameters(n, theta)))
+        factors.append(float(rng.uniform(-1.0, 1.0)))
+    rhos = np.array([state.to_matrix() for state in states])
+    single = kraus_channel_I(np.array(factors))
+    pair, shared = kraus_tensor(single, single), kraus_channel_II(np.array(factors))
+    worst = 0.0
+    for evolve, kraus in ((evolve_channel_I, pair), (evolve_channel_II, shared)):
+        closed = [evolve(state, a).to_matrix() for state, a in zip(states, factors)]
+        worst = max(worst, float(np.abs(kraus_apply(rhos, kraus) - closed).max()))
     _require(worst <= 1e-12, f"Kraus vs closed-form deviation {worst}")
     return f"both channels, signed factors, deviation {worst:.2e}"
 

@@ -19,7 +19,7 @@ from lyprobe import (
     oat_reduced_state,
 )
 
-from lyprobe.channels import _factor_value, kraus_apply_each
+from lyprobe.channels import _factor_value
 
 from .oracles import (
     evolve_channel_I_explicit,
@@ -263,7 +263,7 @@ class TestKraus:
         with pytest.raises(ValueError, match="square shape"):
             KrausSet(operators=(np.eye(2), np.eye(3)))
 
-    @pytest.mark.parametrize("ops", [[np.ones(2)], [np.ones((2, 3))], np.ones((1, 2, 2, 2))])
+    @pytest.mark.parametrize("ops", [[np.ones(2)], [np.ones((2, 3))], np.ones((1, 2, 2, 3))])
     def test_rejects_non_square_operators(self, ops):
         with pytest.raises(ValueError, match="^operators must share one square shape$"):
             KrausSet(operators=ops)
@@ -290,12 +290,12 @@ class TestKraus:
         kraus = kraus_channel_I(0.36)
         ops = kraus.operators
         assert isinstance(ops, np.ndarray)
-        assert ops.shape == (3, 2, 2) and ops.dtype == complex
+        assert ops.shape == (2, 2, 2) and ops.dtype == complex
         assert not ops.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             ops[0, 0, 0] = 0.0
-        expected = [0.6 * np.eye(2), np.diag([0.8, 0.0]), np.diag([0.0, 0.8])]
-        assert len(list(kraus.operators)) == 3
+        expected = [np.sqrt(0.68) * np.eye(2), np.sqrt(0.32) * np.diag([1.0, -1.0])]
+        assert len(list(kraus.operators)) == 2
         for m, want in zip(kraus.operators, expected):
             assert m.shape == (2, 2)
             np.testing.assert_allclose(m, want, rtol=0.0, atol=1e-15)
@@ -337,26 +337,54 @@ class TestKraus:
             deviation = np.abs(kraus_apply(rho, kraus) - kraus_apply_loop(rho, kraus.operators))
             assert deviation.max() <= 1e-15
 
-    def test_apply_each_gives_the_bits_of_apply(self):
-        # mixed signs: sets of 9 and 4 operators, and of 4 and 3, in one stack
-        states = [oat_reduced_state(OatParameters(n, 0.3 * n)) for n in range(2, 2 + len(FACTORS))]
+    def test_stacked_apply_gives_the_bits_of_apply(self):
+        # both signs of A, and +-0, in one stack per channel
+        factors = np.array(FACTORS + [-0.0])
+        states = [oat_reduced_state(OatParameters(n, 0.3 * n)) for n in range(2, 2 + factors.size)]
         rhos = np.array([state.to_matrix() for state in states])
-        for build in (lambda a: kraus_tensor(kraus_channel_I(a), kraus_channel_I(a)), kraus_channel_II):
-            sets = [build(a) for a in FACTORS]
-            assert len({len(kraus.operators) for kraus in sets}) == 2
-            stacked = kraus_apply_each(rhos, sets)
-            for rho, kraus, got in zip(rhos, sets, stacked):
-                assert np.array_equal(got, kraus_apply(rho, kraus))
+        single = kraus_channel_I(factors)
+        stacks = [kraus_tensor(single, single), kraus_channel_II(factors)]
+        builds = [lambda a: kraus_tensor(kraus_channel_I(a), kraus_channel_I(a)), kraus_channel_II]
+        for stack, build in zip(stacks, builds):
+            assert stack.operators.shape[0] == factors.size
+            stacked = kraus_apply(rhos, stack)
+            for rho, a, got in zip(rhos, factors.tolist(), stacked):
+                assert np.array_equal(got, kraus_apply(rho, build(a)))
 
-    def test_apply_each_rejects_mismatches(self):
-        rho = np.eye(4) / 4.0
+    def test_stacked_tensor_gives_each_tensor(self):
+        factors = np.array(FACTORS).reshape(5, 1) * np.ones(2)
+        for build in (kraus_channel_I, kraus_channel_II):
+            left, right = build(factors), kraus_channel_I(factors[::-1])
+            stacked = kraus_tensor(left, right).operators
+            assert stacked.shape[:2] == (5, 2)
+            for i, j in np.ndindex(5, 2):
+                one = kraus_tensor(build(factors[i, j]), kraus_channel_I(factors[4 - i, j]))
+                assert np.array_equal(stacked[i, j], one.operators)
+                assert np.array_equal(build(factors[i, j]).operators, left.operators[i, j])
+
+    @pytest.mark.parametrize("build", [kraus_channel_I, kraus_channel_II])
+    def test_array_factors_checked_as_one_factor(self, build):
+        cases = [(np.nan, "^dephasing factor must be finite"), (1 + 2e-9, "^.factor. must not exceed 1")]
+        cases.append((-1.0 - 2e-9, "^.factor. must not exceed 1"))
+        for bad, match in cases:
+            with pytest.raises(ValueError, match=match):
+                build(np.array([0.3, bad, -0.2]))
+        clamped = build(np.array([1.0 + 5e-10, -1.0 - 5e-10])).operators
+        assert np.array_equal(clamped, np.array([build(1.0).operators, build(-1.0).operators]))
+
+    def test_stack_mismatches_rejected(self):
+        three, two = kraus_channel_II(np.zeros(3)), kraus_channel_I(np.zeros(2))
+        with pytest.raises(ValueError, match="differ"):
+            kraus_tensor(kraus_channel_I(np.zeros(3)), two)
+        with pytest.raises(ValueError, match="differ"):
+            kraus_tensor(kraus_channel_I(0.5), two)
+        rhos = np.array([np.eye(4) / 4.0] * 2)
         with pytest.raises(ValueError, match="does not match"):
-            kraus_apply_each(np.array([np.eye(2) / 2.0]), [kraus_channel_II(0.5)])
-        with pytest.raises(ValueError, match="one state per Kraus set"):
-            kraus_apply_each(np.array([rho, rho]), [kraus_channel_II(0.5)])
-        pair = kraus_tensor(kraus_channel_I(0.5), kraus_channel_I(0.5))
-        with pytest.raises(ValueError, match="sets of one dimension"):
-            kraus_apply_each(np.array([rho, rho]), [pair, kraus_channel_I(0.5)])
+            kraus_apply(rhos, three)
+        with pytest.raises(ValueError, match="does not match"):
+            kraus_apply(rhos[0], three)
+        with pytest.raises(ValueError, match="does not match"):
+            kraus_apply(np.array([np.eye(2) / 2.0] * 3), three)
 
     def test_dim(self):
         assert kraus_channel_I(0.5).dim == 2

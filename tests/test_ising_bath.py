@@ -365,10 +365,20 @@ class TestDephasingFactor:
 
     @pytest.mark.parametrize("x", [1e308, 5e307])
     def test_phase_past_double_range_rejected(self, x):
-        # beta * x overflows at 1e308; at 5e307 only N_b * beta * x does
+        # beta * x overflows at 1e308; at 5e307 only N_b * beta * x does.  The
+        # product over zeros refuses the phase before it evaluates anything
         ring = IsingRing(6, inverse_temperature=2.0, coupling=0.1)
-        with pytest.raises(ValueError, match=r"N_b \* beta \* \|x\| must stay below"):
-            dephasing_factor(ring, x)
+        zeros = lee_yang_zeros(ring)
+        calls = [
+            lambda: dephasing_factor(ring, x),
+            lambda: dephasing_factor_product(zeros, x),
+            lambda: dephasing_factor_product(zeros, np.array([0.3, -x])),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"N_b \* beta \* \|x\| must stay below"):
+                    call()
 
     @pytest.mark.parametrize(
         "value,argument,match",
@@ -446,6 +456,21 @@ class TestDephasingFactor:
             direct = dephasing_factor(ring, x).value
             product = dephasing_factor_product(zs, x)
             assert abs(direct - product) < 1e-10
+
+    def test_product_form_over_an_array_matches_point_calls(self):
+        # the rings and grid of verify's factor-form check; the stacked
+        # reduction may differ from a point call's in the last bit
+        xs = np.linspace(0.0, 2.0 * np.pi, 41)
+        for nb in (5, 10, 40):
+            for bl in (0.5, 2.0):
+                zs = lee_yang_zeros(IsingRing(nb, inverse_temperature=1.0, coupling=bl))
+                stacked = dephasing_factor_product(zs, xs)
+                points = np.array([dephasing_factor_product(zs, x) for x in xs])
+                assert stacked.shape == xs.shape and stacked.dtype == complex
+                assert np.abs(stacked - points).max() <= 1e-15
+        grid = dephasing_factor_product(zs, xs.reshape(41, 1) * np.ones(3))
+        assert np.array_equal(grid[:, 1], stacked)
+        assert isinstance(dephasing_factor_product(zs, 1.0), complex)
 
     def test_product_form_rejects_phase_at_axis(self):
         zs = LeeYangZeroSet(np.array([1e-13, np.pi, TWO_PI - 1e-13]), 1.0)

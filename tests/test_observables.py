@@ -220,6 +220,12 @@ class TestConcurrenceGeneric:
         with pytest.raises(ValueError, match="n_probes"):
             concurrence_generic(np.eye(4) / 4.0, n_probes=1)
 
+    @pytest.mark.parametrize("n", [2.5, np.float64(3.0), 3.7])
+    def test_rejects_non_integer_ensemble(self, n):
+        message = f"^n_probes must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            concurrence_generic(np.eye(4) / 4.0, n_probes=n)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_matches_eigenvalue_oracle(self, seed):
@@ -327,6 +333,19 @@ class TestClosedFormConcurrence:
             concurrence_channel_I(probe_state, 0.5, n_probes=1)
         with pytest.raises(ValueError, match="n_probes"):
             concurrence_channel_II(probe_state, 0.5, n_probes=0)
+
+    @pytest.mark.parametrize("n", [2.5, np.float64(3.0), 3.7])
+    def test_rejects_non_integer_ensemble(self, probe_state, n):
+        message = f"^n_probes must be an integer, got {re.escape(repr(n))}$"
+        calls = [
+            lambda: concurrence_channel_I(probe_state, 1.0, n),
+            lambda: concurrence_channel_II(probe_state, 1.0, n),
+            lambda: spin_squeezing(probe_state, Channel.I, 1.0, n),
+            lambda: x_state_observables(probe_state, Channel.II, np.ones(3), n),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
 
     @settings(max_examples=50, deadline=None)
     @given(params=oat_inputs())
