@@ -479,45 +479,64 @@ def _words(codes) -> np.ndarray:
     return (codes << np.arange(0, 8 * codes.shape[-1], 8, dtype=np.uint64)).sum(axis=-1)
 
 
-# Tables of the %.12g kernel.  A field is four words: the sign and "0.000" lead
-# (right-aligned), a 16-byte body of digits and point (two words), and the
-# exponent and separator.  Each 4-digit group 0000 ... 9999 as text, and its
-# count of trailing zero digits:
+# Tables of the %.12g kernel.  A field is four NUL-padded words: the lead (sign
+# at byte 0, "0.000" right-aligned), a 16-byte body of digits and point, and the
+# exponent with the separator at byte 7 (at body byte 15 in a block without
+# exponent forms, which drops the fourth word).  Each 4-digit group as text,
+# and its zero digits as a mask (bit k: digit k from the right):
 _DIGIT = np.ix_(*[np.arange(48, 58, dtype=np.uint64)] * 4)
 _DIGITS4 = (_DIGIT[0] | _DIGIT[1] << 8 | _DIGIT[2] << 16 | _DIGIT[3] << 24).ravel()
-_ZEROS4 = (
-    (_DIGIT[3] == 48) * (1 + (_DIGIT[2] == 48) * (1 + (_DIGIT[1] == 48) * (1 + (_DIGIT[0] == 48))))
-).ravel()
+_ZERO_DIGITS = sum((_DIGIT[3 - k] == 48).astype(np.uint16) << k for k in range(4)).ravel()
+_TRAILING = np.bitwise_count(np.arange(4096) ^ np.arange(1, 4097)) - 1  # trailing ones
 # low and high body word of: a mask of the first k bytes, "." at byte k
 _FIRST_LO, _FIRST_HI = _words(255 * (np.arange(16) < np.arange(17)[:, None]).reshape(17, 2, 8)).T
 _POINT_LO, _POINT_HI = _words(46 * (np.arange(16) == np.arange(17)[:, None]).reshape(17, 2, 8)).T
-# at 5 * sign + k: "-" if negative, then "0." and k - 1 zeros (k = 1 ... 4 below 1)
-_LEAD = _words(
-    [
-        list((sign + lead).rjust(8, b"\0"))
-        for sign in (b"", b"-")
-        for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")
-    ]
-)
-# at 634 * (last column) + e + 324: "e-324" ... "e+308", then "," or "\n";
-# slot 633 holds the separator alone, for the fixed-point form
+
+# Per decade e = -324 ... 308, at e + 324.  The digits before the point:
+# %.12g writes e < -4 and e >= 12 in exponent form, one digit before the
+# point; at or below 0 the lead holds "0." and the point is not in the body.
 _E = np.arange(-324, 309)
-_WIDE = (np.abs(_E) >= 100).astype(np.uint64)
-_SEPARATORS = np.array([[ord(",")], [ord("\n")]], dtype=np.uint64)
-_EXPONENT = np.concatenate(
-    [
-        np.where(_E < 0, ord("e") | ord("-") << 8, ord("e") | ord("+") << 8).astype(np.uint64)
-        | _DIGITS4[np.abs(_E)] >> 8 * (2 - _WIDE) << 16
-        | _SEPARATORS << 32 + 8 * _WIDE,
-        _SEPARATORS,
-    ],
-    axis=1,
-).ravel()
-# 10**(11 - e) for e = 308 down to -324, held at 1e308: a value below 1e-297
-# then scales below 1e11 and takes the exact route
-_SCALE = 10.0 ** np.minimum(np.arange(-297, 336), 308)
-# the scaled value (error below 4e-4) is trusted this far from a rounding tie
-_TIE_MARGIN = 2e-3
+_POINT = np.where((_E >= -4) & (_E < 12), _E + 1, 1)
+_SPLIT = np.where(_POINT > 0, _POINT, 16)
+# 10**(11 - e), held at 1e308 (a value below 1e-297 takes the exact route).
+# For |e| <= 11 it is exact and the rounded product is wrong only on a
+# half-integer; else the product (error below 4e-4) is trusted 2e-3 from a tie.
+_SCALE = 10.0 ** np.minimum(11 - _E, 308)
+_TIE = np.where(np.abs(_E) <= 11, 0.5, 0.5 - 2e-3)
+# the product must round into [1e11, 1e12); one at most 0.04 below 1e11
+# rounds to 1e11 at the decade below as well, so 0.01 of slack is safe
+_MIDDLE, _HALF_WIDTH = (1e11 - 0.01 + 1e12 - 0.51) / 2, (1e12 - 0.51 - 1e11 + 0.01) / 2
+# body bytes at and after the point, which move up one byte to make room for it
+_ABOVE_LO, _ABOVE_HI = ~_FIRST_LO[_SPLIT], ~_FIRST_HI[_SPLIT]
+# body bytes kept, at 13 * (digits before the point + 3) + trailing zeros:
+# zeros after the point go, and the point with them (byte 15 always stays)
+_KEEP_ROW = 13 * (_POINT + 3)
+_BEFORE, _ZEROS = np.arange(-3, 13)[:, None], np.arange(13)
+_KEEP = np.where(_ZEROS + _BEFORE >= 12, _BEFORE, 13 - _ZEROS - (_BEFORE <= 0)).ravel()
+_KEEP_LO, _KEEP_HI = _FIRST_LO[_KEEP], _FIRST_HI[_KEEP] | np.uint64(255 << 56)
+# a field's four words before its digits and sign: "0." and -p zeros, the
+# point, and "e-324" ... "e+308" (exponent form) with "," at byte 7
+_LEAD_SIZE = np.where(_POINT <= 0, 2 - _POINT, 0)[:, None]
+_LEAD = _words(np.where(np.arange(8) == 9 - _LEAD_SIZE, 46, 48 * (np.arange(8) >= 8 - _LEAD_SIZE)))
+_EXPONENT = np.where(
+    _POINT == _E + 1,
+    0,
+    np.where(_E < 0, ord("e") | ord("-") << 8, ord("e") | ord("+") << 8).astype(np.uint64)
+    | _DIGITS4[np.abs(_E)] >> np.where(np.abs(_E) >= 100, 8, 16).astype(np.uint64) << 16,
+).astype(np.uint64) | np.uint64(ord(",") << 56)
+_ROW = np.stack([_LEAD, _POINT_LO[_SPLIT], _POINT_HI[_SPLIT], _EXPONENT], axis=1)
+_ROW_FIXED = _ROW[:, :3] | np.array([0, 0, ord(",") << 56], dtype=np.uint64)
+_NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 56)
+# the text of a field's bytes: 1, the sign bit set in byte 0, is written "-"
+_TEXT = bytes(range(256)).replace(b"\1", b"-", 1)
+
+
+def _product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.ndarray:
+    """a * b - product, exactly, for product the rounded a * b (Dekker's two-product)."""
+    ta, tb = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1: split into 26-bit halves
+    ah, bh = ta - (ta - a), tb - (tb - b)
+    al, bl = a - ah, b - bh
+    return ((ah * bh - product) + ah * bl + al * bh) + al * bl
 
 
 def _exact_digits(values: np.ndarray) -> tuple[list[int], list[int]]:
@@ -529,55 +548,59 @@ def _exact_digits(values: np.ndarray) -> tuple[list[int], list[int]]:
     return [int(t[0] + t[2:13]) for t in texts], [int(t[14:]) for t in texts]
 
 
-def _format_rows(block: np.ndarray) -> np.ndarray:
+def _format_rows(block: np.ndarray) -> bytes:
     """The bytes ``'%.12g' % v`` gives each finite value of a 2-D block, as CSV rows.
 
     Each value is split into a 12-digit integer M and a decimal exponent e,
     |v| ~ M * 10**(e - 11), by one product with a tabulated power of ten.
-    Values whose product lands near a rounding tie, whose decade estimate
-    is off, or that round up to 10**12 take their digits from
-    ``_exact_digits``.  The fields are assembled from the tables above, and
-    the NUL padding is dropped at the end.
+    Where that power is exact (-11 <= e <= 11), a product on a half-integer
+    is rounded by the sign of its exact error (``_product_error``).  Values
+    near a tie at other decades, values whose decade estimate is off, and
+    values below 1e-297 take their digits from ``_exact_digits``.  One row
+    of per-decade tables gives each field its lead, point and exponent words;
+    the digits come from 4-digit group tables, and the trailing zeros from a
+    mask of the zero digits.  The NUL padding is deleted by ``bytes.translate``.
     """
     x = np.asarray(block, dtype=np.float64).ravel()
     a = np.abs(x)
-    nonzero = a > 0.0
-    e = np.floor(np.log10(a, out=np.zeros_like(a), where=nonzero)).astype(np.int64)
-    scaled = a * _SCALE.take(308 - e)
+    zero = a == 0.0
+    i = (np.log10(a + zero) + 324.0).astype(np.intp)  # e + 324, and e = 0 for a zero
+    scale = _SCALE.take(i)
+    scaled = a * scale
     m = np.rint(scaled)
-    exact = (scaled < 1e11) | (m >= 1e12) | (np.abs(scaled - np.floor(scaled) - 0.5) < _TIE_MARGIN)
-    redo = np.flatnonzero(exact & nonzero)
-    if redo.size:
-        m[redo], e[redo] = _exact_digits(a[redo])
-    m = m.astype(np.int64)
+    # a zero is exact, though its M = 0 lies outside [1e11, 1e12)
+    near = ((np.abs(scaled - m) >= _TIE.take(i)) | (np.abs(scaled - _MIDDLE) > _HALF_WIDTH)) > zero
+    if near.any():
+        redo = np.flatnonzero(near)
+        s, p = scaled[redo], scale[redo]
+        exact = (p >= 1.0) & (p <= 1e22) & (np.abs(s - _MIDDLE) <= _HALF_WIDTH)
+        # a half-integer moves a quarter towards the exact product; a true tie stays
+        tie = redo[exact]
+        m[tie] = np.rint(s[exact] + 0.25 * np.sign(_product_error(a[tie], p[exact], s[exact])))
+        redo = redo[~exact]
+        if redo.size:
+            m[redo], e = _exact_digits(a[redo])
+            i[redo] = np.add(e, 324)
+    m = m.astype(np.intp)
     top = m // 100_000_000
     rest = m - top * 100_000_000
     mid = rest // 10_000
     low = rest - mid * 10_000
-    zeros = _ZEROS4.take(low) + (low == 0) * (_ZEROS4.take(mid) + (mid == 0) * _ZEROS4.take(top))
-
-    # digits before the point: %.12g writes e < -4 and e >= 12 in exponent
-    # form, one digit before the point; at or below 0 the lead holds the point
-    fixed = (e >= -4) & (e < 12)
-    point = np.where(fixed, e + 1, 1)
-    split = np.where(point > 0, point, 16)
-    # body bytes kept: trailing zeros after the point go, and the point with them
-    keep = np.where(zeros + point >= 12, point, 13 - zeros - (point <= 0))
+    zeros = _ZERO_DIGITS.take(low) | _ZERO_DIGITS.take(mid) << 4 | _ZERO_DIGITS.take(top) << 8
+    keep = _KEEP_ROW.take(i) + _TRAILING.take(zeros)
     lo = _DIGITS4.take(top) | _DIGITS4.take(mid) << 32
     hi = _DIGITS4.take(low)
-    below_lo, below_hi = _FIRST_LO.take(split), _FIRST_HI.take(split)
-    moved = lo & ~below_lo
-    fields = np.empty((x.size, 4), dtype=np.uint64)
-    fields[:, 0] = _LEAD.take(5 * np.signbit(x) + np.maximum(1 - point, 0))
-    fields[:, 1] = ((lo & below_lo) | _POINT_LO.take(split) | moved << 8) & _FIRST_LO.take(keep)
-    fields[:, 2] = (
-        (hi & below_hi) | _POINT_HI.take(split) | (hi & ~below_hi) << 8 | moved >> 56
-    ) & _FIRST_HI.take(keep)
-    last = np.arange(block.shape[1]) == block.shape[1] - 1
-    exponent = np.where(fixed, _E.size, e + 324).reshape(block.shape) + 634 * last
-    fields[:, 3] = _EXPONENT.take(exponent).ravel()
-    text = fields.astype("<u8", copy=False).view(np.uint8).ravel()
-    return text[text != 0]
+    moved = lo & _ABOVE_LO.take(i)
+    shifted = hi & _ABOVE_HI.take(i)
+    fixed = i.min() >= 320 and i.max() <= 335  # -4 <= e <= 11 for every value
+    fields = (_ROW_FIXED if fixed else _ROW).take(i, axis=0)
+    fields[:, 0] |= x.view(np.uint64) >> 63
+    np.bitwise_and(lo + moved * 255 | fields[:, 1], _KEEP_LO.take(keep), out=fields[:, 1])
+    np.bitwise_and(
+        hi + shifted * 255 + (moved >> 56) | fields[:, 2], _KEEP_HI.take(keep), out=fields[:, 2]
+    )
+    fields.reshape(*block.shape, -1)[:, -1, -1] ^= _NEWLINE
+    return fields.astype("<u8", copy=False).tobytes().translate(_TEXT, b"\0")
 
 
 def _write_csv(path, header: str, columns) -> None:
@@ -585,13 +608,18 @@ def _write_csv(path, header: str, columns) -> None:
 
     The bytes equal numpy's savetxt with fmt="%.12g" and delimiter=",":
     each value is written as ``'%.12g' % v`` would write it, but the text
-    is assembled in numpy from digit and exponent tables, a block of rows at
-    a time (see ``_format_rows``).
+    is assembled in numpy from per-decade and digit-group tables, 2,048
+    rows at a time (see ``_format_rows``).
 
     Raises:
-        ValueError: if a value is not finite; nothing is written.
+        ValueError: if there is no column, a column is not 1-D, the columns
+            differ in length or a value is not finite; nothing is written.
         OSError: naming the path, if the file cannot be opened or written.
     """
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    shapes = [c.shape for c in columns]
+    if not shapes or any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
+        raise ValueError(f"CSV for {path!r} needs 1-D columns of equal length, got shapes {shapes}")
     if not all(np.isfinite(c).all() for c in columns):
         raise ValueError(f"CSV values for {path!r} must be finite")
     try:
@@ -612,8 +640,9 @@ def emit_csv(series: ObservableSeries, path) -> None:
     per grid point, each value formatted as ``'%.12g' % v`` formats it,
     separated by commas, every line ended by ``\\n``.  The file is always
     plain text: unlike numpy's savetxt, a path ending in ``.gz`` is not
-    compressed.  The text is assembled in numpy a block of rows at a time
-    (``_write_csv``); ``lyprobe zeros`` writes its CSV through the same writer.
+    compressed.  The text is assembled in numpy from per-decade and
+    digit-group tables, 2,048 rows at a time (``_write_csv``, ``_format_rows``);
+    ``lyprobe zeros`` writes its CSV through the same writer.
 
     Raises:
         OSError: naming the path, if the file cannot be written.

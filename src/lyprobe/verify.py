@@ -391,7 +391,20 @@ def check_csv_determinism() -> str:
         first.splitlines()[0] == "t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime",
         "CSV header wrong",
     )
-    parsed = np.genfromtxt(io.StringIO(first), delimiter=",", skip_header=1)
+    # the numpy kernel against Python's own formatting, on this machine's build
+    rows = np.column_stack(
+        [
+            series.times,
+            series.a_factor,
+            series.coherence,
+            series.concurrence_rescaled,
+            series.xi2,
+            series.xi2_prime,
+        ]
+    )
+    text = "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows.tolist())
+    _require(first.partition("\n")[2] == text, "CSV bytes differ from Python's '%.12g'")
+    parsed = np.loadtxt(io.StringIO(first), delimiter=",", skiprows=1)
     _require(parsed.shape == (101, 6), f"CSV shape {parsed.shape}")
     _require(
         bool(np.allclose(parsed[:, 2], series.coherence, rtol=1e-11)),

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lyprobe.cli as cli
 import lyprobe.experiments as experiments
 
 from lyprobe import (
@@ -842,6 +844,53 @@ def test_writer_vectorized_route_alone(csv_dir):
         0.5, 0.0123, 0.000123, 7e-5, 6.02214076e23, 2.5e100, 1.6e-290,
     ]
     assert not _writer_matches_savetxt(csv_dir, _with_negatives(values))
+
+
+# 12-digit ties at a decade with an exact power of ten (-11 <= e <= 11):
+# binary halves, which round half to even, and decimal ties, which the stored
+# double misses by a few units in the last place, either way
+_TIES_WITH_EXACT_POWER = [
+    100000000000.5, 123456789013.5, 999999999998.5, 12345678901.25, 1234567890.125,
+    123456789.0625, 0.1234567890125, 100.0007366875, 1.000000000005, 2.718281828455e-7,
+    0.0001234567890125, 1.000000000005e-11, 9.999999999985e11, 5.555555555555e-3,
+]
+
+
+def test_writer_settles_ties_with_an_exact_power_in_numpy(csv_dir):
+    # the powers 10**(11 - e) the rule relies on are exact
+    assert experiments._SCALE[313:336].tolist() == [float(10**k) for k in range(22, -1, -1)]
+    values = np.array(_TIES_WITH_EXACT_POWER)
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    assert not _writer_matches_savetxt(csv_dir, _with_negatives(values))
+
+
+def test_golden_simulate_sends_no_tie_with_an_exact_power_to_the_exact_route(tmp_path):
+    # the grid t_k = k * 0.0196349375 holds thousands of 12-digit decimal ties
+    argv = [
+        "simulate", "--nb", "200", "--beta", "7", "--probes", "4", "--theta", "1.2",
+        "--t-max", "314.159", "--steps", "16001", "--channel", "I",
+        "--out", str(tmp_path / "series.csv"),
+    ]
+    with mock.patch.object(experiments, "_exact_digits", wraps=experiments._exact_digits) as spy:
+        assert cli.main(argv) == 0
+    for call in spy.call_args_list:
+        for value in call.args[0].tolist():
+            digits = Decimal(value)
+            e = digits.adjusted()
+            distance = abs(digits.scaleb(11 - e) % 1 - Decimal("0.5"))
+            assert not (-11 <= e <= 11 and distance < Decimal("2e-3")), value
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [[np.ones(3), np.ones(2)], [np.ones((2, 2)), np.ones((2, 2))], []],
+    ids=["unequal-lengths", "two-dimensional", "no-column"],
+)
+def test_writer_checks_columns_before_opening_the_file(tmp_path, columns):
+    target = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="1-D columns of equal length"):
+        experiments._write_csv(target, "h", columns)
+    assert not target.exists()
 
 
 def test_writer_rejects_non_finite_values(tmp_path):
