@@ -498,11 +498,11 @@ _POINT_LO, _POINT_HI = _words(46 * (np.arange(16) == np.arange(17)[:, None]).res
 _E = np.arange(-324, 309)
 _POINT = np.where((_E >= -4) & (_E < 12), _E + 1, 1)
 _SPLIT = np.where(_POINT > 0, _POINT, 16)
-# 10**(11 - e), held at 1e308 (a value below 1e-297 takes the exact route).
-# For |e| <= 11 it is exact and the rounded product is wrong only on a
-# half-integer; else the product (error below 4e-4) is trusted 2e-3 from a tie.
+# 10**(11 - e), held at 1e308 below e = -297, where a tie margin of 0 sends every
+# value to the exact route.  For |e| <= 11 it is exact and the rounded product is
+# wrong only on a half-integer; else it (error below 4e-4) is trusted 2e-3 from a tie.
 _SCALE = 10.0 ** np.minimum(11 - _E, 308)
-_TIE = np.where(np.abs(_E) <= 11, 0.5, 0.5 - 2e-3)
+_TIE = np.where(np.abs(_E) <= 11, 0.5, np.where(_E < -297, 0.0, 0.5 - 2e-3))
 # the product must round into [1e11, 1e12); one at most 0.04 below 1e11
 # rounds to 1e11 at the decade below as well, so 0.01 of slack is safe
 _MIDDLE, _HALF_WIDTH = (1e11 - 0.01 + 1e12 - 0.51) / 2, (1e12 - 0.51 - 1e11 + 0.01) / 2
@@ -581,7 +581,7 @@ def _format_rows(block: np.ndarray) -> bytes:
         if redo.size:
             m[redo], e = _exact_digits(a[redo])
             i[redo] = np.add(e, 324)
-    m = m.astype(np.intp)
+    m = m.astype(np.int64)
     top = m // 100_000_000
     rest = m - top * 100_000_000
     mid = rest // 10_000

@@ -824,6 +824,15 @@ def test_writer_matches_savetxt_next_to_powers_of_ten(csv_dir):
     _writer_matches_savetxt(csv_dir, _with_negatives(values))
 
 
+def test_writer_matches_savetxt_below_the_held_scale(csv_dir):
+    # below 1e-297 the tabulated 10**(11 - e) is held at 1e308, so a value
+    # whose log10 falls a decade low must not be trusted to the product
+    tops = np.array([1e-296, 1e-297, 1e-298, 1e-300, 1e-310])
+    below = tops.view(np.uint64)[:, None] - np.arange(1, 2049, dtype=np.uint64)
+    values = np.append(below.ravel().view(np.float64), 1e-297 * (1 - 9e-14))
+    _writer_matches_savetxt(csv_dir, _with_negatives(values))
+
+
 def test_writer_rounds_exact_ties_half_even(csv_dir):
     ties = [1000000000005.0, 1000000000015.0, 123456789012.5]
     assert _writer_matches_savetxt(csv_dir, _with_negatives(ties))
