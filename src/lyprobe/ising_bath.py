@@ -12,25 +12,31 @@ eigenvalues of its transfer matrix.  The factor and the zeros use that form:
 the dephasing factor costs O(1) per point (log-polar ``2 r^N cos(N*gamma)``
 where the eigenvalues are a complex pair), and the zero phases have a closed
 form.
-A single point runs the same formulas as a grid, on Python floats: about
-6.5 us per ``dephasing_factor`` call, 4.5 us of it in ``factor_values``
-(CPython 3.11, numpy 2.4, one core of a 2-vCPU VM).  ``math`` gives the array
-route's bits for sqrt, fmod, copysign, sin and cos (libm in both); arctan2,
-exp and log1p stay numpy calls, since numpy may run them through SIMD loops
-that differ from libm in the last bit.  One type, ``IsingRing``, is both
-the ring and its polynomial: ``(N_b, beta, beta*lambda)``, with the
-coefficient vector built (closed form) only when it is read, by the
-residual certificate ``zero_residuals`` and the cross-checks.  So ``A`` and
-the zeros need no coefficients and run past the ring size where they
-overflow.  The cross-check routes, brute-force enumeration for small rings
-and the product over zeros, live in ``verify``.
+A grid costs its trigonometry: the phase N w is split at a multiple of 2**-20
+by an exact power-of-two remainder, not by np.fmod, whose libm loop took
+about 100 ns a point, a third of the grid's cost.  About 0.2 us a point on a
+24,002-point strong-coupling grid, 0.33 us with np.fmod (CPython 3.11,
+numpy 2.4, one core of a shared 2-vCPU VM).  A single point runs the same
+formulas on Python floats, with the ring's constants (``IsingRing._transfer``)
+built once per ring: about 6.6 us per ``dephasing_factor`` call, 7.8 us when
+each point rebuilt them.  ``math`` gives the array route's bits for sqrt,
+copysign, sin and cos (libm in both), and ``math.fmod`` is exact, like the
+array route's remainder; arctan2, exp and log1p stay numpy calls, since numpy
+may run them through SIMD loops that differ from libm in the last bit.
+
+One type, ``IsingRing``, is both the ring and its polynomial:
+``(N_b, beta, beta*lambda)``, with the coefficient vector built (closed
+form) only when it is read, by the residual certificate ``zero_residuals``
+and the cross-checks.  So ``A`` and the zeros need no coefficients and run
+past the ring size where they overflow.  The cross-check routes, brute-force
+enumeration for small rings and the product over zeros, live in ``verify``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,6 +114,23 @@ class IsingRing:
     def beta_lambda(self) -> float:
         """inverse_temperature * coupling."""
         return self.inverse_temperature * self.coupling
+
+    @cached_property
+    def _transfer(self) -> tuple[float, float, float, float]:
+        """Per-ring constants of the transfer form: (sqrt q, q, 2 t^(N/2), A's normaliser).
+
+        q = exp(-4 beta_lambda), t = (1 - sqrt q) / (1 + sqrt q) and 2 t^(N/2)
+        is the arc's amplitude.  Built once, so a point of A costs only its
+        own trigonometry.  The normaliser is the pair sum at w = 0, computed
+        with the array arithmetic of every other point, so A(0) == 1 exactly.
+        """
+        nb = self.n_spins
+        root_q = math.exp(-2.0 * self.beta_lambda)
+        q = root_q * root_q
+        x0 = 2.0 * root_q / (1.0 + root_q)  # 1 - t
+        amplitude = 2.0 * math.exp(0.5 * nb * math.log1p(-x0)) if x0 < 1.0 else 0.0
+        norm = float(_transfer_power_sum(nb, root_q, q, amplitude, np.zeros(1), _ARRAY)[0])
+        return root_q, q, amplitude, norm
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -189,9 +212,10 @@ class LeeYangZeroSet:
             raise ValueError("phases must lie strictly inside (0, 2*pi)")
         if np.any(np.diff(phases) < 0.0):
             raise ValueError("phases must be sorted ascending")
-        # conjugate closure: the multiset must map onto itself under phi -> 2pi - phi
-        mirrored = np.sort(TWO_PI - phases)
-        if not np.allclose(phases, mirrored, rtol=0.0, atol=1e-9):
+        # conjugate closure: the multiset must map onto itself under phi -> 2pi - phi;
+        # the phases ascend, so their mirror images, read backwards, ascend too
+        mirrored = TWO_PI - phases[::-1]
+        if not np.abs(phases - mirrored).max() <= 1e-9:
             raise ValueError("phases must be closed under conjugation")
         if not np.isfinite(self.beta) or self.beta < 0.0:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
@@ -265,14 +289,36 @@ def zero_residuals(ring: IsingRing, phases: np.ndarray) -> np.ndarray:
     return np.abs(np.polyval(ring.coefficients[::-1], roots)) / ring.coefficients.sum()
 
 
+def _pow2_fmod(w: np.ndarray, d: float) -> np.ndarray:
+    """``np.fmod(w, d)`` for a power of two ``d``, bit for bit, in exact steps.
+
+    numpy's fmod loop is libm's, about 100 ns an element; this costs a few.
+    Past 2**52 d every double is a multiple of d, so clipping there leaves
+    the remainder 0 and keeps w / d finite up to the largest double.  w / d,
+    its truncation and the truncation times d are exact (power-of-two
+    scalings of integers below 2**52), and w minus that multiple of d is
+    representable, so the difference is exact too.  ``copysign`` gives a zero
+    remainder the sign of w, as fmod does (-0.0, -k d).
+    """
+    bound = 2.0**52 * d
+    low = np.maximum(w, -bound)
+    np.minimum(low, bound, out=low)
+    whole = low / d
+    np.trunc(whole, out=whole)
+    whole *= d
+    np.subtract(low, whole, out=low)
+    return np.copysign(low, w, out=low)
+
+
 # The elementwise functions the pair-sum formulas run on.  math gives the
 # bits of the numpy loops for the IEEE-exact steps and for sin/cos (libm in
 # both; pinned by a test).  numpy's arctan2, exp and log1p loops may be SVML,
 # which differs from libm in the last bit, so on floats they stay numpy calls
-# and become floats at once.
+# and become floats at once.  The arrays take fmod from ``_pow2_fmod``: exact,
+# like math.fmod, so it gives np.fmod's bits without np.fmod's libm loop.
 _ARRAY = SimpleNamespace(
     sin=np.sin, cos=np.cos, sqrt=np.sqrt, abs=np.abs, minimum=np.minimum,
-    copysign=np.copysign, fmod=np.fmod, arctan2=np.arctan2, exp=np.exp, log1p=np.log1p,
+    copysign=np.copysign, fmod=_pow2_fmod, arctan2=np.arctan2, exp=np.exp, log1p=np.log1p,
 )
 _FLOAT = SimpleNamespace(
     sin=math.sin, cos=math.cos, sqrt=math.sqrt, abs=abs, minimum=min,
@@ -295,62 +341,57 @@ def _real_pair_sum(nb, root_q, q, s2, c, f):
     return f.copysign(total, c) if nb % 2 else total
 
 
-def _complex_pair_sum(nb, root_q, q, w, s, c, s2, f):
+def _complex_pair_sum(nb, q, amplitude, w, s, c, s2, f):
     # r_+- = sqrt(t) e^{+-i gamma}, t = (1 - sqrt q) / (1 + sqrt q): the sum
-    # is 2 t^(N/2) cos(N gamma).  N gamma = N w + N (gamma - |w| folded to
-    # (0, pi)): N w is split so its large part is an exact product (|w| < 32)
-    # and the offset is written without cancellation, so the phase is good to
-    # a few ulp of 1, not of N gamma
+    # is amplitude * cos(N gamma), amplitude = 2 t^(N/2).  N gamma = N w +
+    # N (gamma - |w| folded to (0, pi)): N w is split so its large part is an
+    # exact product (|w| < 32) and the offset is written without
+    # cancellation, so the phase is good to a few ulp of 1, not of N gamma
     abs_s = f.abs(s)
     root = f.sqrt(s2 - q)
     offset = f.arctan2(-c * q / (root + abs_s), c * c + root * abs_s)
     low = f.fmod(w, 2.0**-20)
     head = nb * (w - low)
     tail = nb * low + f.copysign(nb, s) * offset
-    x0 = 2.0 * root_q / (1.0 + root_q)  # 1 - t
-    amplitude = 2.0 * math.exp(0.5 * nb * math.log1p(-x0)) if x0 < 1.0 else 0.0
     return amplitude * (f.cos(head) * f.cos(tail) - f.sin(head) * f.sin(tail))
 
 
 def _transfer_power_sum(
-    nb: int, k: float, w: float | np.ndarray, f: SimpleNamespace
+    nb: int, root_q: float, q: float, amplitude: float, w: float | np.ndarray, f: SimpleNamespace
 ) -> float | np.ndarray:
     """(lambda_+^N + lambda_-^N) / lambda_+(0)^N at rotation angles w.
 
     The scaled eigenvalues are r_+- = (cos w +- sqrt(q - sin^2 w)) / (1 + sqrt q),
-    q = exp(-4k): a real pair where sin^2 w <= q, a complex pair elsewhere.
-    ``f`` is ``_FLOAT`` for a Python float w, which takes its one branch
-    directly and returns a float, or ``_ARRAY`` for an array, which is split
-    by branch with a mask.  Both run the same formulas with the same bits.
-    A float point costs about 4 us on either branch (CPython 3.11, numpy
-    2.4, one core of a 2-vCPU VM); the numpy calls that keep the array
-    route's bits take about 1.6 us of it: arctan2 on the arc, two exp and
-    two log1p on the real branch.
+    q = exp(-4 beta_lambda): a real pair where sin^2 w <= q, a complex pair
+    elsewhere.  ``root_q``, ``q`` and the arc's ``amplitude`` are the ring's
+    constants (``IsingRing._transfer``).  ``f`` is ``_FLOAT`` for a Python
+    float w, which takes its one branch directly and returns a float, or
+    ``_ARRAY`` for an array, which is split by branch with a mask.  Both run the same
+    formulas with the same bits: the remainder that splits the phase is
+    exact on both (``math.fmod``, ``_pow2_fmod``).  On an array the six sin
+    and cos take about two thirds of the time.  A float point costs 2 to
+    3.5 us on either branch (CPython 3.11, numpy 2.4, one core of a shared
+    2-vCPU VM); the numpy calls that keep the array route's bits take 1.2 to
+    2 us of it: arctan2 on the arc, two exp and two log1p on the real branch.
     """
-    root_q = math.exp(-2.0 * k)
-    q = root_q * root_q
     s = f.sin(w)
     c = f.cos(w)
     s2 = s * s
     arc = s2 > q
     if f is _FLOAT:
         if arc:
-            return _complex_pair_sum(nb, root_q, q, w, s, c, s2, f)
+            return _complex_pair_sum(nb, q, amplitude, w, s, c, s2, f)
         return _real_pair_sum(nb, root_q, q, s2, c, f)
-    if arc.all():
-        return _complex_pair_sum(nb, root_q, q, w, s, c, s2, f)
-    if not arc.any():
+    on_arc = np.count_nonzero(arc)
+    if on_arc == arc.size:
+        return _complex_pair_sum(nb, q, amplitude, w, s, c, s2, f)
+    if not on_arc:
         return _real_pair_sum(nb, root_q, q, s2, c, f)
     out = np.empty(w.shape)
-    out[arc] = _complex_pair_sum(nb, root_q, q, w[arc], s[arc], c[arc], s2[arc], f)
-    out[~arc] = _real_pair_sum(nb, root_q, q, s2[~arc], c[~arc], f)
+    out[arc] = _complex_pair_sum(nb, q, amplitude, w[arc], s[arc], c[arc], s2[arc], f)
+    real = ~arc
+    out[real] = _real_pair_sum(nb, root_q, q, s2[real], c[real], f)
     return out
-
-
-@lru_cache(maxsize=64)
-def _transfer_norm(nb: int, k: float) -> float:
-    # the same arithmetic as every other point, so A(0) == 1 exactly
-    return float(_transfer_power_sum(nb, k, np.zeros(1), _ARRAY)[0])
 
 
 def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
@@ -371,7 +412,6 @@ def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
             an array is checked before anything is evaluated.
     """
     nb = ring.n_spins
-    k = ring.beta_lambda
     if not isinstance(angles, float):
         angles = np.asarray(angles, dtype=float)
         if angles.ndim:
@@ -380,12 +420,19 @@ def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
             if not math.isfinite(float(nb) * float(np.abs(angles).max(initial=0.0))):
                 bad = next(w for w in angles.ravel().tolist() if not math.isfinite(float(nb) * w))
                 raise _angle_error(nb, bad)
-            return _transfer_power_sum(nb, k, angles, _ARRAY) / _transfer_norm(nb, k)
-    w = float(angles)
+            root_q, q, amplitude, norm = ring._transfer
+            return _transfer_power_sum(nb, root_q, q, amplitude, angles, _ARRAY) / norm
+    return np.float64(_point_value(ring, float(angles)))
+
+
+def _point_value(ring: IsingRing, w: float) -> float:
+    """A at one angle, a Python float: the float route of :func:`factor_values`."""
+    nb = ring.n_spins
     # math.sin raises a bare "math domain error" past the double range
     if not math.isfinite(float(nb) * w):
         raise _angle_error(nb, w)
-    return np.float64(_transfer_power_sum(nb, k, w, _FLOAT) / _transfer_norm(nb, k))
+    root_q, q, amplitude, norm = ring._transfer
+    return _transfer_power_sum(nb, root_q, q, amplitude, w, _FLOAT) / norm
 
 
 def _angle_error(nb: int, w: float) -> ValueError:
@@ -399,8 +446,8 @@ def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
 
     Real and even in x for the symmetric ring polynomial; |A| <= 1 with
     equality at x = 0.  Periodic in beta*x with period pi.  The angle
-    beta * x goes to :func:`factor_values` as a scalar, so the value is
-    bit-identical to the one an array call gives at that point.
+    beta * x takes the float route of :func:`factor_values`, so the value
+    is bit-identical to the one an array call gives at that point.
 
     Raises:
         ValueError: if x is not finite, or the phase N_b * beta * |x| the
@@ -409,7 +456,7 @@ def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
     _check_phase(ring.n_spins, 1.0, "beta", ring.beta, "x", abs(x))
-    return DephasingFactor(value=float(factor_values(ring, ring.beta * x)), argument=float(x))
+    return DephasingFactor(value=_point_value(ring, float(ring.beta * x)), argument=float(x))
 
 
 def _check_eta(eta: float) -> None:

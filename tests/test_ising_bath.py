@@ -1,5 +1,6 @@
 """Ring polynomial coefficients, unit-circle zero phases, dephasing factors."""
 
+import functools
 import math
 import re
 import warnings
@@ -19,6 +20,7 @@ from lyprobe import (
     zero_times,
 )
 
+from lyprobe import ising_bath
 from lyprobe.ising_bath import factor_values, zero_residuals
 from lyprobe.verify import dephasing_factor_product, partition_coefficients_bruteforce
 
@@ -247,6 +249,15 @@ class TestLeeYangZeroSetValidation:
     def test_rejects_broken_conjugate_closure(self):
         with pytest.raises(ValueError, match="conjugation"):
             LeeYangZeroSet(np.array([1.0, np.pi]), 1.0)
+
+    def test_conjugate_closure_tolerance_is_1e_9_absolute(self):
+        LeeYangZeroSet(np.array([1.0, TWO_PI - 1.0 + 0.9e-9]), 1.0)
+        with pytest.raises(ValueError, match="closed under conjugation"):
+            LeeYangZeroSet(np.array([1.0, TWO_PI - 1.0 + 1.1e-9]), 1.0)
+        # a multiset: repeated phases mirror onto their own copies
+        LeeYangZeroSet(np.array([1.0, 1.0, np.pi, TWO_PI - 1.0, TWO_PI - 1.0]), 1.0)
+        with pytest.raises(ValueError, match="closed under conjugation"):
+            LeeYangZeroSet(np.array([1.0, 1.0, TWO_PI - 1.0]), 1.0)
 
     def test_phases_frozen(self):
         zs = lee_yang_zeros(ring_at(5, 0.5))
@@ -650,6 +661,94 @@ class TestFloatRoute:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert factor_values(ring_at(6, 0.5), np.empty((0, 3))).shape == (0, 3)
+
+
+PHASE_STEP = 2.0**-20
+
+
+def remainder_inputs():
+    """+-0, +-k 2**-20, the doubles either side of +-2**32, 1e15, 5e307, subnormals, 10**6 seeded values."""
+    k = np.array([1.0, 2.0, 3.0, 7.0, 1000.0, 2.0**20, 2.0**31 + 1.0, 2.0**52 - 1.0, 2.0**52])
+    edge = (np.array([2.0**32]).view(np.int64) + np.arange(-4, 5)).view(np.float64)
+    subnormal = np.array([5e-324, 1e-320, 2.5e-310, np.nextafter(2.2250738585072014e-308, 0.0)])
+    large = np.array([1e15, 1e300, 5e307, np.finfo(float).max])
+    rng = np.random.default_rng(20201018)
+    seeded = np.concatenate([
+        rng.uniform(-40.0, 40.0, 500_000),
+        10.0 ** rng.uniform(-320.0, 308.0, 500_000),
+    ])
+    magnitudes = np.concatenate([[0.0], k * PHASE_STEP, edge, subnormal, large, seeded])
+    return np.concatenate([magnitudes, -magnitudes])
+
+
+class TestExactRemainder:
+    """The array route splits the phase with an exact power-of-two remainder, not np.fmod."""
+
+    def test_array_fmod_is_numpy_fmod_bit_for_bit(self):
+        w = remainder_inputs()
+        assert w.size > 1_000_000 and np.all(np.isfinite(w))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low = ising_bath._ARRAY.fmod(w, PHASE_STEP)
+            expected = np.fmod(w, PHASE_STEP)
+        mismatched = np.flatnonzero(low.view(np.uint64) != expected.view(np.uint64))
+        assert mismatched.size == 0, f"{mismatched.size} remainders differ, first at w = {w[mismatched[:5]]}"
+        # the sign of a zero remainder is the sign of w, as fmod gives it
+        assert np.array_equal(np.signbit(low[low == 0.0]), np.signbit(w[low == 0.0]))
+
+    def test_array_fmod_keeps_the_input(self):
+        w = np.array([-0.0, 3.5, -1e20])
+        kept = w.copy()
+        ising_bath._ARRAY.fmod(w, PHASE_STEP)
+        assert np.array_equal(w.view(np.uint64), kept.view(np.uint64))
+
+    @pytest.mark.parametrize("w", [5e307, -5e307, 2.0**32 + 2.0**-20, -1e15])
+    def test_phase_near_the_limit_runs_on_both_routes(self, w):
+        # N_b * w is finite at N_b = 3, but w * 2**20 is not always: the clip
+        # keeps the array route free of overflow
+        ring = ring_at(3, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            array = factor_values(ring, np.array([w, 0.5]))
+            point = factor_values(ring, w)
+        assert math.isfinite(point) and abs(point) <= 1.0
+        assert array[0].view(np.uint64) == point.view(np.uint64)
+
+
+class TestRingConstants:
+    """The transfer form's per-ring constants are built once per ring, not per point."""
+
+    def test_point_calls_build_the_constants_once(self, monkeypatch):
+        built = []
+        original = IsingRing._transfer.func
+
+        def counting(ring):
+            built.append(ring)
+            return original(ring)
+
+        spy = functools.cached_property(counting)
+        spy.__set_name__(IsingRing, "_transfer")
+        monkeypatch.setattr(IsingRing, "_transfer", spy)
+        ring = ring_at(40, 0.5)
+        x = np.linspace(-3.0, 3.0, ring.n_spins)
+        values = [dephasing_factor(ring, float(v)).value for v in x]
+        assert built == [ring]
+        # the array route and the scalar factor_values read the same constants
+        reference = factor_values(ring, ring.beta * x)
+        factor_values(ring, 0.7)
+        assert built == [ring]
+        assert np.array_equal(np.array(values).view(np.uint64), reference.view(np.uint64))
+        # an equal ring is another instance and builds its own
+        factor_values(ring_at(40, 0.5), 0.7)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("nb,beta_lambda", SCALAR_RINGS)
+    def test_factor_is_exactly_one_at_zero(self, nb, beta_lambda):
+        ring = ring_at(nb, beta_lambda)
+        assert factor_values(ring, 0.0) == 1.0
+        assert factor_values(ring, -0.0) == 1.0
+        assert np.array_equal(factor_values(ring, np.zeros(3)), np.ones(3))
+        assert dephasing_factor(ring, 0.0).value == 1.0
 
 
 class TestPastCoefficientLimit:
