@@ -3,8 +3,8 @@
 Builds uniform time grids, evaluates the dephasing factor and the closed-form
 observables over them, and post-processes the series: coherence-zero
 detection (candidates from the signs of the sampled factor, refined on the
-analytic factor: sign changes all at once by bisection, same-sign minima of
-|A| all at once by golden-section search), maximal
+analytic factor: sign changes all at once by Anderson-Bjorck regula falsi,
+same-sign minima of |A| all at once by golden-section search), maximal
 concurrence-vanishing domains, recovery-peak counts, and the exponential fit
 of the maximum concurrence, the initial state's (A = 1), against ensemble
 size.
@@ -252,18 +252,42 @@ def default_steps(
     return max(int(steps), 2)
 
 
-def bisect_roots(f, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray, xtol: float) -> np.ndarray:
-    """Roots of f in the sign-change brackets [lo, hi], refined all at once.
+def _regula_falsi_roots(f, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
+    """Roots of f in the sign-change brackets [lo, hi], where f is f_lo and f_hi.
 
-    f maps an array of points to values and sign_lo is the sign of f at lo.
-    Each step evaluates f once at every midpoint; a bracket is done once it
-    is narrower than brentq's tolerance, xtol + 8.9e-16 |x|.
+    Anderson-Bjorck regula falsi on all brackets at once: each step calls f
+    once on the open brackets, at the secant point held tol/2 inside.  Where
+    it replaces the newest end, the far end's value is scaled by m = 1 -
+    f_new/f_newest (1/2 if m <= 0); a bracket a secant step did not halve, or
+    whose secant point is not finite, is bisected next.  A bracket's midpoint
+    is its root once it is tol = xtol + 8.9e-16 max(|lo|, |hi|) wide or less.
     """
-    while np.any(hi - lo > xtol + 8.9e-16 * np.abs(hi)):
-        mid = 0.5 * (lo + hi)
-        right = np.sign(f(mid)) == sign_lo
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    return 0.5 * (lo + hi)
+    roots = np.empty(np.shape(lo))
+    # far end x0 and newest end x1: f0 (scaled) and f1 have opposite signs
+    x0, x1, f0, f1 = (np.asarray(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    left, bisect = np.arange(roots.size), np.zeros(roots.size, dtype=bool)
+    while True:
+        width, tol = np.abs(x1 - x0), xtol + 8.9e-16 * np.maximum(np.abs(x0), np.abs(x1))
+        done = width <= tol
+        if done.any():
+            roots[left[done]] = 0.5 * (x0[done] + x1[done])
+            brackets = (left, x0, x1, f0, f1, bisect, width, tol)
+            left, x0, x1, f0, f1, bisect, width, tol = (v[~done] for v in brackets)
+        if not left.size:
+            return roots
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = x1 + (x0 - x1) * (f1 / (f1 - f0))
+        bisect |= ~np.isfinite(c)
+        inner = np.minimum(x0, x1) + 0.5 * tol, np.maximum(x0, x1) - 0.5 * tol
+        c = np.where(bisect, 0.5 * (x0 + x1), np.clip(c, *inner))
+        fc = f(c)
+        same = (fc > 0.0) == (f1 > 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = 1.0 - fc / f1
+        f0 = np.where(same, f0 * np.where(m > 0.0, m, 0.5), f1)
+        x0 = np.where(fc == 0.0, c, np.where(same, x0, x1))  # an exact zero closes
+        x1, f1 = c, fc
+        bisect = ~bisect & (np.abs(x1 - x0) > 0.5 * width)
 
 
 def _golden_minima(f, lo: np.ndarray, hi: np.ndarray, xatol: float) -> np.ndarray:
@@ -285,12 +309,11 @@ def _golden_minima(f, lo: np.ndarray, hi: np.ndarray, xatol: float) -> np.ndarra
 _COLLAPSE_THRESHOLD = 1e-6
 
 
-def _reaches_zero(series: ObservableSeries) -> bool:
-    """Whether A = 0 brings the coherence below the collapse threshold.
+def _reaches_zero(series: ObservableSeries, state) -> bool:
+    """Whether A = 0 brings the coherence of the probe state below the collapse threshold.
 
     The coherence grows with |A|, so where A = 0 does not, it never collapses.
     """
-    state = oat_reduced_state(series.probe)
     floor = x_state_observables(state, series.channel, 0.0, series.probe.n_probes).coherence
     return floor < _COLLAPSE_THRESHOLD * series.coherence.max()
 
@@ -303,8 +326,9 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     between adjacent samples, and every local minimum of |A| whose three
     samples share one sign (a zero of even order, such as A = cos^N_b at
     beta * coupling = 0).  A run of equal samples is one point, and a sample
-    that underflowed to 0 has no sign.  Sign changes are refined together by
-    bisection of the analytic factor, and the same-sign minima together by a
+    that underflowed to 0 has no sign.  Sign changes are refined together on
+    the analytic factor by Anderson-Bjorck regula falsi from the sampled ends
+    to a width of 1e-15 + 8.9e-16 |t|, and the same-sign minima together by a
     golden-section search on |A|.  A refined point is kept if its coherence
     falls below ``_COLLAPSE_THRESHOLD`` (1e-6) times the series maximum.
     """
@@ -317,35 +341,36 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
 
     # a run of equal samples is one point: a grid symmetric about an even
     # zero samples it twice, and an A that underflows steps down in runs
-    a = series.a_factor
-    points = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
-    a = a[points]
-    # signs, not products: at weak coupling A itself can be ~1e-200, and a
-    # sample that underflowed to 0 has sign 0, so it brackets nothing
-    pairs = np.sign(a[:-1]) * np.sign(a[1:])
-    flips = np.flatnonzero(pairs < 0.0)
-    mag = np.abs(a)
-    dips = 1 + np.flatnonzero(
-        (pairs[:-1] > 0.0) & (pairs[1:] > 0.0) & (mag[1:-1] < np.minimum(mag[:-2], mag[2:]))
-    )
+    a, times = series.a_factor, t
+    fresh = a[1:] != a[:-1]
+    if not fresh.all():
+        points = np.flatnonzero(np.concatenate(([True], fresh)))
+        a, times = a[points], t[points]
+    # signs (int8), not products: at weak coupling A itself can be ~1e-200,
+    # and a sample that underflowed to 0 has sign 0, so it brackets nothing
+    sign = (a > 0.0).view(np.int8) - (a < 0.0).view(np.int8)
+    pairs = sign[:-1] * sign[1:]
+    flips = np.flatnonzero(pairs < 0)
+    mag, same = np.abs(a), pairs > 0
+    dips = 1 + np.flatnonzero(same[:-1] & same[1:] & (mag[1:-1] < np.minimum(mag[:-2], mag[2:])))
     if flips.size == 0 and dips.size == 0:
         return np.array([])
 
-    if not _reaches_zero(series):
-        return np.array([])
     state = oat_reduced_state(series.probe)
+    if not _reaches_zero(series, state):
+        return np.array([])
 
     def a_of_t(x):
         return factor_values(series.ring, series.channel.rate * series.eta * x)
 
-    def coherence_at(factor):
-        return x_state_observables(state, series.channel, factor, series.probe.n_probes).coherence
-
-    roots = bisect_roots(a_of_t, t[points[flips]], t[points[flips + 1]], np.sign(a[flips]), 1e-15)
-    lo, hi = t[points[dips - 1]], t[points[dips + 1]]
+    roots = _regula_falsi_roots(
+        a_of_t, times[flips], times[flips + 1], a[flips], a[flips + 1], 1e-15
+    )
+    lo, hi = times[dips - 1], times[dips + 1]
     minima = _golden_minima(lambda x: np.abs(a_of_t(x)), lo, hi, 1e-12 * max(1.0, t[-1]))
     refined = np.concatenate([roots, minima])
-    zeros = np.sort(refined[coherence_at(a_of_t(refined)) < _COLLAPSE_THRESHOLD * peak])
+    values = x_state_observables(state, series.channel, a_of_t(refined), series.probe.n_probes)
+    zeros = np.sort(refined[values.coherence < _COLLAPSE_THRESHOLD * peak])
     if zeros.size == 0:
         return zeros
     # adjacent candidates can refine into the same zero; merge sub-grid duplicates
@@ -397,7 +422,7 @@ def count_recovery_peaks(series: ObservableSeries) -> int:
             collapse.
     """
     t = series.times
-    if t.size < 3 or not _reaches_zero(series):
+    if t.size < 3 or not _reaches_zero(series, oat_reduced_state(series.probe)):
         return 0
     start = lee_yang_times(lee_yang_zeros(series.ring), series.eta, series.channel)[0]
     if start > t[-1]:

@@ -5,7 +5,7 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Twelve
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Thirteen
 entries are reference implementations rather than independent routes: the
 transfer-matrix phase formula (the package now uses it in atan2 form), the
 transfer eigenvalues at 50 digits (the package's mathematics without its
@@ -19,10 +19,11 @@ package's X-state kernel replaced, the one-matrix Wootters route the
 package's stacked kernel replaced, the per-operator ``np.kron`` products and
 loop sum the package's stacked Kraus sets replaced, the per-bracket bounded
 minimization (scipy's ``minimize_scalar``) the package's vectorized
-golden-section search replaced, the maximum of the concurrence over a time
-grid the package's C_max fit replaced with its value at A = 1, and the
-explicit X-state constructors the channel updates replaced with
-``dataclasses.replace``.
+golden-section search replaced, the per-bracket root search (scipy's
+``brentq``) the package's vectorized root refinement replaced, the maximum
+of the concurrence over a time grid the package's C_max fit replaced with
+its value at A = 1, and the explicit X-state constructors the channel
+updates replaced with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from lyprobe import Channel, TwoQubitXState, VanishingDomain, series_from_polynomial
 from lyprobe.channels import _factor_value
@@ -206,6 +207,20 @@ def bounded_minima(f, lo, hi, xatol: float) -> np.ndarray:
                 method="bounded",
                 options={"xatol": xatol},
             ).x
+            for left, right in zip(lo, hi)
+        ]
+    )
+
+
+def brentq_roots(f, lo, hi) -> np.ndarray:
+    """Root of f in each sign-change bracket [lo_i, hi_i], one brentq search each.
+
+    f maps an array of points to values; each search calls it on
+    one-element arrays, with scipy's absolute tolerance xtol = 1e-15.
+    """
+    return np.array(
+        [
+            brentq(lambda x: float(f(np.array([x]))[0]), left, right, xtol=1e-15)
             for left, right in zip(lo, hi)
         ]
     )

@@ -45,6 +45,7 @@ from lyprobe.observables import x_state_observables
 
 from .oracles import (
     bounded_minima,
+    brentq_roots,
     max_original_concurrence,
     savetxt_csv,
     vanishing_domains_loop,
@@ -383,6 +384,151 @@ class TestZeroDetection:
         predicted = lee_yang_times(lee_yang_zeros(ring), ETA, Channel.I)
         assert detected.size == predicted.size == nb
         assert np.max(np.abs(detected - predicted)) <= 1e-9 * period
+
+
+def default_grid_series(nb, beta, channel, probe, periods=2):
+    """A ring's series over whole periods on the default grid."""
+    ring = IsingRing(n_spins=nb, inverse_temperature=beta)
+    t_max = periods * coherence_period(ETA, channel)
+    steps = default_steps(lee_yang_zeros(ring), ETA, t_max, channel)
+    return run_scenario(Scenario(ring, probe, channel, t_max, steps, ETA))
+
+
+def stop_tolerance(t):
+    """The width at which the root solver closes a bracket around t."""
+    return 1e-15 + 8.9e-16 * np.abs(t)
+
+
+def bisection_steps(lo, hi, xtol=1e-15):
+    """Halvings that take [lo, hi] to the solver's stop width."""
+    steps = 0
+    while hi - lo > xtol + 8.9e-16 * max(abs(lo), abs(hi)):
+        lo, steps = 0.5 * (lo + hi), steps + 1
+    return steps
+
+
+class TestRegulaFalsi:
+    # a probe of two: channel II collapses only for a pair ensemble
+    PAIR = OatParameters(2, 1.0)
+
+    @pytest.mark.parametrize(
+        "nb,beta,periods",
+        [(6, 0.5, 2), (300, 10.0, 2), (100, 0.5, 2), (400, 0.5, 2), (1200, 0.5, 1)],
+    )
+    @pytest.mark.parametrize("channel", [Channel.I, Channel.II])
+    def test_roots_match_brentq(self, nb, beta, periods, channel, monkeypatch):
+        # every sign-change bracket detection refines, searched again one at a
+        # time by scipy's brentq on the same analytic factor
+        if nb == 1200:
+            # the coherence underflows between collapses; the default grid is past its limit
+            ring = IsingRing(n_spins=nb, inverse_temperature=beta)
+            period = coherence_period(ETA, channel)
+            series = run_scenario(Scenario(ring, self.PAIR, channel, period, 200_001, ETA))
+        else:
+            series = default_grid_series(nb, beta, channel, self.PAIR, periods)
+        calls = []
+        solver = experiments._regula_falsi_roots
+
+        def recorded(f, lo, hi, f_lo, f_hi, xtol):
+            roots = solver(f, lo, hi, f_lo, f_hi, xtol)
+            calls.append((f, lo, hi, roots))
+            return roots
+
+        monkeypatch.setattr(experiments, "_regula_falsi_roots", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            detected = detect_coherence_zeros(series)
+        assert detected.size == periods * nb
+        ((f, lo, hi, roots),) = calls
+        assert roots.size == detected.size
+        expected = brentq_roots(f, lo, hi)
+        assert np.all(np.abs(roots - expected) <= stop_tolerance(expected))
+
+    def test_detection_makes_a_handful_of_factor_calls(self):
+        # bisection took about 45 calls on this grid; the secant steps start
+        # from the sampled ends, so the brackets close in a few
+        series = default_grid_series(300, 10.0, Channel.I, OatParameters(3, 1.0))
+        assert series.times.size == 24_002
+        with mock.patch.object(
+            experiments, "factor_values", wraps=experiments.factor_values
+        ) as factor:
+            detected = detect_coherence_zeros(series)
+        assert detected.size == 600
+        assert factor.call_count <= 8
+
+    def test_probe_state_is_built_once(self):
+        series = run_scenario(make_scenario(nb=6, steps=2401))
+        with mock.patch.object(
+            experiments, "oat_reduced_state", wraps=experiments.oat_reduced_state
+        ) as build:
+            assert detect_coherence_zeros(series).size == 6
+        assert build.call_count == 1
+
+    @staticmethod
+    def solve(f, lo, hi):
+        """The solver's roots on brackets [lo, hi] and its number of calls to f."""
+        lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = experiments._regula_falsi_roots(counted, lo, hi, f(lo), f(hi), 1e-15)
+        return roots, len(calls)
+
+    def test_subnormal_values(self):
+        # every value is subnormal, and f is exactly 0 within 2.5e-14 of r
+        r = 0.123456789
+
+        def f(x):
+            return (x - r) * 1e-310
+
+        roots, calls = self.solve(f, [0.0, -0.5, 0.1], [1.0, 2.0, 0.2])
+        assert np.abs(f(np.array([0.0, 1.0]))).max() < 2.3e-308
+        assert np.all(np.abs(roots - r) < 2.5e-14)
+        tol = stop_tolerance(roots)
+        assert np.all((f(roots - tol) <= 0.0) & (f(roots + tol) >= 0.0))
+        assert calls <= 10
+
+    def test_exact_zero_at_the_first_secant_point_closes_the_bracket(self):
+        # both secant points land on 0.25 exactly, where f is exactly 0
+        roots, calls = self.solve(lambda x: x - 0.25, [0.0, -0.75], [1.0, 1.25])
+        assert calls == 1
+        assert np.array_equal(roots, [0.25, 0.25])
+
+    @pytest.mark.parametrize("r", [0.3, 0.7071, 1.0 / 3.0])
+    def test_triple_root_within_twice_bisection(self, r):
+        # plain regula falsi stalls on one end of (x - r)**3; the bisection
+        # safeguard halves the bracket at least every second step
+        lo, hi = [0.0, -0.5, 0.2], [1.0, 2.0, 0.8]
+        roots, calls = self.solve(lambda x: (x - r) ** 3, lo, hi)
+        assert np.all(np.abs(roots - r) <= 0.5 * stop_tolerance(r))
+        assert calls <= 2 * max(bisection_steps(a, b) for a, b in zip(lo, hi))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            # f_new / f_newest overflows: the right end is the smallest subnormal
+            lambda x: np.where(x >= 1.0, 5e-324, np.where(x > 0.3, 1e308, -1e308)),
+            # f_newest - f_far overflows
+            lambda x: np.where(x > 0.3, 1e308, -1e308),
+            # the secant point is not finite (inf / inf): bisection steps
+            lambda x: np.where(x > 0.3, np.inf, -np.inf),
+        ],
+        ids=["ratio-overflow", "difference-overflow", "infinite-values"],
+    )
+    def test_extreme_values_raise_no_warning(self, f):
+        # a jump at 0.3 is a sign change the solver must still close on
+        roots, calls = self.solve(f, [0.0], [1.0])
+        assert abs(roots[0] - 0.3) <= stop_tolerance(0.3)
+        assert calls <= 2 * bisection_steps(0.0, 1.0)
+
+    def test_no_brackets_no_calls(self):
+        roots, calls = self.solve(np.sin, [], [])
+        assert roots.shape == (0,) and calls == 0
 
 
 class TestVanishingDomains:

@@ -3,8 +3,15 @@
 A change that moves any byte of these outputs fails here, so a refactor
 that must keep them unchanged is checked without a manual ``cmp``.  The
 printed floats depend on the last bits of libm and numpy results, so the
-hashes hold for one build (numpy 2.4, glibc 2.36, x86-64); another build may
-round a last digit differently.
+hashes hold for one build (numpy 2.4, glibc 2.36, x86-64) at one SIMD
+dispatch level: AVX-512, where ``numpy.show_runtime()`` lists X86_V4,
+AVX512_ICL and AVX512_SPR as found.  Another build may round a last digit
+differently.  On numpy's AVX2 path (X86_V3, as on a CPU without AVX-512, or
+with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) three
+tests fail: ``test_zeros_csv`` (the ``modulus_residual`` column, values near
+1e-16), ``test_simulate_weak_coupling_csv`` (one factor value on the real
+branch, last digit) and ``test_verify_stdout`` (the printed factor form
+agreement, 1.27e-14 against 1.25e-14).
 """
 
 import hashlib
