@@ -131,20 +131,16 @@ class KrausSet:
             raise ValueError("operators must share one square shape")
         if not np.isfinite(ops).all():
             raise ValueError("operators must be finite")
-        _check_complete(ops)
+        # sum_i M_i^dag M_i must equal the identity within 1e-12, set by set
+        total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
+        if not np.abs(total - np.eye(ops.shape[-1])).max() <= 1e-12:
+            raise ValueError("completeness violated: sum M^dag M != identity")
         ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
         return self.operators.shape[-1]
-
-
-def _check_complete(ops: np.ndarray) -> None:
-    """Raise unless sum_i M_i^dag M_i equals the identity within 1e-12, set by set."""
-    total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
-    if not np.abs(total - np.eye(ops.shape[-1])).max() <= 1e-12:
-        raise ValueError("completeness violated: sum M^dag M != identity")
 
 
 def oat_reduced_state(params: OatParameters) -> TwoQubitXState:
@@ -273,18 +269,19 @@ def kraus_tensor(left: KrausSet, right: KrausSet) -> KrausSet:
 
 
 def kraus_apply(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
-    """Apply sum_i M_i rho M_i^dag after re-checking completeness.
+    """Apply sum_i M_i rho M_i^dag.
 
     ``rho`` is one d x d state, or a stack (..., d, d), one per set of a stack.
+    Completeness is not checked again: a ``KrausSet`` checks it when built,
+    and its operators are read-only.
 
     Raises:
         ValueError: if rho does not match the stack and the operators'
-            dimension, or the set fails the completeness check.
+            dimension.
     """
     rho = np.asarray(rho, dtype=complex)
     ops = kraus.operators
     expected = ops.shape[:-3] + ops.shape[-2:]
     if rho.shape != expected:
         raise ValueError(f"rho shape {rho.shape} does not match {expected}")
-    _check_complete(ops)
     return (ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)).sum(-3)

@@ -177,18 +177,16 @@ def series_from_polynomial(
         ring.n_spins, channel.rate, "eta", eta, "t", float(np.abs(times).max(initial=0.0))
     )
 
-    n = probe.n_probes
     a = factor_values(ring, channel.rate * eta * times)
-    values = x_state_observables(oat_reduced_state(probe), channel, a, n)
-    rescaled = (n - 1) * values.concurrence
+    values = x_state_observables(oat_reduced_state(probe), channel, a, probe.n_probes)
 
     return ObservableSeries(
         times=times,
         a_factor=a,
         coherence=values.coherence,
-        concurrence_rescaled=rescaled,
+        concurrence_rescaled=values.rescaled,
         xi2=values.xi2,
-        xi2_prime=1.0 - rescaled,
+        xi2_prime=values.xi2_prime,
         probe=probe,
         eta=eta,
         channel=channel,
@@ -457,20 +455,25 @@ def fit_cmax_scaling(
     remain because the benchmark harness passes them by keyword.
 
     Raises:
-        ValueError: on fewer than 3 ensemble sizes, an invalid eta, or any
-            C_max = 0 (log undefined; parameters outside the squeezed regime).
+        ValueError: on fewer than 3 distinct ensemble sizes, a size that is
+            not an integer or is below 2, an invalid eta, or any C_max = 0
+            (log undefined; parameters outside the squeezed regime).
     """
-    n_values = np.asarray(n_values, dtype=int)
-    if n_values.ndim != 1 or n_values.size < 3:
-        raise ValueError("n_values must contain at least 3 ensemble sizes")
-    if np.any(n_values < 2):
+    sizes = np.asarray(n_values)
+    if sizes.ndim != 1 or len(set(sizes.tolist())) < 3:
+        raise ValueError("n_values must contain at least 3 distinct ensemble sizes")
+    for n in n_values:
+        # the rule of channels._check_n_probes: 3.7 is refused, not cut to 3
+        if not isinstance(n, (int, np.integer)):
+            raise ValueError(f"ensemble sizes must be integers, got {n!r}")
+    if np.any(sizes < 2):
         raise ValueError("ensemble sizes must be >= 2")
     _check_eta(eta)
 
     cmax = []
-    for n in n_values.tolist():
+    for n in sizes.tolist():
         state = oat_reduced_state(OatParameters(n, theta))
-        rescaled = (n - 1) * x_state_observables(state, Channel.I, 1.0, n).concurrence
+        rescaled = x_state_observables(state, Channel.I, 1.0, n).rescaled
         # (N - 1) C / (N - 1), not C: the bits of the series' rescaled column at t = 0
         cmax.append(float(rescaled / (n - 1)))
     cmax = np.array(cmax)
@@ -479,7 +482,7 @@ def fit_cmax_scaling(
             "C_max vanished for some ensemble size: parameters outside the "
             "squeezed regime, log fit undefined"
         )
-    x = n_values - 2.0
+    x = sizes - 2.0
     log_cmax = np.log(cmax)
     alpha, intercept = np.polyfit(x, log_cmax, 1)
     predicted = alpha * x + intercept
@@ -488,7 +491,7 @@ def fit_cmax_scaling(
         alpha=float(alpha),
         intercept=float(intercept),
         residual=residual,
-        n_values=n_values,
+        n_values=sizes,
         log_cmax=log_cmax,
     )
 

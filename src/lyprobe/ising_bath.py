@@ -13,16 +13,14 @@ the dephasing factor costs O(1) per point (log-polar ``2 r^N cos(N*gamma)``
 where the eigenvalues are a complex pair), and the zero phases have a closed
 form.
 A grid costs its trigonometry: the phase N w is split at a multiple of 2**-20
-by an exact power-of-two remainder, not by np.fmod, whose libm loop took
-about 100 ns a point, a third of the grid's cost.  About 0.2 us a point on a
-24,002-point strong-coupling grid, 0.33 us with np.fmod (CPython 3.11,
-numpy 2.4, one core of a shared 2-vCPU VM).  A single point runs the same
-formulas on Python floats, with the ring's constants (``IsingRing._transfer``)
-built once per ring: about 6.6 us per ``dephasing_factor`` call, 7.8 us when
-each point rebuilt them.  ``math`` gives the array route's bits for sqrt,
-copysign, sin and cos (libm in both), and ``math.fmod`` is exact, like the
-array route's remainder; arctan2, exp and log1p stay numpy calls, since numpy
-may run them through SIMD loops that differ from libm in the last bit.
+by an exact power-of-two remainder, not by np.fmod's libm loop.  Every
+caller of ``factor_values`` takes this array route, a scalar as a one-element
+vector.  The float route, the same formulas on Python floats with the ring's
+constants (``IsingRing._transfer``) built once per ring, serves only the
+point API ``dephasing_factor``.  ``math`` gives the array route's bits for
+sqrt, copysign, sin and cos (libm in both), and ``math.fmod`` is exact, like
+the array route's remainder; arctan2, exp and log1p stay numpy calls, since
+numpy may run them through SIMD loops that differ from libm in the last bit.
 
 One type, ``IsingRing``, is both the ring and its polynomial:
 ``(N_b, beta, beta*lambda)``, with the coefficient vector built (closed
@@ -104,7 +102,7 @@ class IsingRing:
                 f"nonzero for the transfer form (beta_lambda <= ~372.5), got {k!r}"
             )
 
-    # cached, so the scalar factor route reads them as fast as fields
+    # cached, so dephasing_factor's float route reads them as fast as fields
     @cached_property
     def beta(self) -> float:
         """The inverse temperature."""
@@ -364,15 +362,12 @@ def _transfer_power_sum(
     The scaled eigenvalues are r_+- = (cos w +- sqrt(q - sin^2 w)) / (1 + sqrt q),
     q = exp(-4 beta_lambda): a real pair where sin^2 w <= q, a complex pair
     elsewhere.  ``root_q``, ``q`` and the arc's ``amplitude`` are the ring's
-    constants (``IsingRing._transfer``).  ``f`` is ``_FLOAT`` for a Python
-    float w, which takes its one branch directly and returns a float, or
-    ``_ARRAY`` for an array, which is split by branch with a mask.  Both run the same
-    formulas with the same bits: the remainder that splits the phase is
-    exact on both (``math.fmod``, ``_pow2_fmod``).  On an array the six sin
-    and cos take about two thirds of the time.  A float point costs 2 to
-    3.5 us on either branch (CPython 3.11, numpy 2.4, one core of a shared
-    2-vCPU VM); the numpy calls that keep the array route's bits take 1.2 to
-    2 us of it: arctan2 on the arc, two exp and two log1p on the real branch.
+    constants (``IsingRing._transfer``).  ``f`` is ``_ARRAY`` for an array,
+    which is split by branch with a mask, or ``_FLOAT`` for the Python float
+    of ``dephasing_factor``, which takes its one branch directly and returns
+    a float.  Both run the same formulas with the same bits: the remainder
+    that splits the phase is exact on both (``_pow2_fmod``, ``math.fmod``).
+    On an array the six sin and cos take about two thirds of the time.
     """
     s = f.sin(w)
     c = f.cos(w)
@@ -402,37 +397,23 @@ def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
     any N.
 
     ``angles`` may be an array or a scalar (Python float, numpy scalar or
-    0-d array).  A scalar becomes one Python float and runs the same
-    formulas on floats, so its value is bit-identical to that element of an
-    array call, and it returns an ``np.float64``; an array returns an array
-    of its shape.
+    0-d array).  Every input runs the array route as one flat vector; an
+    array returns an array of its shape, a scalar an ``np.float64``.
 
     Raises:
         ValueError: if an angle is not finite, or its phase N_b * w is not;
-            an array is checked before anything is evaluated.
+            checked before anything is evaluated.
     """
     nb = ring.n_spins
-    if not isinstance(angles, float):
-        angles = np.asarray(angles, dtype=float)
-        if angles.ndim:
-            # one reduction: max |w| is nan, or its phase inf, exactly when some
-            # element's is; numpy would warn on sin(inf) and on N_b * 1e308
-            if not math.isfinite(float(nb) * float(np.abs(angles).max(initial=0.0))):
-                bad = next(w for w in angles.ravel().tolist() if not math.isfinite(float(nb) * w))
-                raise _angle_error(nb, bad)
-            root_q, q, amplitude, norm = ring._transfer
-            return _transfer_power_sum(nb, root_q, q, amplitude, angles, _ARRAY) / norm
-    return np.float64(_point_value(ring, float(angles)))
-
-
-def _point_value(ring: IsingRing, w: float) -> float:
-    """A at one angle, a Python float: the float route of :func:`factor_values`."""
-    nb = ring.n_spins
-    # math.sin raises a bare "math domain error" past the double range
-    if not math.isfinite(float(nb) * w):
-        raise _angle_error(nb, w)
+    angles = np.asarray(angles, dtype=float)
+    flat = angles.reshape(-1)
+    # one reduction: max |w| is nan, or its phase inf, exactly when some
+    # element's is; numpy would warn on sin(inf) and on N_b * 1e308
+    if not math.isfinite(float(nb) * float(np.abs(flat).max(initial=0.0))):
+        raise _angle_error(nb, next(w for w in flat.tolist() if not math.isfinite(float(nb) * w)))
     root_q, q, amplitude, norm = ring._transfer
-    return _transfer_power_sum(nb, root_q, q, amplitude, w, _FLOAT) / norm
+    values = _transfer_power_sum(nb, root_q, q, amplitude, flat, _ARRAY) / norm
+    return values.reshape(angles.shape) if angles.ndim else values[0]
 
 
 def _angle_error(nb: int, w: float) -> ValueError:
@@ -445,9 +426,10 @@ def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
     """Probe dephasing factor at imaginary field i*x.
 
     Real and even in x for the symmetric ring polynomial; |A| <= 1 with
-    equality at x = 0.  Periodic in beta*x with period pi.  The angle
-    beta * x takes the float route of :func:`factor_values`, so the value
-    is bit-identical to the one an array call gives at that point.
+    equality at x = 0.  Periodic in beta*x with period pi.  The one caller
+    of the float route: the angle beta * x runs the pair-sum formulas on
+    Python floats, and the value is bit-identical to the one
+    :func:`factor_values` gives at that angle.
 
     Raises:
         ValueError: if x is not finite, or the phase N_b * beta * |x| the
@@ -455,8 +437,15 @@ def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x!r}")
-    _check_phase(ring.n_spins, 1.0, "beta", ring.beta, "x", abs(x))
-    return DephasingFactor(value=_point_value(ring, float(ring.beta * x)), argument=float(x))
+    nb = ring.n_spins
+    _check_phase(nb, 1.0, "beta", ring.beta, "x", abs(x))
+    w = float(ring.beta * x)
+    # math.sin raises a bare "math domain error" past the double range
+    if not math.isfinite(float(nb) * w):
+        raise _angle_error(nb, w)
+    root_q, q, amplitude, norm = ring._transfer
+    value = _transfer_power_sum(nb, root_q, q, amplitude, w, _FLOAT) / norm
+    return DephasingFactor(value=value, argument=float(x))
 
 
 def _check_eta(eta: float) -> None:

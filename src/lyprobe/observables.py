@@ -95,26 +95,30 @@ class XStateObservables(NamedTuple):
 
     ``lambdas`` holds the four spin-flip singular values unsorted:
     sqrt(v+ v-) + d_u, |sqrt(v+ v-) - d_u|, w + d_y and |w - d_y|, where
-    d_u and d_y are the damped cross-coherence moduli.
+    d_u and d_y are the damped cross-coherence moduli.  ``rescaled`` is
+    (N - 1) C and ``xi2_prime`` is 1 - (N - 1) C, the squeezing bound.
     """
 
     coherence: np.ndarray
     lambdas: tuple
     concurrence: np.ndarray
     xi2: np.ndarray
+    rescaled: np.ndarray
+    xi2_prime: np.ndarray
 
 
 def x_state_observables(
     state: TwoQubitXState, channel: Channel, a, n_probes: int
 ) -> XStateObservables:
-    """Coherence, spin-flip values, concurrence and xi^2 at factor(s) A.
+    """Coherence, spin-flip values, concurrence, xi^2 and its bound at factor(s) A.
 
     The channels differ only in how they damp the cross coherences: channel I
     scales |u| and |y| by A^2, channel II scales |u| by |A| and leaves y.
     The X pattern block-diagonalizes the spin-flip product, so the outer
     block gives sqrt(v+ v-) +- d_u and the inner block w +- d_y, and the
     concurrence is the largest value minus the other three.  xi^2 =
-    1 + 2(N-1)(<s1+ s2-> - |<s1- s2->|) from the damped pair correlators.
+    1 + 2(N-1)(<s1+ s2-> - |<s1- s2->|) from the damped pair correlators,
+    and xi'^2 = 1 - (N-1) C.
 
     ``a`` is a float or an array and is not validated.  The order of every
     operation is fixed: the bytes of the simulate CSV depend on it.
@@ -140,7 +144,8 @@ def x_state_observables(
     lam4 = np.abs(state.w - damp_y)
     total = lam1 + lam2 + lam3 + lam4
     conc = np.maximum(0.0, 2.0 * np.maximum(lam1, lam3) - total)
-    return XStateObservables(coh, (lam1, lam2, lam3, lam4), conc, xi2)
+    rescaled = (n_probes - 1) * conc
+    return XStateObservables(coh, (lam1, lam2, lam3, lam4), conc, xi2, rescaled, 1.0 - rescaled)
 
 
 def coherence(state: TwoQubitXState, channel: Channel, factor) -> float:
@@ -219,10 +224,9 @@ def _closed_form_concurrence(
     state: TwoQubitXState, channel: Channel, factor, n_probes: int
 ) -> ConcurrenceResult:
     values = x_state_observables(state, channel, _factor_value(factor), n_probes)
-    conc = float(values.concurrence)
     return ConcurrenceResult(
-        concurrence=conc,
-        rescaled=(n_probes - 1) * conc,
+        concurrence=float(values.concurrence),
+        rescaled=float(values.rescaled),
         lambdas=np.sort(np.array(values.lambdas, dtype=float))[::-1],
     )
 
@@ -272,7 +276,7 @@ def spin_squeezing(
     else:
         improvement_max = 0.0
     xi2 = float(values.xi2)
-    xi2_prime = 1.0 - (n_probes - 1) * float(values.concurrence)
+    xi2_prime = float(values.xi2_prime)
     return SqueezingReport(
         xi2=xi2,
         xi2_prime=xi2_prime,

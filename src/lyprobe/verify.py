@@ -46,7 +46,6 @@ from .ising_bath import (
     IsingRing,
     LeeYangZeroSet,
     _check_phase,
-    dephasing_factor,
     factor_values,
     lee_yang_zeros,
     zero_residuals,
@@ -226,13 +225,10 @@ def check_factor_symmetry() -> str:
 
 def check_zero_time_collapse() -> str:
     ring = IsingRing(n_spins=7, inverse_temperature=0.5)
-    zs = lee_yang_zeros(ring)
     eta = 0.01
-    worst = 0.0
-    for t in zero_times(zs, eta):
-        # channel-I field argument at the collapse time
-        x = Channel.I.rate * eta * t / ring.beta
-        worst = max(worst, abs(dephasing_factor(ring, float(x)).value))
+    # channel-I field argument at every collapse time, in one call
+    x = Channel.I.rate * eta * zero_times(lee_yang_zeros(ring), eta) / ring.beta
+    worst = float(np.abs(factor_values(ring, ring.beta * x)).max())
     _require(worst <= 1e-9, f"factor at collapse times {worst}")
     return f"|A| <= {worst:.2e} at all predicted collapse times"
 
@@ -307,7 +303,7 @@ def check_squeezing_identities() -> str:
     u0 = abs(state.u)
     a = np.linspace(-1.0, 1.0, 101)
     shared = x_state_observables(state, Channel.II, a, n)
-    identity = np.abs(shared.xi2 - (1.0 - (n - 1) * shared.concurrence))
+    identity = np.abs(shared.xi2 - shared.xi2_prime)
     worst_identity = float(np.max(identity[np.abs(a) * u0 >= y0], initial=0.0))
     _require(worst_identity <= 1e-12, f"shared-bath identity broken {worst_identity}")
 
@@ -315,7 +311,7 @@ def check_squeezing_identities() -> str:
     # scan must include that point to attain the closed-form maximum
     factors = np.sort(np.append(np.linspace(0.0, 1.0, 2001), np.sqrt(y0 / u0)))
     own = x_state_observables(state, Channel.I, factors, n)
-    gaps = (1.0 - (n - 1) * own.concurrence) - own.xi2
+    gaps = own.xi2_prime - own.xi2
     _require(bool(np.all(gaps >= -1e-12)), "improvement negative under channel I")
     closed_max = spin_squeezing(state, Channel.I, 1.0, n).improvement_max
     _require(

@@ -756,6 +756,25 @@ class TestConcurrenceScaling:
         with pytest.raises(ValueError, match=">= 2"):
             fit_cmax_scaling([1, 3, 4], np.pi / 2, strong_ring)
 
+    @pytest.mark.parametrize(
+        "sizes,shown",
+        [([3.7, 4.2, 5.9], "3.7"), ([3, 4.5, 5], "4.5"), (np.array([3.0, 4.0, 5.0]), "np.float64(3.0)")],
+    )
+    def test_rejects_non_integer_sizes(self, strong_ring, sizes, shown):
+        # not truncated to 3, 4, 5: a size must have an integer type, as N does everywhere
+        with pytest.raises(ValueError) as raised:
+            fit_cmax_scaling(sizes, np.pi / 2, strong_ring)
+        assert str(raised.value) == f"ensemble sizes must be integers, got {shown}"
+
+    @pytest.mark.parametrize("sizes", [[3, 3, 3], [3, 4, 4, 3], [5, 5, 6]])
+    def test_rejects_fewer_than_three_distinct_sizes(self, strong_ring, sizes):
+        # a line through fewer than 3 distinct points is no fit; np.polyfit
+        # would warn (RankWarning) on a single point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least 3 distinct ensemble sizes"):
+                fit_cmax_scaling(sizes, np.pi / 2, strong_ring)
+
     def test_rejects_unentangled_regime(self, strong_ring):
         with pytest.raises(ValueError, match="vanished"):
             fit_cmax_scaling([3, 4, 5], 0.0, strong_ring)

@@ -11,16 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyprobe import (
+    Channel,
     DephasingFactor,
     IsingRing,
     LeeYangZeroSet,
+    OatParameters,
+    Scenario,
     dephasing_factor,
+    detect_coherence_zeros,
     lee_yang_zeros,
     partition_coefficients,
+    run_scenario,
     zero_times,
 )
 
-from lyprobe import ising_bath
+from lyprobe import ising_bath, verify
 from lyprobe.ising_bath import factor_values, zero_residuals
 from lyprobe.verify import dephasing_factor_product, partition_coefficients_bruteforce
 
@@ -599,7 +604,7 @@ def sweep_angles(ring):
 
 
 class TestFloatRoute:
-    """A scalar runs the pair-sum formulas on Python floats with the array route's bits."""
+    """A scalar angle gets an array call's bits: on dephasing_factor's float route too."""
 
     @pytest.mark.parametrize("form", [*SCALAR_FORMS, "dephasing_factor"])
     @pytest.mark.parametrize("nb,beta_lambda", SCALAR_RINGS)
@@ -749,6 +754,60 @@ class TestRingConstants:
         assert factor_values(ring, -0.0) == 1.0
         assert np.array_equal(factor_values(ring, np.zeros(3)), np.ones(3))
         assert dephasing_factor(ring, 0.0).value == 1.0
+
+
+class TestSingleArrayRoute:
+    """The package evaluates A on arrays; the float route serves dephasing_factor alone."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        taken = []
+        original = ising_bath._transfer_power_sum
+
+        def spy(nb, root_q, q, amplitude, w, f):
+            taken.append(f)
+            return original(nb, root_q, q, amplitude, w, f)
+
+        monkeypatch.setattr(ising_bath, "_transfer_power_sum", spy)
+        return taken
+
+    def test_verify_battery_takes_no_float_route(self, routes):
+        assert verify.run_checks(verbose=False)
+        assert routes and not any(f is ising_bath._FLOAT for f in routes)
+
+    def test_series_and_detection_take_no_float_route(self, routes):
+        series = run_scenario(
+            Scenario(
+                ring=ring_at(40, 0.5),
+                oat=OatParameters(3, np.pi / 2),
+                channel=Channel.I,
+                t_max=100.0,
+                steps=4001,
+            )
+        )
+        assert detect_coherence_zeros(series).size > 0
+        assert routes and not any(f is ising_bath._FLOAT for f in routes)
+
+    def test_point_api_is_the_float_route(self, routes):
+        ring = ring_at(6, 0.5)
+        ring._transfer  # the ring's constants are built by an array call
+        routes.clear()
+        dephasing_factor(ring, 0.3)
+        factor_values(ring, 0.3)
+        assert routes == [ising_bath._FLOAT, ising_bath._ARRAY]
+
+    def test_collapse_check_is_one_factor_call(self, monkeypatch):
+        calls = []
+        original = verify.factor_values
+
+        def counting(ring, angles):
+            calls.append(np.shape(angles))
+            return original(ring, angles)
+
+        monkeypatch.setattr(verify, "factor_values", counting)
+        assert verify.check_zero_time_collapse() == "|A| <= 4.91e-16 at all predicted collapse times"
+        # N_b = 7: one call on all seven collapse angles
+        assert calls == [(7,)]
 
 
 class TestPastCoefficientLimit:

@@ -132,9 +132,8 @@ class TestXStateKernel:
     def test_matches_series_reference_bit_for_bit(self, channel, n, theta):
         state = oat_reduced_state(OatParameters(n, theta))
         values = x_state_observables(state, Channel(channel), self.FACTORS, n)
-        rescaled = (n - 1) * values.concurrence
         expected = series_observables_reference(state, channel, n, self.FACTORS)
-        computed = (values.coherence, rescaled, values.xi2, 1.0 - rescaled)
+        computed = (values.coherence, values.rescaled, values.xi2, values.xi2_prime)
         for got, want in zip(computed, expected):
             assert np.array_equal(got, want)
 
@@ -155,6 +154,8 @@ class TestXStateKernel:
         assert np.array_equal(1.0 - 4 * values.concurrence, [r.xi2_prime for r in reports])
         rescaled = [wrapper(state, a, 5).rescaled for a in factors]
         assert np.array_equal(4 * values.concurrence, rescaled)
+        assert np.array_equal(values.rescaled, rescaled)
+        assert np.array_equal(values.xi2_prime, [r.xi2_prime for r in reports])
 
 
 class TestConcurrenceGeneric:
