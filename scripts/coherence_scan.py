@@ -36,8 +36,7 @@ from lyprobe import (
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--nb", type=int, default=10, help="ring size (default 10)")
-    ap.add_argument("--beta", type=float, default=0.5, help="inverse temperature (default 0.5)")
-    ap.add_argument("--lambda", dest="coupling", type=float, default=1.0, help="ring coupling (default 1.0)")
+    ap.add_argument("--beta", type=float, default=0.5, help="beta * lambda, coupling as the unit (default 0.5)")
     ap.add_argument("--probes", type=int, default=3, help="ensemble size N (default 3)")
     ap.add_argument("--theta", type=float, default=np.pi / 2, help="twisting angle (default pi/2)")
     ap.add_argument("--eta", type=float, default=0.01, help="probe-ring coupling (default 0.01)")
@@ -47,7 +46,7 @@ def main() -> None:
     ap.add_argument("--out", default=None, help="optional CSV output path")
     args = ap.parse_args()
 
-    ring = IsingRing(args.nb, coupling=args.coupling, inverse_temperature=args.beta)
+    ring = IsingRing(args.nb, inverse_temperature=args.beta)
     channel = Channel(args.channel)
     period = coherence_period(args.eta, channel)
     t_max = args.periods * period
@@ -59,7 +58,7 @@ def main() -> None:
     scenario = Scenario(ring, OatParameters(args.probes, args.theta), channel, t_max, steps, args.eta)
     series = run_scenario(scenario)
 
-    print(f"ring N_b={args.nb} beta={args.beta} lambda={args.coupling} channel {channel.value}")
+    print(f"ring N_b={args.nb} beta*lambda={args.beta} channel {channel.value}")
     print(f"period T={period:.6g}  grid {steps} points over {args.periods} period(s)")
     # predicted times repeat each period; tile them to match the scan length
     tiled = np.concatenate([predicted + k * period for k in range(args.periods)])

@@ -33,8 +33,7 @@ from lyprobe import (
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--nb", type=int, default=10, help="ring size (default 10)")
-    ap.add_argument("--beta", type=float, default=10.0, help="inverse temperature (default 10)")
-    ap.add_argument("--lambda", dest="coupling", type=float, default=1.0, help="ring coupling (default 1.0)")
+    ap.add_argument("--beta", type=float, default=10.0, help="beta * lambda, coupling as the unit (default 10)")
     ap.add_argument("--probes", type=int, default=3, help="ensemble size N (default 3)")
     ap.add_argument("--theta", type=float, default=np.pi / 2, help="twisting angle (default pi/2)")
     ap.add_argument("--eta", type=float, default=0.01, help="probe-ring coupling (default 0.01)")
@@ -42,7 +41,7 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=0, help="grid points; 0 picks a zero-resolving default")
     args = ap.parse_args()
 
-    ring = IsingRing(args.nb, coupling=args.coupling, inverse_temperature=args.beta)
+    ring = IsingRing(args.nb, inverse_temperature=args.beta)
     period = coherence_period(args.eta, Channel.I)
     zeros = lee_yang_zeros(ring)
     t_zero = lee_yang_times(zeros, args.eta, Channel.I)
@@ -53,7 +52,7 @@ def main() -> None:
     series = run_scenario(scenario)
     domains = vanishing_domains(series, args.epsilon)
 
-    print(f"ring N_b={args.nb} beta={args.beta} lambda={args.coupling}, N={args.probes} probes")
+    print(f"ring N_b={args.nb} beta*lambda={args.beta}, N={args.probes} probes")
     print(f"{len(domains)} vanishing domain(s) on one period ({steps} grid points)")
     print(f"{'start':>12s} {'center':>12s} {'end':>12s}  {'zero inside':>12s}  clipped")
     for dom in domains:

@@ -45,8 +45,7 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="run a scenario and write the observable series as CSV")
     sim.add_argument("--nb", type=int, required=True, help="ring size (number of spins)")
-    sim.add_argument("--beta", type=float, required=True, help="inverse temperature")
-    sim.add_argument("--lambda", dest="coupling", type=float, default=1.0, help="ring coupling (default 1.0)")
+    sim.add_argument("--beta", type=float, required=True, help="beta * lambda (coupling lambda as the unit)")
     sim.add_argument("--probes", type=int, required=True, help="ensemble size N")
     sim.add_argument("--theta", type=float, required=True, help="twisting angle (radians)")
     sim.add_argument("--eta", type=float, default=0.01, help="probe-ring coupling (default 0.01)")
@@ -62,8 +61,7 @@ def _build_parser() -> _Parser:
 
     zer = sub.add_parser("zeros", help="write the zero phases and their residuals as CSV")
     zer.add_argument("--nb", type=int, required=True, help="ring size")
-    zer.add_argument("--beta", type=float, required=True, help="inverse temperature")
-    zer.add_argument("--lambda", dest="coupling", type=float, default=1.0, help="ring coupling (default 1.0)")
+    zer.add_argument("--beta", type=float, required=True, help="beta * lambda (coupling lambda as the unit)")
     zer.add_argument(
         "--out",
         required=True,
@@ -89,11 +87,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
-    ring = IsingRing(
-        n_spins=args.nb,
-        coupling=args.coupling,
-        inverse_temperature=args.beta,
-    )
+    ring = IsingRing(n_spins=args.nb, inverse_temperature=args.beta)
     channel = Channel(args.channel)
     steps = args.steps
     if steps is None:
@@ -118,11 +112,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    ring = IsingRing(
-        n_spins=args.nb,
-        coupling=args.coupling,
-        inverse_temperature=args.beta,
-    )
+    ring = IsingRing(n_spins=args.nb, inverse_temperature=args.beta)
     phases = lee_yang_zeros(ring).phases
     residuals = zero_residuals(ring, phases)
     _write_csv(args.out, "phase,modulus_residual", [phases, residuals])

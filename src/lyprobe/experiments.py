@@ -201,9 +201,8 @@ def run_scenario(s: Scenario) -> ObservableSeries:
         return series_from_polynomial(s.ring, s.oat, s.eta, s.channel, times)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         context = (
-            f"scenario(n_spins={s.ring.n_spins}, beta={s.ring.inverse_temperature}, "
-            f"coupling={s.ring.coupling}, n_probes={s.oat.n_probes}, "
-            f"channel={s.channel.value})"
+            f"scenario(n_spins={s.ring.n_spins}, beta_lambda={s.ring.beta_lambda}, "
+            f"n_probes={s.oat.n_probes}, channel={s.channel.value})"
         )
         raise type(exc)(f"{context}: {exc}") from exc
 
@@ -316,19 +315,29 @@ def _reaches_zero(series: ObservableSeries, state) -> bool:
     return floor < _COLLAPSE_THRESHOLD * series.coherence.max()
 
 
+def _runs_as_points(values: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` and ``t``, each run of equal values cut to its first sample (if any run)."""
+    fresh = values[1:] != values[:-1]
+    if fresh.all():
+        return values, t
+    points = np.flatnonzero(np.concatenate(([True], fresh)))
+    return values[points], t[points]
+
+
 def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     """Times where the probe coherence collapses to zero, refined analytically.
 
-    The coherence vanishes only where the factor A does, so the candidates
-    come from the sampled ``a_factor`` column alone: every sign change of A
-    between adjacent samples, and every local minimum of |A| whose three
-    samples share one sign (a zero of even order, such as A = cos^N_b at
-    beta * coupling = 0).  A run of equal samples is one point, and a sample
-    that underflowed to 0 has no sign.  Sign changes are refined together on
-    the analytic factor by Anderson-Bjorck regula falsi from the sampled ends
-    to a width of 1e-15 + 8.9e-16 |t|, and the same-sign minima together by a
-    golden-section search on |A|.  A refined point is kept if its coherence
-    falls below ``_COLLAPSE_THRESHOLD`` (1e-6) times the series maximum.
+    No times if even A = 0 leaves the coherence above the collapse threshold,
+    seen before any candidate is built.  Else the coherence vanishes only
+    where A does, so the candidates come from the sampled ``a_factor`` alone:
+    every sign change of A between adjacent samples, and every local minimum
+    of |A| whose three samples share one sign (a zero of even order, such as
+    A = cos^N_b at beta * lambda = 0).  A run of equal samples is one point,
+    and a sample that underflowed to 0 has no sign.  Sign changes are refined
+    together on the analytic factor by Anderson-Bjorck regula falsi from the
+    sampled ends to a width of 1e-15 + 8.9e-16 |t|, and the same-sign minima
+    together by a golden-section search on |A|.  A refined point is kept if
+    its coherence is below ``_COLLAPSE_THRESHOLD`` (1e-6) times the maximum.
     """
     t = series.times
     if t.size < 3:
@@ -336,14 +345,13 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     peak = series.coherence.max()
     if peak <= 0.0:
         return np.array([])
+    state = oat_reduced_state(series.probe)
+    if not _reaches_zero(series, state):
+        return np.array([])
 
     # a run of equal samples is one point: a grid symmetric about an even
     # zero samples it twice, and an A that underflows steps down in runs
-    a, times = series.a_factor, t
-    fresh = a[1:] != a[:-1]
-    if not fresh.all():
-        points = np.flatnonzero(np.concatenate(([True], fresh)))
-        a, times = a[points], t[points]
+    a, times = _runs_as_points(series.a_factor, t)
     # signs (int8), not products: at weak coupling A itself can be ~1e-200,
     # and a sample that underflowed to 0 has sign 0, so it brackets nothing
     sign = (a > 0.0).view(np.int8) - (a < 0.0).view(np.int8)
@@ -352,10 +360,6 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     mag, same = np.abs(a), pairs > 0
     dips = 1 + np.flatnonzero(same[:-1] & same[1:] & (mag[1:-1] < np.minimum(mag[:-2], mag[2:])))
     if flips.size == 0 and dips.size == 0:
-        return np.array([])
-
-    state = oat_reduced_state(series.probe)
-    if not _reaches_zero(series, state):
         return np.array([])
 
     def a_of_t(x):
@@ -431,11 +435,9 @@ def count_recovery_peaks(series: ObservableSeries) -> int:
             f"series ends at t={t[-1]}, less than one period ({period}) after "
             f"the first collapse at t={start}"
         )
-    first = np.concatenate(([True], series.coherence[1:] != series.coherence[:-1]))
-    coh, t = series.coherence[first], t[first]
-    inner = np.arange(1, t.size - 1)
-    is_peak = (coh[inner] > coh[inner - 1]) & (coh[inner] > coh[inner + 1])
-    in_window = (t[inner] > start) & (t[inner] <= start + period)
+    coh, t = _runs_as_points(series.coherence, t)
+    is_peak = (coh[1:-1] > coh[:-2]) & (coh[1:-1] > coh[2:])
+    in_window = (t[1:-1] > start) & (t[1:-1] <= start + period)
     return int(np.count_nonzero(is_peak & in_window))
 
 

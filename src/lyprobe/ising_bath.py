@@ -22,12 +22,12 @@ sqrt, copysign, sin and cos (libm in both), and ``math.fmod`` is exact, like
 the array route's remainder; arctan2, exp and log1p stay numpy calls, since
 numpy may run them through SIMD loops that differ from libm in the last bit.
 
-One type, ``IsingRing``, is both the ring and its polynomial:
-``(N_b, beta, beta*lambda)``, with the coefficient vector built (closed
-form) only when it is read, by the residual certificate ``zero_residuals``
-and the cross-checks.  So ``A`` and the zeros need no coefficients and run
-past the ring size where they overflow.  The cross-check routes, brute-force
-enumeration for small rings and the product over zeros, live in ``verify``.
+One type, ``IsingRing``, is both the ring and its polynomial: ``(N_b,
+beta*lambda)``, with ``beta`` read only where ``dephasing_factor`` turns a
+field into an angle, and the coefficients built (closed form) only when read,
+by the residual certificate ``zero_residuals`` and the cross-checks.  So
+``A`` and the zeros run past the ring size where the coefficients overflow.
+The cross-checks, enumeration and the product over zeros, live in ``verify``.
 """
 
 from __future__ import annotations
@@ -55,12 +55,13 @@ _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 class IsingRing:
     """Periodic chain of Ising spins with uniform ferromagnetic coupling.
 
-    The ring is its own fugacity polynomial, of degree ``n_spins``: ``beta``
-    (the inverse temperature) turns a field argument into a rotation angle,
-    and ``beta_lambda`` (beta * coupling) fixes the transfer form, which
-    gives the dephasing factor and the zero phases.  The coefficient vector
-    is built only when ``coefficients`` is read.  Equal rings compare equal
-    and hash alike.
+    The ring is its own fugacity polynomial, of degree ``n_spins``:
+    ``beta_lambda`` (beta * coupling) gives the factor at rotation angles
+    and the zero phases; ``beta`` only turns the field of
+    ``dephasing_factor`` into an angle.  At unit coupling (the default),
+    ``inverse_temperature`` is beta * lambda, as the CLI's ``--beta`` is.
+    The coefficient vector is built only when ``coefficients`` is read.
+    Equal rings compare equal and hash alike.
 
     Attributes:
         n_spins: number of spins on the ring, at least 3.
@@ -193,12 +194,11 @@ class LeeYangZeroSet:
     """Unit-circle zero phases of a partition polynomial, sorted ascending.
 
     ``phases`` are the arguments phi_n of the roots exp(i*phi_n) in (0, 2*pi),
-    closed under conjugation (phi <-> 2*pi - phi).  ``beta`` is inherited
-    from the ring so the product-form dephasing factor can be evaluated.
+    closed under conjugation (phi <-> 2*pi - phi): the whole set, since the
+    product-form factor takes rotation angles.
     """
 
     phases: np.ndarray
-    beta: float
 
     def __post_init__(self) -> None:
         phases = np.asarray(self.phases, dtype=float)
@@ -215,8 +215,6 @@ class LeeYangZeroSet:
         mirrored = TWO_PI - phases[::-1]
         if not np.abs(phases - mirrored).max() <= 1e-9:
             raise ValueError("phases must be closed under conjugation")
-        if not np.isfinite(self.beta) or self.beta < 0.0:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
         phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
 
@@ -274,7 +272,7 @@ def lee_yang_zeros(ring: IsingRing) -> LeeYangZeroSet:
     ``ring.beta_lambda``, sorted and closed under conjugation.  The
     coefficients are not built.
     """
-    return LeeYangZeroSet(phases=_ring_phases(ring.n_spins, ring.beta_lambda), beta=ring.beta)
+    return LeeYangZeroSet(phases=_ring_phases(ring.n_spins, ring.beta_lambda))
 
 
 def zero_residuals(ring: IsingRing, phases: np.ndarray) -> np.ndarray:
@@ -407,13 +405,17 @@ def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
     nb = ring.n_spins
     angles = np.asarray(angles, dtype=float)
     flat = angles.reshape(-1)
-    # one reduction: max |w| is nan, or its phase inf, exactly when some
-    # element's is; numpy would warn on sin(inf) and on N_b * 1e308
-    if not math.isfinite(float(nb) * float(np.abs(flat).max(initial=0.0))):
-        raise _angle_error(nb, next(w for w in flat.tolist() if not math.isfinite(float(nb) * w)))
+    _check_angles(nb, flat)
     root_q, q, amplitude, norm = ring._transfer
     values = _transfer_power_sum(nb, root_q, q, amplitude, flat, _ARRAY) / norm
     return values.reshape(angles.shape) if angles.ndim else values[0]
+
+
+def _check_angles(nb: int, angles: np.ndarray) -> None:
+    """Refuse angles w if one, or its phase N_b * w, is not finite (one max |w| tells)."""
+    if not math.isfinite(float(nb) * float(np.abs(angles).max(initial=0.0))):
+        w = next(w for w in angles.reshape(-1).tolist() if not math.isfinite(float(nb) * w))
+        raise _angle_error(nb, w)
 
 
 def _angle_error(nb: int, w: float) -> ValueError:
@@ -426,10 +428,10 @@ def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
     """Probe dephasing factor at imaginary field i*x.
 
     Real and even in x for the symmetric ring polynomial; |A| <= 1 with
-    equality at x = 0.  Periodic in beta*x with period pi.  The one caller
-    of the float route: the angle beta * x runs the pair-sum formulas on
-    Python floats, and the value is bit-identical to the one
-    :func:`factor_values` gives at that angle.
+    equality at x = 0.  Periodic in beta*x with period pi.  The one place a
+    ring's beta is read, and the one caller of the float route: the angle
+    beta * x runs the pair-sum formulas on Python floats, and the value is
+    bit-identical to the one :func:`factor_values` gives at that angle.
 
     Raises:
         ValueError: if x is not finite, or the phase N_b * beta * |x| the

@@ -4,14 +4,15 @@ Each check cross-validates one layer of the pipeline against an independent
 route: enumeration (``partition_coefficients_bruteforce``) vs the closed-form
 coefficients, companion-matrix roots (``np.roots``) vs the transfer-form zero
 phases, the product over zeros (``dephasing_factor_product``, one call per
-ring) vs the transfer-form factor, Kraus maps (one stacked set per channel
-for all 100 samples) vs closed-form updates, generic concurrence (one stacked
-call for all 400 matrices) vs X-state formulas, and the series-level
-symmetries.  Both named routes live here, the only place the program runs
-them.  The closed-form pair state is checked against the full 2^N
-state-vector reduction in the test suite, not here.  ``run_checks`` takes
-0.03-0.05 s on a shared 2-vCPU Xeon VM (CPython 3.11.7, numpy 2.4.6); every
-check runs and reports, and `lyprobe verify` exits 2 if any fails.
+ring) vs the transfer-form factor on the same rotation angles, Kraus maps
+(one stacked set per channel for all 100 samples) vs closed-form updates,
+generic concurrence (one stacked call for all 400 matrices) vs X-state
+formulas, and the series-level symmetries.  Both named routes live here,
+the only place the program runs them.  The closed-form pair state is checked
+against the full 2^N state-vector reduction in the test suite, not here.
+``run_checks`` takes 0.03-0.05 s on a shared 2-vCPU Xeon VM (CPython 3.11.7,
+numpy 2.4.6); every check runs and reports, and `lyprobe verify` exits 2 if
+any fails.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .experiments import (
 from .ising_bath import (
     IsingRing,
     LeeYangZeroSet,
-    _check_phase,
+    _check_angles,
     factor_values,
     lee_yang_zeros,
     zero_residuals,
@@ -92,30 +93,27 @@ def partition_coefficients_bruteforce(ring: IsingRing) -> np.ndarray:
     return counts
 
 
-def dephasing_factor_product(zeros: LeeYangZeroSet, x):
+def dephasing_factor_product(zeros: LeeYangZeroSet, w):
     """Probe dephasing factor from the zero phases, product form, as a raw complex.
 
     A = exp(i*N*w) * prod_n (exp(-2*i*w) - exp(i*phi_n)) / (1 - exp(i*phi_n))
-    with w = beta * x.  The raw complex product: it agrees with
-    ``ising_bath.dephasing_factor`` wherever both are well conditioned, and
+    at the rotation angles w of ``factor_values``.  The raw complex product:
+    it agrees with the transfer form wherever both are well conditioned, and
     the caller sets the tolerance on its distance and its imaginary part.
-    An array x gives an array, each element within the last bit of its point's.
+    An array w gives an array, each element within the last bit of its point's.
 
     Raises:
-        ValueError: if an x or its phase N_b * beta * |x| is not finite, or
-            any phase sits at the positive real axis (the denominator
-            1 - exp(i*phi_n) vanishes, signalling an invalid set).
+        ValueError: if an angle or its phase N_b * w is not finite (the check
+            of ``factor_values``), or any phase sits at the positive real axis
+            (1 - exp(i*phi_n) vanishes, signalling an invalid set).
     """
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError(f"x must be finite, got {float(x.flat[np.argmin(np.isfinite(x))])!r}")
+    w = np.asarray(w, dtype=float)
     nb = zeros.phases.size
-    _check_phase(nb, 1.0, "beta", zeros.beta, "x", float(np.abs(x).max(initial=0.0)))
+    _check_angles(nb, w)
     roots = np.exp(1j * zeros.phases)
     denom = 1.0 - roots
     if np.any(np.abs(denom) < 1e-12):
         raise ValueError("zero phase at the positive real axis: invalid zero set")
-    w = zeros.beta * x
     zeta = np.exp(-2j * w)
     value = np.exp(1j * nb * w) * np.prod((zeta[..., None] - roots) / denom, axis=-1)
     return value if value.ndim else complex(value)
@@ -186,14 +184,14 @@ def check_companion_cross_check() -> str:
 
 
 def check_factor_form_agreement() -> str:
-    # both routes take the whole grid, the transfer route with point-call bits
-    xs = np.linspace(0.0, 2.0 * np.pi, 41)
+    # both routes take one whole grid of angles, the transfer route with point-call bits
+    w = np.linspace(0.0, 2.0 * np.pi, 41)
     worst = 0.0
     for nb in (5, 10, 40):
         for bl in (0.5, 2.0):
-            ring = IsingRing(n_spins=nb, inverse_temperature=1.0, coupling=bl)
-            transfer = factor_values(ring, ring.beta * xs)
-            product = dephasing_factor_product(lee_yang_zeros(ring), xs)
+            ring = IsingRing(n_spins=nb, inverse_temperature=bl)
+            transfer = factor_values(ring, w)
+            product = dephasing_factor_product(lee_yang_zeros(ring), w)
             worst = max(worst, float(np.abs(transfer - product).max()))
     _require(worst <= 1e-8, f"factor form disagreement {worst}")
     return f"transfer vs product forms agree to {worst:.2e}"
@@ -202,33 +200,26 @@ def check_factor_form_agreement() -> str:
 def check_factor_symmetry() -> str:
     # the array route gives the bits dephasing_factor gives point by point
     ring = IsingRing(n_spins=9, inverse_temperature=0.7)
-    xs = np.linspace(-4.0, 4.0, 1001)
-    values = factor_values(ring, ring.beta * xs)
+    w = np.linspace(-2.8, 2.8, 1001)
+    values = factor_values(ring, w)
     _require(
         values.dtype == np.float64 and bool(np.all(np.isfinite(values))),
         "factor route did not return finite float64 values",
     )
-    _require(
-        bool(np.allclose(values, values[::-1], atol=1e-12)),
-        "factor not even in x",
-    )
+    _require(bool(np.allclose(values, values[::-1], atol=1e-12)), "factor not even in w")
     _require(float(np.max(np.abs(values))) <= 1.0 + 1e-12, "|A| exceeded 1")
-    period = np.pi / ring.beta
-    shifted = factor_values(ring, ring.beta * (xs + period))
-    parity = (-1.0) ** ring.n_spins
-    _require(
-        float(np.max(np.abs(shifted - parity * values))) <= 1e-9,
-        "periodicity broken",
-    )
+    # an odd ring flips the sign over half a period of w
+    shifted = (-1.0) ** ring.n_spins * factor_values(ring, w + np.pi)
+    _require(float(np.max(np.abs(shifted - values))) <= 1e-9, "periodicity broken")
     return "real, even, bounded, periodic"
 
 
 def check_zero_time_collapse() -> str:
     ring = IsingRing(n_spins=7, inverse_temperature=0.5)
     eta = 0.01
-    # channel-I field argument at every collapse time, in one call
-    x = Channel.I.rate * eta * zero_times(lee_yang_zeros(ring), eta) / ring.beta
-    worst = float(np.abs(factor_values(ring, ring.beta * x)).max())
+    # channel-I angle at every collapse time, in one call
+    w = Channel.I.rate * eta * zero_times(lee_yang_zeros(ring), eta)
+    worst = float(np.abs(factor_values(ring, w)).max())
     _require(worst <= 1e-9, f"factor at collapse times {worst}")
     return f"|A| <= {worst:.2e} at all predicted collapse times"
 
@@ -424,15 +415,12 @@ def run_checks(verbose: bool = True) -> bool:
     all_ok = True
     for name, fn in ALL_CHECKS:
         try:
-            detail = fn()
-            if verbose:
-                print(f"PASS  {name}: {detail}")
+            line = f"PASS  {name}: {fn()}"
         except CheckFailure as exc:
-            all_ok = False
-            if verbose:
-                print(f"FAIL  {name}: {exc}")
+            line = f"FAIL  {name}: {exc}"
         except Exception as exc:  # noqa: BLE001 - surface unexpected breakage as failure
-            all_ok = False
-            if verbose:
-                print(f"FAIL  {name}: unexpected {type(exc).__name__}: {exc}")
+            line = f"FAIL  {name}: unexpected {type(exc).__name__}: {exc}"
+        all_ok &= line.startswith("PASS")
+        if verbose:
+            print(line)
     return all_ok

@@ -248,6 +248,19 @@ class TestParsing:
         assert cli.main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            simulate_args("x.csv", ["--lambda", "2"]),
+            ["zeros", "--nb", "10", "--beta", "0.5", "--out", "x.csv", "--lambda", "2"],
+        ],
+        ids=["simulate", "zeros"],
+    )
+    def test_rejects_lambda(self, capsys, argv):
+        # a ring is (N_b, beta * lambda): --beta carries the product
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments: --lambda 2" in capsys.readouterr().err
+
     def test_option_set_of_each_subcommand(self):
         parser = cli._build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -257,10 +270,10 @@ class TestParsing:
         }
         assert options == {
             "simulate": {
-                "--nb", "--beta", "--lambda", "--probes", "--theta", "--eta", "--channel",
+                "--nb", "--beta", "--probes", "--theta", "--eta", "--channel",
                 "--t-max", "--steps", "--out",
             },
-            "zeros": {"--nb", "--beta", "--lambda", "--out"},
+            "zeros": {"--nb", "--beta", "--out"},
             "verify": set(),
             "fit-cmax": {"--theta", "--n-min", "--n-max"},
         }

@@ -260,13 +260,31 @@ class TestZeroDetection:
         ids=["sign-change", "flat-minimum", "staircase", "subnormal-staircase", "zero-samples"],
     )
     def test_candidates_come_from_the_sampled_factor(self, a_factor, candidate):
-        # refinement starts, with the threshold check, only where a candidate
+        # refinement on the analytic factor runs only where a candidate
         # exists; a run of equal samples is one point, and a sample at 0 has
-        # no sign
+        # no sign.  The analytic A of the provenance ring stays near 1 here,
+        # so no refined point collapses
         series = flat_series([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0], a_factor=a_factor)
-        with mock.patch.object(experiments, "_reaches_zero", return_value=False) as spy:
+        with (
+            mock.patch.object(experiments, "_reaches_zero", return_value=True),
+            mock.patch.object(
+                experiments, "factor_values", wraps=experiments.factor_values
+            ) as spy,
+        ):
             assert detect_coherence_zeros(series).size == 0
-        assert spy.call_count == int(candidate)
+        assert spy.called == candidate
+
+    def test_collapse_gate_comes_before_the_candidates(self):
+        # a series without candidates still asks whether A = 0 collapses the
+        # probe, once, before any candidate is built
+        series = flat_series(
+            [0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0], a_factor=[-1.0, -0.5, -0.5, -0.25]
+        )
+        with mock.patch.object(
+            experiments, "_reaches_zero", wraps=experiments._reaches_zero
+        ) as spy:
+            assert detect_coherence_zeros(series).size == 0
+        assert spy.call_count == 1
 
     def test_matches_zero_times(self):
         scenario = make_scenario(nb=6, steps=2401)

@@ -1,5 +1,6 @@
 """Ring polynomial coefficients, unit-circle zero phases, dephasing factors."""
 
+import dataclasses
 import functools
 import math
 import re
@@ -157,6 +158,25 @@ class TestPartitionPolynomial:
         ring = ring_at(7, 0.3)
         assert partition_coefficients(ring) is ring
 
+    @pytest.mark.parametrize(
+        "nb,beta,coupling",
+        [(200, 3.5, 2.0), (200, 0.7, 10.0), (100, 0.125, 2.0), (9, 0.3, 0.7), (40, 1e-3, 37.0)],
+    )
+    def test_a_ring_is_its_beta_lambda(self, nb, beta, coupling):
+        # the zeros and the series read only beta * lambda, so the ring with
+        # that product as its inverse temperature gives the same bits
+        split = IsingRing(nb, coupling=coupling, inverse_temperature=beta)
+        product = IsingRing(nb, inverse_temperature=beta * coupling)
+        assert np.array_equal(lee_yang_zeros(split).phases, lee_yang_zeros(product).phases)
+        probe = OatParameters(4, 1.2)
+        for channel in (Channel.I, Channel.II):
+            a, b = (
+                run_scenario(Scenario(ring, probe, channel, 314.159, 4001))
+                for ring in (split, product)
+            )
+            for name in ("times", "a_factor", "coherence", "concurrence_rescaled", "xi2", "xi2_prime"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
 
 class TestCoefficients:
     def test_frozen_small_ring(self):
@@ -245,29 +265,33 @@ class TestCoefficients:
 class TestLeeYangZeroSetValidation:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="sorted"):
-            LeeYangZeroSet(np.array([TWO_PI - 1.0, 1.0]), 1.0)
+            LeeYangZeroSet(np.array([TWO_PI - 1.0, 1.0]))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="inside"):
-            LeeYangZeroSet(np.array([0.0, np.pi]), 1.0)
+            LeeYangZeroSet(np.array([0.0, np.pi]))
 
     def test_rejects_broken_conjugate_closure(self):
         with pytest.raises(ValueError, match="conjugation"):
-            LeeYangZeroSet(np.array([1.0, np.pi]), 1.0)
+            LeeYangZeroSet(np.array([1.0, np.pi]))
 
     def test_conjugate_closure_tolerance_is_1e_9_absolute(self):
-        LeeYangZeroSet(np.array([1.0, TWO_PI - 1.0 + 0.9e-9]), 1.0)
+        LeeYangZeroSet(np.array([1.0, TWO_PI - 1.0 + 0.9e-9]))
         with pytest.raises(ValueError, match="closed under conjugation"):
-            LeeYangZeroSet(np.array([1.0, TWO_PI - 1.0 + 1.1e-9]), 1.0)
+            LeeYangZeroSet(np.array([1.0, TWO_PI - 1.0 + 1.1e-9]))
         # a multiset: repeated phases mirror onto their own copies
-        LeeYangZeroSet(np.array([1.0, 1.0, np.pi, TWO_PI - 1.0, TWO_PI - 1.0]), 1.0)
+        LeeYangZeroSet(np.array([1.0, 1.0, np.pi, TWO_PI - 1.0, TWO_PI - 1.0]))
         with pytest.raises(ValueError, match="closed under conjugation"):
-            LeeYangZeroSet(np.array([1.0, 1.0, TWO_PI - 1.0]), 1.0)
+            LeeYangZeroSet(np.array([1.0, 1.0, TWO_PI - 1.0]))
 
     def test_phases_frozen(self):
         zs = lee_yang_zeros(ring_at(5, 0.5))
         with pytest.raises(ValueError):
             zs.phases[0] = 1.0
+
+    def test_phases_are_the_whole_set(self):
+        # the product form takes angles, so a zero set carries no temperature
+        assert [f.name for f in dataclasses.fields(LeeYangZeroSet)] == ["phases"]
 
 
 class TestZeroExtraction:
@@ -370,30 +394,36 @@ class TestDephasingFactor:
     @pytest.mark.parametrize("product", [False, True])
     @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, float("nan"), np.float64(np.inf)])
     def test_nonfinite_x_rejected_on_both_routes(self, x, product):
-        # the transfer form and the product over zeros both take x
+        # the point API takes the field x, the product over zeros its angle
+        # beta * x, which it refuses with factor_values' message
         ring = ring_at(6, 0.5)
         zeros = lee_yang_zeros(ring)
-        with pytest.raises(ValueError, match="x must be finite"):
-            if product:
-                dephasing_factor_product(zeros, x)
-            else:
+        if product:
+            with pytest.raises(ValueError, match="the angle w must be finite"):
+                dephasing_factor_product(zeros, ring.beta * x)
+        else:
+            with pytest.raises(ValueError, match="x must be finite"):
                 dephasing_factor(ring, x)
 
     @pytest.mark.parametrize("x", [1e308, 5e307])
     def test_phase_past_double_range_rejected(self, x):
         # beta * x overflows at 1e308; at 5e307 only N_b * beta * x does.  The
-        # product over zeros refuses the phase before it evaluates anything
+        # product over zeros takes the angle w = beta * x (a Python float, so
+        # inf without a warning) and refuses it, or its phase N_b * w, before
+        # it evaluates anything
         ring = IsingRing(6, inverse_temperature=2.0, coupling=0.1)
         zeros = lee_yang_zeros(ring)
+        w = ring.beta * x
+        angle = r"the angle w must be finite, with a finite phase N_b \* w"
         calls = [
-            lambda: dephasing_factor(ring, x),
-            lambda: dephasing_factor_product(zeros, x),
-            lambda: dephasing_factor_product(zeros, np.array([0.3, -x])),
+            (lambda: dephasing_factor(ring, x), r"N_b \* beta \* \|x\| must stay below"),
+            (lambda: dephasing_factor_product(zeros, w), angle),
+            (lambda: dephasing_factor_product(zeros, np.array([0.3, -w])), angle),
         ]
-        for call in calls:
+        for call, message in calls:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=r"N_b \* beta \* \|x\| must stay below"):
+                with pytest.raises(ValueError, match=message):
                     call()
 
     @pytest.mark.parametrize(
@@ -470,26 +500,26 @@ class TestDephasingFactor:
         zs = lee_yang_zeros(ring)
         for x in np.linspace(-4.0, 4.0, 23):
             direct = dephasing_factor(ring, x).value
-            product = dephasing_factor_product(zs, x)
+            product = dephasing_factor_product(zs, ring.beta * x)
             assert abs(direct - product) < 1e-10
 
     def test_product_form_over_an_array_matches_point_calls(self):
-        # the rings and grid of verify's factor-form check; the stacked
+        # the rings and angles of verify's factor-form check; the stacked
         # reduction may differ from a point call's in the last bit
-        xs = np.linspace(0.0, 2.0 * np.pi, 41)
+        ws = np.linspace(0.0, 2.0 * np.pi, 41)
         for nb in (5, 10, 40):
             for bl in (0.5, 2.0):
-                zs = lee_yang_zeros(IsingRing(nb, inverse_temperature=1.0, coupling=bl))
-                stacked = dephasing_factor_product(zs, xs)
-                points = np.array([dephasing_factor_product(zs, x) for x in xs])
-                assert stacked.shape == xs.shape and stacked.dtype == complex
+                zs = lee_yang_zeros(IsingRing(nb, inverse_temperature=bl))
+                stacked = dephasing_factor_product(zs, ws)
+                points = np.array([dephasing_factor_product(zs, w) for w in ws])
+                assert stacked.shape == ws.shape and stacked.dtype == complex
                 assert np.abs(stacked - points).max() <= 1e-15
-        grid = dephasing_factor_product(zs, xs.reshape(41, 1) * np.ones(3))
+        grid = dephasing_factor_product(zs, ws.reshape(41, 1) * np.ones(3))
         assert np.array_equal(grid[:, 1], stacked)
         assert isinstance(dephasing_factor_product(zs, 1.0), complex)
 
     def test_product_form_rejects_phase_at_axis(self):
-        zs = LeeYangZeroSet(np.array([1e-13, np.pi, TWO_PI - 1e-13]), 1.0)
+        zs = LeeYangZeroSet(np.array([1e-13, np.pi, TWO_PI - 1e-13]))
         with pytest.raises(ValueError, match="positive real axis"):
             dephasing_factor_product(zs, 1.0)
 

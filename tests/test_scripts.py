@@ -82,6 +82,14 @@ def test_cmax_script_takes_no_ring():
     assert "unrecognized arguments: --beta 10" in result.stderr
 
 
+@pytest.mark.parametrize("script", ["coherence_scan.py", "entanglement_domains.py"])
+def test_ring_scripts_take_no_lambda(script):
+    # a ring is (N_b, beta * lambda): --beta carries the product (exit 2 from argparse)
+    result = run_python([str(ROOT / "scripts" / script), "--lambda", "2"])
+    assert result.returncode == 2
+    assert "unrecognized arguments: --lambda 2" in result.stderr
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test-side oracle, not a runtime dependency
     result = run_python(["-c", "import sys, lyprobe.cli; print('scipy' in sys.modules)"])
