@@ -100,7 +100,6 @@ def _cmd_simulate(args) -> int:
         t_max=args.t_max,
         steps=steps,
         eta=args.eta,
-        outputs=args.out,
     )
     series = run_scenario(scenario)
     emit_csv(series, args.out)
@@ -124,7 +123,7 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_verify(_args) -> int:
-    return 0 if verify_module.run_checks(verbose=True) else 2
+    return 0 if verify_module.run_checks() else 2
 
 
 def _cmd_fit_cmax(args) -> int:

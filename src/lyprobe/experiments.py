@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, OatParameters, oat_reduced_state
+from .channels import Channel, OatParameters, _check_n_probes, oat_reduced_state
 from .ising_bath import (
     IsingRing,
     LeeYangZeroSet,
     _check_eta,
-    _check_phase,
     factor_values,
     lee_yang_zeros,
     zero_times,
@@ -55,9 +54,10 @@ class Scenario:
 class ObservableSeries:
     """Sampled observables over a time grid, with provenance for refinement.
 
-    The six arrays share one length.  The trailing metadata (probe, eta,
-    channel, ring) records what generated the series so that zero
-    detection can refine candidates on the analytic factor.
+    The six arrays share one length; each is a read-only view, not a copy,
+    so the caller's array stays writable.  The metadata (probe, eta, channel,
+    ring) records what generated the series so that zero detection can
+    refine candidates on the analytic factor.
     """
 
     times: np.ndarray
@@ -81,7 +81,7 @@ class ObservableSeries:
             "xi2",
             "xi2_prime",
         ):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
             if not np.all(np.isfinite(arr)):
@@ -166,18 +166,18 @@ def series_from_polynomial(
     X-state kernel ``observables.x_state_observables``.
 
     Raises:
-        ValueError: if eta is invalid, or if the largest field angle
-            w = channel.rate * eta * |t|, or the phase N_b * w the transfer
-            form takes, is not finite; checked before any point is evaluated.
+        ValueError: if eta is invalid, or if a field angle
+            w = channel.rate * eta * t, or the phase N_b * w the transfer form
+            takes, is not finite; ``factor_values`` refuses the grid, with one
+            message for the angle limit, before any point is evaluated.
     """
     channel = Channel(channel)
     _check_eta(eta)
     times = np.asarray(times, dtype=float)
-    _check_phase(
-        ring.n_spins, channel.rate, "eta", eta, "t", float(np.abs(times).max(initial=0.0))
-    )
-
-    a = factor_values(ring, channel.rate * eta * times)
+    # an angle past the double range is inf (nan at t = 0): factor_values refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = channel.rate * eta * times
+    a = factor_values(ring, angles)
     values = x_state_observables(oat_reduced_state(probe), channel, a, probe.n_probes)
 
     return ObservableSeries(
@@ -195,14 +195,15 @@ def series_from_polynomial(
 
 
 def run_scenario(s: Scenario) -> ObservableSeries:
-    """Run one scenario: the ring, uniform grid, full pipeline."""
+    """Run one scenario: the ring, uniform grid, full pipeline; an error names its inputs."""
     times = np.linspace(0.0, s.t_max, s.steps)
     try:
         return series_from_polynomial(s.ring, s.oat, s.eta, s.channel, times)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         context = (
             f"scenario(n_spins={s.ring.n_spins}, beta_lambda={s.ring.beta_lambda}, "
-            f"n_probes={s.oat.n_probes}, channel={s.channel.value})"
+            f"n_probes={s.oat.n_probes}, channel={s.channel.value}, eta={s.eta}, "
+            f"t_max={s.t_max})"
         )
         raise type(exc)(f"{context}: {exc}") from exc
 
@@ -457,19 +458,15 @@ def fit_cmax_scaling(
     remain because the benchmark harness passes them by keyword.
 
     Raises:
-        ValueError: on fewer than 3 distinct ensemble sizes, a size that is
-            not an integer or is below 2, an invalid eta, or any C_max = 0
-            (log undefined; parameters outside the squeezed regime).
+        ValueError: on fewer than 3 distinct ensemble sizes, a size N that is
+            not an integer (3.7 is not cut to 3) or is below 2, an invalid eta,
+            or any C_max = 0 (log undefined; parameters outside the squeezed regime).
     """
     sizes = np.asarray(n_values)
     if sizes.ndim != 1 or len(set(sizes.tolist())) < 3:
         raise ValueError("n_values must contain at least 3 distinct ensemble sizes")
     for n in n_values:
-        # the rule of channels._check_n_probes: 3.7 is refused, not cut to 3
-        if not isinstance(n, (int, np.integer)):
-            raise ValueError(f"ensemble sizes must be integers, got {n!r}")
-    if np.any(sizes < 2):
-        raise ValueError("ensemble sizes must be >= 2")
+        _check_n_probes(n)
     _check_eta(eta)
 
     cmax = []

@@ -39,7 +39,7 @@ class ConcurrenceResult:
     ``lambdas`` are the four spin-flip singular values sorted descending;
     ``concurrence`` equals max(0, lambdas[0] - sum(lambdas[1:])) and
     ``rescaled`` is (N - 1) times that, the pairwise entanglement summed over
-    one probe's N - 1 partners.
+    one probe's N - 1 partners.  ``lambdas`` is a read-only view, not a copy.
     """
 
     concurrence: float
@@ -47,7 +47,7 @@ class ConcurrenceResult:
     lambdas: np.ndarray
 
     def __post_init__(self) -> None:
-        lams = np.asarray(self.lambdas, dtype=float)
+        lams = np.asarray(self.lambdas, dtype=float).view()
         if lams.shape != (4,):
             raise ValueError(f"lambdas must have exactly 4 entries, got {lams.shape}")
         l0, l1, l2, l3 = values = lams.tolist()

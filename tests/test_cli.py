@@ -291,7 +291,13 @@ class TestProbeTimeOverflow:
         [
             (
                 [*SIMULATE, "--t-max", "1e10", "--eta", "1e300", "--steps", "3"],
-                "N_b * eta * |t| must stay below 8.98847e+307",
+                "eta=1e+300, t_max=10000000000.0): the angle w must be finite, "
+                "with a finite phase N_b * w, got w = inf at N_b = 6",
+            ),
+            (
+                [*SIMULATE, "--t-max", "10", "--eta", "1e308", "--steps", "3"],
+                "eta=1e+308, t_max=10.0): the angle w must be finite, "
+                "with a finite phase N_b * w, got w = nan at N_b = 6",
             ),
             ([*SIMULATE, "--t-max", "1e300"], "past the limit of 10,000,000"),
             ([*SIMULATE, "--t-max", "nan"], "t_max must be positive and finite, got nan"),
@@ -299,6 +305,7 @@ class TestProbeTimeOverflow:
         ],
         ids=[
             "field-angle",
+            "field-angle-nan-at-t-zero",
             "default-steps",
             "nan-t-max",
             "subnormal-eta-simulate",

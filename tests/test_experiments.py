@@ -16,8 +16,10 @@ import lyprobe.experiments as experiments
 
 from lyprobe import (
     Channel,
+    ConcurrenceResult,
     FitResult,
     IsingRing,
+    LeeYangZeroSet,
     OatParameters,
     ObservableSeries,
     Scenario,
@@ -232,8 +234,27 @@ class TestSeriesPipeline:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"scenario\(n_spins=5.*field angle"):
+            with pytest.raises(
+                ValueError,
+                match=r"scenario\(n_spins=5, .*, eta=1e\+300, t_max=10000000000\.0\): "
+                r"the angle w must be finite, with a finite phase N_b \* w, got w = inf",
+            ):
                 run_scenario(scenario)
+
+    @pytest.mark.parametrize("channel", [Channel.I, Channel.II])
+    def test_angle_past_double_range_refused_without_warning(self, channel):
+        # rate * eta is inf as a Python float, and inf * (t = 0) is nan: the
+        # grid is refused by factor_values, with no overflow or invalid warning
+        ring = IsingRing(6, inverse_temperature=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as raised:
+                series_from_polynomial(
+                    ring, PROVENANCE["probe"], 1e308, channel, np.linspace(0.0, 10.0, 3)
+                )
+        assert str(raised.value) == (
+            "the angle w must be finite, with a finite phase N_b * w, got w = nan at N_b = 6"
+        )
 
     def test_series_carries_provenance(self):
         series = run_scenario(make_scenario())
@@ -241,6 +262,29 @@ class TestSeriesPipeline:
         assert series.channel is Channel.I
         assert series.ring == IsingRing(n_spins=6, inverse_temperature=0.5)
         assert series.probe is not None
+
+
+class TestCallerArraysStayWritable:
+    """A constructor freezes a view of the array it is given, not the caller's array."""
+
+    def test_series_times(self):
+        t = np.linspace(0.0, 10.0, 11)
+        ring = IsingRing(6, inverse_temperature=0.5)
+        series = series_from_polynomial(ring, PROVENANCE["probe"], ETA, Channel.I, t)
+        assert t.flags.writeable and not series.times.flags.writeable
+        assert np.shares_memory(series.times, t)
+
+    def test_zero_phases(self):
+        p = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5)).phases.copy()
+        zeros = LeeYangZeroSet(p)
+        assert p.flags.writeable and not zeros.phases.flags.writeable
+        assert np.shares_memory(zeros.phases, p)
+
+    def test_concurrence_lambdas(self):
+        lams = np.array([0.5, 0.25, 0.15, 0.1])
+        result = ConcurrenceResult(0.0, 0.0, lams)
+        assert lams.flags.writeable and not result.lambdas.flags.writeable
+        assert np.shares_memory(result.lambdas, lams)
 
 
 class TestZeroDetection:
@@ -771,7 +815,7 @@ class TestConcurrenceScaling:
             fit_cmax_scaling([3, 4], np.pi / 2, strong_ring)
 
     def test_rejects_pairs_below_two(self, strong_ring):
-        with pytest.raises(ValueError, match=">= 2"):
+        with pytest.raises(ValueError, match="n_probes must be at least 2, got 1"):
             fit_cmax_scaling([1, 3, 4], np.pi / 2, strong_ring)
 
     @pytest.mark.parametrize(
@@ -782,7 +826,7 @@ class TestConcurrenceScaling:
         # not truncated to 3, 4, 5: a size must have an integer type, as N does everywhere
         with pytest.raises(ValueError) as raised:
             fit_cmax_scaling(sizes, np.pi / 2, strong_ring)
-        assert str(raised.value) == f"ensemble sizes must be integers, got {shown}"
+        assert str(raised.value) == f"n_probes must be an integer, got {shown}"
 
     @pytest.mark.parametrize("sizes", [[3, 3, 3], [3, 4, 4, 3], [5, 5, 6]])
     def test_rejects_fewer_than_three_distinct_sizes(self, strong_ring, sizes):

@@ -395,35 +395,34 @@ class TestDephasingFactor:
     @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, float("nan"), np.float64(np.inf)])
     def test_nonfinite_x_rejected_on_both_routes(self, x, product):
         # the point API takes the field x, the product over zeros its angle
-        # beta * x, which it refuses with factor_values' message
+        # beta * x; both refuse it with factor_values' message
         ring = ring_at(6, 0.5)
         zeros = lee_yang_zeros(ring)
-        if product:
-            with pytest.raises(ValueError, match="the angle w must be finite"):
+        with pytest.raises(ValueError, match="the angle w must be finite"):
+            if product:
                 dephasing_factor_product(zeros, ring.beta * x)
-        else:
-            with pytest.raises(ValueError, match="x must be finite"):
+            else:
                 dephasing_factor(ring, x)
 
     @pytest.mark.parametrize("x", [1e308, 5e307])
     def test_phase_past_double_range_rejected(self, x):
-        # beta * x overflows at 1e308; at 5e307 only N_b * beta * x does.  The
-        # product over zeros takes the angle w = beta * x (a Python float, so
-        # inf without a warning) and refuses it, or its phase N_b * w, before
-        # it evaluates anything
+        # beta * x overflows at 1e308; at 5e307 only N_b * beta * x does.  Both
+        # routes take the angle w = beta * x (a Python float, so inf without a
+        # warning) and refuse it, or its phase N_b * w, with one message before
+        # they evaluate anything
         ring = IsingRing(6, inverse_temperature=2.0, coupling=0.1)
         zeros = lee_yang_zeros(ring)
         w = ring.beta * x
         angle = r"the angle w must be finite, with a finite phase N_b \* w"
         calls = [
-            (lambda: dephasing_factor(ring, x), r"N_b \* beta \* \|x\| must stay below"),
-            (lambda: dephasing_factor_product(zeros, w), angle),
-            (lambda: dephasing_factor_product(zeros, np.array([0.3, -w])), angle),
+            lambda: dephasing_factor(ring, x),
+            lambda: dephasing_factor_product(zeros, w),
+            lambda: dephasing_factor_product(zeros, np.array([0.3, -w])),
         ]
-        for call, message in calls:
+        for call in calls:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=message):
+                with pytest.raises(ValueError, match=angle):
                     call()
 
     @pytest.mark.parametrize(
