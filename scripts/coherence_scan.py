@@ -26,10 +26,10 @@ from lyprobe import (
     default_steps,
     detect_coherence_zeros,
     emit_csv,
-    lee_yang_times,
     lee_yang_zeros,
     oat_reduced_state,
     run_scenario,
+    zero_times,
 )
 
 
@@ -52,7 +52,7 @@ def main() -> None:
     t_max = args.periods * period
 
     zeros = lee_yang_zeros(ring)
-    predicted = lee_yang_times(zeros, args.eta, channel)
+    predicted = zero_times(zeros, args.eta, channel)
     steps = args.steps or 4 * args.periods * default_steps(zeros, args.eta, period, channel)
 
     scenario = Scenario(ring, OatParameters(args.probes, args.theta), channel, t_max, steps, args.eta)

@@ -21,12 +21,12 @@ from lyprobe import (
     Scenario,
     coherence_period,
     default_steps,
-    lee_yang_times,
     lee_yang_zeros,
     oat_reduced_state,
     run_scenario,
     spin_squeezing,
     vanishing_domains,
+    zero_times,
 )
 
 
@@ -44,7 +44,7 @@ def main() -> None:
     ring = IsingRing(args.nb, inverse_temperature=args.beta)
     period = coherence_period(args.eta, Channel.I)
     zeros = lee_yang_zeros(ring)
-    t_zero = lee_yang_times(zeros, args.eta, Channel.I)
+    t_zero = zero_times(zeros, args.eta)
     steps = args.steps or 4 * default_steps(zeros, args.eta, period, Channel.I)
 
     probe = OatParameters(args.probes, args.theta)

@@ -30,10 +30,9 @@ from .experiments import (
     detect_coherence_zeros,
     emit_csv,
     fit_cmax_scaling,
-    lee_yang_times,
     run_scenario,
-    series_from_polynomial,
     vanishing_domains,
+    zero_times,
 )
 from .ising_bath import (
     DephasingFactor,
@@ -42,7 +41,6 @@ from .ising_bath import (
     dephasing_factor,
     lee_yang_zeros,
     partition_coefficients,
-    zero_times,
 )
 from .observables import (
     ConcurrenceResult,
@@ -87,12 +85,10 @@ __all__ = [
     "kraus_channel_I",
     "kraus_channel_II",
     "kraus_tensor",
-    "lee_yang_times",
     "lee_yang_zeros",
     "oat_reduced_state",
     "partition_coefficients",
     "run_scenario",
-    "series_from_polynomial",
     "spin_squeezing",
     "vanishing_domains",
     "zero_times",

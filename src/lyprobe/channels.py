@@ -160,12 +160,12 @@ def oat_reduced_state(params: OatParameters) -> TwoQubitXState:
     """
     n = params.n_probes
     theta = params.twist_angle
+    twist = np.cos(theta) ** (n - 2)
     sz = -np.cos(0.5 * theta) ** (n - 1)
-    szsz = 0.5 * (1.0 + np.cos(theta) ** (n - 2))
-    y = 0.125 * (1.0 - np.cos(theta) ** (n - 2))
-    u = -0.125 * (1.0 - np.cos(theta) ** (n - 2)) - 0.5j * np.sin(0.5 * theta) * np.cos(
-        0.5 * theta
-    ) ** (n - 2)
+    szsz = 0.5 * (1.0 + twist)
+    y = 0.125 * (1.0 - twist)
+    # -y is -0.125 (1 - twist) bit for bit: negation is exact
+    u = -y - 0.5j * np.sin(0.5 * theta) * np.cos(0.5 * theta) ** (n - 2)
     return TwoQubitXState(
         v_plus=0.25 * (1.0 + 2.0 * sz + szsz),
         v_minus=0.25 * (1.0 - 2.0 * sz + szsz),

@@ -1,7 +1,10 @@
-"""Scenario runner: time series, zero detection, domain statistics, scaling fits.
+"""Scenario runner: collapse times, time series, zero detection, domain statistics, scaling fits.
 
-Builds uniform time grids, evaluates the dephasing factor and the closed-form
-observables over them, and post-processes the series: coherence-zero
+The probe coupling eta enters here and only here: ``zero_times`` maps the
+ring's zero phases to collapse times for a channel, and ``_check_eta`` is the
+one check of eta.  ``run_scenario`` builds a uniform time grid, evaluates the
+dephasing factor and the closed-form observables over it, and the rest
+post-processes the series: coherence-zero
 detection (candidates from the signs of the sampled factor, refined on the
 analytic factor: sign changes all at once by Anderson-Bjorck regula falsi,
 same-sign minima of |A| all at once by golden-section search), maximal
@@ -13,20 +16,28 @@ size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import Channel, OatParameters, _check_n_probes, oat_reduced_state
-from .ising_bath import (
-    IsingRing,
-    LeeYangZeroSet,
-    _check_eta,
-    factor_values,
-    lee_yang_zeros,
-    zero_times,
-)
+from .ising_bath import IsingRing, LeeYangZeroSet, factor_values, lee_yang_zeros
 from .observables import x_state_observables
+
+
+def _check_eta(eta: float) -> None:
+    """Reject an eta that is not positive and finite, or whose period pi/(2 eta) overflows.
+
+    pi/(2 eta) is the channel-I coherence period, the longest time scale an
+    eta sets; every collapse time is below it.
+    """
+    # Python floats: a quotient past the double range is inf, not a numpy warning
+    if not (0.0 < eta < math.inf and math.pi / (2.0 * float(eta)) < math.inf):
+        raise ValueError(
+            "eta must be positive and finite, with a finite coherence period pi/(2 eta) "
+            f"(eta >= ~{0.5 * math.pi / sys.float_info.max:.2g}), got {eta!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -143,67 +154,58 @@ def coherence_period(eta: float, channel: Channel) -> float:
     return np.pi / (Channel(channel).rate * eta)
 
 
-def lee_yang_times(zeros: LeeYangZeroSet, eta: float, channel: Channel) -> np.ndarray:
-    """Coherence-collapse times predicted by the zero phases for a channel.
+def zero_times(zeros: LeeYangZeroSet, eta: float, channel: Channel = Channel.I) -> np.ndarray:
+    """Times at which the probe coherence collapses, one per zero phase, sorted ascending.
 
-    Channel I: t_n = phi_n / (4 eta); channel II accumulates twist twice as
-    fast, t_n = phi_n / (8 eta).
+    Each zero phase phi_n maps to t_n = phi_n / (4 eta) for probe-ring
+    coupling eta in channel I; channel II accumulates twist twice as fast,
+    t_n = phi_n / (8 eta).  Written as phi_n / (4 eta) * (2 / rate), so 8 eta
+    never overflows and channel II is channel I's times halved, bit for bit.
     """
-    return zero_times(zeros, eta) * (2.0 / Channel(channel).rate)
-
-
-def series_from_polynomial(
-    ring: IsingRing,
-    probe: OatParameters,
-    eta: float,
-    channel: Channel,
-    times: np.ndarray,
-) -> ObservableSeries:
-    """Evaluate the closed-form observable pipeline over a time grid.
-
-    Vectorized over the grid: one dephasing-factor evaluation per point, then
-    coherence, rescaled concurrence and both squeezing parameters from the
-    X-state kernel ``observables.x_state_observables``.
-
-    Raises:
-        ValueError: if eta is invalid, or if a field angle
-            w = channel.rate * eta * t, or the phase N_b * w the transfer form
-            takes, is not finite; ``factor_values`` refuses the grid, with one
-            message for the angle limit, before any point is evaluated.
-    """
-    channel = Channel(channel)
     _check_eta(eta)
-    times = np.asarray(times, dtype=float)
-    # an angle past the double range is inf (nan at t = 0): factor_values refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        angles = channel.rate * eta * times
-    a = factor_values(ring, angles)
-    values = x_state_observables(oat_reduced_state(probe), channel, a, probe.n_probes)
-
-    return ObservableSeries(
-        times=times,
-        a_factor=a,
-        coherence=values.coherence,
-        concurrence_rescaled=values.rescaled,
-        xi2=values.xi2,
-        xi2_prime=values.xi2_prime,
-        probe=probe,
-        eta=eta,
-        channel=channel,
-        ring=ring,
-    )
+    return zeros.phases / (4.0 * eta) * (2.0 / Channel(channel).rate)
 
 
 def run_scenario(s: Scenario) -> ObservableSeries:
-    """Run one scenario: the ring, uniform grid, full pipeline; an error names its inputs."""
-    times = np.linspace(0.0, s.t_max, s.steps)
+    """Evaluate the closed-form observable pipeline over a scenario's uniform grid.
+
+    Vectorized over ``np.linspace(0, t_max, steps)``: one dephasing-factor
+    evaluation per point, then coherence, rescaled concurrence and both
+    squeezing parameters from the X-state kernel
+    ``observables.x_state_observables``.
+
+    Raises:
+        ValueError: if a field angle w = channel.rate * eta * t, or the phase
+            N_b * w the transfer form takes, is not finite (``factor_values``
+            refuses the grid, with one message for the angle limit, before any
+            point is evaluated), or if the grid is not strictly increasing.
+            Every error is re-raised with a prefix naming the scenario's
+            inputs, ``steps``, ``eta`` and ``t_max`` among them.
+    """
     try:
-        return series_from_polynomial(s.ring, s.oat, s.eta, s.channel, times)
+        times = np.linspace(0.0, s.t_max, s.steps)
+        # an angle past the double range is inf (nan at t = 0): factor_values refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            angles = s.channel.rate * s.eta * times
+        a = factor_values(s.ring, angles)
+        values = x_state_observables(oat_reduced_state(s.oat), s.channel, a, s.oat.n_probes)
+        return ObservableSeries(
+            times=times,
+            a_factor=a,
+            coherence=values.coherence,
+            concurrence_rescaled=values.rescaled,
+            xi2=values.xi2,
+            xi2_prime=values.xi2_prime,
+            probe=s.oat,
+            eta=s.eta,
+            channel=s.channel,
+            ring=s.ring,
+        )
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         context = (
             f"scenario(n_spins={s.ring.n_spins}, beta_lambda={s.ring.beta_lambda}, "
-            f"n_probes={s.oat.n_probes}, channel={s.channel.value}, eta={s.eta}, "
-            f"t_max={s.t_max})"
+            f"n_probes={s.oat.n_probes}, channel={s.channel.value}, steps={s.steps}, "
+            f"eta={s.eta}, t_max={s.t_max})"
         )
         raise type(exc)(f"{context}: {exc}") from exc
 
@@ -225,7 +227,7 @@ def default_steps(
     """
     if not 0.0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-    tz = lee_yang_times(zeros, eta, channel)
+    tz = zero_times(zeros, eta, channel)
     period = coherence_period(eta, channel)
     if tz.size > 1:
         gaps = np.diff(tz)
@@ -427,7 +429,7 @@ def count_recovery_peaks(series: ObservableSeries) -> int:
     t = series.times
     if t.size < 3 or not _reaches_zero(series, oat_reduced_state(series.probe)):
         return 0
-    start = lee_yang_times(lee_yang_zeros(series.ring), series.eta, series.channel)[0]
+    start = zero_times(lee_yang_zeros(series.ring), series.eta, series.channel)[0]
     if start > t[-1]:
         return 0
     period = coherence_period(series.eta, series.channel)

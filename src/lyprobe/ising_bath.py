@@ -3,9 +3,8 @@
 The partition function of a ring of ``n_spins`` Ising spins with ferromagnetic
 nearest-neighbour coupling, written in the fugacity ``z = exp(-2*beta*h)``, is a
 palindromic polynomial with strictly positive coefficients.  All of its roots
-therefore lie on the unit circle, and their phases control how fast a probe
-coupled to the ring loses coherence: each phase maps to a time at which the
-probe's dephasing factor passes through zero.
+therefore lie on the unit circle, and the dephasing factor ``A(w)`` of a probe
+coupled to the ring passes through zero at the angle w = phi/2 of each phase phi.
 
 The ring's partition function is also ``lambda_+^N + lambda_-^N`` for the two
 eigenvalues of its transfer matrix.  The factor and the zeros use that form:
@@ -28,6 +27,8 @@ field into an angle, and the coefficients built (closed form) only when read,
 by the residual certificate ``zero_residuals`` and the cross-checks.  So
 ``A`` and the zeros run past the ring size where the coefficients overflow.
 The cross-checks, enumeration and the product over zeros, live in ``verify``.
+Nothing here takes time or the probe coupling eta: the map from a zero
+phase to a collapse time, and every check of eta, live in ``experiments``.
 """
 
 from __future__ import annotations
@@ -41,11 +42,9 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-_DOUBLE_MAX = float(np.finfo(float).max)
-
 # natural log of the largest double: the normalised coefficient sum of a ring
 # must stay below it
-_LOG_DOUBLE_MAX = math.log(_DOUBLE_MAX)
+_LOG_DOUBLE_MAX = math.log(float(np.finfo(float).max))
 
 # largest double below 1: keeps log1p(-x) finite where an eigenvalue is 0
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
@@ -249,31 +248,24 @@ def partition_coefficients(ring: IsingRing) -> IsingRing:
     return ring
 
 
-def _ring_phases(nb: int, k: float) -> np.ndarray:
-    """All zero phases of a ring with beta * coupling = k, sorted ascending.
+def lee_yang_zeros(ring: IsingRing) -> LeeYangZeroSet:
+    """All unit-circle zero phases of a ring's partition polynomial, sorted ascending.
 
-    The transfer eigenvalues at the zeros are r e^{+-i gamma_j} with
-    cos(N gamma_j) = 0, gamma_j = (2j - 1) pi / (2N).  The fugacity phase is
-    2 alpha_j with sin^2 alpha = sin^2 gamma + q cos^2 gamma, q = exp(-4k);
-    atan2(s, cos(gamma) sqrt(1 - q)) keeps alpha conditioned near pi/2.  The
-    phases below pi are mirrored to their conjugates, and an odd ring has pi
-    itself.  At k = 0 every alpha is pi/2: all N zeros sit at pi.
+    The phases come in closed form from the transfer eigenvalues at
+    k = ``ring.beta_lambda``; the coefficients are not built.  At the zeros
+    the eigenvalues are r e^{+-i gamma_j} with cos(N gamma_j) = 0, gamma_j =
+    (2j - 1) pi / (2N).  The fugacity phase is 2 alpha_j with sin^2 alpha =
+    sin^2 gamma + q cos^2 gamma, q = exp(-4k); atan2(s, cos(gamma) sqrt(1 - q))
+    keeps alpha conditioned near pi/2.  The phases below pi are mirrored to
+    their conjugates, and an odd ring has pi itself.  At k = 0 every alpha is
+    pi/2: all N zeros sit at pi.
     """
+    nb, k = ring.n_spins, ring.beta_lambda
     gamma = (2.0 * np.arange(1, nb // 2 + 1) - 1.0) * np.pi / (2.0 * nb)
     s = np.sqrt(np.sin(gamma) ** 2 + math.exp(-4.0 * k) * np.cos(gamma) ** 2)
     lower = 2.0 * np.arctan2(s, np.cos(gamma) * math.sqrt(-math.expm1(-4.0 * k)))
     middle = [np.pi] if nb % 2 else []
-    return np.concatenate([lower, middle, TWO_PI - lower[::-1]])
-
-
-def lee_yang_zeros(ring: IsingRing) -> LeeYangZeroSet:
-    """All unit-circle zero phases of a ring's partition polynomial.
-
-    The phases come in closed form from the transfer eigenvalues at
-    ``ring.beta_lambda``, sorted and closed under conjugation.  The
-    coefficients are not built.
-    """
-    return LeeYangZeroSet(phases=_ring_phases(ring.n_spins, ring.beta_lambda))
+    return LeeYangZeroSet(phases=np.concatenate([lower, middle, TWO_PI - lower[::-1]]))
 
 
 def zero_residuals(ring: IsingRing, phases: np.ndarray) -> np.ndarray:
@@ -447,28 +439,3 @@ def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
     root_q, q, amplitude, norm = ring._transfer
     value = _transfer_power_sum(nb, root_q, q, amplitude, w, _FLOAT) / norm
     return DephasingFactor(value=value, argument=float(x))
-
-
-def _check_eta(eta: float) -> None:
-    """Reject an eta that is not positive and finite, or whose period pi/(2 eta) overflows.
-
-    pi/(2 eta) is the channel-I coherence period, the longest time scale an
-    eta sets; every collapse time is below it.
-    """
-    # Python floats: a quotient past the double range is inf, not a numpy warning
-    if not (0.0 < eta < math.inf and math.pi / (2.0 * float(eta)) < math.inf):
-        raise ValueError(
-            "eta must be positive and finite, with a finite coherence period pi/(2 eta) "
-            f"(eta >= ~{0.5 * math.pi / _DOUBLE_MAX:.2g}), got {eta!r}"
-        )
-
-
-def zero_times(zeros: LeeYangZeroSet, eta: float) -> np.ndarray:
-    """Times at which a probe with its own bath loses coherence completely.
-
-    Each zero phase phi_n maps to t_n = phi_n / (4 * eta) for probe-bath
-    coupling eta; at these times the dephasing factor crosses zero and the
-    probe coherence vanishes.  Sorted ascending.
-    """
-    _check_eta(eta)
-    return zeros.phases / (4.0 * eta)

@@ -39,9 +39,9 @@ from .experiments import (
     detect_coherence_zeros,
     count_recovery_peaks,
     emit_csv,
-    lee_yang_times,
     run_scenario,
     vanishing_domains,
+    zero_times,
 )
 from .ising_bath import (
     IsingRing,
@@ -50,7 +50,6 @@ from .ising_bath import (
     factor_values,
     lee_yang_zeros,
     zero_residuals,
-    zero_times,
 )
 from .observables import (
     _wootters_stack,
@@ -335,7 +334,7 @@ def check_series_consistency() -> str:
     _require(abs(series.a_factor[0] - 1.0) <= 1e-12, "A(0) != 1")
 
     detected = detect_coherence_zeros(series)
-    predicted = lee_yang_times(lee_yang_zeros(scenario.ring), eta, Channel.I)
+    predicted = zero_times(lee_yang_zeros(scenario.ring), eta)
     predicted = np.sort(np.concatenate([predicted, predicted + period]))
     _require(detected.size == predicted.size, f"{detected.size} zeros, expected {predicted.size}")
     _require(

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from lyprobe import Channel, TwoQubitXState, VanishingDomain, series_from_polynomial
+from lyprobe import Channel, Scenario, TwoQubitXState, VanishingDomain, run_scenario
 from lyprobe.channels import _factor_value
 
 # natural log of the largest double, as the package's overflow refusal uses it
@@ -226,9 +226,9 @@ def brentq_roots(f, lo, hi) -> np.ndarray:
     )
 
 
-def max_original_concurrence(ring, probe, eta: float, times: np.ndarray) -> float:
-    """Maximum over the grid of the per-pair concurrence under channel I."""
-    series = series_from_polynomial(ring, probe, eta, Channel.I, times)
+def max_original_concurrence(ring, probe, eta: float, t_max: float, steps: int) -> float:
+    """Maximum of the per-pair concurrence under channel I on the grid linspace(0, t_max, steps)."""
+    series = run_scenario(Scenario(ring, probe, Channel.I, t_max, steps, eta))
     return float(series.concurrence_rescaled.max() / (probe.n_probes - 1))
 
 

@@ -26,7 +26,6 @@ from lyprobe import (
     kraus_channel_I,
     kraus_channel_II,
     kraus_tensor,
-    lee_yang_times,
     lee_yang_zeros,
     oat_reduced_state,
     run_scenario,
@@ -232,7 +231,7 @@ def test_criterion_08_vanishing_domain_centers():
             )
         )
         interior = [d for d in vanishing_domains(series) if not d.clipped]
-        tz = lee_yang_times(zs, ETA, channel)
+        tz = zero_times(zs, ETA, channel)
         grid_step = series.times[1] - series.times[0]
         assert interior
         worst = max(np.abs(tz - d.center).min() for d in interior)

@@ -302,6 +302,11 @@ class TestProbeTimeOverflow:
             ([*SIMULATE, "--t-max", "1e300"], "past the limit of 10,000,000"),
             ([*SIMULATE, "--t-max", "nan"], "t_max must be positive and finite, got nan"),
             ([*SIMULATE, "--t-max", "10", "--eta", "1e-320"], "eta >= ~8.7e-309"),
+            # linspace(0, 5e-324, 5) repeats values: the context names steps and t_max
+            (
+                [*SIMULATE, "--t-max", "5e-324", "--steps", "5"],
+                "steps=5, eta=0.01, t_max=5e-324): times must be strictly increasing",
+            ),
         ],
         ids=[
             "field-angle",
@@ -309,6 +314,7 @@ class TestProbeTimeOverflow:
             "default-steps",
             "nan-t-max",
             "subnormal-eta-simulate",
+            "grid-without-distinct-times",
         ],
     )
     def test_exits_one_naming_the_limit(self, tmp_path, capsys, argv, limit):
@@ -320,3 +326,12 @@ class TestProbeTimeOverflow:
         err = capsys.readouterr().err
         assert "validation error" in err and limit in err
         assert not out.exists()
+
+    def test_subnormal_but_increasing_grid_runs(self, tmp_path):
+        # a subnormal step is still a strictly increasing grid: it is not refused
+        out = tmp_path / "a.csv"
+        argv = [*self.SIMULATE, "--t-max", "1e-320", "--steps", "3", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3

@@ -33,11 +33,9 @@ from lyprobe import (
     detect_coherence_zeros,
     emit_csv,
     fit_cmax_scaling,
-    lee_yang_times,
     lee_yang_zeros,
     oat_reduced_state,
     run_scenario,
-    series_from_polynomial,
     spin_squeezing,
     vanishing_domains,
     zero_times,
@@ -245,14 +243,16 @@ class TestSeriesPipeline:
     def test_angle_past_double_range_refused_without_warning(self, channel):
         # rate * eta is inf as a Python float, and inf * (t = 0) is nan: the
         # grid is refused by factor_values, with no overflow or invalid warning
-        ring = IsingRing(6, inverse_temperature=0.5)
+        scenario = Scenario(
+            IsingRing(6, inverse_temperature=0.5), PROVENANCE["probe"], channel, 10.0, 3, 1e308
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as raised:
-                series_from_polynomial(
-                    ring, PROVENANCE["probe"], 1e308, channel, np.linspace(0.0, 10.0, 3)
-                )
-        assert str(raised.value) == (
+                run_scenario(scenario)
+        prefix, message = str(raised.value).split("): ", 1)
+        assert prefix.startswith("scenario(n_spins=6, ")
+        assert message == (
             "the angle w must be finite, with a finite phase N_b * w, got w = nan at N_b = 6"
         )
 
@@ -269,10 +269,14 @@ class TestCallerArraysStayWritable:
 
     def test_series_times(self):
         t = np.linspace(0.0, 10.0, 11)
-        ring = IsingRing(6, inverse_temperature=0.5)
-        series = series_from_polynomial(ring, PROVENANCE["probe"], ETA, Channel.I, t)
-        assert t.flags.writeable and not series.times.flags.writeable
-        assert np.shares_memory(series.times, t)
+        columns = {
+            name: np.full(t.size, 0.5)
+            for name in ("a_factor", "coherence", "concurrence_rescaled", "xi2", "xi2_prime")
+        }
+        series = ObservableSeries(times=t, **columns, **PROVENANCE)
+        for name, given in dict(columns, times=t).items():
+            assert given.flags.writeable and not getattr(series, name).flags.writeable, name
+            assert np.shares_memory(getattr(series, name), given), name
 
     def test_zero_phases(self):
         p = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5)).phases.copy()
@@ -356,7 +360,7 @@ class TestZeroDetection:
             if channel is Channel.II:
                 assert detected.size == 0
                 continue
-            predicted = lee_yang_times(zeros, ETA, channel)
+            predicted = zero_times(zeros, ETA, channel)
             predicted = np.concatenate([predicted, predicted + period])
             assert detected.size == 2 * nb
             step = series.times[1] - series.times[0]
@@ -371,7 +375,7 @@ class TestZeroDetection:
         series = run_scenario(Scenario(ring, probe, Channel.I, period, 200_001, ETA))
         assert np.mean(series.coherence == 0.0) > 0.5
         detected = detect_coherence_zeros(series)
-        predicted = lee_yang_times(lee_yang_zeros(ring), ETA, Channel.I)
+        predicted = zero_times(lee_yang_zeros(ring), ETA, Channel.I)
         assert detected.size == predicted.size == 1200
         step = series.times[1] - series.times[0]
         assert np.max(np.abs(detected - predicted)) <= step
@@ -385,7 +389,7 @@ class TestZeroDetection:
         series = run_scenario(Scenario(ring, probe, Channel.I, period, 300_001, ETA))
         assert np.mean(series.a_factor == 0.0) > 0.5
         detected = detect_coherence_zeros(series)
-        predicted = lee_yang_times(lee_yang_zeros(ring), ETA, Channel.I)
+        predicted = zero_times(lee_yang_zeros(ring), ETA, Channel.I)
         step = series.times[1] - series.times[0]
         assert np.all(np.min(np.abs(detected[:, None] - predicted[None, :]), axis=1) <= step)
 
@@ -394,9 +398,9 @@ class TestZeroDetection:
         # touches zero without a sign change, exercising the golden-section
         # refinement
         ring = IsingRing(4, inverse_temperature=0.0)
-        times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
-        series = series_from_polynomial(
-            ring, OatParameters(3, np.pi / 2), ETA, Channel.I, times
+        period = coherence_period(ETA, Channel.I)
+        series = run_scenario(
+            Scenario(ring, OatParameters(3, np.pi / 2), Channel.I, period, 2001, ETA)
         )
         detected = detect_coherence_zeros(series)
         assert detected.size == 1
@@ -409,8 +413,10 @@ class TestZeroDetection:
         # sqrt(eps) |t| + xatol of a minimum, the golden search within xatol / 2
         if case.startswith("binomial"):
             ring = IsingRing(int(case.split("-")[1]), inverse_temperature=0.0)
-            times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
-            series = series_from_polynomial(ring, OatParameters(3, np.pi / 2), ETA, Channel.I, times)
+            period = coherence_period(ETA, Channel.I)
+            series = run_scenario(
+                Scenario(ring, OatParameters(3, np.pi / 2), Channel.I, period, 2001, ETA)
+            )
         elif case == "ring-6":
             series = run_scenario(make_scenario(nb=6, steps=2401))
         else:
@@ -443,7 +449,7 @@ class TestZeroDetection:
         period = coherence_period(ETA, Channel.I)
         series = run_scenario(Scenario(ring, OatParameters(3, 1.0), Channel.I, period, steps, ETA))
         detected = detect_coherence_zeros(series)
-        predicted = lee_yang_times(lee_yang_zeros(ring), ETA, Channel.I)
+        predicted = zero_times(lee_yang_zeros(ring), ETA, Channel.I)
         assert detected.size == predicted.size == nb
         assert np.max(np.abs(detected - predicted)) <= 1e-9 * period
 
@@ -665,8 +671,8 @@ class TestTimingHelpers:
     def test_channel_II_times_are_halved(self):
         zs = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5))
         np.testing.assert_allclose(
-            lee_yang_times(zs, ETA, Channel.II),
-            0.5 * lee_yang_times(zs, ETA, Channel.I),
+            zero_times(zs, ETA, Channel.II),
+            0.5 * zero_times(zs, ETA, Channel.I),
             rtol=1e-15,
         )
 
@@ -676,8 +682,10 @@ class TestTimingHelpers:
         for eta in (ETA, 0.003, 1.7):
             assert coherence_period(eta, Channel.I) == np.pi / (2.0 * eta)
             assert coherence_period(eta, Channel.II) == np.pi / (4.0 * eta)
-            assert np.array_equal(lee_yang_times(zs, eta, Channel.I), zero_times(zs, eta))
-            assert np.array_equal(lee_yang_times(zs, eta, Channel.II), 0.5 * zero_times(zs, eta))
+            # the bits of phases / (4 eta) for channel I, and of that halved for II
+            assert np.array_equal(zero_times(zs, eta, Channel.I), zs.phases / (4.0 * eta))
+            assert np.array_equal(zero_times(zs, eta, Channel.II), 0.5 * (zs.phases / (4.0 * eta)))
+            assert np.array_equal(zero_times(zs, eta), zero_times(zs, eta, Channel.I))
 
     def test_coherence_period_values(self):
         assert coherence_period(ETA, Channel.I) == pytest.approx(np.pi / (2.0 * ETA))
@@ -689,7 +697,7 @@ class TestTimingHelpers:
         zs = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5))
         t_max = coherence_period(ETA, Channel.I)
         steps = default_steps(zs, ETA, t_max, Channel.I)
-        tz = lee_yang_times(zs, ETA, Channel.I)
+        tz = zero_times(zs, ETA, Channel.I)
         wrap = tz[0] + coherence_period(ETA, Channel.I) - tz[-1]
         min_gap = min(np.diff(tz).min(), wrap)
         assert steps >= 2
@@ -743,9 +751,8 @@ class TestConcurrenceScaling:
 
     def test_pair_maximum_is_initial_double_flip(self, strong_ring):
         # N = 2 has y = 0, so C_max = 2|u| = sin(theta/2), reached at t = 0
-        times = np.linspace(0.0, coherence_period(ETA, Channel.I), 501)
         value = max_original_concurrence(
-            strong_ring, OatParameters(2, np.pi / 3), ETA, times
+            strong_ring, OatParameters(2, np.pi / 3), ETA, coherence_period(ETA, Channel.I), 501
         )
         assert value == pytest.approx(np.sin(np.pi / 6.0), abs=1e-12)
 
@@ -760,11 +767,12 @@ class TestConcurrenceScaling:
 
     def test_fit_shares_max_original_concurrence_bits(self, strong_ring):
         # the maximum over a grid from t = 0 is the fit's A = 1 value, bit for bit
-        times = np.linspace(0.0, coherence_period(ETA, Channel.I), 2001)
+        period = coherence_period(ETA, Channel.I)
         n_values = [3, 5, 8, 20]
         result = fit_cmax_scaling(n_values, 1.2, strong_ring, eta=ETA)
         per_n = [
-            max_original_concurrence(strong_ring, OatParameters(n, 1.2), ETA, times) for n in n_values
+            max_original_concurrence(strong_ring, OatParameters(n, 1.2), ETA, period, 2001)
+            for n in n_values
         ]
         assert np.array_equal(result.log_cmax, np.log(per_n))
 
@@ -789,8 +797,8 @@ class TestConcurrenceScaling:
                 np.asarray(getattr(result, field)).view(np.uint64),
             ), field
         # the grid maximum over one period sits at most rounding above it
-        times = np.linspace(0.0, coherence_period(eta, Channel.I), 2001)
-        grid = [max_original_concurrence(ring, OatParameters(n, 1.2), eta, times) for n in n_values]
+        period = coherence_period(eta, Channel.I)
+        grid = [max_original_concurrence(ring, OatParameters(n, 1.2), eta, period, 2001) for n in n_values]
         np.testing.assert_allclose(result.log_cmax, np.log(grid), rtol=0.0, atol=1e-13)
 
     def test_fit_builds_no_grid(self, strong_ring):
