@@ -527,9 +527,10 @@ _POINT_LO, _POINT_HI = _words(46 * (np.arange(16) == np.arange(17)[:, None]).res
 _E = np.arange(-324, 309)
 _POINT = np.where((_E >= -4) & (_E < 12), _E + 1, 1)
 _SPLIT = np.where(_POINT > 0, _POINT, 16)
-# 10**(11 - e), held at 1e308 below e = -297, where a tie margin of 0 sends every
-# value to the exact route.  For |e| <= 11 it is exact and the rounded product is
-# wrong only on a half-integer; else it (error below 4e-4) is trusted 2e-3 from a tie.
+# 10**(11 - e), held at 1e308 below e = -297.  A value whose product lies at or
+# past its tie margin reads its digits from %.11e: where the power is exact
+# (|e| <= 11), only a product on a half-integer; elsewhere (error below 4e-4), one
+# within 2e-3 of a tie; below e = -297 (margin 0), every value.
 _SCALE = 10.0 ** np.minimum(11 - _E, 308)
 _TIE = np.where(np.abs(_E) <= 11, 0.5, np.where(_E < -297, 0.0, 0.5 - 2e-3))
 # the product must round into [1e11, 1e12); one at most 0.04 below 1e11
@@ -560,14 +561,6 @@ _NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 56)
 _TEXT = bytes(range(256)).replace(b"\1", b"-", 1)
 
 
-def _product_error(a: np.ndarray, b: np.ndarray, product: np.ndarray) -> np.ndarray:
-    """a * b - product, exactly, for product the rounded a * b (Dekker's two-product)."""
-    ta, tb = 134217729.0 * a, 134217729.0 * b  # 2**27 + 1: split into 26-bit halves
-    ah, bh = ta - (ta - a), tb - (tb - b)
-    al, bl = a - ah, b - bh
-    return ((ah * bh - product) + ah * bl + al * bh) + al * bl
-
-
 def _exact_digits(values: np.ndarray) -> tuple[list[int], list[int]]:
     """12 correctly rounded digits and the decimal exponent of each positive value.
 
@@ -582,34 +575,25 @@ def _format_rows(block: np.ndarray) -> bytes:
 
     Each value is split into a 12-digit integer M and a decimal exponent e,
     |v| ~ M * 10**(e - 11), by one product with a tabulated power of ten.
-    Where that power is exact (-11 <= e <= 11), a product on a half-integer
-    is rounded by the sign of its exact error (``_product_error``).  Values
-    near a tie at other decades, values whose decade estimate is off, and
-    values below 1e-297 take their digits from ``_exact_digits``.  One row
-    of per-decade tables gives each field its lead, point and exponent words;
-    the digits come from 4-digit group tables, and the trailing zeros from a
-    mask of the zero digits.  The NUL padding is deleted by ``bytes.translate``.
+    A value the rounded product cannot settle (one on or near a rounding
+    tie, one whose decade estimate is off, one below 1e-297) reads its
+    digits from ``%.11e`` (``_exact_digits``).  One row of per-decade tables
+    gives each field its lead, point and exponent words; the digits come
+    from 4-digit group tables, and the trailing zeros from a mask of the
+    zero digits.  The NUL padding is deleted by ``bytes.translate``.
     """
     x = np.asarray(block, dtype=np.float64).ravel()
     a = np.abs(x)
     zero = a == 0.0
     i = (np.log10(a + zero) + 324.0).astype(np.intp)  # e + 324, and e = 0 for a zero
-    scale = _SCALE.take(i)
-    scaled = a * scale
+    scaled = a * _SCALE.take(i)
     m = np.rint(scaled)
     # a zero is exact, though its M = 0 lies outside [1e11, 1e12)
     near = ((np.abs(scaled - m) >= _TIE.take(i)) | (np.abs(scaled - _MIDDLE) > _HALF_WIDTH)) > zero
-    if near.any():
-        redo = np.flatnonzero(near)
-        s, p = scaled[redo], scale[redo]
-        exact = (p >= 1.0) & (p <= 1e22) & (np.abs(s - _MIDDLE) <= _HALF_WIDTH)
-        # a half-integer moves a quarter towards the exact product; a true tie stays
-        tie = redo[exact]
-        m[tie] = np.rint(s[exact] + 0.25 * np.sign(_product_error(a[tie], p[exact], s[exact])))
-        redo = redo[~exact]
-        if redo.size:
-            m[redo], e = _exact_digits(a[redo])
-            i[redo] = np.add(e, 324)
+    redo = np.flatnonzero(near)
+    if redo.size:
+        m[redo], e = _exact_digits(a[redo])
+        i[redo] = np.add(e, 324)
     m = m.astype(np.int64)
     top = m // 100_000_000
     rest = m - top * 100_000_000
