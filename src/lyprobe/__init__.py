@@ -8,16 +8,17 @@ time series along with the zero/collapse correspondences between them.
 
 from .channels import (
     Channel,
-    KrausSet,
+    ConcurrenceResult,
     OatParameters,
+    SqueezingReport,
     TwoQubitXState,
+    coherence,
+    concurrence_channel_I,
+    concurrence_channel_II,
     evolve_channel_I,
     evolve_channel_II,
-    kraus_apply,
-    kraus_channel_I,
-    kraus_channel_II,
-    kraus_tensor,
     oat_reduced_state,
+    spin_squeezing,
 )
 from .experiments import (
     FitResult,
@@ -42,14 +43,13 @@ from .ising_bath import (
     lee_yang_zeros,
     partition_coefficients,
 )
-from .observables import (
-    ConcurrenceResult,
-    SqueezingReport,
-    coherence,
-    concurrence_channel_I,
-    concurrence_channel_II,
+from .verify import (
+    KrausSet,
     concurrence_generic,
-    spin_squeezing,
+    kraus_apply,
+    kraus_channel_I,
+    kraus_channel_II,
+    kraus_tensor,
 )
 
 __version__ = "0.1.0"

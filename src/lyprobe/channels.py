@@ -1,4 +1,4 @@
-"""Dephasing channels acting on a pair of probe qubits.
+"""Probe pair states, the two dephasing channels, and the observables in closed form.
 
 Two geometries are modelled.  Channel I couples every probe to its own
 independent ring, so each qubit's coherences decay with the single-ring
@@ -9,6 +9,12 @@ coherence between |00> and |11>.
 Probe pairs start in the reduced state of a one-axis-twisted ensemble, which
 is an X-state in the standard product basis; both channels preserve that
 shape, so states are carried as their five independent X-state entries.
+
+Coherence, pairwise concurrence and spin squeezing are closed forms in those
+entries and the factor, written once for both channels and any array of
+factors in ``x_state_observables``; ``coherence``, ``concurrence_channel_I``/
+``_II`` and ``spin_squeezing`` wrap it for one validated factor.  The Kraus
+maps and the generic Wootters route that cross-check them live in ``verify``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,39 +117,6 @@ class TwoQubitXState:
         return rho
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    """A complete set of Kraus operators of one common square dimension, or a stack of sets.
-
-    ``operators`` is stored as a copy in one read-only complex array: (k, d, d)
-    for one set, which iterates as its d x d operators, or (..., k, d, d).
-    """
-
-    operators: np.ndarray
-
-    def __post_init__(self) -> None:
-        try:
-            ops = np.array(self.operators, dtype=complex)
-        except ValueError:
-            raise ValueError("operators must share one square shape") from None
-        if ops.size == 0:
-            raise ValueError("at least one Kraus operator required")
-        if ops.ndim < 3 or ops.shape[-1] != ops.shape[-2]:
-            raise ValueError("operators must share one square shape")
-        if not np.isfinite(ops).all():
-            raise ValueError("operators must be finite")
-        # sum_i M_i^dag M_i must equal the identity within 1e-12, set by set
-        total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
-        if not np.abs(total - np.eye(ops.shape[-1])).max() <= 1e-12:
-            raise ValueError("completeness violated: sum M^dag M != identity")
-        ops.flags.writeable = False
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators.shape[-1]
-
-
 def oat_reduced_state(params: OatParameters) -> TwoQubitXState:
     """Two-qubit reduced state of a one-axis-twisted ensemble.
 
@@ -208,80 +182,193 @@ def evolve_channel_II(state: TwoQubitXState, factor) -> TwoQubitXState:
     return replace(state, u=_factor_value(factor) * state.u)
 
 
-def _phase_flip(factor) -> np.ndarray:
-    """Operators {sqrt((1+A)/2) I, sqrt((1-A)/2) sigma_z}, (2, 2, 2), or a stack (..., 2, 2, 2).
+@dataclass(frozen=True)
+class ConcurrenceResult:
+    """Wootters concurrence of a probe pair and its ensemble-rescaled value.
 
-    One factor runs on Python floats.  An array is checked at its largest |A|
-    or first NaN as one factor is, and each set keeps the bits of its own
-    factor's.
+    ``lambdas`` are the four spin-flip singular values sorted descending;
+    ``concurrence`` equals max(0, lambdas[0] - sum(lambdas[1:])) and
+    ``rescaled`` is (N - 1) times that, the pairwise entanglement summed over
+    one probe's N - 1 partners.  ``lambdas`` is a read-only view, not a copy.
     """
-    if isinstance(factor, np.ndarray):
-        a = np.asarray(factor, dtype=float)
-        if a.size:
-            _factor_value(a.flat[np.argmax(np.abs(a))])
-        a, sqrt = np.clip(a, -1.0, 1.0), np.sqrt
+
+    concurrence: float
+    rescaled: float
+    lambdas: np.ndarray
+
+    def __post_init__(self) -> None:
+        lams = np.asarray(self.lambdas, dtype=float).view()
+        if lams.shape != (4,):
+            raise ValueError(f"lambdas must have exactly 4 entries, got {lams.shape}")
+        l0, l1, l2, l3 = values = lams.tolist()
+        if not all(map(math.isfinite, values)) or min(values) < -1e-12:
+            raise ValueError("lambdas must be finite and nonnegative")
+        if l1 - l0 > 1e-12 or l2 - l1 > 1e-12 or l3 - l2 > 1e-12:
+            raise ValueError("lambdas must be sorted descending")
+        expected = max(0.0, l0 - l1 - l2 - l3)
+        if abs(self.concurrence - expected) > 1e-9:
+            raise ValueError("concurrence inconsistent with lambdas")
+        if not (0.0 <= self.concurrence <= 1.0 + 1e-9):
+            raise ValueError(f"concurrence must lie in [0, 1], got {self.concurrence}")
+        if self.rescaled < -1e-12:
+            raise ValueError(f"rescaled concurrence must be >= 0, got {self.rescaled}")
+        lams.flags.writeable = False
+        object.__setattr__(self, "lambdas", lams)
+
+
+@dataclass(frozen=True)
+class SqueezingReport:
+    """Squeezing parameter, its entanglement-limited bound, and their gap.
+
+    ``xi2`` is the transverse spin-squeezing parameter of the dephased
+    ensemble; ``xi2_prime`` is 1 minus the rescaled concurrence, the value
+    xi2 would take if squeezing tracked pairwise entanglement exactly;
+    ``improvement`` is their difference and ``improvement_max`` its maximum
+    over the physical factor range for the same initial state.
+    """
+
+    xi2: float
+    xi2_prime: float
+    improvement: float
+    improvement_max: float
+
+    def __post_init__(self) -> None:
+        for name in ("xi2", "xi2_prime", "improvement", "improvement_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if abs(self.improvement - (self.xi2_prime - self.xi2)) > 1e-12:
+            raise ValueError("improvement must equal xi2_prime - xi2")
+
+
+class XStateObservables(NamedTuple):
+    """Observables of a dephased X state, each broadcastable against A.
+
+    ``lambdas`` holds the four spin-flip singular values unsorted:
+    sqrt(v+ v-) + d_u, |sqrt(v+ v-) - d_u|, w + d_y and |w - d_y|, where
+    d_u and d_y are the damped cross-coherence moduli.  ``rescaled`` is
+    (N - 1) C and ``xi2_prime`` is 1 - (N - 1) C, the squeezing bound.
+    """
+
+    coherence: np.ndarray
+    lambdas: tuple
+    concurrence: np.ndarray
+    xi2: np.ndarray
+    rescaled: np.ndarray
+    xi2_prime: np.ndarray
+
+
+def x_state_observables(
+    state: TwoQubitXState, channel: Channel, a, n_probes: int
+) -> XStateObservables:
+    """Coherence, spin-flip values, concurrence, xi^2 and its bound at factor(s) A.
+
+    The channels differ only in how they damp the cross coherences: channel I
+    scales |u| and |y| by A^2, channel II scales |u| by |A| and leaves y.
+    The X pattern block-diagonalizes the spin-flip product, so the outer
+    block gives sqrt(v+ v-) +- d_u and the inner block w +- d_y, and the
+    concurrence is the largest value minus the other three.  xi^2 =
+    1 + 2(N-1)(<s1+ s2-> - |<s1- s2->|) from the damped pair correlators,
+    and xi'^2 = 1 - (N-1) C.
+
+    ``a`` is a float or an array and is not validated.  The order of every
+    operation is fixed: the bytes of the simulate CSV depend on it.
+    """
+    _check_n_probes(n_probes)
+    mod_u = abs(state.u)
+    mod_y = abs(state.y)
+    root_vv = np.sqrt(state.v_plus * state.v_minus)
+    if Channel(channel) is Channel.I:
+        damp_u = a * a * mod_u
+        damp_y = a * a * mod_y
+        coh = 2.0 * a * a * (mod_u + mod_y)
+        xi2 = 1.0 + 2.0 * (n_probes - 1) * a * a * (state.y - mod_u)
     else:
-        a, sqrt = _factor_value(factor), math.sqrt
-    s, r = sqrt(0.5 * (1.0 + a)), sqrt(0.5 * (1.0 - a))
-    ops = np.zeros((*np.shape(a), 2, 2, 2), dtype=complex)
-    ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = s
-    ops[..., 1, 0, 0], ops[..., 1, 1, 1] = r, -r
-    return ops
+        damp_u = np.abs(a) * mod_u
+        damp_y = mod_y
+        coh = 2.0 * (np.abs(a) * mod_u + mod_y)
+        xi2 = 1.0 + 2.0 * (n_probes - 1) * (state.y - np.abs(a) * mod_u)
+
+    lam1 = root_vv + damp_u
+    lam2 = np.abs(root_vv - damp_u)
+    lam3 = state.w + damp_y
+    lam4 = np.abs(state.w - damp_y)
+    total = lam1 + lam2 + lam3 + lam4
+    conc = np.maximum(0.0, 2.0 * np.maximum(lam1, lam3) - total)
+    rescaled = (n_probes - 1) * conc
+    return XStateObservables(coh, (lam1, lam2, lam3, lam4), conc, xi2, rescaled, 1.0 - rescaled)
 
 
-def kraus_channel_I(factor) -> KrausSet:
-    """Single-qubit Kraus set realizing the independent-ring dephasing.
+def coherence(state: TwoQubitXState, channel: Channel, factor) -> float:
+    """l1 off-diagonal coherence of the dephased pair, from initial entries.
 
-    u_local -> A u_local is a phase flip with probability (1 - A)/2, which
-    {sqrt((1+A)/2) I, sqrt((1-A)/2) sigma_z} realizes for either sign of A.
-    An array of factors gives a stack of sets, one per factor.
+    Channel I scales both cross coherences by A^2, so
+    L = 2 A^2 (|u| + |y|); channel II damps only the double-flip coherence,
+    L = 2 (|A' u| + |y|), which stays positive whenever y != 0.
     """
-    return KrausSet(operators=_phase_flip(factor))
+    # the coherence does not depend on the ensemble size; any N >= 2 serves
+    return float(x_state_observables(state, channel, _factor_value(factor), 2).coherence)
 
 
-def kraus_channel_II(factor) -> KrausSet:
-    """Two-qubit Kraus set realizing the shared-ring dephasing.
+def _closed_form_concurrence(
+    state: TwoQubitXState, channel: Channel, factor, n_probes: int
+) -> ConcurrenceResult:
+    values = x_state_observables(state, channel, _factor_value(factor), n_probes)
+    return ConcurrenceResult(
+        concurrence=float(values.concurrence),
+        rescaled=float(values.rescaled),
+        lambdas=np.sort(np.array(values.lambdas, dtype=float))[::-1],
+    )
 
-    In the basis (|00>, |01>, |10>, |11>) the outer block {|00>, |11>} takes
-    the phase flip of ``kraus_channel_I``, {sqrt((1+A')/2)(P00 + P11),
-    sqrt((1-A')/2)(P00 - P11)}, and P01 + P10 passes the inner block
-    untouched.  An array of factors gives a stack of sets, one per factor.
+
+def concurrence_channel_I(state: TwoQubitXState, factor, n_probes: int) -> ConcurrenceResult:
+    """Concurrence of the pair after independent-ring dephasing, closed form.
+
+    With both cross coherences scaled by A^2 the spin-flip singular values
+    are sqrt(v+ v-) +- A^2 |u| and w +- A^2 |y|; for the twisted ensemble
+    (w = y) this collapses to C = 2 max{0, A^2 |u| - y, A^2 y - sqrt(v+ v-)}.
     """
-    flip = _phase_flip(factor)
-    ops = np.zeros((*flip.shape[:-3], 3, 4, 4), dtype=complex)
-    ops[..., :2, ::3, ::3] = flip
-    ops[..., 2, 1, 1] = ops[..., 2, 2, 2] = 1.0
-    return KrausSet(operators=ops)
+    return _closed_form_concurrence(state, Channel.I, factor, n_probes)
 
 
-def kraus_tensor(left: KrausSet, right: KrausSet) -> KrausSet:
-    """Tensor product set {L_i kron R_j}, acting on the joint system; set by set over a stack.
+def concurrence_channel_II(state: TwoQubitXState, factor, n_probes: int) -> ConcurrenceResult:
+    """Concurrence of the pair after shared-ring dephasing, closed form.
 
-    Raises:
-        ValueError: if the two stacks differ in shape.
+    Only the double-flip coherence is damped: singular values
+    sqrt(v+ v-) +- |A' u| and w +- |y|; for the twisted ensemble
+    C = 2 max{0, |A' u| - y} until the shared bath erases the advantage.
     """
-    stack = left.operators.shape[:-3]
-    if right.operators.shape[:-3] != stack:
-        raise ValueError(f"Kraus stacks of shapes {stack} and {right.operators.shape[:-3]} differ")
-    dim = left.dim * right.dim
-    ops = np.einsum("...aij,...bkl->...abikjl", left.operators, right.operators)
-    return KrausSet(operators=ops.reshape(*stack, -1, dim, dim))
+    return _closed_form_concurrence(state, Channel.II, factor, n_probes)
 
 
-def kraus_apply(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
-    """Apply sum_i M_i rho M_i^dag.
+def spin_squeezing(
+    state: TwoQubitXState, channel: Channel, factor, n_probes: int
+) -> SqueezingReport:
+    """Transverse squeezing of the dephased ensemble and its concurrence bound.
 
-    ``rho`` is one d x d state, or a stack (..., d, d), one per set of a stack.
-    Completeness is not checked again: a ``KrausSet`` checks it when built,
-    and its operators are read-only.
+    The optimal transverse variance of a symmetric ensemble reduces to pair
+    correlators: xi^2 = 1 + 2(N-1)(<s1+ s2-> - |<s1- s2->|).  Channel I
+    scales both correlators by A^2, giving xi^2 = 1 - A^2 * 2(N-1)(|u| - y);
+    channel II damps only the second, xi^2 = 1 + 2(N-1)(y - |A' u|).
 
-    Raises:
-        ValueError: if rho does not match the stack and the operators'
-            dimension.
+    xi2_prime is defined as 1 minus the rescaled concurrence of the matching
+    channel, so the report exposes the exact gap between squeezing and
+    pairwise entanglement.  improvement_max is the gap's maximum over the
+    factor range: channel I reaches 2(N-1)(1 - y/|u|) y at A^2 = y/|u|;
+    for channel II the gap is never positive, so the maximum is 0.
     """
-    rho = np.asarray(rho, dtype=complex)
-    ops = kraus.operators
-    expected = ops.shape[:-3] + ops.shape[-2:]
-    if rho.shape != expected:
-        raise ValueError(f"rho shape {rho.shape} does not match {expected}")
-    return (ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)).sum(-3)
+    channel = Channel(channel)
+    values = x_state_observables(state, channel, _factor_value(factor), n_probes)
+    au = abs(state.u)
+    y = state.y
+    if channel is Channel.I and au > 0.0:
+        improvement_max = 2.0 * (n_probes - 1) * (1.0 - y / au) * y
+    else:
+        improvement_max = 0.0
+    xi2 = float(values.xi2)
+    xi2_prime = float(values.xi2_prime)
+    return SqueezingReport(
+        xi2=xi2,
+        xi2_prime=xi2_prime,
+        improvement=xi2_prime - xi2,
+        improvement_max=improvement_max,
+    )

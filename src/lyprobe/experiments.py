@@ -21,9 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, OatParameters, _check_n_probes, oat_reduced_state
+from .channels import (
+    Channel,
+    OatParameters,
+    _check_n_probes,
+    oat_reduced_state,
+    x_state_observables,
+)
 from .ising_bath import IsingRing, LeeYangZeroSet, factor_values, lee_yang_zeros
-from .observables import x_state_observables
 
 
 def _check_eta(eta: float) -> None:
@@ -172,7 +177,7 @@ def run_scenario(s: Scenario) -> ObservableSeries:
     Vectorized over ``np.linspace(0, t_max, steps)``: one dephasing-factor
     evaluation per point, then coherence, rescaled concurrence and both
     squeezing parameters from the X-state kernel
-    ``observables.x_state_observables``.
+    ``channels.x_state_observables``.
 
     Raises:
         ValueError: if a field angle w = channel.rate * eta * t, or the phase
@@ -345,9 +350,6 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     t = series.times
     if t.size < 3:
         return np.array([])
-    peak = series.coherence.max()
-    if peak <= 0.0:
-        return np.array([])
     state = oat_reduced_state(series.probe)
     if not _reaches_zero(series, state):
         return np.array([])
@@ -375,7 +377,7 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     minima = _golden_minima(lambda x: np.abs(a_of_t(x)), lo, hi, 1e-12 * max(1.0, t[-1]))
     refined = np.concatenate([roots, minima])
     values = x_state_observables(state, series.channel, a_of_t(refined), series.probe.n_probes)
-    zeros = np.sort(refined[values.coherence < _COLLAPSE_THRESHOLD * peak])
+    zeros = np.sort(refined[values.coherence < _COLLAPSE_THRESHOLD * series.coherence.max()])
     if zeros.size == 0:
         return zeros
     # adjacent candidates can refine into the same zero; merge sub-grid duplicates

@@ -1,37 +1,41 @@
-"""Self-contained invariant battery behind the `lyprobe verify` subcommand.
+"""Every independent cross-check route, and the invariant battery behind `lyprobe verify`.
 
 Each check cross-validates one layer of the pipeline against an independent
 route: enumeration (``partition_coefficients_bruteforce``) vs the closed-form
 coefficients, companion-matrix roots (``np.roots``) vs the transfer-form zero
 phases, the product over zeros (``dephasing_factor_product``, one call per
 ring) vs the transfer-form factor on the same rotation angles, Kraus maps
-(one stacked set per channel for all 100 samples) vs closed-form updates,
-generic concurrence (one stacked call for all 400 matrices) vs X-state
-formulas, and the series-level symmetries.  Both named routes live here,
-the only place the program runs them.  The closed-form pair state is checked
-against the full 2^N state-vector reduction in the test suite, not here.
-``run_checks`` takes 0.03-0.05 s on a shared 2-vCPU Xeon VM (CPython 3.11.7,
-numpy 2.4.6); every check runs and reports, and `lyprobe verify` exits 2 if
-any fails.
+(``kraus_*``, one stacked set per channel for all 100 samples) vs closed-form
+updates, generic Wootters concurrence (one stacked call for all 400
+matrices) vs X-state formulas, and the series-level symmetries.  These
+routes live here, the only place the program runs them.  The closed-form
+pair state is checked against the full 2^N state-vector reduction in the
+test suite, not here.  ``run_checks`` takes 0.03-0.05 s on a shared 2-vCPU
+Xeon VM (CPython 3.11.7, numpy 2.4.6); every check runs and reports, and
+`lyprobe verify` exits 2 if any fails.
 """
 
 from __future__ import annotations
 
+import math
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .channels import (
     Channel,
+    ConcurrenceResult,
     OatParameters,
+    _check_n_probes,
+    _factor_value,
+    coherence,
     evolve_channel_I,
     evolve_channel_II,
-    kraus_apply,
-    kraus_channel_I,
-    kraus_channel_II,
-    kraus_tensor,
     oat_reduced_state,
+    spin_squeezing,
+    x_state_observables,
 )
 from .experiments import (
     Scenario,
@@ -50,12 +54,6 @@ from .ising_bath import (
     factor_values,
     lee_yang_zeros,
     zero_residuals,
-)
-from .observables import (
-    _wootters_stack,
-    coherence,
-    spin_squeezing,
-    x_state_observables,
 )
 
 
@@ -116,6 +114,186 @@ def dephasing_factor_product(zeros: LeeYangZeroSet, w):
     zeta = np.exp(-2j * w)
     value = np.exp(1j * nb * w) * np.prod((zeta[..., None] - roots) / denom, axis=-1)
     return value if value.ndim else complex(value)
+
+
+@dataclass(frozen=True)
+class KrausSet:
+    """A complete set of Kraus operators of one common square dimension, or a stack of sets.
+
+    ``operators`` is stored as a copy in one read-only complex array: (k, d, d)
+    for one set, or (..., k, d, d).  The set is not iterable; ``operators`` is.
+    """
+
+    operators: np.ndarray
+
+    def __post_init__(self) -> None:
+        try:
+            ops = np.array(self.operators, dtype=complex)
+        except ValueError:
+            raise ValueError("operators must share one square shape") from None
+        if ops.size == 0:
+            raise ValueError("at least one Kraus operator required")
+        if ops.ndim < 3 or ops.shape[-1] != ops.shape[-2]:
+            raise ValueError("operators must share one square shape")
+        if not np.isfinite(ops).all():
+            raise ValueError("operators must be finite")
+        # sum_i M_i^dag M_i must equal the identity within 1e-12, set by set
+        total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
+        if not np.abs(total - np.eye(ops.shape[-1])).max() <= 1e-12:
+            raise ValueError("completeness violated: sum M^dag M != identity")
+        ops.flags.writeable = False
+        object.__setattr__(self, "operators", ops)
+
+    @property
+    def dim(self) -> int:
+        return self.operators.shape[-1]
+
+
+def _phase_flip(factor) -> np.ndarray:
+    """Operators {sqrt((1+A)/2) I, sqrt((1-A)/2) sigma_z}, (2, 2, 2), or a stack (..., 2, 2, 2).
+
+    One factor runs on Python floats.  An array is checked at its largest |A|
+    or first NaN as one factor is, and each set keeps the bits of its own
+    factor's.
+    """
+    if isinstance(factor, np.ndarray):
+        a = np.asarray(factor, dtype=float)
+        if a.size:
+            _factor_value(a.flat[np.argmax(np.abs(a))])
+        a, sqrt = np.clip(a, -1.0, 1.0), np.sqrt
+    else:
+        a, sqrt = _factor_value(factor), math.sqrt
+    s, r = sqrt(0.5 * (1.0 + a)), sqrt(0.5 * (1.0 - a))
+    ops = np.zeros((*np.shape(a), 2, 2, 2), dtype=complex)
+    ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = s
+    ops[..., 1, 0, 0], ops[..., 1, 1, 1] = r, -r
+    return ops
+
+
+def kraus_channel_I(factor) -> KrausSet:
+    """Single-qubit Kraus set realizing the independent-ring dephasing.
+
+    u_local -> A u_local is a phase flip with probability (1 - A)/2, which
+    {sqrt((1+A)/2) I, sqrt((1-A)/2) sigma_z} realizes for either sign of A.
+    An array of factors gives a stack of sets, one per factor.
+    """
+    return KrausSet(operators=_phase_flip(factor))
+
+
+def kraus_channel_II(factor) -> KrausSet:
+    """Two-qubit Kraus set realizing the shared-ring dephasing.
+
+    In the basis (|00>, |01>, |10>, |11>) the outer block {|00>, |11>} takes
+    the phase flip of ``kraus_channel_I``, {sqrt((1+A')/2)(P00 + P11),
+    sqrt((1-A')/2)(P00 - P11)}, and P01 + P10 passes the inner block
+    untouched.  An array of factors gives a stack of sets, one per factor.
+    """
+    flip = _phase_flip(factor)
+    ops = np.zeros((*flip.shape[:-3], 3, 4, 4), dtype=complex)
+    ops[..., :2, ::3, ::3] = flip
+    ops[..., 2, 1, 1] = ops[..., 2, 2, 2] = 1.0
+    return KrausSet(operators=ops)
+
+
+def kraus_tensor(left: KrausSet, right: KrausSet) -> KrausSet:
+    """Tensor product set {L_i kron R_j}, acting on the joint system; set by set over a stack.
+
+    Raises:
+        ValueError: if the two stacks differ in shape.
+    """
+    stack = left.operators.shape[:-3]
+    if right.operators.shape[:-3] != stack:
+        raise ValueError(f"Kraus stacks of shapes {stack} and {right.operators.shape[:-3]} differ")
+    dim = left.dim * right.dim
+    ops = np.einsum("...aij,...bkl->...abikjl", left.operators, right.operators)
+    return KrausSet(operators=ops.reshape(*stack, -1, dim, dim))
+
+
+def kraus_apply(rho: np.ndarray, kraus: KrausSet) -> np.ndarray:
+    """Apply sum_i M_i rho M_i^dag.
+
+    ``rho`` is one d x d state, or a stack (..., d, d), one per set of a stack.
+    Completeness is not checked again: a ``KrausSet`` checks it when built,
+    and its operators are read-only.
+
+    Raises:
+        ValueError: if rho does not match the stack and the operators'
+            dimension.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    ops = kraus.operators
+    expected = ops.shape[:-3] + ops.shape[-2:]
+    if rho.shape != expected:
+        raise ValueError(f"rho shape {rho.shape} does not match {expected}")
+    return (ops @ rho[..., None, :, :] @ ops.conj().swapaxes(-1, -2)).sum(-3)
+
+
+# eigenvalues above this magnitude below zero indicate a genuinely non-PSD
+# input rather than rounding noise
+_PSD_FLOOR = -1e-9
+
+# sigma_y kron sigma_y in the (|00>, |01>, |10>, |11>) basis
+_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])).astype(complex)
+_SIGMA_YY.flags.writeable = False
+
+
+def _wootters_stack(rho) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted Wootters lambdas and concurrence of each matrix in a (..., 4, 4) stack.
+
+    The generic route behind ``concurrence_generic``: one batched ``eigh``
+    and one batched ``svd`` for the whole stack, each matrix computed by the
+    same operations as a single call, so every element carries a single
+    call's bits.  The Hermitian, unit-trace and PSD-floor checks run on
+    every matrix and raise the single-call message of the first that fails.
+    Returns lambdas of shape (..., 4), sorted descending, and the
+    concurrences, of shape (...).
+    """
+    rho = np.asarray(rho, dtype=complex)
+    # the largest deviation over the stack: nan fails the comparison too
+    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max() <= 1e-9:
+        raise ValueError("density matrix must be Hermitian")
+    if abs(rho.trace(axis1=-2, axis2=-1).real - 1.0).max() > 1e-9:
+        raise ValueError("density matrix must have unit trace")
+
+    evals, vecs = np.linalg.eigh(rho)
+    if evals.min() < _PSD_FLOOR:
+        lowest = evals.min(axis=-1).ravel()
+        first = lowest[lowest < _PSD_FLOOR][0]
+        raise ValueError(f"density matrix not positive semidefinite: eigenvalue {first}")
+    root_evals = np.sqrt(np.maximum(evals, 0.0))[..., None, :]
+    sqrt_rho = (vecs * root_evals) @ vecs.conj().swapaxes(-1, -2)
+
+    # sqrt(rho_tilde) = S conj(sqrt(rho)) S for S = sigma_y kron sigma_y, so the
+    # Wootters lambdas are singular values of one small product
+    sqrt_tilde = _SIGMA_YY @ sqrt_rho.conj() @ _SIGMA_YY
+    lams = np.linalg.svd(sqrt_rho @ sqrt_tilde, compute_uv=False)
+    conc = np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
+    return lams, conc
+
+
+def concurrence_generic(rho: np.ndarray, n_probes: int = 2) -> ConcurrenceResult:
+    """Wootters concurrence of an arbitrary two-qubit density matrix.
+
+    Uses the Hermitian formulation: the lambdas are the square roots of the
+    eigenvalues of sqrt(rho) rho_tilde sqrt(rho), with
+    rho_tilde = (sigma_y kron sigma_y) conj(rho) (sigma_y kron sigma_y),
+    computed as the singular values of sqrt(rho) sqrt(rho_tilde) so that
+    near-zero lambdas keep absolute accuracy instead of inheriting the
+    square root of eigensolver noise.  Density-matrix eigenvalues below
+    -1e-9 raise; smaller negatives are rounding noise and are clamped.
+    One matrix through ``_wootters_stack``, which takes a whole stack.
+    """
+    _check_n_probes(n_probes)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    lams, conc = _wootters_stack(rho)
+    conc = float(conc)
+    return ConcurrenceResult(
+        concurrence=conc,
+        rescaled=(n_probes - 1) * conc,
+        lambdas=lams,
+    )
 
 
 def check_coefficients_vs_enumeration() -> str:

@@ -194,6 +194,23 @@ class TestVerify:
         with pytest.raises(verify.CheckFailure, match="finite float64"):
             verify.check_factor_symmetry()
 
+    def test_failing_checks_are_reported_and_exit_two(self, monkeypatch, capsys):
+        def refuses():
+            raise verify.CheckFailure("x")
+
+        def breaks():
+            return 1 / 0
+
+        checks = (("passes", lambda: "fine"), ("refuses", refuses), ("breaks", breaks))
+        monkeypatch.setattr(verify, "ALL_CHECKS", checks)
+        assert verify.run_checks() is False
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS  passes: fine",
+            "FAIL  refuses: x",
+            "FAIL  breaks: unexpected ZeroDivisionError: division by zero",
+        ]
+        assert cli.main(["verify"]) == 2
+
     def test_leaves_no_file_open(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -39,7 +39,7 @@ from lyprobe import (
     zero_times,
 )
 
-from lyprobe.observables import x_state_observables
+from lyprobe.channels import x_state_observables
 
 from .oracles import (
     bounded_minima,
@@ -331,6 +331,19 @@ class TestZeroDetection:
         ) as spy:
             assert detect_coherence_zeros(series).size == 0
         assert spy.call_count == 1
+
+    @pytest.mark.parametrize("channel", [Channel.I, Channel.II])
+    def test_untwisted_probe_has_no_zeros(self, channel):
+        # theta = 0 leaves y = u = 0, so the coherence is 0 everywhere: the
+        # collapse gate finds 0 not below 1e-6 times a peak of 0
+        ring = IsingRing(n_spins=6, inverse_temperature=0.5)
+        t_max = 2.0 * coherence_period(ETA, channel)
+        series = run_scenario(Scenario(ring, OatParameters(3, 0.0), channel, t_max, 2001, ETA))
+        assert not series.coherence.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert detect_coherence_zeros(series).size == 0
+            assert count_recovery_peaks(series) == 0
 
     def test_matches_zero_times(self):
         scenario = make_scenario(nb=6, steps=2401)
@@ -718,6 +731,11 @@ class TestTimingHelpers:
         min_gap = min(np.diff(tz).min(), wrap)
         assert steps >= 2
         assert t_max / (steps - 1) <= min_gap / 40.0 * (1.0 + 1e-12)
+
+    def test_default_steps_with_one_phase_spans_a_period(self):
+        # one collapse per period: the gap to the next is the period itself
+        zs = LeeYangZeroSet(np.array([np.pi]))
+        assert default_steps(zs, ETA, 157.08, Channel.I) == 42
 
     @pytest.mark.parametrize("beta", [0.0, 1e-40])
     def test_default_steps_rejects_coincident_collapses(self, beta):

@@ -22,7 +22,8 @@ from lyprobe import (
     spin_squeezing,
 )
 
-from lyprobe.observables import _wootters_stack, x_state_observables
+from lyprobe.channels import x_state_observables
+from lyprobe.verify import _wootters_stack
 
 from .oracles import series_observables_reference, wootters_one_matrix, wootters_reference
 

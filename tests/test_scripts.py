@@ -58,6 +58,10 @@ def run_python(args, **kwargs):
             ],
             "alpha=-0.287085808",
         ),
+        (
+            ["-m", "lyprobe", "fit-cmax", "--theta", "1.0471976", "--n-min", "20", "--n-max", "28"],
+            "alpha=-0.287085808",
+        ),
     ],
     ids=[
         "coherence_scan",
@@ -67,6 +71,7 @@ def run_python(args, **kwargs):
         "lyprobe_zeros",
         "lyprobe_verify",
         "lyprobe_fit_cmax",
+        "python_m_lyprobe_fit_cmax",
     ],
 )
 def test_readme_command(command, expected, tmp_path):
