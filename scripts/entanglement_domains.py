@@ -37,7 +37,6 @@ def main() -> None:
     ap.add_argument("--probes", type=int, default=3, help="ensemble size N (default 3)")
     ap.add_argument("--theta", type=float, default=np.pi / 2, help="twisting angle (default pi/2)")
     ap.add_argument("--eta", type=float, default=0.01, help="probe-ring coupling (default 0.01)")
-    ap.add_argument("--epsilon", type=float, default=1e-12, help="vanishing threshold (default 1e-12)")
     ap.add_argument("--steps", type=int, default=0, help="grid points; 0 picks a zero-resolving default")
     args = ap.parse_args()
 
@@ -50,7 +49,7 @@ def main() -> None:
     probe = OatParameters(args.probes, args.theta)
     scenario = Scenario(ring, probe, Channel.I, period, steps, args.eta)
     series = run_scenario(scenario)
-    domains = vanishing_domains(series, args.epsilon)
+    domains = vanishing_domains(series)
 
     print(f"ring N_b={args.nb} beta*lambda={args.beta}, N={args.probes} probes")
     print(f"{len(domains)} vanishing domain(s) on one period ({steps} grid points)")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -233,9 +233,9 @@ class SqueezingReport:
     improvement_max: float
 
     def __post_init__(self) -> None:
-        for name in ("xi2", "xi2_prime", "improvement", "improvement_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"{field.name} must be finite")
         if abs(self.improvement - (self.xi2_prime - self.xi2)) > 1e-12:
             raise ValueError("improvement must equal xi2_prime - xi2")
 

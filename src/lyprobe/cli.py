@@ -161,6 +161,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # arrays that do not fit: numpy and list() refuse one past the address space at once
+        print("out of memory: the arrays --nb, --steps or --n-max ask for do not fit", file=sys.stderr)
+        return 1
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -66,14 +66,18 @@ class Scenario:
         _check_eta(self.eta)
 
 
+# the six sampled columns of an ObservableSeries, in CSV order
+_SERIES_COLUMNS = ("times", "a_factor", "coherence", "concurrence_rescaled", "xi2", "xi2_prime")
+
+
 @dataclass(frozen=True)
 class ObservableSeries:
     """Sampled observables over a time grid, with provenance for refinement.
 
-    The six arrays share one length; each is a read-only view, not a copy,
-    so the caller's array stays writable.  The metadata (probe, eta, channel,
-    ring) records what generated the series so that zero detection can
-    refine candidates on the analytic factor.
+    The six arrays (``_SERIES_COLUMNS``) share one length; each is a read-only
+    view, not a copy, so the caller's array stays writable.  The metadata
+    (probe, eta, channel, ring) records what generated the series so that
+    zero detection can refine candidates on the analytic factor.
     """
 
     times: np.ndarray
@@ -89,14 +93,7 @@ class ObservableSeries:
 
     def __post_init__(self) -> None:
         arrays = {}
-        for name in (
-            "times",
-            "a_factor",
-            "coherence",
-            "concurrence_rescaled",
-            "xi2",
-            "xi2_prime",
-        ):
+        for name in _SERIES_COLUMNS:
             arr = np.asarray(getattr(self, name), dtype=float).view()
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
@@ -118,7 +115,7 @@ class ObservableSeries:
 
 @dataclass(frozen=True)
 class VanishingDomain:
-    """Maximal interval where the rescaled concurrence stays at (or below) epsilon.
+    """Maximal interval where the rescaled concurrence stays at or below ``_VANISHING_THRESHOLD``.
 
     ``clipped`` marks domains touching the grid boundary, whose true extent
     (and therefore center) is unknown; callers exclude them from center
@@ -312,6 +309,8 @@ def _golden_minima(f, lo: np.ndarray, hi: np.ndarray, xatol: float) -> np.ndarra
 
 # a collapse: the coherence falls below this fraction of the series maximum
 _COLLAPSE_THRESHOLD = 1e-6
+# a vanishing domain: the rescaled concurrence is at or below this value
+_VANISHING_THRESHOLD = 1e-12
 
 
 def _reaches_zero(series: ObservableSeries, state) -> bool:
@@ -386,18 +385,14 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     return zeros[keep]
 
 
-def vanishing_domains(
-    series: ObservableSeries, epsilon: float = 1e-12
-) -> list[VanishingDomain]:
-    """Maximal grid intervals where the rescaled concurrence is <= epsilon.
+def vanishing_domains(series: ObservableSeries) -> list[VanishingDomain]:
+    """Maximal grid intervals where the rescaled concurrence is <= ``_VANISHING_THRESHOLD`` (1e-12).
 
     Domains touching the first or last grid point are flagged clipped; their
     true extent is unknown, so center statistics should skip them.
     """
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
-    below = series.concurrence_rescaled <= epsilon
-    # +1 where a run of below-epsilon samples starts, -1 one past where it ends
+    below = series.concurrence_rescaled <= _VANISHING_THRESHOLD
+    # +1 where a run of vanishing samples starts, -1 one past where it ends
     edges = np.diff(np.concatenate(([False], below, [False])).astype(np.int8))
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
@@ -482,8 +477,8 @@ def fit_cmax_scaling(
     cmax = np.array(cmax)
     if np.any(cmax <= 0.0):
         raise ValueError(
-            "C_max vanished for some ensemble size: parameters outside the "
-            "squeezed regime, log fit undefined"
+            f"C_max vanished at N={sizes[np.argmax(cmax <= 0.0)]} for theta={theta!r}: "
+            "parameters outside the squeezed regime, log fit undefined"
         )
     x = sizes - 2.0
     log_cmax = np.log(cmax)
@@ -662,15 +657,5 @@ def emit_csv(series: ObservableSeries, path) -> None:
     Raises:
         OSError: naming the path, if the file cannot be written.
     """
-    _write_csv(
-        path,
-        "t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime",
-        [
-            series.times,
-            series.a_factor,
-            series.coherence,
-            series.concurrence_rescaled,
-            series.xi2,
-            series.xi2_prime,
-        ],
-    )
+    header = ",".join(("t", *_SERIES_COLUMNS[1:]))
+    _write_csv(path, header, [getattr(series, name) for name in _SERIES_COLUMNS])

@@ -38,6 +38,7 @@ from .channels import (
     x_state_observables,
 )
 from .experiments import (
+    _SERIES_COLUMNS,
     Scenario,
     coherence_period,
     detect_coherence_zeros,
@@ -401,15 +402,20 @@ def check_zero_time_collapse() -> str:
     return f"|A| <= {worst:.2e} at all predicted collapse times"
 
 
+def _random_probes(seed: int, count: int, n_stop: int) -> list[tuple]:
+    """``count`` seeded draws of (pair state, factor A, N), N in [2, n_stop), theta in (0, pi)."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        n, theta = int(rng.integers(2, n_stop)), float(rng.uniform(0.05, np.pi - 0.05))
+        draws.append((oat_reduced_state(OatParameters(n, theta)), float(rng.uniform(-1.0, 1.0)), n))
+    return draws
+
+
 def check_channels_closed_vs_kraus() -> str:
     # one stacked Kraus set per channel holds all 100 samples' sets; each
     # deviation keeps the bits of a call per sample
-    rng = np.random.default_rng(7)
-    states, factors = [], []
-    for _ in range(100):
-        n, theta = int(rng.integers(2, 9)), float(rng.uniform(0.05, np.pi - 0.05))
-        states.append(oat_reduced_state(OatParameters(n, theta)))
-        factors.append(float(rng.uniform(-1.0, 1.0)))
+    states, factors, _ = zip(*_random_probes(7, 100, 9))
     rhos = np.array([state.to_matrix() for state in states])
     single = kraus_channel_I(np.array(factors))
     pair, shared = kraus_tensor(single, single), kraus_channel_II(np.array(factors))
@@ -422,14 +428,8 @@ def check_channels_closed_vs_kraus() -> str:
 
 
 def check_wootters_generic_vs_closed() -> str:
-    rng = np.random.default_rng(11)
-    evolved = []
-    closed = []
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        theta = float(rng.uniform(0.05, np.pi - 0.05))
-        a = float(rng.uniform(-1.0, 1.0))
-        state = oat_reduced_state(OatParameters(n, theta))
+    evolved, closed = [], []
+    for state, a, n in _random_probes(11, 200, 7):
         evolved += [evolve_channel_I(state, a).to_matrix(), evolve_channel_II(state, a).to_matrix()]
         # the kernel gives the bits the concurrence_channel_I/_II wrappers give
         closed += [
@@ -502,7 +502,7 @@ def check_series_consistency() -> str:
     )
     series = run_scenario(scenario)
     half = 2000
-    for name in ("a_factor", "coherence", "concurrence_rescaled", "xi2", "xi2_prime"):
+    for name in _SERIES_COLUMNS[1:]:
         left = getattr(series, name)[:half]
         right = getattr(series, name)[half:-1]
         _require(
@@ -555,16 +555,7 @@ def check_csv_determinism() -> str:
         "CSV header wrong",
     )
     # the numpy kernel against Python's own formatting, on this machine's build
-    rows = np.column_stack(
-        [
-            series.times,
-            series.a_factor,
-            series.coherence,
-            series.concurrence_rescaled,
-            series.xi2,
-            series.xi2_prime,
-        ]
-    )
+    rows = np.column_stack([getattr(series, name) for name in _SERIES_COLUMNS])
     text = "".join(",".join("%.12g" % v for v in row) + "\n" for row in rows.tolist())
     _require(first.partition("\n")[2] == text, "CSV bytes differ from Python's '%.12g'")
     return "byte-identical output, exact header, round trip at 12 digits"

@@ -1,11 +1,19 @@
 """Exit codes, file outputs, and console text of the four subcommands."""
 
 import argparse
+import contextlib
 import gc
+import io
+import math
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 import lyprobe.cli as cli
 from lyprobe import verify
@@ -14,6 +22,7 @@ from lyprobe import (
     IsingRing,
     OatParameters,
     Scenario,
+    default_steps,
     lee_yang_zeros,
     run_scenario,
 )
@@ -352,3 +361,158 @@ class TestProbeTimeOverflow:
             warnings.simplefilter("error")
             assert cli.main(argv) == 0
         assert len(out.read_text().splitlines()) == 1 + 3
+
+
+def run_main(argv):
+    """``cli.main(argv)`` in process, warnings as errors: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# sizes no array can hold: numpy and list() refuse them before allocating anything
+HUGE = "1000000000000000"
+PROBE = ["--beta=0.5", "--probes=3", "--theta=1.0", "--eta=0.01", "--channel=I", "--t-max=20.0"]
+OUT_OF_MEMORY = [
+    ["simulate", "--nb=6", *PROBE, f"--steps={HUGE}"],
+    ["simulate", f"--nb={HUGE}", *PROBE],
+    ["zeros", f"--nb={HUGE}", "--beta=0.5"],
+    ["fit-cmax", "--theta=1.0", f"--n-max={HUGE}"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", OUT_OF_MEMORY, ids=["simulate-steps", "simulate-nb", "zeros-nb", "fit-cmax-n-max"]
+)
+def test_sizes_past_memory_exit_one_naming_the_sizes(argv, tmp_path):
+    out = tmp_path / "x.csv"
+    if argv[0] != "fit-cmax":
+        argv = [*argv, f"--out={out}"]
+    code, _, err = run_main(argv)
+    assert code == 1
+    assert err == "out of memory: the arrays --nb, --steps or --n-max ask for do not fit\n"
+    assert not out.exists()
+
+
+def log_uniform(low: float, high: float):
+    """Floats spread evenly in log10 between low and high."""
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: min(high, max(low, 10.0**e)))
+
+
+def log_uniform_int(low: int, high: int):
+    return log_uniform(low, high).map(round)
+
+
+# beta * lambda: 0, subnormals, the double range, and both sides of the
+# transfer form's limit at ~372.5
+BETA = st.one_of(
+    st.just(0.0),
+    st.floats(5e-324, sys.float_info.min, exclude_max=True),
+    log_uniform(1e-300, 372.0),
+    st.floats(372.0, 373.0),
+)
+THETA = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def simulate_argv(draw):
+    argv = [
+        "simulate",
+        f"--nb={draw(log_uniform_int(3, 10**6))}",
+        f"--beta={draw(BETA)!r}",
+        f"--probes={draw(log_uniform_int(2, 10**4))}",
+        f"--theta={draw(THETA)!r}",
+        f"--eta={draw(log_uniform(1e-310, 1e308))!r}",
+        f"--channel={draw(st.sampled_from(['I', 'II']))}",
+        f"--t-max={draw(log_uniform(5e-324, 1e308))!r}",
+    ]
+    steps = draw(st.none() | st.integers(2, 4001))
+    return argv if steps is None else [*argv, f"--steps={steps}"]
+
+
+@st.composite
+def zeros_argv(draw):
+    beta = draw(BETA)
+    # the coefficient sum (1 + sqrt q)^N_b overflows past N_b ~ 709.78 / log1p(sqrt q)
+    growth, log_max = math.log1p(math.exp(-2.0 * beta)), math.log(sys.float_info.max)
+    sizes = log_uniform_int(3, 4000)
+    if log_max <= 4000 * growth:
+        edge = int(log_max / growth)
+        sizes = sizes | st.integers(edge - 1, edge + 1)
+    return ["zeros", f"--nb={draw(sizes)}", f"--beta={beta!r}"]
+
+
+@st.composite
+def fit_argv(draw):
+    n_min = draw(st.integers(0, 1) | log_uniform_int(2, 10**4))
+    n_max = n_min + draw(st.integers(-2, 40))
+    return ["fit-cmax", f"--theta={draw(THETA)!r}", f"--n-min={n_min}", f"--n-max={n_max}"]
+
+
+def default_grid(argv):
+    """The grid ``simulate`` picks without --steps, or 0 where it refuses to pick one."""
+    options = dict(a[2:].split("=", 1) for a in argv[1:])
+    try:
+        ring = IsingRing(int(options["nb"]), inverse_temperature=float(options["beta"]))
+        return default_steps(
+            lee_yang_zeros(ring), float(options["eta"]), float(options["t-max"]), options["channel"]
+        )
+    except (ValueError, MemoryError):
+        return 0
+
+
+def csv_values(path: Path, header: str, rows: int) -> np.ndarray:
+    head, _, body = path.read_text().partition("\n")
+    assert head == header
+    assert body.count("\n") == rows and body.endswith("\n")
+    return np.array(body.replace("\n", ",").split(",")[:-1], dtype=float)
+
+
+# an input or a limit that a refusal names
+NAMES = (
+    "--nb", "--n-min", "--n-max", "N_b", "n_spins", "beta", "inverse_temperature", "n_probes",
+    "twist_angle", "theta", "eta", "t_max", "steps", "n_values", "limit",
+)
+
+
+@settings(
+    max_examples=800,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(argv=st.one_of(simulate_argv(), zeros_argv(), fit_argv()))
+@example(argv=OUT_OF_MEMORY[0])
+@example(argv=OUT_OF_MEMORY[1])
+@example(argv=OUT_OF_MEMORY[2])
+@example(argv=OUT_OF_MEMORY[3])
+def test_every_input_meets_the_exit_contract(argv):
+    """Exit 0-3 with no traceback or warning; a refusal is one line naming an input
+    or a limit; a success writes the header, the stated row count and finite values."""
+    command = argv[0]
+    if command == "simulate" and not any(a.startswith("--steps") for a in argv):
+        assume(default_grid(argv) <= 20_001)
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "out.csv"
+        if command != "fit-cmax":
+            argv = [*argv, f"--out={out}"]
+        code, stdout, stderr = run_main(argv)
+        assert code in (0, 1, 2, 3), stderr
+        if code:
+            assert stderr.count("\n") == 1 and any(n in stderr for n in NAMES), stderr
+            return
+        assert stderr == ""
+        if command == "simulate":
+            stated = int(stdout.split()[1])
+            values = csv_values(out, CSV_HEADER, stated)
+            steps = [int(a[8:]) for a in argv if a.startswith("--steps=")]
+            assert stated == (steps[0] if steps else default_grid(argv))
+        elif command == "zeros":
+            stated = int(stdout.split()[1])
+            values = csv_values(out, "phase,modulus_residual", stated)
+            assert stated == int(argv[1][5:])
+        else:
+            values = np.array([line.rpartition("=")[2] for line in stdout.splitlines()], dtype=float)
+        assert np.all(np.isfinite(values))

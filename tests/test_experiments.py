@@ -633,11 +633,6 @@ class TestVanishingDomains:
         series = run_scenario(make_scenario(nb=10, t_max=5.0, steps=101))
         assert vanishing_domains(series) == []
 
-    def test_rejects_negative_epsilon(self):
-        series = run_scenario(make_scenario(t_max=5.0, steps=11))
-        with pytest.raises(ValueError, match="epsilon"):
-            vanishing_domains(series, epsilon=-1.0)
-
     def test_interior_domains_cover_zero_times(self):
         # strong coupling: the factor recovers to ~1 between zeros, so each
         # zero time carries its own separate vanishing domain

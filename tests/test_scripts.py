@@ -95,6 +95,13 @@ def test_ring_scripts_take_no_lambda(script):
     assert "unrecognized arguments: --lambda 2" in result.stderr
 
 
+def test_domain_script_takes_no_threshold():
+    # the vanishing threshold is one constant of the library (exit 2 from argparse)
+    result = run_python([str(ROOT / "scripts" / "entanglement_domains.py"), "--epsilon", "1e-9"])
+    assert result.returncode == 2
+    assert "unrecognized arguments: --epsilon 1e-9" in result.stderr
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test-side oracle, not a runtime dependency
     result = run_python(["-c", "import sys, lyprobe.cli; print('scipy' in sys.modules)"])
