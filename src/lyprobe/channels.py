@@ -15,13 +15,19 @@ entries and the factor, written once for both channels and any array of
 factors in ``x_state_observables``; ``coherence``, ``concurrence_channel_I``/
 ``_II`` and ``spin_squeezing`` wrap it for one validated factor.  The Kraus
 maps and the generic Wootters route that cross-check them live in ``verify``.
+
+Three routes also take a stack of states, an ``XStateStack`` with one array
+per entry: ``evolve_channel_I``/``_II`` with one factor per state,
+``to_matrix`` and ``x_state_observables``.  Each stacked element carries the
+bits of the one-state call, so ``verify`` runs its random samples through
+the production formulas in one call per channel.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -105,16 +111,43 @@ class TwoQubitXState:
             raise ValueError("positivity violated: |u| exceeds sqrt(v_plus*v_minus)")
 
     def to_matrix(self) -> np.ndarray:
-        """Dense 4x4 density matrix in the (|00>, |01>, |10>, |11>) basis."""
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = self.v_plus
-        rho[1, 1] = rho[2, 2] = self.w
-        rho[3, 3] = self.v_minus
-        rho[1, 2] = self.y
-        rho[2, 1] = np.conj(self.y)
-        rho[0, 3] = self.u
-        rho[3, 0] = np.conj(self.u)
+        """Dense 4x4 density matrix in the (|00>, |01>, |10>, |11>) basis.
+
+        Also the layout of an ``XStateStack``, whose entries are arrays of one
+        shape (...): it gives a (..., 4, 4) stack.
+        """
+        rho = np.zeros((*getattr(self.u, "shape", ()), 4, 4), dtype=complex)
+        # fill through a view with the matrix axes first, so one state takes plain [i, j] writes
+        cells = rho if rho.ndim == 2 else np.moveaxis(rho, (-2, -1), (0, 1))
+        cells[0, 0] = self.v_plus
+        cells[1, 1] = cells[2, 2] = self.w
+        cells[3, 3] = self.v_minus
+        cells[1, 2] = cells[2, 1] = self.y  # real
+        cells[0, 3] = self.u
+        cells[3, 0] = self.u.conjugate()
         return rho
+
+
+class XStateStack(NamedTuple):
+    """The five entries of a stack of X states, one array of one shape each.
+
+    ``of`` builds it from validated ``TwoQubitXState``s, each entry with its
+    state's bits; a stack is not validated again.
+    """
+
+    v_plus: np.ndarray
+    v_minus: np.ndarray
+    w: np.ndarray
+    y: np.ndarray
+    u: np.ndarray
+
+    @classmethod
+    def of(cls, states) -> XStateStack:
+        return cls(*(np.array([getattr(state, name) for state in states]) for name in cls._fields))
+
+    def to_matrix(self) -> np.ndarray:
+        """Dense (..., 4, 4) stack of density matrices, one per state."""
+        return TwoQubitXState.to_matrix(self)
 
 
 def oat_reduced_state(params: OatParameters) -> TwoQubitXState:
@@ -149,11 +182,18 @@ def oat_reduced_state(params: OatParameters) -> TwoQubitXState:
     )
 
 
-def _factor_value(factor) -> float:
+def _factor_value(factor):
     """Extract the real dephasing factor from a DephasingFactor or a number.
 
     A magnitude above 1 + 1e-9 is rejected rather than silently truncated.
+    An array of factors (ndim >= 1) is checked at its largest |A| or first NaN
+    as one factor is, and clipped to [-1, 1] element by element.
     """
+    if isinstance(factor, np.ndarray) and factor.ndim:
+        a = np.asarray(factor, dtype=float)
+        if a.size:
+            _factor_value(a.flat[np.argmax(np.abs(a))])
+        return np.clip(a, -1.0, 1.0)
     value = float(factor.value if isinstance(factor, DephasingFactor) else factor)
     if not math.isfinite(value):
         raise ValueError(f"dephasing factor must be finite, got {value!r}")
@@ -167,10 +207,11 @@ def evolve_channel_I(state: TwoQubitXState, factor) -> TwoQubitXState:
 
     Both qubits of the pair acquire the single-ring factor A on their local
     coherences, so the cross coherences scale as u -> A^2 u and y -> A^2 y
-    while all populations stay fixed.
+    while all populations stay fixed.  An ``XStateStack`` with an array of
+    factors of its shape gives the stack of evolved states.
     """
     a = _factor_value(factor)
-    return replace(state, y=a * a * state.y, u=a * a * state.u)
+    return type(state)(state.v_plus, state.v_minus, state.w, a * a * state.y, a * a * state.u)
 
 
 def evolve_channel_II(state: TwoQubitXState, factor) -> TwoQubitXState:
@@ -178,8 +219,11 @@ def evolve_channel_II(state: TwoQubitXState, factor) -> TwoQubitXState:
 
     The shared ring couples to the total spin, so only the double-flip
     coherence decays: u -> A' u with y, w and the populations untouched.
+    An ``XStateStack`` with an array of factors of its shape gives the stack
+    of evolved states.
     """
-    return replace(state, u=_factor_value(factor) * state.u)
+    a = _factor_value(factor)
+    return type(state)(state.v_plus, state.v_minus, state.w, state.y, a * state.u)
 
 
 @dataclass(frozen=True)
@@ -258,7 +302,7 @@ class XStateObservables(NamedTuple):
 
 
 def x_state_observables(
-    state: TwoQubitXState, channel: Channel, a, n_probes: int
+    state: TwoQubitXState | XStateStack, channel: Channel, a, n_probes: int
 ) -> XStateObservables:
     """Coherence, spin-flip values, concurrence, xi^2 and its bound at factor(s) A.
 
@@ -270,11 +314,15 @@ def x_state_observables(
     1 + 2(N-1)(<s1+ s2-> - |<s1- s2->|) from the damped pair correlators,
     and xi'^2 = 1 - (N-1) C.
 
-    ``a`` is a float or an array and is not validated.  The order of every
+    ``a`` is a float or an array and is not validated.  ``state`` may be an
+    ``XStateStack`` whose shape broadcasts against ``a``.  The order of every
     operation is fixed: the bytes of the simulate CSV depend on it.
     """
     _check_n_probes(n_probes)
-    mod_u = abs(state.u)
+    u = state.u
+    # abs() of one complex, numpy's complex scalars too, is libm's hypot; np.abs
+    # of a complex array may differ from it in the last bit, np.hypot does not
+    mod_u = abs(u) if isinstance(u, complex) else np.hypot(u.real, u.imag)
     mod_y = abs(state.y)
     root_vv = np.sqrt(state.v_plus * state.v_minus)
     if Channel(channel) is Channel.I:

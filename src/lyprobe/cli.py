@@ -155,8 +155,7 @@ def main(argv=None) -> int:
         # argparse exits directly for --help; keep its code
         return int(exc.code or 0)
     except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"run '{parser.prog} --help' for usage", file=sys.stderr)
+        print(f"error: {exc}; run '{parser.prog} --help' for usage", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

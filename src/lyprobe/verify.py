@@ -8,10 +8,14 @@ ring) vs the transfer-form factor on the same rotation angles, Kraus maps
 (``kraus_*``, one stacked set per channel for all 100 samples) vs closed-form
 updates, generic Wootters concurrence (one stacked call for all 400
 matrices) vs X-state formulas, and the series-level symmetries.  These
-routes live here, the only place the program runs them.  The closed-form
-pair state is checked against the full 2^N state-vector reduction in the
-test suite, not here.  ``run_checks`` takes 0.03-0.05 s on a shared 2-vCPU
-Xeon VM (CPython 3.11.7, numpy 2.4.6); every check runs and reports, and
+routes live here, the only place the program runs them.  The two pair-layer
+checks draw each random state on its own, then run the production closed
+forms once per channel on the stack of states (``XStateStack``):
+``evolve_channel_I``/``_II``, ``to_matrix`` and ``x_state_observables``, each
+element with the bits of its one-state call.  The closed-form pair state is
+checked against the full 2^N state-vector reduction in the test suite, not
+here.  ``run_checks`` takes 0.02-0.04 s on a shared 2-vCPU Xeon VM
+(CPython 3.11.7, numpy 2.4.6); every check runs and reports, and
 `lyprobe verify` exits 2 if any fails.
 """
 
@@ -28,6 +32,7 @@ from .channels import (
     Channel,
     ConcurrenceResult,
     OatParameters,
+    XStateStack,
     _check_n_probes,
     _factor_value,
     coherence,
@@ -157,13 +162,8 @@ def _phase_flip(factor) -> np.ndarray:
     or first NaN as one factor is, and each set keeps the bits of its own
     factor's.
     """
-    if isinstance(factor, np.ndarray):
-        a = np.asarray(factor, dtype=float)
-        if a.size:
-            _factor_value(a.flat[np.argmax(np.abs(a))])
-        a, sqrt = np.clip(a, -1.0, 1.0), np.sqrt
-    else:
-        a, sqrt = _factor_value(factor), math.sqrt
+    a = _factor_value(factor)
+    sqrt = np.sqrt if isinstance(a, np.ndarray) else math.sqrt
     s, r = sqrt(0.5 * (1.0 + a)), sqrt(0.5 * (1.0 - a))
     ops = np.zeros((*np.shape(a), 2, 2, 2), dtype=complex)
     ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = s
@@ -402,42 +402,41 @@ def check_zero_time_collapse() -> str:
     return f"|A| <= {worst:.2e} at all predicted collapse times"
 
 
-def _random_probes(seed: int, count: int, n_stop: int) -> list[tuple]:
-    """``count`` seeded draws of (pair state, factor A, N), N in [2, n_stop), theta in (0, pi)."""
+def _random_probes(seed: int, count: int, n_stop: int) -> tuple[XStateStack, np.ndarray]:
+    """``count`` seeded draws of a pair state and a factor A, stacked; N in [2, n_stop), theta in (0, pi)."""
     rng = np.random.default_rng(seed)
-    draws = []
+    states, factors = [], []
     for _ in range(count):
         n, theta = int(rng.integers(2, n_stop)), float(rng.uniform(0.05, np.pi - 0.05))
-        draws.append((oat_reduced_state(OatParameters(n, theta)), float(rng.uniform(-1.0, 1.0)), n))
-    return draws
+        states.append(oat_reduced_state(OatParameters(n, theta)))
+        factors.append(float(rng.uniform(-1.0, 1.0)))
+    return XStateStack.of(states), np.array(factors)
 
 
 def check_channels_closed_vs_kraus() -> str:
-    # one stacked Kraus set per channel holds all 100 samples' sets; each
-    # deviation keeps the bits of a call per sample
-    states, factors, _ = zip(*_random_probes(7, 100, 9))
-    rhos = np.array([state.to_matrix() for state in states])
-    single = kraus_channel_I(np.array(factors))
-    pair, shared = kraus_tensor(single, single), kraus_channel_II(np.array(factors))
+    # one stacked Kraus set and one stacked closed-form update per channel
+    # hold all 100 samples; each deviation keeps the bits of a call per sample
+    stack, factors = _random_probes(7, 100, 9)
+    rhos = stack.to_matrix()
+    single = kraus_channel_I(factors)
+    pair, shared = kraus_tensor(single, single), kraus_channel_II(factors)
     worst = 0.0
     for evolve, kraus in ((evolve_channel_I, pair), (evolve_channel_II, shared)):
-        closed = [evolve(state, a).to_matrix() for state, a in zip(states, factors)]
+        closed = evolve(stack, factors).to_matrix()
         worst = max(worst, float(np.abs(kraus_apply(rhos, kraus) - closed).max()))
     _require(worst <= 1e-12, f"Kraus vs closed-form deviation {worst}")
     return f"both channels, signed factors, deviation {worst:.2e}"
 
 
 def check_wootters_generic_vs_closed() -> str:
-    evolved, closed = [], []
-    for state, a, n in _random_probes(11, 200, 7):
-        evolved += [evolve_channel_I(state, a).to_matrix(), evolve_channel_II(state, a).to_matrix()]
-        # the kernel gives the bits the concurrence_channel_I/_II wrappers give
-        closed += [
-            x_state_observables(state, Channel.I, a, n).concurrence,
-            x_state_observables(state, Channel.II, a, n).concurrence,
-        ]
-    # one stacked call gives the bits concurrence_generic gives matrix by matrix
+    # each stacked call gives the bits its call per sample gives: the generic
+    # route takes both channels' 200 evolved matrices at once, and the kernel
+    # gives the bits the concurrence_channel_I/_II wrappers give
+    stack, factors = _random_probes(11, 200, 7)
+    evolved = [evolve(stack, factors).to_matrix() for evolve in (evolve_channel_I, evolve_channel_II)]
     _, generic = _wootters_stack(np.array(evolved))
+    # the concurrence does not depend on the ensemble size; any N >= 2 serves
+    closed = [x_state_observables(stack, channel, factors, 2).concurrence for channel in Channel]
     worst = float(np.max(np.abs(generic - closed)))
     _require(worst <= 1e-10, f"generic vs closed concurrence deviation {worst}")
     return f"200 random states per channel, deviation {worst:.2e}"

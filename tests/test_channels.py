@@ -19,7 +19,8 @@ from lyprobe import (
     oat_reduced_state,
 )
 
-from lyprobe.channels import _factor_value
+from lyprobe.channels import Channel, XStateStack, _factor_value, x_state_observables
+from lyprobe.verify import _random_probes
 
 from .oracles import (
     evolve_channel_I_explicit,
@@ -219,7 +220,7 @@ class TestEvolve:
         ids=["I", "II"],
     )
     def test_matches_explicit_constructor(self, evolve, explicit, factor):
-        # replace() restates only the damped fields; every field keeps its bits
+        # the kept fields pass through and the damped ones are restated; every field keeps its bits
         states = [
             oat_reduced_state(OatParameters(3, np.pi / 2)),
             oat_reduced_state(OatParameters(5, 1.2)),
@@ -249,6 +250,109 @@ class TestFactorValue:
     )
     def test_clamps_within_slack(self, value, clamped):
         assert _factor_value(value) == clamped
+
+
+# the draws of verify's two pair-layer checks: (seed, count, N bound)
+VERIFY_DRAWS = [(11, 200, 7), (7, 100, 9)]
+EDGE_FACTORS = [1.0, -1.0, 0.0, -0.0, 1e-300]
+
+
+def verify_draws(seed, count, n_stop):
+    """The pair states and factors verify draws, one oat_reduced_state call per draw."""
+    rng = np.random.default_rng(seed)
+    states, factors = [], []
+    for _ in range(count):
+        n, theta = int(rng.integers(2, n_stop)), float(rng.uniform(0.05, np.pi - 0.05))
+        states.append(oat_reduced_state(OatParameters(n, theta)))
+        factors.append(float(rng.uniform(-1.0, 1.0)))
+    return states, factors
+
+
+def stack_cases():
+    """verify's draws, then N = 2 states and a drawn one at the edge factors."""
+    states, factors = [], []
+    for draw in VERIFY_DRAWS:
+        drawn = verify_draws(*draw)
+        states += drawn[0]
+        factors += drawn[1]
+    edge = [oat_reduced_state(OatParameters(2, theta)) for theta in (0.3, 1.7, 3.0)] + states[:1]
+    for state in edge:
+        states += [state] * len(EDGE_FACTORS)
+        factors += EDGE_FACTORS
+    return states, factors
+
+
+class TestStackRoute:
+    """A stack of states takes the one-state routes and gives each state's bits."""
+
+    STATES, FACTORS = stack_cases()
+
+    @pytest.fixture(scope="class")
+    def stack(self):
+        return XStateStack.of(self.STATES), np.array(self.FACTORS)
+
+    @pytest.mark.parametrize("draw", VERIFY_DRAWS, ids=["seed-11", "seed-7"])
+    def test_verify_draws_each_state_alone(self, draw):
+        # a stacked np.power differs from the scalar power on some (N, theta):
+        # the states are made one by one, in the rng's draw order
+        stack, factors = _random_probes(*draw)
+        states, drawn = verify_draws(*draw)
+        assert all(np.array_equal(a, b) for a, b in zip(stack, XStateStack.of(states)))
+        assert np.array_equal(factors, drawn)
+
+    def test_stack_keeps_each_entry(self, stack):
+        states, _ = stack
+        for name in XStateStack._fields:
+            entries = getattr(states, name)
+            assert entries.shape == (len(self.STATES),)
+            assert np.array_equal(entries, [getattr(state, name) for state in self.STATES])
+
+    def test_matrix_layout(self, stack):
+        states, _ = stack
+        one_by_one = np.array([state.to_matrix() for state in self.STATES])
+        assert np.array_equal(states.to_matrix(), one_by_one)
+        assert states.to_matrix().flags.c_contiguous
+
+    @pytest.mark.parametrize("evolve", [evolve_channel_I, evolve_channel_II], ids=["I", "II"])
+    def test_damping_and_matrix(self, stack, evolve):
+        states, factors = stack
+        stacked = evolve(states, factors)
+        assert isinstance(stacked, XStateStack)
+        one_by_one = [evolve(state, a) for state, a in zip(self.STATES, self.FACTORS)]
+        for name in XStateStack._fields:
+            assert np.array_equal(getattr(stacked, name), [getattr(s, name) for s in one_by_one])
+        assert np.array_equal(stacked.to_matrix(), np.array([s.to_matrix() for s in one_by_one]))
+
+    @pytest.mark.parametrize("n_probes", [2, 6])
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_observables(self, stack, channel, n_probes):
+        states, factors = stack
+        stacked = x_state_observables(states, channel, factors, n_probes)
+        for i, (state, a) in enumerate(zip(self.STATES, self.FACTORS)):
+            one = x_state_observables(state, channel, a, n_probes)
+            for name in ("coherence", "concurrence", "xi2", "rescaled", "xi2_prime"):
+                assert getattr(stacked, name)[i] == getattr(one, name), (name, i)
+            assert [lam[i] for lam in stacked.lambdas] == list(one.lambdas), i
+
+    def test_hypot_is_abs_of_one_complex(self, stack):
+        # np.abs of a complex array is not abs() of each complex bit for bit;
+        # np.hypot of its parts is
+        states, factors = stack
+        for u in (states.u, evolve_channel_I(states, factors).u, evolve_channel_II(states, factors).u):
+            assert np.array_equal(np.hypot(u.real, u.imag), [abs(value) for value in u.tolist()])
+
+    @pytest.mark.parametrize("evolve", [evolve_channel_I, evolve_channel_II], ids=["I", "II"])
+    def test_bad_factor_raises_the_one_factor_message(self, stack, evolve):
+        states = XStateStack(*(entries[:3] for entries in stack[0]))
+        cases = [(np.nan, "^dephasing factor must be finite"), (np.inf, "^dephasing factor must be finite")]
+        cases += [(1.0 + 2e-9, "^.factor. must not exceed 1"), (-1.0 - 2e-9, "^.factor. must not exceed 1")]
+        for bad, match in cases:
+            with pytest.raises(ValueError, match=match):
+                evolve(states, np.array([0.3, bad, -0.2]))
+        slack = np.array([1.0 + 5e-10, -1.0 - 5e-10, 0.5])
+        clamped = evolve(states, slack)
+        for i, a in enumerate(slack):
+            assert clamped.u[i] == evolve(self.STATES[i], a).u
 
 
 FACTORS = [-1.0, -0.4, 0.0, 0.6, 1.0]

@@ -265,6 +265,17 @@ class TestParsing:
         assert cli.main(simulate_args(tmp_path / "x.csv", ["--bogus"])) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["zeros", "--nb", "x", "--beta", "1", "--out", "z.csv"], simulate_args("x.csv", ["--bogus"])],
+        ids=["malformed-value", "unknown-flag"],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+        assert err.startswith("error: ") and "--help" in err
+
     def test_bad_channel_choice(self, tmp_path, capsys):
         argv = simulate_args(tmp_path / "x.csv")
         argv[argv.index("--channel") + 1] = "III"
