@@ -13,6 +13,7 @@ script reports the floor and the dip depth instead.
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -88,4 +89,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as exc:
+        # the library's refusal of an input, as one line and exit 1
+        sys.exit(f"error: {exc}")

@@ -11,6 +11,7 @@ interior domain contains the zero time it surrounds.  Strong coupling
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -71,4 +72,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as exc:
+        # the library's refusal of an input, as one line and exit 1
+        sys.exit(f"error: {exc}")

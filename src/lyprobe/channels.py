@@ -314,9 +314,10 @@ def x_state_observables(
     1 + 2(N-1)(<s1+ s2-> - |<s1- s2->|) from the damped pair correlators,
     and xi'^2 = 1 - (N-1) C.
 
-    ``a`` is a float or an array and is not validated.  ``state`` may be an
-    ``XStateStack`` whose shape broadcasts against ``a``.  The order of every
-    operation is fixed: the bytes of the simulate CSV depend on it.
+    ``a`` is a float or an array and is not validated.  ``channel`` must be a
+    ``Channel`` member: the public wrappers convert a string once.  ``state``
+    may be an ``XStateStack`` whose shape broadcasts against ``a``.  The order
+    of every operation is fixed: the bytes of the simulate CSV depend on it.
     """
     _check_n_probes(n_probes)
     u = state.u
@@ -325,16 +326,18 @@ def x_state_observables(
     mod_u = abs(u) if isinstance(u, complex) else np.hypot(u.real, u.imag)
     mod_y = abs(state.y)
     root_vv = np.sqrt(state.v_plus * state.v_minus)
-    if Channel(channel) is Channel.I:
+    if channel is Channel.I:
         damp_u = a * a * mod_u
         damp_y = a * a * mod_y
         coh = 2.0 * a * a * (mod_u + mod_y)
         xi2 = 1.0 + 2.0 * (n_probes - 1) * a * a * (state.y - mod_u)
-    else:
+    elif channel is Channel.II:
         damp_u = np.abs(a) * mod_u
         damp_y = mod_y
         coh = 2.0 * (np.abs(a) * mod_u + mod_y)
         xi2 = 1.0 + 2.0 * (n_probes - 1) * (state.y - np.abs(a) * mod_u)
+    else:
+        raise TypeError(f"channel must be a Channel member, got {channel!r}")
 
     lam1 = root_vv + damp_u
     lam2 = np.abs(root_vv - damp_u)
@@ -354,7 +357,7 @@ def coherence(state: TwoQubitXState, channel: Channel, factor) -> float:
     L = 2 (|A' u| + |y|), which stays positive whenever y != 0.
     """
     # the coherence does not depend on the ensemble size; any N >= 2 serves
-    return float(x_state_observables(state, channel, _factor_value(factor), 2).coherence)
+    return float(x_state_observables(state, Channel(channel), _factor_value(factor), 2).coherence)
 
 
 def _closed_form_concurrence(

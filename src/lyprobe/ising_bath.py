@@ -181,8 +181,9 @@ class IsingRing:
         coeffs[nb - n] = total
         if np.any(coeffs <= 0.0):
             raise ValueError(
-                "inverse_temperature * coupling too large: interior coefficients "
-                "underflow to zero in double precision"
+                f"beta_lambda = inverse_temperature * coupling = {k!r} is past the underflow "
+                "limit (beta_lambda <= ~186): interior coefficients underflow to zero in "
+                "double precision"
             )
         coeffs.flags.writeable = False
         return coeffs

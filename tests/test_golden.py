@@ -70,7 +70,9 @@ def test_fit_cmax_stdout(capsys):
     ]
     assert cli.main(argv) == 0
     stdout = capsys.readouterr().out
-    assert sha256(stdout.encode()) == "0fba26ef29faa71847f81130f70320024b4161af22fb34d6246bd2a0329d5f4f"
+    # the limit line comes from math, not numpy, so this hash holds on both SIMD paths
+    assert stdout.endswith("\nlimit=-0.287682101\n")
+    assert sha256(stdout.encode()) == "2b6aacb22f639d875c255da83ebba210862128724aa2ef79c0271feedb4bc920"
 
 
 def test_verify_stdout(capsys):

@@ -143,6 +143,26 @@ class TestXStateKernel:
             x_state_observables(probe_state, Channel.I, self.FACTORS, 1)
 
     @pytest.mark.parametrize("channel", ["I", "II"])
+    def test_wrappers_convert_a_string_channel_once(self, probe_state, channel):
+        # the kernel compares members only; the public wrappers take a string
+        member = Channel(channel)
+        assert coherence(probe_state, channel, 0.6) == coherence(probe_state, member, 0.6)
+        assert spin_squeezing(probe_state, channel, 0.6, 5) == spin_squeezing(
+            probe_state, member, 0.6, 5
+        )
+        with pytest.raises(TypeError, match="Channel member"):
+            x_state_observables(probe_state, channel, 0.6, 5)
+
+    @pytest.mark.parametrize(
+        "wrapper,args",
+        [(coherence, (0.6,)), (spin_squeezing, (0.6, 5))],
+        ids=["coherence", "spin_squeezing"],
+    )
+    def test_wrappers_refuse_an_unknown_channel(self, probe_state, wrapper, args):
+        with pytest.raises(ValueError, match="'III' is not a valid Channel"):
+            wrapper(probe_state, "III", *args)
+
+    @pytest.mark.parametrize("channel", ["I", "II"])
     def test_scalar_wrappers_give_the_array_bits(self, channel):
         # verify's squeezing check reads its factor grids from one array call
         channel = Channel(channel)

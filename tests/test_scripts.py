@@ -33,10 +33,6 @@ def run_python(args, **kwargs):
             "interior domains covering a predicted zero: 10/10",
         ),
         (
-            [str(ROOT / "scripts" / "cmax_scaling.py"), "--n-min", "20", "--n-max", "28"],
-            "fit: ln C_max = ",
-        ),
-        (
             [
                 "-m", "lyprobe.cli", "simulate", "--nb", "10", "--beta", "0.5", "--probes", "3",
                 "--theta", "1.5707963", "--channel", "I", "--t-max", "157.08", "--out", "series.csv",
@@ -56,7 +52,8 @@ def run_python(args, **kwargs):
                 "-m", "lyprobe.cli", "fit-cmax", "--theta", "1.0471976", "--n-min", "20",
                 "--n-max", "28",
             ],
-            "alpha=-0.287085808",
+            # the fitted slope, then its large-N limit ln cos^2(theta/2)
+            "alpha=-0.287085808\nintercept=-0.708570279\nresidual=0.000485\nlimit=-0.287682101\n",
         ),
         (
             ["-m", "lyprobe", "fit-cmax", "--theta", "1.0471976", "--n-min", "20", "--n-max", "28"],
@@ -66,7 +63,6 @@ def run_python(args, **kwargs):
     ids=[
         "coherence_scan",
         "entanglement_domains",
-        "cmax_scaling",
         "lyprobe_simulate",
         "lyprobe_zeros",
         "lyprobe_verify",
@@ -80,11 +76,22 @@ def test_readme_command(command, expected, tmp_path):
     assert expected in result.stdout
 
 
-def test_cmax_script_takes_no_ring():
-    # C_max depends only on (N, theta): argparse refuses a ring option (exit 2)
-    result = run_python([str(ROOT / "scripts" / "cmax_scaling.py"), "--beta", "10"])
-    assert result.returncode == 2
-    assert "unrecognized arguments: --beta 10" in result.stderr
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["coherence_scan.py", "--nb", "6", "--beta", "0", "--periods", "2"],
+        ["entanglement_domains.py", "--nb", "10", "--beta", "0"],
+    ],
+    ids=["coherence_scan", "entanglement_domains"],
+)
+def test_ring_script_refusal_is_one_line(command):
+    # at beta * lambda = 0 every collapse falls on one time and default_steps
+    # refuses the grid: the script exits 1 with the library's message
+    result = run_python([str(ROOT / "scripts" / command[0]), *command[1:]])
+    assert result.returncode == 1
+    assert "collapse times coincide" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("script", ["coherence_scan.py", "entanglement_domains.py"])
