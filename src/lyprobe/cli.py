@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
         "--steps",
         type=int,
         default=None,
-        help="grid points (default: at least 40 samples between collapse times, at most 10,000,000)",
+        help="grid points (default: 40 per mean collapse gap, >= 4 in the narrowest; <= 10,000,000)",
     )
     sim.add_argument("--out", required=True, help="output CSV path")
 

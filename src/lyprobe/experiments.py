@@ -32,16 +32,19 @@ from .ising_bath import IsingRing, LeeYangZeroSet, factor_values, lee_yang_zeros
 
 
 def _check_eta(eta: float) -> None:
-    """Reject an eta that is not positive and finite, or whose period pi/(2 eta) overflows.
+    """Reject an eta that is not positive and finite, or whose time scales leave the double range.
 
     pi/(2 eta) is the channel-I coherence period, the longest time scale an
-    eta sets; every collapse time is below it.
+    eta sets, and 4 eta is channel II's angle per unit time, the largest
+    rate: both must be finite, so no period and no collapse time of a ring's
+    zero phases rounds to 0.
     """
     # Python floats: a quotient past the double range is inf, not a numpy warning
-    if not (0.0 < eta < math.inf and math.pi / (2.0 * float(eta)) < math.inf):
+    if not (0.0 < eta <= 0.25 * sys.float_info.max and math.pi / (2.0 * float(eta)) < math.inf):
         raise ValueError(
-            "eta must be positive and finite, with a finite coherence period pi/(2 eta) "
-            f"(eta >= ~{0.5 * math.pi / sys.float_info.max:.2g}), got {eta!r}"
+            "eta must be positive and finite, with a finite coherence period pi/(2 eta) and "
+            f"a finite rate 4 eta (eta >= ~{0.5 * math.pi / sys.float_info.max:.2g} and "
+            f"eta <= ~{0.25 * sys.float_info.max:.3g}), got {eta!r}"
         )
 
 
@@ -186,8 +189,8 @@ def run_scenario(s: Scenario) -> ObservableSeries:
     """
     try:
         times = np.linspace(0.0, s.t_max, s.steps)
-        # an angle past the double range is inf (nan at t = 0): factor_values refuses it
-        with np.errstate(over="ignore", invalid="ignore"):
+        # rate * eta is finite: an angle past the double range is inf, refused by factor_values
+        with np.errstate(over="ignore"):
             angles = s.channel.rate * s.eta * times
         a = factor_values(s.ring, angles)
         values = x_state_observables(oat_reduced_state(s.oat), s.channel, a, s.oat.n_probes)
@@ -214,12 +217,24 @@ def run_scenario(s: Scenario) -> ObservableSeries:
 
 # largest grid default_steps returns (about 0.5 GB for the six series arrays)
 _MAX_DEFAULT_STEPS = 10_000_000
+# default grid: samples per mean gap between collapse times, and the fewest in the
+# narrowest gap (a sign change of A in every gap, a sampled maximum in every lobe)
+_MEAN_GAP_SAMPLES = 40
+_NARROWEST_GAP_SAMPLES = 4
 
 
 def default_steps(
     zeros: LeeYangZeroSet, eta: float, t_max: float, channel: Channel
 ) -> int:
-    """Grid size placing at least 40 samples between adjacent collapse times.
+    """Grid size placing 40 samples per mean gap between collapse times, and 4 in the narrowest.
+
+    The grid takes ``ceil(t_max * max(40 n / period, 4 / narrowest gap)) + 1``
+    points, n the collapses per period.  Evenly spaced collapses (strong
+    coupling) take 40 samples per gap.  At weak coupling the narrowest gap
+    sits at the Lee-Yang edge and shrinks as N_b^-2, while the mean gap is
+    period / N_b: the floor of 4 sets the grid there, a tenth of the rows of
+    40 samples in the narrowest gap (503,747 for a period at N_b = 1000,
+    beta * lambda = 0.5, in place of 5,037,452).
 
     Raises:
         ValueError: if t_max is not positive and finite; if two collapse
@@ -244,12 +259,14 @@ def default_steps(
             "between them; give the number of steps explicitly"
         )
     # Python floats: a ratio past the double range is inf, not a numpy warning
-    steps = np.ceil(40.0 * float(t_max) / float(gap)) + 1
+    density = max(_MEAN_GAP_SAMPLES * tz.size / float(period), _NARROWEST_GAP_SAMPLES / float(gap))
+    steps = np.ceil(float(t_max) * density) + 1
     if steps > _MAX_DEFAULT_STEPS:
         raise ValueError(
-            f"the default grid needs {steps:.3g} steps for the narrowest collapse gap "
-            f"{gap:.6g}, past the limit of {_MAX_DEFAULT_STEPS:,}; pass the number of "
-            "steps explicitly (--steps)"
+            f"the default grid needs {steps:.3g} steps for {_MEAN_GAP_SAMPLES} samples per "
+            f"mean collapse gap and {_NARROWEST_GAP_SAMPLES} in the narrowest collapse gap "
+            f"{gap:.6g}, past the limit of {_MAX_DEFAULT_STEPS:,}; pass the number of steps "
+            "explicitly (--steps)"
         )
     return max(int(steps), 2)
 

@@ -22,8 +22,8 @@ minimization (scipy's ``minimize_scalar``) the package's vectorized
 golden-section search replaced, the per-bracket root search (scipy's
 ``brentq``) the package's vectorized root refinement replaced, the maximum
 of the concurrence over a time grid the package's C_max fit replaced with
-its value at A = 1, and the explicit X-state constructors the channel
-updates replaced with ``dataclasses.replace``.
+its value at A = 1, and the keyword-argument X-state constructors of the
+channel updates.
 """
 
 from __future__ import annotations
@@ -234,7 +234,7 @@ def max_original_concurrence(ring, probe, eta: float, t_max: float, steps: int) 
 
 
 def evolve_channel_I_explicit(state: TwoQubitXState, factor) -> TwoQubitXState:
-    """Channel I update as the package wrote it before ``dataclasses.replace``."""
+    """Channel I update with each X-state field passed by keyword."""
     a = _factor_value(factor)
     a2 = a * a
     return TwoQubitXState(
@@ -247,7 +247,7 @@ def evolve_channel_I_explicit(state: TwoQubitXState, factor) -> TwoQubitXState:
 
 
 def evolve_channel_II_explicit(state: TwoQubitXState, factor) -> TwoQubitXState:
-    """Channel II update as the package wrote it before ``dataclasses.replace``."""
+    """Channel II update with each X-state field passed by keyword."""
     a = _factor_value(factor)
     return TwoQubitXState(
         v_plus=state.v_plus,

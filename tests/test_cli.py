@@ -57,11 +57,17 @@ class TestSimulate:
         assert "wrote 41 rows" in capsys.readouterr().out
 
     def test_default_steps_resolve_grid(self, tmp_path):
+        # 40 samples per mean gap between the 6 collapse times, >= 4 in the narrowest
         out = tmp_path / "auto.csv"
         argv = [a for a in simulate_args(out) if a not in ("--steps", "41")]
         assert cli.main(argv) == 0
         rows = np.genfromtxt(out, delimiter=",", names=True)
-        assert rows.size > 41
+        zeros = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5))
+        assert rows.size == default_steps(zeros, 0.01, 20.0, Channel.I) == 32
+        tz, period = zeros.phases / (4.0 * 0.01), np.pi / (2.0 * 0.01)
+        step = rows["t"][1] - rows["t"][0]
+        assert step <= period / tz.size / 40.0
+        assert step <= np.diff(tz).min() / 4.0
 
     def test_first_row_identities(self, tmp_path):
         out = tmp_path / "series.csv"
@@ -105,10 +111,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("nb,beta", [("4000", "0.05"), ("6", "1e-12")])
     def test_default_grid_past_the_ceiling(self, tmp_path, capsys, nb, beta):
+        # one period: 43 and 24 million steps, the narrowest gaps' floor of 4 samples
         out = tmp_path / "x.csv"
         argv = [a for a in simulate_args(out) if a not in ("--steps", "41")]
         argv[argv.index("--nb") + 1] = nb
         argv[argv.index("--beta") + 1] = beta
+        argv[argv.index("--t-max") + 1] = "157.08"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(argv) == 1
@@ -331,10 +339,11 @@ class TestProbeTimeOverflow:
                 "eta=1e+300, t_max=10000000000.0): the angle w must be finite, "
                 "with a finite phase N_b * w, got w = inf at N_b = 6",
             ),
+            # 4 eta overflows: eta is refused by name before any grid is formed
             (
-                [*SIMULATE, "--t-max", "10", "--eta", "1e308", "--steps", "3"],
-                "eta=1e+308, t_max=10.0): the angle w must be finite, "
-                "with a finite phase N_b * w, got w = nan at N_b = 6",
+                [*SIMULATE, "--t-max", "1e-310", "--eta", "1e308", "--steps", "5"],
+                "eta must be positive and finite, with a finite coherence period pi/(2 eta) "
+                "and a finite rate 4 eta (eta >= ~8.7e-309 and eta <= ~4.49e+307), got 1e+308",
             ),
             ([*SIMULATE, "--t-max", "1e300"], "past the limit of 10,000,000"),
             ([*SIMULATE, "--t-max", "nan"], "t_max must be positive and finite, got nan"),
@@ -347,7 +356,7 @@ class TestProbeTimeOverflow:
         ],
         ids=[
             "field-angle",
-            "field-angle-nan-at-t-zero",
+            "eta-past-the-rate-limit",
             "default-steps",
             "nan-t-max",
             "subnormal-eta-simulate",

@@ -1,6 +1,7 @@
 """Scenario pipeline, zero detection, domain statistics, scaling fit, CSV."""
 
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -239,19 +240,22 @@ class TestSeriesPipeline:
 
     @pytest.mark.parametrize("channel", [Channel.I, Channel.II])
     def test_angle_past_double_range_refused_without_warning(self, channel):
-        # rate * eta is inf as a Python float, and inf * (t = 0) is nan: the
-        # grid is refused by factor_values, with no overflow or invalid warning
-        scenario = Scenario(
-            IsingRing(6, inverse_temperature=0.5), PROVENANCE["probe"], channel, 10.0, 3, 1e308
-        )
+        # at the largest eta, rate * eta is finite and rate * eta * t is inf
+        # past t = 2: the grid is refused by factor_values, with no overflow
+        # warning; one ulp above it, rate * eta itself overflows and the
+        # scenario refuses eta
+        eta = 0.25 * sys.float_info.max
+        ring, probe = IsingRing(6, inverse_temperature=0.5), PROVENANCE["probe"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as raised:
-                run_scenario(scenario)
+                run_scenario(Scenario(ring, probe, channel, 10.0, 3, eta))
+            with pytest.raises(ValueError, match=r"eta <= ~4\.49e\+307\), got 4\.4942328371557"):
+                Scenario(ring, probe, channel, 10.0, 3, math.nextafter(eta, math.inf))
         prefix, message = str(raised.value).split("): ", 1)
         assert prefix.startswith("scenario(n_spins=6, ")
         assert message == (
-            "the angle w must be finite, with a finite phase N_b * w, got w = nan at N_b = 6"
+            "the angle w must be finite, with a finite phase N_b * w, got w = inf at N_b = 6"
         )
 
     def test_series_carries_provenance(self):
@@ -545,7 +549,7 @@ class TestRegulaFalsi:
         # bisection took about 45 calls on this grid; the secant steps start
         # from the sampled ends, so the brackets close in a few
         series = default_grid_series(300, 10.0, Channel.I, OatParameters(3, 1.0))
-        assert series.times.size == 24_002
+        assert series.times.size == 24_001
         with mock.patch.object(
             experiments, "factor_values", wraps=experiments.factor_values
         ) as factor:
@@ -717,15 +721,37 @@ class TestTimingHelpers:
         with pytest.raises(ValueError, match="eta"):
             coherence_period(0.0, Channel.I)
 
-    def test_default_steps_resolves_zero_gaps(self):
+    def test_eta_whose_rate_overflows_is_refused_by_name(self):
+        # past max / 4, 4 eta overflows and every period and collapse time
+        # would be 0.0: each entry refuses eta by name, without a warning
         zs = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5))
-        t_max = coherence_period(ETA, Channel.I)
+        largest = 0.25 * sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eta in (1e308, math.nextafter(largest, math.inf)):
+                for call in (
+                    lambda: coherence_period(eta, Channel.I),
+                    lambda: zero_times(zs, eta, Channel.II),
+                    lambda: default_steps(zs, eta, 1e-310, Channel.I),
+                ):
+                    with pytest.raises(ValueError, match=r"^eta must .* eta <= ~4\.49e\+307\)"):
+                        call()
+            for channel in (Channel.I, Channel.II):
+                assert 0.0 < coherence_period(largest, channel) < math.inf
+                assert np.all(zero_times(zs, largest, channel) > 0.0)
+
+    def test_default_steps_resolves_zero_gaps(self):
+        # 40 samples per mean gap between collapse times, and 4 in the narrowest
+        zs = lee_yang_zeros(IsingRing(6, inverse_temperature=0.5))
+        period = coherence_period(ETA, Channel.I)
+        t_max = period
         steps = default_steps(zs, ETA, t_max, Channel.I)
         tz = zero_times(zs, ETA, Channel.I)
-        wrap = tz[0] + coherence_period(ETA, Channel.I) - tz[-1]
+        wrap = tz[0] + period - tz[-1]
         min_gap = min(np.diff(tz).min(), wrap)
-        assert steps >= 2
-        assert t_max / (steps - 1) <= min_gap / 40.0 * (1.0 + 1e-12)
+        assert steps == 241
+        assert t_max / (steps - 1) <= period / tz.size / 40.0 * (1.0 + 1e-12)
+        assert t_max / (steps - 1) <= min_gap / 4.0 * (1.0 + 1e-12)
 
     def test_default_steps_with_one_phase_spans_a_period(self):
         # one collapse per period: the gap to the next is the period itself
@@ -742,18 +768,19 @@ class TestTimingHelpers:
 
     @pytest.mark.parametrize(
         "nb,beta,steps",
-        [(4000, 0.05, "4.33e+08"), (1200, 0.05, "3.9e+07"), (6, 1e-12, "2.43e+08")],
+        [(4000, 0.05, "4.33e+07"), (1200, 0.005, "1.29e+07"), (6, 1e-12, "2.43e+07")],
     )
     def test_default_steps_rejects_grids_past_the_ceiling(self, nb, beta, steps):
-        # a weakly coupled large ring, and a ring near beta = 0 whose phases
-        # spread around pi only as ~2 sqrt(beta): the gap is nonzero but tiny
+        # weakly coupled large rings, whose narrowest gap at the Lee-Yang edge
+        # shrinks as N_b^-2, and a ring near beta = 0 whose phases spread
+        # around pi only as ~2 sqrt(beta): the gap is nonzero but tiny
         zs = lee_yang_zeros(IsingRing(nb, inverse_temperature=beta))
         t_max = coherence_period(ETA, Channel.I)
         with pytest.raises(ValueError) as info:
             default_steps(zs, ETA, t_max, Channel.I)
         message = str(info.value)
         assert f"needs {steps} steps" in message
-        assert "narrowest collapse gap" in message
+        assert "40 samples per mean collapse gap and 4 in the narrowest collapse gap" in message
         assert "10,000,000" in message and "--steps" in message
 
     @pytest.mark.parametrize("t_max", [np.nan, np.inf, -np.inf, 0.0, -1.0])
@@ -771,6 +798,64 @@ class TestTimingHelpers:
         monkeypatch.setattr(experiments, "_MAX_DEFAULT_STEPS", steps - 1)
         with pytest.raises(ValueError, match="past the limit"):
             default_steps(zs, ETA, t_max, Channel.I)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        nb=st.integers(3, 400),
+        beta=st.floats(0.01, 50.0),
+        channel=st.sampled_from([Channel.I, Channel.II]),
+        periods=st.floats(0.05, 3.0),
+    )
+    def test_default_steps_samples_every_gap(self, nb, beta, channel, periods):
+        # at least 40 samples per mean gap between collapse times and 4 in the
+        # narrowest, and no more than the ceiling of that
+        zs = lee_yang_zeros(IsingRing(nb, inverse_temperature=beta))
+        period = coherence_period(ETA, channel)
+        t_max = periods * period
+        steps = default_steps(zs, ETA, t_max, channel)
+        tz = zero_times(zs, ETA, channel)
+        narrowest = min(np.diff(tz).min(), tz[0] + period - tz[-1])
+        needed = max(t_max * 40.0 * nb / period, t_max * 4.0 / narrowest)
+        assert steps - 1 >= needed * (1.0 - 1e-12)
+        assert steps - 2 < needed * (1.0 + 1e-12)
+
+    def test_default_grid_keeps_the_narrowest_gap_rule_detection(self):
+        # the default grid against one of 40 samples per narrowest gap, over
+        # one period after the first collapse: the same zeros, to rounding,
+        # and the same recovery peaks, wherever that grid takes <= 500,000 rows
+        compared = 0
+        probes = [OatParameters(2, 1.0), OatParameters(3, 1.0), OatParameters(6, 0.5)]
+        for nb in (7, 20, 50, 100, 200):
+            for beta in (0.05, 0.25, 0.5, 1.0, 2.0, 12.0):
+                ring = IsingRing(nb, inverse_temperature=beta)
+                zs = lee_yang_zeros(ring)
+                for channel in (Channel.I, Channel.II):
+                    period = coherence_period(ETA, channel)
+                    tz = zero_times(zs, ETA, channel)
+                    t_max = tz[0] + period
+                    narrowest = min(np.diff(tz).min(), tz[0] + period - tz[-1])
+                    narrowest_rule = math.ceil(40.0 * t_max / narrowest) + 1
+                    if narrowest_rule > 500_000:
+                        continue
+                    steps = default_steps(zs, ETA, t_max, channel)
+                    assert steps <= narrowest_rule
+                    for probe in probes:
+                        new, old = (
+                            run_scenario(Scenario(ring, probe, channel, t_max, n, ETA))
+                            for n in (steps, narrowest_rule)
+                        )
+                        found, expected = detect_coherence_zeros(new), detect_coherence_zeros(old)
+                        assert found.size == expected.size, (nb, beta, channel, probe)
+                        np.testing.assert_allclose(found, expected, rtol=1e-12, atol=0.0)
+                        assert count_recovery_peaks(new) == count_recovery_peaks(old)
+                        compared += 1
+        assert compared == 174
+
+    def test_default_grid_of_a_large_weak_ring(self):
+        # the mean gap, not the N_b^-2 gap at the edge, sizes the grid: 1000
+        # spins at beta = 0.5 take about 504k rows a period, not 5,037,452
+        zs = lee_yang_zeros(IsingRing(1000, inverse_temperature=0.5))
+        assert default_steps(zs, ETA, 157.08, Channel.I) <= 5_037_452 / 9
 
 
 class TestConcurrenceScaling:

@@ -37,7 +37,7 @@ def run_python(args, **kwargs):
                 "-m", "lyprobe.cli", "simulate", "--nb", "10", "--beta", "0.5", "--probes", "3",
                 "--theta", "1.5707963", "--channel", "I", "--t-max", "157.08", "--out", "series.csv",
             ],
-            "wrote 671 rows to series.csv (channel I, period 157.08)",
+            "wrote 402 rows to series.csv (channel I, period 157.08)",
         ),
         (
             ["-m", "lyprobe.cli", "zeros", "--nb", "100", "--beta", "0.25", "--out", "zeros.csv"],
