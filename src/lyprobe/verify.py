@@ -1,22 +1,19 @@
 """Every independent cross-check route, and the invariant battery behind `lyprobe verify`.
 
-Each check cross-validates one layer of the pipeline against an independent
-route: enumeration (``partition_coefficients_bruteforce``) vs the closed-form
-coefficients, companion-matrix roots (``np.roots``) vs the transfer-form zero
-phases, the product over zeros (``dephasing_factor_product``, one call per
-ring) vs the transfer-form factor on the same rotation angles, Kraus maps
-(``kraus_*``, one stacked set per channel for all 100 samples) vs closed-form
-updates, generic Wootters concurrence (one stacked call for all 400
-matrices) vs X-state formulas, and the series-level symmetries.  These
-routes live here, the only place the program runs them.  The two pair-layer
-checks draw each random state on its own, then run the production closed
-forms once per channel on the stack of states (``XStateStack``):
-``evolve_channel_I``/``_II``, ``to_matrix`` and ``x_state_observables``, each
-element with the bits of its one-state call.  The closed-form pair state is
-checked against the full 2^N state-vector reduction in the test suite, not
-here.  ``run_checks`` takes 0.02-0.04 s on a shared 2-vCPU Xeon VM
-(CPython 3.11.7, numpy 2.4.6); every check runs and reports, and
-`lyprobe verify` exits 2 if any fails.
+The routes, which only this module runs: enumeration
+(``partition_coefficients_bruteforce``), the product over zeros
+(``dephasing_factor_product``), Kraus maps (``kraus_*``) and the generic
+Wootters concurrence (``_wootters_stack``; ``concurrence_generic`` takes one
+matrix).  Each check compares one layer with such a route, with companion
+roots or with a series symmetry.  Where a test asserts a check's invariant
+too, the arithmetic is one private measurement (``_*_deviation``,
+``_identity_gap``, ``_period_mismatch``): it takes the sample as data and
+returns the worst deviation, and the check and the test call it on their
+own samples at their own tolerances.  The pair-layer measurements run the
+production closed forms once per channel on an ``XStateStack``, each element
+with the bits of its one-state call.  ``run_checks`` takes 0.02-0.04 s on a
+shared 2-vCPU Xeon VM (CPython 3.11.7, numpy 2.4.6); every check runs and
+reports, and `lyprobe verify` exits 2 if any fails.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from .channels import (
     Channel,
     ConcurrenceResult,
     OatParameters,
+    TwoQubitXState,
     XStateStack,
     _check_n_probes,
     _factor_value,
@@ -273,38 +271,33 @@ def _wootters_stack(rho) -> tuple[np.ndarray, np.ndarray]:
 
 
 def concurrence_generic(rho: np.ndarray, n_probes: int = 2) -> ConcurrenceResult:
-    """Wootters concurrence of an arbitrary two-qubit density matrix.
+    """Wootters concurrence of an arbitrary two-qubit density matrix: ``_wootters_stack`` on one matrix.
 
-    Uses the Hermitian formulation: the lambdas are the square roots of the
-    eigenvalues of sqrt(rho) rho_tilde sqrt(rho), with
-    rho_tilde = (sigma_y kron sigma_y) conj(rho) (sigma_y kron sigma_y),
-    computed as the singular values of sqrt(rho) sqrt(rho_tilde) so that
-    near-zero lambdas keep absolute accuracy instead of inheriting the
-    square root of eigensolver noise.  Density-matrix eigenvalues below
-    -1e-9 raise; smaller negatives are rounding noise and are clamped.
-    One matrix through ``_wootters_stack``, which takes a whole stack.
+    The lambdas are the singular values of sqrt(rho) sqrt(rho_tilde), with
+    rho_tilde = (sigma_y kron sigma_y) conj(rho) (sigma_y kron sigma_y), so
+    near-zero lambdas keep absolute accuracy instead of inheriting the square
+    root of eigensolver noise.  Eigenvalues below ``_PSD_FLOOR`` (-1e-9) raise.
     """
     _check_n_probes(n_probes)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
+    if np.shape(rho) != (4, 4):
+        raise ValueError(f"expected a 4x4 density matrix, got shape {np.shape(rho)}")
     lams, conc = _wootters_stack(rho)
     conc = float(conc)
-    return ConcurrenceResult(
-        concurrence=conc,
-        rescaled=(n_probes - 1) * conc,
-        lambdas=lams,
-    )
+    return ConcurrenceResult(concurrence=conc, rescaled=(n_probes - 1) * conc, lambdas=lams)
+
+
+def _enumeration_deviation(rings) -> float:
+    """Worst |closed - brute| / brute over the coefficients of the rings, brute by enumeration."""
+    worst = 0.0
+    for ring in rings:
+        brute = partition_coefficients_bruteforce(ring)
+        worst = max(worst, float(np.max(np.abs(ring.coefficients - brute) / brute)))
+    return worst
 
 
 def check_coefficients_vs_enumeration() -> str:
-    worst = 0.0
-    for nb in (3, 6, 10, 13):
-        for beta in (0.0, 0.3, 1.0):
-            ring = IsingRing(n_spins=nb, inverse_temperature=beta)
-            closed = ring.coefficients
-            brute = partition_coefficients_bruteforce(ring)
-            worst = max(worst, float(np.max(np.abs(closed - brute) / brute)))
+    rings = [IsingRing(nb, inverse_temperature=beta) for nb in (3, 6, 10, 13) for beta in (0.0, 0.3, 1.0)]
+    worst = _enumeration_deviation(rings)
     _require(worst <= 1e-12, f"closed form vs enumeration relative error {worst}")
     return f"max relative deviation {worst:.2e}"
 
@@ -319,24 +312,22 @@ def check_coefficient_structure() -> str:
     return "palindromic, positive, unit ends up to degree 100"
 
 
+def _zero_set_deviation(rings) -> float:
+    """Worst on-circle residual of the rings' zero sets, each N_b phases, closed, with pi on odd N_b."""
+    worst = 0.0
+    for ring in rings:
+        nb, phases = ring.n_spins, lee_yang_zeros(ring).phases
+        _require(phases.size == nb, f"zero count {phases.size} != {nb}")
+        closed = np.allclose(phases, np.sort(2.0 * np.pi - phases), rtol=0.0, atol=1e-9)
+        _require(bool(closed), f"conjugate closure broken nb={nb} bl={ring.beta_lambda}")
+        _require(nb % 2 == 0 or np.abs(phases - np.pi).min() <= 1e-12, f"odd ring missing phase pi nb={nb}")
+        worst = max(worst, float(zero_residuals(ring, phases).max()))
+    return worst
+
+
 def check_zero_set_geometry() -> str:
-    worst_res = 0.0
-    for nb in (4, 7, 10, 40, 100):
-        for bl in (0.25, 2.0, 10.0):
-            ring = IsingRing(n_spins=nb, inverse_temperature=bl)
-            zs = lee_yang_zeros(ring)
-            _require(zs.phases.size == nb, f"zero count {zs.phases.size} != {nb}")
-            mirrored = np.sort(2.0 * np.pi - zs.phases)
-            _require(
-                bool(np.allclose(zs.phases, mirrored, atol=1e-9)),
-                f"conjugate closure broken nb={nb} bl={bl}",
-            )
-            if nb % 2 == 1:
-                _require(
-                    float(np.min(np.abs(zs.phases - np.pi))) <= 1e-12,
-                    f"odd ring missing phase pi nb={nb}",
-                )
-            worst_res = max(worst_res, zero_residuals(ring, zs.phases).max())
+    rings = [IsingRing(nb, inverse_temperature=bl) for nb in (4, 7, 10, 40, 100) for bl in (0.25, 2.0, 10.0)]
+    worst_res = _zero_set_deviation(rings)
     _require(worst_res <= 1e-8, f"residual bound {worst_res}")
     return f"counts, closure, pi membership; max residual {worst_res:.2e}"
 
@@ -384,7 +375,7 @@ def check_factor_symmetry() -> str:
         values.dtype == np.float64 and bool(np.all(np.isfinite(values))),
         "factor route did not return finite float64 values",
     )
-    _require(bool(np.allclose(values, values[::-1], atol=1e-12)), "factor not even in w")
+    _require(bool(np.allclose(values, values[::-1], rtol=0.0, atol=1e-12)), "factor not even in w")
     _require(float(np.max(np.abs(values))) <= 1.0 + 1e-12, "|A| exceeded 1")
     # an odd ring flips the sign over half a period of w
     shifted = (-1.0) ** ring.n_spins * factor_values(ring, w + np.pi)
@@ -413,31 +404,37 @@ def _random_probes(seed: int, count: int, n_stop: int) -> tuple[XStateStack, np.
     return XStateStack.of(states), np.array(factors)
 
 
-def check_channels_closed_vs_kraus() -> str:
-    # one stacked Kraus set and one stacked closed-form update per channel
-    # hold all 100 samples; each deviation keeps the bits of a call per sample
-    stack, factors = _random_probes(7, 100, 9)
+def _closed_form_matrices(stack: XStateStack, factors: np.ndarray) -> np.ndarray:
+    """Each state of the stack after channel I, then after channel II, as a (2, count, 4, 4) stack."""
+    return np.array([evolve(stack, factors).to_matrix() for evolve in (evolve_channel_I, evolve_channel_II)])
+
+
+def _kraus_deviation(stack: XStateStack, factors: np.ndarray) -> tuple[float, np.ndarray]:
+    """Worst |Kraus image - closed form| entry over both channels, and the (2, count, 4, 4) images."""
     rhos = stack.to_matrix()
     single = kraus_channel_I(factors)
-    pair, shared = kraus_tensor(single, single), kraus_channel_II(factors)
-    worst = 0.0
-    for evolve, kraus in ((evolve_channel_I, pair), (evolve_channel_II, shared)):
-        closed = evolve(stack, factors).to_matrix()
-        worst = max(worst, float(np.abs(kraus_apply(rhos, kraus) - closed).max()))
+    sets = (kraus_tensor(single, single), kraus_channel_II(factors))
+    images = np.array([kraus_apply(rhos, kraus) for kraus in sets])
+    return float(np.abs(images - _closed_form_matrices(stack, factors)).max()), images
+
+
+def _concurrence_deviation(stack: XStateStack, factors: np.ndarray, matrices: np.ndarray) -> float:
+    """Worst |generic - closed-form| concurrence over both channels, the generic route on ``matrices``."""
+    _, generic = _wootters_stack(matrices)
+    # the concurrence does not depend on the ensemble size; any N >= 2 serves
+    closed = [x_state_observables(stack, channel, factors, 2).concurrence for channel in Channel]
+    return float(np.max(np.abs(generic - closed)))
+
+
+def check_channels_closed_vs_kraus() -> str:
+    worst, _ = _kraus_deviation(*_random_probes(7, 100, 9))
     _require(worst <= 1e-12, f"Kraus vs closed-form deviation {worst}")
     return f"both channels, signed factors, deviation {worst:.2e}"
 
 
 def check_wootters_generic_vs_closed() -> str:
-    # each stacked call gives the bits its call per sample gives: the generic
-    # route takes both channels' 200 evolved matrices at once, and the kernel
-    # gives the bits the concurrence_channel_I/_II wrappers give
     stack, factors = _random_probes(11, 200, 7)
-    evolved = [evolve(stack, factors).to_matrix() for evolve in (evolve_channel_I, evolve_channel_II)]
-    _, generic = _wootters_stack(np.array(evolved))
-    # the concurrence does not depend on the ensemble size; any N >= 2 serves
-    closed = [x_state_observables(stack, channel, factors, 2).concurrence for channel in Channel]
-    worst = float(np.max(np.abs(generic - closed)))
+    worst = _concurrence_deviation(stack, factors, _closed_form_matrices(stack, factors))
     _require(worst <= 1e-10, f"generic vs closed concurrence deviation {worst}")
     return f"200 random states per channel, deviation {worst:.2e}"
 
@@ -445,20 +442,25 @@ def check_wootters_generic_vs_closed() -> str:
 def check_coherence_properties() -> str:
     state = oat_reduced_state(OatParameters(4, 1.1))
     factors = np.linspace(-1.0, 1.0, 81)
+    order = np.argsort(np.abs(factors))
     for channel in (Channel.I, Channel.II):
         # the array kernel gives the bits the coherence wrapper gives point by point
         values = x_state_observables(state, channel, factors, 4).coherence
-        magnitudes = np.abs(factors)
-        order = np.argsort(magnitudes)
         _require(
             bool(np.all(np.diff(values[order]) >= -1e-12)),
             f"coherence not monotone in |A| for channel {channel.value}",
         )
     floor = 2.0 * abs(state.y)
-    lost = coherence(state, Channel.II, 0.0)
-    _require(abs(lost - floor) <= 1e-12, "shared-bath coherence floor wrong")
+    _require(abs(coherence(state, Channel.II, 0.0) - floor) <= 1e-12, "shared-bath coherence floor wrong")
     _require(floor > 0.0, "expected positive coherence floor")
     return "monotone in |A|; shared-bath floor 2y"
+
+
+def _identity_gap(state: TwoQubitXState, factors, values) -> float:
+    """Worst |xi2 - xi2_prime| of shared-bath ``values`` where |A u0| >= y0, which some factor must meet."""
+    damped = np.abs(factors) * abs(state.u) >= state.y
+    _require(bool(damped.any()), "no factor in the damped regime |A u0| >= y0")
+    return float(np.abs(values.xi2 - values.xi2_prime)[damped].max())
 
 
 def check_squeezing_identities() -> str:
@@ -466,17 +468,13 @@ def check_squeezing_identities() -> str:
     # wrappers give point by point
     n = 5
     state = oat_reduced_state(OatParameters(n, np.pi / 3))
-    y0 = state.y
-    u0 = abs(state.u)
     a = np.linspace(-1.0, 1.0, 101)
-    shared = x_state_observables(state, Channel.II, a, n)
-    identity = np.abs(shared.xi2 - shared.xi2_prime)
-    worst_identity = float(np.max(identity[np.abs(a) * u0 >= y0], initial=0.0))
+    worst_identity = _identity_gap(state, a, x_state_observables(state, Channel.II, a, n))
     _require(worst_identity <= 1e-12, f"shared-bath identity broken {worst_identity}")
 
     # the gap is piecewise linear in A^2 with its kink at A^2 = y/|u|, so the
     # scan must include that point to attain the closed-form maximum
-    factors = np.sort(np.append(np.linspace(0.0, 1.0, 2001), np.sqrt(y0 / u0)))
+    factors = np.sort(np.append(np.linspace(0.0, 1.0, 2001), np.sqrt(state.y / abs(state.u))))
     own = x_state_observables(state, Channel.I, factors, n)
     gaps = own.xi2_prime - own.xi2
     _require(bool(np.all(gaps >= -1e-12)), "improvement negative under channel I")
@@ -486,6 +484,13 @@ def check_squeezing_identities() -> str:
         f"improvement maximum off: grid {gaps.max()} closed {closed_max}",
     )
     return f"identity {worst_identity:.2e}; improvement max attained at A^2 = y/|u|"
+
+
+def _period_mismatch(series) -> float:
+    """Worst |f(t + T) - f(t)| over the series columns, on an odd step count spanning two periods T."""
+    half = series.times.size // 2
+    columns = [getattr(series, name) for name in _SERIES_COLUMNS[1:]]
+    return max(float(np.abs(values[half:] - values[: half + 1]).max()) for values in columns)
 
 
 def check_series_consistency() -> str:
@@ -500,14 +505,7 @@ def check_series_consistency() -> str:
         eta=eta,
     )
     series = run_scenario(scenario)
-    half = 2000
-    for name in _SERIES_COLUMNS[1:]:
-        left = getattr(series, name)[:half]
-        right = getattr(series, name)[half:-1]
-        _require(
-            bool(np.allclose(left, right, atol=1e-8)),
-            f"period property broken for {name}",
-        )
+    _require(_period_mismatch(series) <= 1e-8, "period property broken")
     _require(abs(series.a_factor[0] - 1.0) <= 1e-12, "A(0) != 1")
 
     detected = detect_coherence_zeros(series)
@@ -527,7 +525,7 @@ def check_series_consistency() -> str:
         mirrored = np.sort(period - centers)
         step = series.times[1] - series.times[0]
         _require(
-            bool(np.allclose(np.sort(centers), mirrored, atol=2.0 * step)),
+            bool(np.allclose(np.sort(centers), mirrored, rtol=0.0, atol=2.0 * step)),
             "domain centers not symmetric about half period",
         )
     return "period, zero correspondence, 10 peaks"

@@ -1,4 +1,10 @@
+from hypothesis import settings
+
 from . import criterion_log
+
+# every property test draws the same examples on every run, with no time limit
+settings.register_profile("lyprobe", derandomize=True, deadline=None)
+settings.load_profile("lyprobe")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,7 +5,7 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Thirteen
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Twelve
 entries are reference implementations rather than independent routes: the
 transfer-matrix phase formula (the package now uses it in atan2 form), the
 transfer eigenvalues at 50 digits (the package's mathematics without its
@@ -15,8 +15,7 @@ coefficient recurrence was vectorised from, that vectorised recurrence
 before it stopped at underflow, the np.savetxt call the package's CSV
 writer reproduces byte for byte, the per-domain loop the package's array
 form of ``vanishing_domains`` replaced, the inline series formulas the
-package's X-state kernel replaced, the one-matrix Wootters route the
-package's stacked kernel replaced, the per-operator ``np.kron`` products and
+package's X-state kernel replaced, the per-operator ``np.kron`` products and
 loop sum the package's stacked Kraus sets replaced, the per-bracket bounded
 minimization (scipy's ``minimize_scalar``) the package's vectorized
 golden-section search replaced, the per-bracket root search (scipy's
@@ -118,25 +117,6 @@ def ring_coefficients_full_recurrence(n_spins: int, beta_lambda: float) -> np.nd
             "double precision"
         )
     return coeffs
-
-
-# sigma_y kron sigma_y in the (|00>, |01>, |10>, |11>) basis
-_SIGMA_YY = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0])).astype(complex)
-
-
-def wootters_one_matrix(rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """Sorted Wootters lambdas and concurrence of one 4x4 density matrix.
-
-    The reference for the package's stack kernel: the single-matrix
-    arithmetic ``concurrence_generic`` ran before it took stacks (singular
-    values of sqrt(rho) sqrt(rho_tilde)), without the input checks, so the
-    kernel must give its bits for every matrix of a stack.
-    """
-    evals, vecs = np.linalg.eigh(rho)
-    sqrt_rho = (vecs * np.sqrt(np.maximum(evals, 0.0))) @ vecs.conj().T
-    sqrt_tilde = _SIGMA_YY @ sqrt_rho.conj() @ _SIGMA_YY
-    lams = np.linalg.svd(sqrt_rho @ sqrt_tilde, compute_uv=False)
-    return lams, max(0.0, lams[0] - lams[1] - lams[2] - lams[3])
 
 
 def savetxt_csv(path, header: str, data) -> None:

@@ -13,19 +13,10 @@ from lyprobe import (
     OatParameters,
     Scenario,
     coherence_period,
-    concurrence_channel_I,
-    concurrence_channel_II,
-    concurrence_generic,
     count_recovery_peaks,
     default_steps,
     detect_coherence_zeros,
-    evolve_channel_I,
-    evolve_channel_II,
     fit_cmax_scaling,
-    kraus_apply,
-    kraus_channel_I,
-    kraus_channel_II,
-    kraus_tensor,
     lee_yang_zeros,
     oat_reduced_state,
     run_scenario,
@@ -34,8 +25,15 @@ from lyprobe import (
     zero_times,
 )
 
-from lyprobe.ising_bath import zero_residuals
-from lyprobe.verify import partition_coefficients_bruteforce
+from lyprobe.channels import XStateStack
+from lyprobe.verify import (
+    _concurrence_deviation,
+    _enumeration_deviation,
+    _identity_gap,
+    _kraus_deviation,
+    _period_mismatch,
+    _zero_set_deviation,
+)
 
 from .criterion_log import record
 from .oracles import exact_pair_state, highprecision_roots
@@ -71,17 +69,10 @@ def random_x_state(rng):
 
 
 def test_criterion_01_unit_circle_theorem():
-    worst_modulus = 0.0
-    worst_residual = 0.0
-    for nb in RING_SIZES:
-        for beta_lambda in COUPLING_STRENGTHS:
-            ring = ring_at(nb, beta_lambda)
-            zs = lee_yang_zeros(ring)
-            assert zs.phases.size == nb
-            worst_residual = max(worst_residual, zero_residuals(ring, zs.phases).max())
-            if nb <= 40:
-                moduli, _ = highprecision_roots(ring.coefficients)
-                worst_modulus = max(worst_modulus, np.abs(moduli - 1.0).max())
+    rings = [ring_at(nb, bl) for nb in RING_SIZES for bl in COUPLING_STRENGTHS]
+    worst_residual = _zero_set_deviation(rings)
+    moduli = [highprecision_roots(ring.coefficients)[0] for ring in rings if ring.n_spins <= 40]
+    worst_modulus = max(np.abs(m - 1.0).max() for m in moduli)
     ok = worst_modulus < 1e-8 and worst_residual < 1e-8
     check(
         1,
@@ -117,13 +108,8 @@ def test_criterion_03_low_temperature_uniform_phases():
 
 
 def test_criterion_04_coefficient_enumeration_oracle():
-    worst = 0.0
-    for nb in range(3, 17):
-        for beta in (0.0, 0.25, 0.5, 1.0, 2.0):
-            ring = IsingRing(nb, inverse_temperature=beta)
-            closed = ring.coefficients
-            brute = partition_coefficients_bruteforce(ring)
-            worst = max(worst, np.abs(closed / brute - 1.0).max())
+    rings = [IsingRing(nb, inverse_temperature=b) for nb in range(3, 17) for b in (0.0, 0.25, 0.5, 1.0, 2.0)]
+    worst = _enumeration_deviation(rings)
     ok = worst < 1e-12
     check(
         4,
@@ -144,11 +130,7 @@ def test_criterion_05_coherence_period():
         steps=2001,
         eta=ETA,
     )
-    series = run_scenario(scenario)
-    worst = 0.0
-    for name in ("coherence", "concurrence_rescaled", "xi2", "xi2_prime"):
-        values = getattr(series, name)
-        worst = max(worst, np.abs(values[1000:] - values[:1001]).max())
+    worst = _period_mismatch(run_scenario(scenario))
     ok = worst < 1e-8
     check(
         5,
@@ -277,11 +259,7 @@ def test_criterion_10_channel_II_identity_random_scenarios():
             eta=eta,
         )
         series = run_scenario(scenario)
-        state = oat_reduced_state(scenario.oat)
-        mask = np.abs(series.a_factor) * abs(state.u) >= state.y
-        assert mask.any()
-        gap = np.abs(series.xi2 + series.concurrence_rescaled - 1.0)[mask].max()
-        worst = max(worst, gap)
+        worst = max(worst, _identity_gap(oat_reduced_state(scenario.oat), series.a_factor, series))
     ok = worst <= 1e-12
     check(
         10,
@@ -348,38 +326,13 @@ def test_criterion_12_stable_shared_bath_coherence():
 
 def test_criterion_13_closed_form_vs_kraus_and_wootters():
     rng = np.random.default_rng(1234)
-    worst_state = 0.0
-    worst_conc = 0.0
+    states, factors = [], []
     for _ in range(500):
-        state = random_x_state(rng)
-        a = rng.uniform(-1.0, 1.0)
-
-        single = kraus_channel_I(a)
-        via_kraus = kraus_apply(state.to_matrix(), kraus_tensor(single, single))
-        closed = evolve_channel_I(state, a)
-        worst_state = max(
-            worst_state, np.abs(via_kraus - closed.to_matrix()).max()
-        )
-        worst_conc = max(
-            worst_conc,
-            abs(
-                concurrence_channel_I(state, a, 2).concurrence
-                - concurrence_generic(via_kraus).concurrence
-            ),
-        )
-
-        via_kraus = kraus_apply(state.to_matrix(), kraus_channel_II(a))
-        closed = evolve_channel_II(state, a)
-        worst_state = max(
-            worst_state, np.abs(via_kraus - closed.to_matrix()).max()
-        )
-        worst_conc = max(
-            worst_conc,
-            abs(
-                concurrence_channel_II(state, a, 2).concurrence
-                - concurrence_generic(via_kraus).concurrence
-            ),
-        )
+        states.append(random_x_state(rng))
+        factors.append(rng.uniform(-1.0, 1.0))
+    stack, factors = XStateStack.of(states), np.array(factors)
+    worst_state, via_kraus = _kraus_deviation(stack, factors)
+    worst_conc = _concurrence_deviation(stack, factors, via_kraus)
     ok = worst_state <= 1e-12 and worst_conc <= 1e-10
     check(
         13,

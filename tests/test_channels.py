@@ -20,7 +20,7 @@ from lyprobe import (
 )
 
 from lyprobe.channels import Channel, XStateStack, _factor_value, x_state_observables
-from lyprobe.verify import _random_probes
+from lyprobe.verify import _kraus_deviation, _random_probes
 
 from .oracles import (
     evolve_channel_I_explicit,
@@ -109,7 +109,7 @@ class TestTwoQubitXState:
         with pytest.raises(ValueError, match="exceeds sqrt"):
             TwoQubitXState(v_plus=0.4, v_minus=0.4, w=0.1, y=0.0, u=0.5)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(state=x_states())
     def test_matrix_round_trip(self, state):
         rho = state.to_matrix()
@@ -144,7 +144,7 @@ class TestOatReducedState:
         assert state.y == pytest.approx(0.25, abs=1e-15)
         assert state.u == pytest.approx(-0.25 + 0.0j, abs=1e-15)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(
         n=st.integers(min_value=2, max_value=7),
         theta=st.floats(min_value=-2.0 * np.pi, max_value=2.0 * np.pi),
@@ -425,7 +425,7 @@ class TestKraus:
             reference = kraus_tensor_kron(left.operators, right.operators)
             assert np.array_equal(stacked, np.array(reference))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(state=x_states(), a=st.floats(min_value=-1.0, max_value=1.0))
     def test_apply_matches_loop_sum(self, state, a):
         rho = state.to_matrix()
@@ -495,21 +495,12 @@ class TestKraus:
         with pytest.raises(ValueError, match="does not match"):
             kraus_apply(np.eye(2) / 2.0, kraus_channel_II(0.5))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(state=x_states(), a=st.floats(min_value=-1.0, max_value=1.0))
-    def test_channel_I_kraus_matches_closed_form(self, state, a):
-        single = kraus_channel_I(a)
-        pair = kraus_tensor(single, single)
-        via_kraus = kraus_apply(state.to_matrix(), pair)
-        closed = evolve_channel_I(state, a).to_matrix()
-        np.testing.assert_allclose(via_kraus, closed, rtol=0.0, atol=1e-12)
-
-    @settings(max_examples=40, deadline=None)
-    @given(state=x_states(), a=st.floats(min_value=-1.0, max_value=1.0))
-    def test_channel_II_kraus_matches_closed_form(self, state, a):
-        via_kraus = kraus_apply(state.to_matrix(), kraus_channel_II(a))
-        closed = evolve_channel_II(state, a).to_matrix()
-        np.testing.assert_allclose(via_kraus, closed, rtol=0.0, atol=1e-12)
+    def test_kraus_matches_closed_form(self, state, a):
+        # verify's measurement, on both channels of one drawn state
+        worst, _ = _kraus_deviation(XStateStack.of([state]), np.array([a]))
+        assert worst <= 1e-12
 
     @pytest.mark.parametrize("a", FACTORS)
     def test_kraus_sets_complete_across_sign(self, a):

@@ -2,11 +2,13 @@
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import math
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -22,11 +24,14 @@ from lyprobe import (
     IsingRing,
     OatParameters,
     Scenario,
+    coherence_period,
     default_steps,
     lee_yang_zeros,
     run_scenario,
 )
 
+from . import criterion_log
+from . import test_acceptance as acceptance
 from .oracles import savetxt_csv
 
 CSV_HEADER = "t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime"
@@ -193,6 +198,62 @@ class TestZeros:
         assert "validation error" in capsys.readouterr().err
 
 
+def closure_broken(zeros):
+    # pi stays put and closure breaks by 6e-8; under rtol = 1e-5 only the residual bound caught it
+    return types.SimpleNamespace(phases=np.where(zeros.phases == np.pi, np.pi, zeros.phases + 3e-8))
+
+
+def drifting(series):
+    # a relative drift of 5e-8 over one period
+    drift = 1.0 + 1e-7 * series.times / series.times[-1]
+    return dataclasses.replace(series, coherence=series.coherence * drift)
+
+
+def shifted(domains):
+    # verify's series spans two periods on 4001 steps; mirrored centres part by twice the shift
+    shift = 2.0 * coherence_period(0.01, Channel.I) / 4000 * (1.0 + 1e-9)
+    return [types.SimpleNamespace(center=d.center + shift, clipped=d.clipped) for d in domains]
+
+
+# id: ([(module, name, change of its result)], the check, its message, the criterion or None)
+PLANTED_DEFECTS = {
+    "enumeration": (
+        [(verify, "partition_coefficients_bruteforce", lambda brute: brute * (1.0 + 1e-11))],
+        verify.check_coefficients_vs_enumeration, "relative error", 4,
+    ),
+    # odd in w, at most 2e-9 |A|
+    "factor-evenness": (
+        [(verify, "factor_values", lambda a: a * (1.0 + 1e-9 * np.linspace(-1.0, 1.0, a.size)))],
+        verify.check_factor_symmetry, "not even", None,
+    ),
+    "zero-set-closure": (
+        [(verify, "lee_yang_zeros", closure_broken)], verify.check_zero_set_geometry, "conjugate closure", 1
+    ),
+    "kraus": (
+        [(verify, "_closed_form_matrices", lambda matrices: matrices + 1e-11)],
+        verify.check_channels_closed_vs_kraus, "Kraus vs closed-form", 13,
+    ),
+    "concurrence": (
+        [(verify, "_wootters_stack", lambda result: (result[0], result[1] + 1e-9))],
+        verify.check_wootters_generic_vs_closed, "generic vs closed", 13,
+    ),
+    "shared-bath-identity": (
+        [
+            (verify, "x_state_observables", lambda obs: obs._replace(xi2_prime=obs.xi2_prime + 1e-11)),
+            (acceptance, "run_scenario", lambda s: dataclasses.replace(s, xi2_prime=s.xi2_prime + 1e-11)),
+        ],
+        verify.check_squeezing_identities, "shared-bath identity", 10,
+    ),
+    "period": (
+        [(verify, "run_scenario", drifting), (acceptance, "run_scenario", drifting)],
+        verify.check_series_consistency, "period property", 5,
+    ),
+    "domain-centres": (
+        [(verify, "vanishing_domains", shifted)], verify.check_series_consistency, "domain centers", None
+    ),
+}
+
+
 class TestVerify:
     def test_passes(self, capsys):
         assert cli.main(["verify"]) == 0
@@ -210,6 +271,23 @@ class TestVerify:
         monkeypatch.setattr(verify, "factor_values", lambda ring, w: spoil(route(ring, w)))
         with pytest.raises(verify.CheckFailure, match="finite float64"):
             verify.check_factor_symmetry()
+
+    @pytest.mark.parametrize("defect", PLANTED_DEFECTS)
+    def test_planted_defect_fails_the_check_and_the_criterion(self, monkeypatch, defect):
+        # each defect is past the stated tolerance; the evenness, closure, period and domain
+        # defects sit inside the rtol = 1e-5 that np.allclose adds when none is given
+        plants, check, match, number = PLANTED_DEFECTS[defect]
+        for module, name, change in plants:
+            route = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, route=route, change=change: change(route(*args)))
+        with pytest.raises(verify.CheckFailure, match=match):
+            check()
+        if number is not None:
+            # a failing criterion must not overwrite the run's summary line
+            monkeypatch.setattr(criterion_log, "lines", {})
+            [criterion] = [n for n in dir(acceptance) if n.startswith(f"test_criterion_{number:02d}")]
+            with pytest.raises(AssertionError):
+                getattr(acceptance, criterion)()
 
     def test_failing_checks_are_reported_and_exit_two(self, monkeypatch, capsys):
         def refuses():
@@ -497,12 +575,7 @@ NAMES = (
 )
 
 
-@settings(
-    max_examples=800,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=800, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=st.one_of(simulate_argv(), zeros_argv(), fit_argv()))
 @example(argv=OUT_OF_MEMORY[0])
 @example(argv=OUT_OF_MEMORY[1])

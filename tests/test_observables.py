@@ -16,16 +16,20 @@ from lyprobe import (
     concurrence_channel_I,
     concurrence_channel_II,
     concurrence_generic,
-    evolve_channel_I,
-    evolve_channel_II,
     oat_reduced_state,
     spin_squeezing,
 )
 
-from lyprobe.channels import x_state_observables
-from lyprobe.verify import _wootters_stack
+from lyprobe.channels import XStateStack, x_state_observables
+from lyprobe.verify import (
+    _closed_form_matrices,
+    _concurrence_deviation,
+    _identity_gap,
+    _random_probes,
+    _wootters_stack,
+)
 
-from .oracles import series_observables_reference, wootters_one_matrix, wootters_reference
+from .oracles import series_observables_reference, wootters_reference
 
 # three-probe half-turn twist: y = 1/8, u = -1/8 - i/4, |u| = sqrt(5)/8
 SQRT5 = np.sqrt(5.0)
@@ -248,7 +252,7 @@ class TestConcurrenceGeneric:
         with pytest.raises(ValueError, match=message):
             concurrence_generic(np.eye(4) / 4.0, n_probes=n)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_matches_eigenvalue_oracle(self, seed):
         rng = np.random.default_rng(seed)
@@ -263,16 +267,8 @@ class TestConcurrenceGeneric:
 
 
 def verify_battery_matrices():
-    """The 400 evolved pair states the verify battery draws, in its rng order."""
-    rng = np.random.default_rng(11)
-    mats = []
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        theta = float(rng.uniform(0.05, np.pi - 0.05))
-        a = float(rng.uniform(-1.0, 1.0))
-        state = oat_reduced_state(OatParameters(n, theta))
-        mats += [evolve_channel_I(state, a).to_matrix(), evolve_channel_II(state, a).to_matrix()]
-    return mats
+    """The 400 evolved pair states verify's concurrence check reads, channel I's 200 first."""
+    return list(_closed_form_matrices(*_random_probes(11, 200, 7)).reshape(-1, 4, 4))
 
 
 def named_matrices():
@@ -303,12 +299,8 @@ class TestWoottersStack:
         assert lams.shape == (len(mats), 4) and conc.shape == (len(mats),)
         assert np.array_equal(lams, [r.lambdas for r in singles])
         assert np.array_equal(conc, [r.concurrence for r in singles])
-        # and the bits of the one-matrix route the kernel replaced
-        reference = [wootters_one_matrix(np.asarray(rho, dtype=complex)) for rho in mats]
-        assert np.array_equal(lams, [lam for lam, _ in reference])
-        assert np.array_equal(conc, [c for _, c in reference])
-        # any leading shape: the verify battery's (200, 2) pairs give the same bits
-        pairs_lams, pairs_conc = _wootters_stack(np.array(mats).reshape(-1, 2, 4, 4))
+        # any leading shape: the verify battery's (2, 200) stack gives the same bits
+        pairs_lams, pairs_conc = _wootters_stack(np.array(mats).reshape(2, -1, 4, 4))
         assert np.array_equal(pairs_lams.reshape(-1, 4), lams)
         assert np.array_equal(pairs_conc.ravel(), conc)
 
@@ -369,23 +361,13 @@ class TestClosedFormConcurrence:
             with pytest.raises(ValueError, match=message):
                 call()
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(params=oat_inputs())
-    def test_channel_I_matches_generic_route(self, params):
+    def test_matches_generic_route(self, params):
+        # verify's measurement, on both channels of one drawn state
         n, theta, a = params
-        state = oat_reduced_state(OatParameters(n_probes=n, twist_angle=theta))
-        closed = concurrence_channel_I(state, a, n)
-        generic = concurrence_generic(evolve_channel_I(state, a).to_matrix(), n)
-        assert closed.concurrence == pytest.approx(generic.concurrence, abs=1e-12)
-
-    @settings(max_examples=50, deadline=None)
-    @given(params=oat_inputs())
-    def test_channel_II_matches_generic_route(self, params):
-        n, theta, a = params
-        state = oat_reduced_state(OatParameters(n_probes=n, twist_angle=theta))
-        closed = concurrence_channel_II(state, a, n)
-        generic = concurrence_generic(evolve_channel_II(state, a).to_matrix(), n)
-        assert closed.concurrence == pytest.approx(generic.concurrence, abs=1e-12)
+        stack, factors = XStateStack.of([oat_reduced_state(OatParameters(n, theta))]), np.array([a])
+        assert _concurrence_deviation(stack, factors, _closed_form_matrices(stack, factors)) <= 1e-12
 
 
 class TestSpinSqueezing:
@@ -415,16 +397,15 @@ class TestSpinSqueezing:
                 rescaled = conc_fn(probe_state, a, 3).rescaled
                 assert abs(report.xi2_prime + rescaled - 1.0) <= 1e-15
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(params=oat_inputs())
     def test_channel_II_identity_in_damped_regime(self, params):
         n, theta, a = params
         state = oat_reduced_state(OatParameters(n_probes=n, twist_angle=theta))
         assume(abs(a) * abs(state.u) >= state.y)
-        report = spin_squeezing(state, Channel.II, a, n_probes=n)
-        assert abs(report.improvement) <= 1e-12
+        assert _identity_gap(state, a, spin_squeezing(state, Channel.II, a, n_probes=n)) <= 1e-12
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(params=oat_inputs())
     def test_channel_I_improvement_piecewise_form(self, params):
         n, theta, a = params
