@@ -20,7 +20,7 @@ from lyprobe import (
 )
 
 from lyprobe.channels import Channel, XStateStack, _factor_value, x_state_observables
-from lyprobe.verify import _kraus_deviation, _random_probes
+from lyprobe.verify import _random_probes
 
 from .oracles import (
     evolve_channel_I_explicit,
@@ -497,10 +497,19 @@ class TestKraus:
 
     @settings(max_examples=40)
     @given(state=x_states(), a=st.floats(min_value=-1.0, max_value=1.0))
-    def test_kraus_matches_closed_form(self, state, a):
-        # verify's measurement, on both channels of one drawn state
-        worst, _ = _kraus_deviation(XStateStack.of([state]), np.array([a]))
-        assert worst <= 1e-12
+    def test_channel_I_kraus_matches_closed_form(self, state, a):
+        single = kraus_channel_I(a)
+        pair = kraus_tensor(single, single)
+        via_kraus = kraus_apply(state.to_matrix(), pair)
+        closed = evolve_channel_I(state, a).to_matrix()
+        np.testing.assert_allclose(via_kraus, closed, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=40)
+    @given(state=x_states(), a=st.floats(min_value=-1.0, max_value=1.0))
+    def test_channel_II_kraus_matches_closed_form(self, state, a):
+        via_kraus = kraus_apply(state.to_matrix(), kraus_channel_II(a))
+        closed = evolve_channel_II(state, a).to_matrix()
+        np.testing.assert_allclose(via_kraus, closed, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("a", FACTORS)
     def test_kraus_sets_complete_across_sign(self, a):

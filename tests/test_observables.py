@@ -16,14 +16,15 @@ from lyprobe import (
     concurrence_channel_I,
     concurrence_channel_II,
     concurrence_generic,
+    evolve_channel_I,
+    evolve_channel_II,
     oat_reduced_state,
     spin_squeezing,
 )
 
-from lyprobe.channels import XStateStack, x_state_observables
+from lyprobe.channels import x_state_observables
 from lyprobe.verify import (
     _closed_form_matrices,
-    _concurrence_deviation,
     _identity_gap,
     _random_probes,
     _wootters_stack,
@@ -363,11 +364,21 @@ class TestClosedFormConcurrence:
 
     @settings(max_examples=50)
     @given(params=oat_inputs())
-    def test_matches_generic_route(self, params):
-        # verify's measurement, on both channels of one drawn state
+    def test_channel_I_matches_generic_route(self, params):
         n, theta, a = params
-        stack, factors = XStateStack.of([oat_reduced_state(OatParameters(n, theta))]), np.array([a])
-        assert _concurrence_deviation(stack, factors, _closed_form_matrices(stack, factors)) <= 1e-12
+        state = oat_reduced_state(OatParameters(n_probes=n, twist_angle=theta))
+        closed = concurrence_channel_I(state, a, n)
+        generic = concurrence_generic(evolve_channel_I(state, a).to_matrix(), n)
+        assert closed.concurrence == pytest.approx(generic.concurrence, abs=1e-12)
+
+    @settings(max_examples=50)
+    @given(params=oat_inputs())
+    def test_channel_II_matches_generic_route(self, params):
+        n, theta, a = params
+        state = oat_reduced_state(OatParameters(n_probes=n, twist_angle=theta))
+        closed = concurrence_channel_II(state, a, n)
+        generic = concurrence_generic(evolve_channel_II(state, a).to_matrix(), n)
+        assert closed.concurrence == pytest.approx(generic.concurrence, abs=1e-12)
 
 
 class TestSpinSqueezing:
