@@ -54,7 +54,7 @@ def main() -> None:
 
     zeros = lee_yang_zeros(ring)
     predicted = zero_times(zeros, args.eta, channel)
-    steps = args.steps or 4 * args.periods * default_steps(zeros, args.eta, period, channel)
+    steps = args.steps or default_steps(zeros, args.eta, t_max, channel)
 
     scenario = Scenario(ring, OatParameters(args.probes, args.theta), channel, t_max, steps, args.eta)
     series = run_scenario(scenario)
@@ -66,9 +66,20 @@ def main() -> None:
 
     if channel is Channel.I:
         detected = detect_coherence_zeros(series)
+        # each detected time goes to its nearest predicted time, so a missed
+        # zero leaves its own row without a detection and shifts no other row
+        right = np.clip(np.searchsorted(tiled, detected), 1, tiled.size - 1)
+        owner = np.where(detected - tiled[right - 1] <= tiled[right] - detected, right - 1, right)
         print(f"{'predicted':>14s} {'detected':>14s} {'offset':>12s}")
-        for tp, td in zip(tiled, detected):
-            print(f"{tp:14.6f} {td:14.6f} {td - tp:12.3e}")
+        for k, tp in enumerate(tiled):
+            mine = detected[owner == k]
+            if mine.size:
+                td = mine[np.argmin(np.abs(mine - tp))]
+                print(f"{tp:14.6f} {td:14.6f} {td - tp:12.3e}")
+            else:
+                print(f"{tp:14.6f} {'none':>14s}")
+        missed = tiled.size - np.unique(owner).size
+        print(f"predicted times without a detected zero: {missed}")
         if detected.size != tiled.size:
             print(f"count mismatch: predicted {tiled.size}, detected {detected.size}")
         if args.periods >= 2:

@@ -45,7 +45,7 @@ def main() -> None:
     period = coherence_period(args.eta, Channel.I)
     zeros = lee_yang_zeros(ring)
     t_zero = zero_times(zeros, args.eta)
-    steps = args.steps or 4 * default_steps(zeros, args.eta, period, Channel.I)
+    steps = args.steps or default_steps(zeros, args.eta, period, Channel.I)
 
     probe = OatParameters(args.probes, args.theta)
     scenario = Scenario(ring, probe, Channel.I, period, steps, args.eta)

@@ -19,7 +19,7 @@ from .experiments import (
     fit_cmax_scaling,
     run_scenario,
 )
-from .ising_bath import IsingRing, lee_yang_zeros, zero_residuals
+from .ising_bath import IsingRing, lee_yang_zeros, zero_certificates
 
 
 class _UsageError(ValueError):
@@ -60,13 +60,13 @@ def _build_parser() -> _Parser:
     )
     sim.add_argument("--out", required=True, help="output CSV path")
 
-    zer = sub.add_parser("zeros", help="write the zero phases and their residuals as CSV")
+    zer = sub.add_parser("zeros", help="write the zero phases and their Newton steps as CSV")
     zer.add_argument("--nb", type=int, required=True, help="ring size")
     zer.add_argument("--beta", type=float, required=True, help="beta * lambda (coupling lambda as the unit)")
     zer.add_argument(
         "--out",
         required=True,
-        help="output CSV path; modulus_residual is |P(e^{i phase})| / P(1) of the normalized polynomial",
+        help="output CSV path; newton_step is |A / A'| at w = phase / 2, in radians of phase",
     )
 
     sub.add_parser("verify", help="run the full invariant suite")
@@ -114,12 +114,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_zeros(args) -> int:
     ring = IsingRing(n_spins=args.nb, inverse_temperature=args.beta)
     phases = lee_yang_zeros(ring).phases
-    residuals = zero_residuals(ring, phases)
-    _write_csv(args.out, "phase,modulus_residual", [phases, residuals])
-    print(
-        f"wrote {phases.size} zero phases to {args.out} "
-        f"(residual bound {residuals.max():.3g})"
-    )
+    steps = zero_certificates(ring, phases)
+    _write_csv(args.out, "phase,newton_step", [phases, steps])
+    print(f"wrote {phases.size} zero phases to {args.out} (largest Newton step {steps.max():.3g})")
     return 0
 
 

@@ -9,8 +9,7 @@ coupled to the ring passes through zero at the angle w = phi/2 of each phase phi
 The ring's partition function is also ``lambda_+^N + lambda_-^N`` for the two
 eigenvalues of its transfer matrix.  The factor and the zeros use that form:
 the dephasing factor costs O(1) per point (log-polar ``2 r^N cos(N*gamma)``
-where the eigenvalues are a complex pair), and the zero phases have a closed
-form.
+where the eigenvalues are a complex pair), and the zero phases have a closed form.
 A grid costs its trigonometry: the phase N w is split at a multiple of 2**-20
 by an exact power-of-two remainder, not by np.fmod's libm loop.  Every
 caller of ``factor_values`` takes this array route, a scalar as a one-element
@@ -23,10 +22,9 @@ numpy may run them through SIMD loops that differ from libm in the last bit.
 
 One type, ``IsingRing``, is both the ring and its polynomial: ``(N_b,
 beta*lambda)``, with ``beta`` read only where ``dephasing_factor`` turns a
-field into an angle, and the coefficients built (closed form) only when read,
-by the residual certificate ``zero_residuals`` and the cross-checks.  So
-``A`` and the zeros run past the ring size where the coefficients overflow.
-The cross-checks, enumeration and the product over zeros, live in ``verify``.
+field into an angle, and the coefficients built (closed form) only when the
+cross-checks in ``verify`` read them.  So ``A``, the zeros and their Newton
+step certificate ``zero_certificates`` run past both coefficient limits.
 Nothing here takes time or the probe coupling eta: the map from a zero
 phase to a collapse time, and every check of eta, live in ``experiments``.
 """
@@ -59,7 +57,6 @@ class IsingRing:
     and the zero phases; ``beta`` only turns the field of
     ``dephasing_factor`` into an angle.  At unit coupling (the default),
     ``inverse_temperature`` is beta * lambda, as the CLI's ``--beta`` is.
-    The coefficient vector is built only when ``coefficients`` is read.
     Equal rings compare equal and hash alike.
 
     Attributes:
@@ -240,11 +237,9 @@ class DephasingFactor:
 
 
 def partition_coefficients(ring: IsingRing) -> IsingRing:
-    """The ring's fugacity polynomial, which is the ring itself.
+    """The ring's fugacity polynomial, which is the ring itself: builds nothing.
 
-    Builds nothing; the coefficients are built when ``ring.coefficients``
-    is read.  The benchmark (``perfbench/workloads.py``) times this call as
-    the coefficient layer.
+    The benchmark (``perfbench/workloads.py``) times this call as the coefficient layer.
     """
     return ring
 
@@ -269,14 +264,22 @@ def lee_yang_zeros(ring: IsingRing) -> LeeYangZeroSet:
     return LeeYangZeroSet(phases=np.concatenate([lower, middle, TWO_PI - lower[::-1]]))
 
 
-def zero_residuals(ring: IsingRing, phases: np.ndarray) -> np.ndarray:
-    """Normalized residual |P(exp(i*phi))| / P(1) of the coefficient polynomial at each phase.
+def zero_certificates(ring: IsingRing, phases: np.ndarray) -> np.ndarray:
+    """Newton step |A / A'| at w = phi / 2 of each phase, in radians of phase.
 
-    A backward-error certificate for the phases.  O(N_b^2): it reads
-    ``ring.coefficients`` and raises that property's errors.
+    On the arc A = h cos(theta), theta = N_b gamma(w): h cancels, and the step is
+    2 |cos theta| sqrt(sin^2 w - q) / (N_b |sin w|), cos theta at unit amplitude.
+    O(N_b), no coefficients, no underflow; sin^2 w <= q (beta_lambda = 0) gives 0.
     """
-    roots = np.exp(1j * phases)
-    return np.abs(np.polyval(ring.coefficients[::-1], roots)) / ring.coefficients.sum()
+    nb, q = ring.n_spins, ring._transfer[1]
+    w = 0.5 * np.asarray(phases, dtype=float)
+    s, c = np.sin(w), np.cos(w)
+    s2 = s * s
+    arc = s2 > q
+    steps = np.zeros(w.shape)
+    cos_theta = _complex_pair_sum(nb, q, 1.0, w[arc], s[arc], c[arc], s2[arc], _ARRAY)
+    steps[arc] = 2.0 * np.abs(cos_theta) * np.sqrt(s2[arc] - q) / (nb * np.abs(s[arc]))
+    return steps
 
 
 def _pow2_fmod(w: np.ndarray, d: float) -> np.ndarray:

@@ -57,7 +57,6 @@ from .ising_bath import (
     _check_angles,
     factor_values,
     lee_yang_zeros,
-    zero_residuals,
 )
 
 
@@ -313,7 +312,7 @@ def check_coefficient_structure() -> str:
 
 
 def _zero_set_deviation(rings) -> float:
-    """Worst on-circle residual of the rings' zero sets, each N_b phases, closed, with pi on odd N_b."""
+    """Worst |P(e^{i phi})| / P(1) on the rings' zero sets, each N_b phases, closed, pi on odd N_b."""
     worst = 0.0
     for ring in rings:
         nb, phases = ring.n_spins, lee_yang_zeros(ring).phases
@@ -321,7 +320,8 @@ def _zero_set_deviation(rings) -> float:
         closed = np.allclose(phases, np.sort(2.0 * np.pi - phases), rtol=0.0, atol=1e-9)
         _require(bool(closed), f"conjugate closure broken nb={nb} bl={ring.beta_lambda}")
         _require(nb % 2 == 0 or np.abs(phases - np.pi).min() <= 1e-12, f"odd ring missing phase pi nb={nb}")
-        worst = max(worst, float(zero_residuals(ring, phases).max()))
+        coeffs = ring.coefficients
+        worst = max(worst, float(np.abs(np.polyval(coeffs[::-1], np.exp(1j * phases))).max() / coeffs.sum()))
     return worst
 
 

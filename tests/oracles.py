@@ -7,7 +7,8 @@ for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
 non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Twelve
 entries are reference implementations rather than independent routes: the
-transfer-matrix phase formula (the package now uses it in atan2 form), the
+transfer-matrix phase formula, in double and at 40 digits (the package
+now uses it in atan2 form), the
 transfer eigenvalues at 50 digits (the package's mathematics without its
 double-precision branch split; the only reference cheap enough for rings
 whose coefficients overflow), the scalar double loop the package's
@@ -55,6 +56,25 @@ def transfer_phases(n_spins: int, beta_lambda: float) -> np.ndarray:
     s = np.sqrt(np.sin(gamma) ** 2 + q * np.cos(gamma) ** 2)
     alpha = np.where(gamma <= 0.5 * np.pi, np.arcsin(s), np.pi - np.arcsin(s))
     return np.sort(2.0 * np.pi - 2.0 * alpha)
+
+
+def mp_phase_errors(n_spins: int, beta_lambda: float, phases, dps: int = 40) -> np.ndarray:
+    """|phase - exact phase| of each of a ring's sorted zero phases, the exact ones at dps digits.
+
+    The exact phases are 2 alpha_j, alpha_j = atan2(sqrt(sin^2 gamma_j + q cos^2 gamma_j),
+    cos(gamma_j) sqrt(1 - q)) over gamma_j = (2j - 1) pi / (2 n_spins), j = 1..n_spins,
+    ascending in j; the differences are taken at dps digits too.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        q = mp.exp(-4 * mp.mpf(beta_lambda))
+        errors = []
+        for j, phase in enumerate(np.asarray(phases, dtype=float), start=1):
+            gamma = (2 * j - 1) * mp.pi / (2 * n_spins)
+            alpha = mp.atan2(mp.sqrt(mp.sin(gamma) ** 2 + q * mp.cos(gamma) ** 2), mp.cos(gamma) * mp.sqrt(1 - q))
+            errors.append(float(abs(mp.mpf(float(phase)) - 2 * alpha)))
+    return np.array(errors)
 
 
 def ring_closed_form_loop(n_spins: int, wall_weight: float) -> np.ndarray:

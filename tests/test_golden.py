@@ -8,8 +8,8 @@ dispatch level: AVX-512, where ``numpy.show_runtime()`` lists X86_V4,
 AVX512_ICL and AVX512_SPR as found.  Another build may round a last digit
 differently.  On numpy's AVX2 path (X86_V3, as on a CPU without AVX-512, or
 with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) three
-tests fail: ``test_zeros_csv`` (the ``modulus_residual`` column, values near
-1e-16), ``test_simulate_weak_coupling_csv`` (one factor value on the real
+tests fail: ``test_zeros_csv`` (the ``newton_step`` column, values near
+1e-16: 10 of 100 rows; the phases hold), ``test_simulate_weak_coupling_csv`` (one factor value on the real
 branch, last digit) and ``test_verify_stdout`` (the printed factor form
 agreement, 1.27e-14 against 1.25e-14).  ``test_verify_stdout_but_factor_forms``
 hashes the verify output without that one line, and holds on both paths.
@@ -61,7 +61,7 @@ def test_simulate_weak_coupling_csv(tmp_path):
 def test_zeros_csv(tmp_path):
     out = tmp_path / "zeros.csv"
     assert cli.main(["zeros", "--nb", "100", "--beta", "0.25", "--out", str(out)]) == 0
-    assert sha256(out.read_bytes()) == "9859ce0f334a7db0b12c15f37daad997d79b3233e3ca174d5967a6bf2ab9c15e"
+    assert sha256(out.read_bytes()) == "d9259c65e48ac5ea02c97c3f63049c75c660dcae1c62ce3e9739f1f521c41f1c"
 
 
 def test_fit_cmax_stdout(capsys):

@@ -27,11 +27,12 @@ from lyprobe import (
 )
 
 from lyprobe import ising_bath, verify
-from lyprobe.ising_bath import factor_values, zero_residuals
+from lyprobe.ising_bath import factor_values, zero_certificates
 from lyprobe.verify import dephasing_factor_product, partition_coefficients_bruteforce
 
 from .oracles import (
     highprecision_roots,
+    mp_phase_errors,
     mp_ring_factor,
     mp_transfer_factor,
     ring_closed_form_loop,
@@ -50,6 +51,28 @@ FROZEN_NB4 = np.array(
 
 def ring_at(nb, beta_lambda):
     return IsingRing(n_spins=nb, coupling=1.0, inverse_temperature=beta_lambda)
+
+
+# the rings on which the Newton step is bounded: N_b x beta * lambda
+CERTIFICATE_GRID = [(nb, bl) for nb in (10, 100, 1000, 10_000) for bl in (0.05, 0.5, 5.0)]
+
+
+def certificates(ring):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return zero_certificates(ring, lee_yang_zeros(ring).phases)
+
+
+def central_difference_step(ring, w):
+    """2 |A / A'| at arc angles w, A' by fourth-order central differences of factor_values.
+
+    The step in w moves the arc phase theta = N_b gamma(w) by 1e-2
+    (d theta / dw = N_b sin w / sqrt(sin^2 w - q)).
+    """
+    h = 1e-2 * np.sqrt(np.sin(w) ** 2 - ring._transfer[1]) / (ring.n_spins * np.sin(w))
+    a = {m: factor_values(ring, w + m * h) for m in (-2, -1, 0, 1, 2)}
+    slope = (8.0 * (a[1] - a[-1]) - (a[2] - a[-2])) / (12.0 * h)
+    return 2.0 * np.abs(a[0] / slope)
 
 
 class TestIsingRing:
@@ -329,7 +352,9 @@ class TestZeroExtraction:
         zs = lee_yang_zeros(ring)
         assert zs.phases.size == nb
         assert np.abs(zs.phases - np.pi).max() == 0.0
-        assert zero_residuals(ring, zs.phases).max() < 1e-10
+        assert verify._zero_set_deviation([ring]) < 1e-10
+        # sin^2 w = q = 1 at every phase: the certificate is 0, not nan
+        assert not certificates(ring).any()
 
     def test_low_temperature_uniform_phases(self):
         zs = lee_yang_zeros(ring_at(10, 10.0))
@@ -350,20 +375,47 @@ class TestZeroExtraction:
             assert np.pi in lee_yang_zeros(ring).phases
 
     def test_residual_bound_large_ring(self):
-        ring = ring_at(100, 0.5)
-        assert zero_residuals(ring, lee_yang_zeros(ring).phases).max() < 1e-8
+        assert verify._zero_set_deviation([ring_at(100, 0.5)]) < 1e-8
 
     @pytest.mark.parametrize(
         "ring",
-        [ring_at(7, 0.5), ring_at(100, 0.25), ring_at(1000, 5.0), ring_at(9, 0.0)],
-        ids=["ring-7", "ring-100", "ring-1000", "ring-9-binomial"],
+        [
+            ring_at(7, 0.5), ring_at(100, 0.25), ring_at(1000, 5.0), ring_at(9, 0.0),
+            ring_at(10, 0.5), ring_at(40, 2.0), ring_at(7, 1e-6), ring_at(4000, 186.0), ring_at(10, 300.0),
+        ],
+        ids=[
+            "ring-7", "ring-100", "ring-1000", "ring-9-binomial",
+            "ring-10", "ring-40", "ring-7-edge", "ring-4000-near-underflow", "ring-10-past-underflow",
+        ],
     )
     def test_per_zero_residuals(self, ring):
-        zs = lee_yang_zeros(ring)
-        roots = np.exp(1j * zs.phases)
-        expected = np.abs(np.polyval(ring.coefficients[::-1], roots)) / ring.coefficients.sum()
-        residuals = zero_residuals(ring, zs.phases)
-        assert residuals.tobytes() == expected.tobytes()
+        # each zero's certificate is its Newton step |A / A'|, here with A' by
+        # central differences: 0 where A rounds to exactly 0 and off the arc
+        # (beta * lambda = 0).  The last two rings sit just below and past the
+        # coefficients' underflow limit (beta * lambda ~186)
+        w = 0.5 * lee_yang_zeros(ring).phases
+        steps = certificates(ring)
+        arc = np.sin(w) ** 2 > ring._transfer[1]
+        assert arc.all() == (ring.beta_lambda > 0.0)
+        assert not steps[~arc].any()
+        w, steps = w[arc], steps[arc]
+        exact = factor_values(ring, w) == 0.0
+        assert not steps[exact].any() and exact.sum() <= 0.05 * w.size
+        np.testing.assert_allclose(central_difference_step(ring, w[~exact]), steps[~exact], rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("nb,beta_lambda", CERTIFICATE_GRID)
+    def test_certificate_bound(self, nb, beta_lambda):
+        # O(N_b) and never underflowing: 10^4 at 0.05 and 0.5 is past the coefficient overflow
+        steps = certificates(ring_at(nb, beta_lambda))
+        assert steps.shape == (nb,)
+        assert np.all(steps <= 1e-12)
+
+    @pytest.mark.parametrize("nb,beta_lambda", [cell for cell in CERTIFICATE_GRID if cell[0] <= 1000])
+    def test_certificate_tracks_the_phase_error(self, nb, beta_lambda):
+        # the largest Newton step is within 10x of the largest error against 40-digit phases
+        ring = ring_at(nb, beta_lambda)
+        errors = mp_phase_errors(nb, beta_lambda, lee_yang_zeros(ring).phases)
+        assert 0.1 <= certificates(ring).max() / errors.max() <= 10.0
 
     def test_companion_roots_diagnostic(self):
         ring = ring_at(10, 0.5)

@@ -41,7 +41,7 @@ def run_python(args, **kwargs):
         ),
         (
             ["-m", "lyprobe.cli", "zeros", "--nb", "100", "--beta", "0.25", "--out", "zeros.csv"],
-            "wrote 100 zero phases to zeros.csv (residual bound ",
+            "wrote 100 zero phases to zeros.csv (largest Newton step ",
         ),
         (
             ["-m", "lyprobe.cli", "verify"],
@@ -74,6 +74,25 @@ def test_readme_command(command, expected, tmp_path):
     result = run_python(["-W", "error::RuntimeWarning", *command], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert expected in result.stdout
+
+
+def test_coherence_scan_pairs_each_prediction_with_its_nearest_detection():
+    # at 200/1 on 1,001 steps detection misses two close pairs of zeros; each
+    # missed prediction gets its own row, and no later row is shifted
+    result = run_python(
+        ["-W", "error::RuntimeWarning", str(ROOT / "scripts" / "coherence_scan.py"),
+         "--nb", "200", "--beta", "1", "--steps", "1001"]
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:1] == ["predicted"]) + 1
+    rows = [line.split() for line in lines[start:start + 200]]
+    missed = [float(row[0]) for row in rows if row[1] == "none"]
+    assert missed == [6.798873, 6.888453, 150.191179, 150.280759]
+    offsets = [abs(float(row[2])) for row in rows if row[1] != "none"]
+    assert len(offsets) == 196 and max(offsets) <= 1e-9
+    assert "predicted times without a detected zero: 4" in lines
+    assert "count mismatch: predicted 200, detected 196" in lines
 
 
 @pytest.mark.parametrize(
