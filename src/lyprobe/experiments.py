@@ -6,7 +6,7 @@ one check of eta.  ``run_scenario`` builds a uniform time grid, evaluates the
 dephasing factor and the closed-form observables over it, and the rest
 post-processes the series: coherence-zero
 detection (candidates from the signs of the sampled factor, refined on the
-analytic factor: sign changes all at once by Anderson-Bjorck regula falsi,
+analytic factor: sign changes all at once by bracketed Newton steps,
 same-sign minima of |A| all at once by golden-section search), maximal
 concurrence-vanishing domains, recovery-peak counts, and the exponential fit
 of the maximum concurrence, the initial state's (A = 1), against ensemble
@@ -29,6 +29,7 @@ from .channels import (
     x_state_observables,
 )
 from .ising_bath import IsingRing, LeeYangZeroSet, factor_values, lee_yang_zeros
+from .ising_bath import _factor_and_newton_steps
 
 
 def _check_eta(eta: float) -> None:
@@ -271,42 +272,39 @@ def default_steps(
     return max(int(steps), 2)
 
 
-def _regula_falsi_roots(f, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
-    """Roots of f in the sign-change brackets [lo, hi], where f is f_lo and f_hi.
+def _newton_roots(f, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
+    """Roots in the sign-change brackets [lo, hi], where the function is f_lo and f_hi.
 
-    Anderson-Bjorck regula falsi on all brackets at once: each step calls f
-    once on the open brackets, at the secant point held tol/2 inside.  Where
-    it replaces the newest end, the far end's value is scaled by m = 1 -
-    f_new/f_newest (1/2 if m <= 0); a bracket a secant step did not halve, or
-    whose secant point is not finite, is bisected next.  A bracket's midpoint
-    is its root once it is tol = xtol + 8.9e-16 max(|lo|, |hi|) wide or less.
+    Bracketed Newton on all brackets at once: f maps points to values and
+    Newton steps -f/f' (nan where there is none).  Each step calls f once on
+    the open brackets, the first at the secant point of the ends, and keeps
+    the sign change bracketed.  A Newton point that is not finite, outside
+    the bracket or more than half the step two before it becomes the
+    midpoint.  A root is the Newton point once the step is within tol = xtol
+    + 8.9e-16 max(|lo|, |hi|), or the midpoint once the bracket is.
     """
-    roots = np.empty(np.shape(lo))
-    # far end x0 and newest end x1: f0 (scaled) and f1 have opposite signs
-    x0, x1, f0, f1 = (np.asarray(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
-    left, bisect = np.arange(roots.size), np.zeros(roots.size, dtype=bool)
-    while True:
-        width, tol = np.abs(x1 - x0), xtol + 8.9e-16 * np.maximum(np.abs(x0), np.abs(x1))
-        done = width <= tol
-        if done.any():
-            roots[left[done]] = 0.5 * (x0[done] + x1[done])
-            brackets = (left, x0, x1, f0, f1, bisect, width, tol)
-            left, x0, x1, f0, f1, bisect, width, tol = (v[~done] for v in brackets)
-        if not left.size:
-            return roots
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = x1 + (x0 - x1) * (f1 / (f1 - f0))
-        bisect |= ~np.isfinite(c)
-        inner = np.minimum(x0, x1) + 0.5 * tol, np.maximum(x0, x1) - 0.5 * tol
-        c = np.where(bisect, 0.5 * (x0 + x1), np.clip(c, *inner))
-        fc = f(c)
-        same = (fc > 0.0) == (f1 > 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = 1.0 - fc / f1
-        f0 = np.where(same, f0 * np.where(m > 0.0, m, 0.5), f1)
-        x0 = np.where(fc == 0.0, c, np.where(same, x0, x1))  # an exact zero closes
-        x1, f1 = c, fc
-        bisect = ~bisect & (np.abs(x1 - x0) > 0.5 * width)
+    roots = np.empty(lo.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = (hi - lo) * (f_lo / (f_lo - f_hi))  # from lo to the secant point
+    left, x, last, before = np.arange(roots.size), lo, 2.0 * (hi - lo), 2.0 * (hi - lo)
+    while left.size:
+        new = x + step
+        newton = (lo <= new) & (new <= hi) & (np.abs(step) <= 0.5 * before)
+        last, before = np.where(newton, np.abs(step), 0.5 * (hi - lo)), last
+        x = np.where(newton, new, 0.5 * (lo + hi))
+        value, step = f(x)
+        same = (value > 0.0) == (f_lo > 0.0)
+        lo, hi, f_lo = np.where(same, x, lo), np.where(same, hi, x), np.where(same, value, f_lo)
+        tol = xtol + 8.9e-16 * np.maximum(np.abs(lo), np.abs(hi))
+        exact = value == 0.0  # closes, at its Newton point if it has one
+        step = np.where(exact & ~np.isfinite(step), 0.0, step)
+        close = exact | (np.abs(step) <= tol)
+        done = close | (hi - lo <= tol)
+        roots[left[done]] = np.where(close, x + step, 0.5 * (lo + hi))[done]
+        left, x, step, last, before, lo, hi, f_lo = (
+            v[~done] for v in (left, x, step, last, before, lo, hi, f_lo)
+        )
+    return roots
 
 
 def _golden_minima(f, lo: np.ndarray, hi: np.ndarray, xatol: float) -> np.ndarray:
@@ -358,10 +356,12 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     of |A| whose three samples share one sign (a zero of even order, such as
     A = cos^N_b at beta * lambda = 0).  A run of equal samples is one point,
     and a sample that underflowed to 0 has no sign.  Sign changes are refined
-    together on the analytic factor by Anderson-Bjorck regula falsi from the
-    sampled ends to a width of 1e-15 + 8.9e-16 |t|, and the same-sign minima
-    together by a golden-section search on |A|.  A refined point is kept if
-    its coherence is below ``_COLLAPSE_THRESHOLD`` (1e-6) times the maximum.
+    together on the analytic factor by bracketed Newton steps from the
+    secant point of the sampled ends, to a step or width of 1e-15 + 8.9e-16
+    |t|: 1-2 evaluations of A on the default grid at beta * lambda >= 5,
+    4-5 at 0.42-0.58 (N_b 73-97).  The same-sign minima are refined together
+    by a golden-section search on |A|.  A refined point is kept if its
+    coherence is below ``_COLLAPSE_THRESHOLD`` (1e-6) times the maximum.
     """
     t = series.times
     if t.size < 3:
@@ -383,12 +383,16 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     if flips.size == 0 and dips.size == 0:
         return np.array([])
 
-    def a_of_t(x):
-        return factor_values(series.ring, series.channel.rate * series.eta * x)
+    rate = series.channel.rate * series.eta
 
-    roots = _regula_falsi_roots(
-        a_of_t, times[flips], times[flips + 1], a[flips], a[flips + 1], 1e-15
-    )
+    def a_of_t(x):
+        return factor_values(series.ring, rate * x)
+
+    def newton_of_t(x):
+        value, step = _factor_and_newton_steps(series.ring, rate * x)
+        return value, step / rate
+
+    roots = _newton_roots(newton_of_t, times[flips], times[flips + 1], a[flips], a[flips + 1], 1e-15)
     lo, hi = times[dips - 1], times[dips + 1]
     minima = _golden_minima(lambda x: np.abs(a_of_t(x)), lo, hi, 1e-12 * max(1.0, t[-1]))
     refined = np.concatenate([roots, minima])

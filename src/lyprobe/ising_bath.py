@@ -268,7 +268,8 @@ def zero_certificates(ring: IsingRing, phases: np.ndarray) -> np.ndarray:
     """Newton step |A / A'| at w = phi / 2 of each phase, in radians of phase.
 
     On the arc A = h cos(theta), theta = N_b gamma(w): h cancels, and the step is
-    2 |cos theta| sqrt(sin^2 w - q) / (N_b |sin w|), cos theta at unit amplitude.
+    2 |cos theta| / theta', cos theta at unit amplitude and 1/theta' from the
+    arc phase of A and of the detection solver's Newton steps (``_arc_phase``).
     O(N_b), no coefficients, no underflow; sin^2 w <= q (beta_lambda = 0) gives 0.
     """
     nb, q = ring.n_spins, ring._transfer[1]
@@ -277,8 +278,8 @@ def zero_certificates(ring: IsingRing, phases: np.ndarray) -> np.ndarray:
     s2 = s * s
     arc = s2 > q
     steps = np.zeros(w.shape)
-    cos_theta = _complex_pair_sum(nb, q, 1.0, w[arc], s[arc], c[arc], s2[arc], _ARRAY)
-    steps[arc] = 2.0 * np.abs(cos_theta) * np.sqrt(s2[arc] - q) / (nb * np.abs(s[arc]))
+    cos_theta, _, dw_dtheta = _arc_phase(nb, q, w[arc], s[arc], c[arc], s2[arc], _ARRAY, True)
+    steps[arc] = 2.0 * np.abs(cos_theta) * dw_dtheta
     return steps
 
 
@@ -334,19 +335,24 @@ def _real_pair_sum(nb, root_q, q, s2, c, f):
     return f.copysign(total, c) if nb % 2 else total
 
 
-def _complex_pair_sum(nb, q, amplitude, w, s, c, s2, f):
-    # r_+- = sqrt(t) e^{+-i gamma}, t = (1 - sqrt q) / (1 + sqrt q): the sum
-    # is amplitude * cos(N gamma), amplitude = 2 t^(N/2).  N gamma = N w +
+def _arc_phase(nb, q, w, s, c, s2, f, slope=False):
+    # on the arc r_+- = sqrt(t) e^{+-i gamma}, t = (1 - sqrt q) / (1 + sqrt q):
+    # the pair sum is amplitude * cos theta, theta = N gamma.  N gamma = N w +
     # N (gamma - |w| folded to (0, pi)): N w is split so its large part is an
-    # exact product (|w| < 32) and the offset is written without
-    # cancellation, so the phase is good to a few ulp of 1, not of N gamma
+    # exact product (|w| < 32) and the offset is written without cancellation,
+    # so the phase is good to a few ulp of 1, not of N gamma.  Returns cos
+    # theta; with slope, also sin theta and 1/theta' = sqrt(s2 - q) / (N |s|)
     abs_s = f.abs(s)
     root = f.sqrt(s2 - q)
     offset = f.arctan2(-c * q / (root + abs_s), c * c + root * abs_s)
     low = f.fmod(w, 2.0**-20)
     head = nb * (w - low)
     tail = nb * low + f.copysign(nb, s) * offset
-    return amplitude * (f.cos(head) * f.cos(tail) - f.sin(head) * f.sin(tail))
+    if not slope:  # two of the four trig arrays at a time: a grid's peak memory
+        return f.cos(head) * f.cos(tail) - f.sin(head) * f.sin(tail)
+    cos_head, sin_head, cos_tail, sin_tail = f.cos(head), f.sin(head), f.cos(tail), f.sin(tail)
+    cos_theta = cos_head * cos_tail - sin_head * sin_tail
+    return cos_theta, sin_head * cos_tail + cos_head * sin_tail, root / (nb * abs_s)
 
 
 def _transfer_power_sum(
@@ -370,15 +376,15 @@ def _transfer_power_sum(
     arc = s2 > q
     if f is _FLOAT:
         if arc:
-            return _complex_pair_sum(nb, q, amplitude, w, s, c, s2, f)
+            return amplitude * _arc_phase(nb, q, w, s, c, s2, f)
         return _real_pair_sum(nb, root_q, q, s2, c, f)
     on_arc = np.count_nonzero(arc)
     if on_arc == arc.size:
-        return _complex_pair_sum(nb, q, amplitude, w, s, c, s2, f)
+        return amplitude * _arc_phase(nb, q, w, s, c, s2, f)
     if not on_arc:
         return _real_pair_sum(nb, root_q, q, s2, c, f)
     out = np.empty(w.shape)
-    out[arc] = _complex_pair_sum(nb, q, amplitude, w[arc], s[arc], c[arc], s2[arc], f)
+    out[arc] = amplitude * _arc_phase(nb, q, w[arc], s[arc], c[arc], s2[arc], f)
     real = ~arc
     out[real] = _real_pair_sum(nb, root_q, q, s2[real], c[real], f)
     return out
@@ -406,6 +412,28 @@ def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
     root_q, q, amplitude, norm = ring._transfer
     values = _transfer_power_sum(nb, root_q, q, amplitude, flat, _ARRAY) / norm
     return values.reshape(angles.shape) if angles.ndim else values[0]
+
+
+def _factor_and_newton_steps(ring: IsingRing, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``factor_values`` at 1-D angles w, bit for bit, and the Newton step -A/A' in w.
+
+    On the arc the step is cos theta / sin theta / theta' (``_arc_phase``), free
+    of the amplitude that A underflows with; off the arc it is nan.
+    """
+    nb = ring.n_spins
+    _check_angles(nb, w)
+    root_q, q, amplitude, norm = ring._transfer
+    s, c = np.sin(w), np.cos(w)
+    s2 = s * s
+    arc = s2 > q
+    values, steps = np.empty(w.shape), np.full(w.shape, np.nan)
+    cos_theta, sin_theta, dw_dtheta = _arc_phase(nb, q, w[arc], s[arc], c[arc], s2[arc], _ARRAY, True)
+    values[arc] = amplitude * cos_theta
+    with np.errstate(divide="ignore"):  # sin theta = 0: an infinite step, never taken
+        steps[arc] = cos_theta / sin_theta * dw_dtheta
+    if not arc.all():
+        values[~arc] = _real_pair_sum(nb, root_q, q, s2[~arc], c[~arc], _ARRAY)
+    return values / norm, steps
 
 
 def _check_angles(nb: int, angles: np.ndarray) -> None:

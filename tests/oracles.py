@@ -11,7 +11,8 @@ transfer-matrix phase formula, in double and at 40 digits (the package
 now uses it in atan2 form), the
 transfer eigenvalues at 50 digits (the package's mathematics without its
 double-precision branch split; the only reference cheap enough for rings
-whose coefficients overflow), the scalar double loop the package's
+whose coefficients overflow; differentiated by mpmath, it gives the Newton
+steps of the package's arc phase), the scalar double loop the package's
 coefficient recurrence was vectorised from, that vectorised recurrence
 before it stopped at underflow, the np.savetxt call the package's CSV
 writer reproduces byte for byte, the per-domain loop the package's array
@@ -318,6 +319,12 @@ def mp_ring_factor(n_spins: int, beta_lambda: float, angles, dps: int = 50) -> n
     return np.array(values)
 
 
+def _mp_power_sum(mp, nb: int, q, w):
+    """Re(lambda_+^N + lambda_-^N) at w, the eigenvalues cos w +- sqrt(q - sin^2 w) as complex numbers."""
+    root = mp.sqrt(mp.mpc(q - mp.sin(w) ** 2))
+    return mp.re((mp.cos(w) + root) ** nb + (mp.cos(w) - root) ** nb)
+
+
 def mp_transfer_factor(n_spins: int, beta_lambda: float, angles, dps: int = 50) -> np.ndarray:
     """Dephasing factor of a ring from its transfer eigenvalues at dps digits.
 
@@ -334,14 +341,32 @@ def mp_transfer_factor(n_spins: int, beta_lambda: float, angles, dps: int = 50) 
     nb = n_spins
     with mp.workdps(dps):
         q = mp.exp(-4 * mp.mpf(beta_lambda))
+        norm = _mp_power_sum(mp, nb, q, mp.mpf(0))
+        values = [
+            float(_mp_power_sum(mp, nb, q, mp.mpf(float(w))) / norm)
+            for w in np.asarray(angles, dtype=float)
+        ]
+    return np.array(values)
+
+
+def mp_transfer_newton_steps(n_spins: int, beta_lambda: float, angles, dps: int = 50) -> np.ndarray:
+    """Newton step -A/A' in w at each angle, from the power sum of ``mp_transfer_factor``.
+
+    A' is mpmath's numerical derivative (``mp.diff``) of the power sum at dps
+    digits; the normalisation cancels.  No arc phase, amplitude or branch
+    split of the package enters.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        q = mp.exp(-4 * mp.mpf(beta_lambda))
 
         def power_sum(w):
-            root = mp.sqrt(mp.mpc(q - mp.sin(w) ** 2))
-            return (mp.cos(w) + root) ** nb + (mp.cos(w) - root) ** nb
+            return _mp_power_sum(mp, n_spins, q, w)
 
-        norm = mp.re(power_sum(mp.mpf(0)))
-        values = [float(mp.re(power_sum(mp.mpf(float(w)))) / norm) for w in np.asarray(angles, dtype=float)]
-    return np.array(values)
+        points = [mp.mpf(float(w)) for w in np.asarray(angles, dtype=float)]
+        steps = [float(-power_sum(w) / mp.diff(power_sum, w)) for w in points]
+    return np.array(steps)
 
 
 def highprecision_roots(coefficients: np.ndarray, dps: int = 50):

@@ -484,6 +484,35 @@ class TestZeroDetection:
         assert np.max(np.abs(detected - predicted)) <= 1e-9 * period
 
 
+@settings(max_examples=150)
+@given(
+    nb=st.integers(3, 400),
+    beta=st.floats(0.05, 20.0),
+    channel=st.sampled_from([Channel.I, Channel.II]),
+    probe=st.builds(OatParameters, st.integers(2, 10), st.floats(allow_nan=False, allow_infinity=False)),
+    periods=st.integers(1, 2),
+)
+def test_detection_finds_each_predicted_collapse_once(nb, beta, channel, probe, periods):
+    """On its default grid, detection gives each predicted collapse time once, within a grid
+    step, wherever A = 0 collapses the coherence, and nothing where it does not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = default_grid_series(nb, beta, channel, probe, periods)
+        detected = detect_coherence_zeros(series)
+        floor = x_state_observables(oat_reduced_state(probe), channel, 0.0, probe.n_probes).coherence
+    t = series.times
+    assert np.all(np.isfinite(detected)) and np.all(np.diff(detected) > 0.0)
+    assert np.all((detected >= 0.0) & (detected <= t[-1]))
+    if not floor < experiments._COLLAPSE_THRESHOLD * series.coherence.max():
+        assert detected.size == 0
+        return
+    period = coherence_period(ETA, channel)
+    predicted = zero_times(lee_yang_zeros(series.ring), ETA, channel)
+    predicted = np.concatenate([predicted + k * period for k in range(periods)])
+    assert detected.size == predicted.size
+    assert np.max(np.abs(detected - predicted)) <= t[1] - t[0]
+
+
 def default_grid_series(nb, beta, channel, probe, periods=2):
     """A ring's series over whole periods on the default grid."""
     ring = IsingRing(n_spins=nb, inverse_temperature=beta)
@@ -493,7 +522,7 @@ def default_grid_series(nb, beta, channel, probe, periods=2):
 
 
 def stop_tolerance(t):
-    """The width at which the root solver closes a bracket around t."""
+    """The step or bracket width at which the root solver closes a bracket around t."""
     return 1e-15 + 8.9e-16 * np.abs(t)
 
 
@@ -505,9 +534,29 @@ def bisection_steps(lo, hi, xtol=1e-15):
     return steps
 
 
+def no_step(x):
+    """The Newton step of a point without one (off the arc, for A): nan, so the solver bisects."""
+    return np.full(np.shape(x), np.nan)
+
+
 class TestRegulaFalsi:
+    """The sign-change root solver of detection, bracketed Newton (``_newton_roots``)."""
+
     # a probe of two: channel II collapses only for a pair ensemble
     PAIR = OatParameters(2, 1.0)
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Patch the solver to record each call's (f, lo, hi, f_lo, roots)."""
+        calls, solver = [], experiments._newton_roots
+
+        def recorded(f, lo, hi, f_lo, f_hi, xtol):
+            roots = solver(f, lo, hi, f_lo, f_hi, xtol)
+            calls.append((f, lo, hi, f_lo, roots))
+            return roots
+
+        monkeypatch.setattr(experiments, "_newton_roots", recorded)
+        return calls
 
     @pytest.mark.parametrize(
         "nb,beta,periods",
@@ -524,35 +573,33 @@ class TestRegulaFalsi:
             series = run_scenario(Scenario(ring, self.PAIR, channel, period, 200_001, ETA))
         else:
             series = default_grid_series(nb, beta, channel, self.PAIR, periods)
-        calls = []
-        solver = experiments._regula_falsi_roots
-
-        def recorded(f, lo, hi, f_lo, f_hi, xtol):
-            roots = solver(f, lo, hi, f_lo, f_hi, xtol)
-            calls.append((f, lo, hi, roots))
-            return roots
-
-        monkeypatch.setattr(experiments, "_regula_falsi_roots", recorded)
+        calls = self.recording(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             detected = detect_coherence_zeros(series)
         assert detected.size == periods * nb
-        ((f, lo, hi, roots),) = calls
+        ((f, lo, hi, _, roots),) = calls
         assert roots.size == detected.size
-        expected = brentq_roots(f, lo, hi)
+        expected = brentq_roots(lambda x: f(x)[0], lo, hi)
         assert np.all(np.abs(roots - expected) <= stop_tolerance(expected))
 
     def test_detection_makes_a_handful_of_factor_calls(self):
-        # bisection took about 45 calls on this grid; the secant steps start
-        # from the sampled ends, so the brackets close in a few
-        series = default_grid_series(300, 10.0, Channel.I, OatParameters(3, 1.0))
-        assert series.times.size == 24_001
-        with mock.patch.object(
-            experiments, "factor_values", wraps=experiments.factor_values
-        ) as factor:
-            detected = detect_coherence_zeros(series)
-        assert detected.size == 600
-        assert factor.call_count <= 8
+        # the Newton steps start at the secant point of the sampled ends, so a
+        # strong and a weak ring's brackets close in a few evaluations.  Counted:
+        # the solver's evaluations of A and its step, and the final coherence one
+        for nb, beta, periods, steps, zeros in [(300, 10.0, 2, 24_001, 600), (97, 0.54, 1, None, 97)]:
+            series = default_grid_series(nb, beta, Channel.I, OatParameters(3, 1.0), periods)
+            assert steps is None or series.times.size == steps
+            with (
+                mock.patch.object(experiments, "factor_values", wraps=experiments.factor_values) as factor,
+                mock.patch.object(
+                    experiments, "_factor_and_newton_steps", wraps=experiments._factor_and_newton_steps
+                ) as newton,
+            ):
+                detected = detect_coherence_zeros(series)
+            assert detected.size == zeros
+            assert factor.call_count == 1
+            assert factor.call_count + newton.call_count <= 6
 
     def test_probe_state_is_built_once(self):
         series = run_scenario(make_scenario(nb=6, steps=2401))
@@ -563,55 +610,70 @@ class TestRegulaFalsi:
         assert build.call_count == 1
 
     @staticmethod
-    def solve(f, lo, hi):
-        """The solver's roots on brackets [lo, hi] and its number of calls to f."""
+    def solve(f, lo, hi, step=no_step):
+        """The solver's roots on brackets [lo, hi] and its calls, each (points, values, steps).
+
+        f gives the values and ``step`` the Newton steps -f/f' at an array of points.
+        """
         lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
         calls = []
 
         def counted(x):
-            calls.append(x.size)
-            return f(x)
+            calls.append((x, f(x), step(x)))
+            assert len(calls) <= 200, "the solver does not converge"
+            return calls[-1][1:]
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            roots = experiments._regula_falsi_roots(counted, lo, hi, f(lo), f(hi), 1e-15)
-        return roots, len(calls)
+            roots = experiments._newton_roots(counted, lo, hi, f(lo), f(hi), 1e-15)
+        return roots, calls
+
+    @staticmethod
+    def bisections(lo, hi, f_lo, calls):
+        """Replays one bracket's evaluations: each lies in the bracket; the count at its midpoint."""
+        count = 0
+        for x, value, _ in calls:
+            assert lo <= x[0] <= hi
+            count += x[0] == 0.5 * (lo + hi)
+            lo, hi, f_lo = (x[0], hi, value[0]) if (value[0] > 0.0) == (f_lo > 0.0) else (lo, x[0], f_lo)
+        return count
 
     def test_subnormal_values(self):
-        # every value is subnormal, and f is exactly 0 within 2.5e-14 of r
+        # every value is subnormal, and f is exactly 0 within 2.5e-14 of r; the
+        # Newton step does not underflow with it
         r = 0.123456789
 
         def f(x):
             return (x - r) * 1e-310
 
-        roots, calls = self.solve(f, [0.0, -0.5, 0.1], [1.0, 2.0, 0.2])
+        roots, calls = self.solve(f, [0.0, -0.5, 0.1], [1.0, 2.0, 0.2], step=lambda x: r - x)
         assert np.abs(f(np.array([0.0, 1.0]))).max() < 2.3e-308
         assert np.all(np.abs(roots - r) < 2.5e-14)
         tol = stop_tolerance(roots)
         assert np.all((f(roots - tol) <= 0.0) & (f(roots + tol) >= 0.0))
-        assert calls <= 10
+        assert len(calls) <= 10
 
     def test_exact_zero_at_the_first_secant_point_closes_the_bracket(self):
-        # both secant points land on 0.25 exactly, where f is exactly 0
-        roots, calls = self.solve(lambda x: x - 0.25, [0.0, -0.75], [1.0, 1.25])
-        assert calls == 1
+        # both secant points land on 0.25 exactly, where f and its step are exactly 0
+        roots, calls = self.solve(lambda x: x - 0.25, [0.0, -0.75], [1.0, 1.25], step=lambda x: 0.25 - x)
+        assert len(calls) == 1
         assert np.array_equal(roots, [0.25, 0.25])
 
     @pytest.mark.parametrize("r", [0.3, 0.7071, 1.0 / 3.0])
     def test_triple_root_within_twice_bisection(self, r):
-        # plain regula falsi stalls on one end of (x - r)**3; the bisection
-        # safeguard halves the bracket at least every second step
+        # a zero of A of odd order above one lies off the arc (cos^N w at beta *
+        # lambda = 0), where A has no Newton step: the solver bisects there
         lo, hi = [0.0, -0.5, 0.2], [1.0, 2.0, 0.8]
         roots, calls = self.solve(lambda x: (x - r) ** 3, lo, hi)
         assert np.all(np.abs(roots - r) <= 0.5 * stop_tolerance(r))
-        assert calls <= 2 * max(bisection_steps(a, b) for a, b in zip(lo, hi))
+        assert len(calls) <= 2 * max(bisection_steps(a, b) for a, b in zip(lo, hi))
 
     @pytest.mark.parametrize(
         "f",
         [
-            # f_new / f_newest overflows: the right end is the smallest subnormal
+            # f_lo / (f_lo - f_hi) overflows: the right end is the smallest subnormal
             lambda x: np.where(x >= 1.0, 5e-324, np.where(x > 0.3, 1e308, -1e308)),
-            # f_newest - f_far overflows
+            # f_lo - f_hi overflows
             lambda x: np.where(x > 0.3, 1e308, -1e308),
             # the secant point is not finite (inf / inf): bisection steps
             lambda x: np.where(x > 0.3, np.inf, -np.inf),
@@ -622,11 +684,55 @@ class TestRegulaFalsi:
         # a jump at 0.3 is a sign change the solver must still close on
         roots, calls = self.solve(f, [0.0], [1.0])
         assert abs(roots[0] - 0.3) <= stop_tolerance(0.3)
-        assert calls <= 2 * bisection_steps(0.0, 1.0)
+        assert len(calls) <= 2 * bisection_steps(0.0, 1.0)
+
+    def test_newton_cycle_is_broken_by_bisection(self):
+        # Newton on sign(x) sqrt|x| maps x to -x: each point lies in the bracket
+        # its partner leaves; a step not half the one two steps before bisects
+        roots, calls = self.solve(
+            lambda x: np.copysign(np.sqrt(np.abs(x)), x), [-1.0, -0.3], [0.6, 2.0], step=lambda x: -2.0 * x
+        )
+        assert np.all(np.abs(roots) <= stop_tolerance(0.0))
+        assert len(calls) <= 2 * bisection_steps(-0.3, 2.0)
+
+    def test_newton_point_outside_the_bracket_is_bisected(self):
+        # x^3 - 2x + 2 on [-2, 1.2]: from the secant point -0.077, Newton jumps
+        # to 1.01, past the bracket [-2, -0.077] the first value leaves
+        def f(x):
+            return x**3 - 2.0 * x + 2.0
+
+        roots, calls = self.solve(f, [-2.0], [1.2], step=lambda x: -f(x) / (3.0 * x * x - 2.0))
+        assert abs(roots[0] - brentq_roots(f, [-2.0], [1.2])[0]) <= stop_tolerance(1.77)
+        assert self.bisections(-2.0, 1.2, f(-2.0), calls) >= 1
+        assert len(calls) <= 2 * bisection_steps(-2.0, 1.2)
 
     def test_no_brackets_no_calls(self):
         roots, calls = self.solve(np.sin, [], [])
-        assert roots.shape == (0,) and calls == 0
+        assert roots.shape == (0,) and not calls
+
+    def test_bracket_across_the_arc_edge_bisects(self, monkeypatch):
+        # at 1000/0.5 on 200,001 steps the first collapse, 3.1e-6 rad of w
+        # inside the arc, shares its grid cell with the arc edge sin^2 w = q:
+        # the first Newton point falls off the arc, where A has no step
+        ring = IsingRing(n_spins=1000, inverse_temperature=0.5)
+        period = coherence_period(ETA, Channel.I)
+        series = run_scenario(Scenario(ring, OatParameters(3, 1.0), Channel.I, period, 200_001, ETA))
+        calls = self.recording(monkeypatch)
+        detected = detect_coherence_zeros(series)
+        ((f, lo, hi, f_lo, roots),) = calls
+        edge = math.asin(math.sqrt(ring._transfer[1])) / (Channel.I.rate * ETA)
+        first = np.flatnonzero((lo < edge) & (edge < hi))
+        assert first.tolist() == [0] and roots[0] == detected[0]
+        # the bracket again, alone, with every evaluation recorded and replayed
+        root, evaluations = self.solve(
+            lambda x: f(x)[0], lo[first], hi[first], step=lambda x: f(x)[1]
+        )
+        assert root[0] == roots[0]
+        assert abs(root[0] - brentq_roots(lambda x: f(x)[0], lo[first], hi[first])[0]) <= (
+            stop_tolerance(root[0])
+        )
+        assert self.bisections(lo[0], hi[0], f_lo[0], evaluations) >= 1
+        assert np.isnan([step[0] for _, _, step in evaluations]).any()
 
 
 class TestVanishingDomains:

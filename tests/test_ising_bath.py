@@ -35,6 +35,7 @@ from .oracles import (
     mp_phase_errors,
     mp_ring_factor,
     mp_transfer_factor,
+    mp_transfer_newton_steps,
     ring_closed_form_loop,
     ring_coefficients_full_recurrence,
     transfer_phases,
@@ -426,6 +427,58 @@ class TestZeroExtraction:
         np.testing.assert_allclose(
             phases, lee_yang_zeros(ring).phases, rtol=0.0, atol=1e-9
         )
+
+
+def arc_rounding_allowance(ring, w):
+    """First-order relative error of the Newton step -A/A' at arc angles w from rounding.
+
+    sqrt(sin^2 w - q) carries the rounding of sin^2 w, 2^-53 sin^2 w / (sin^2 w -
+    q) relative, large next to the arc edge.  It moves both 1/theta' and theta =
+    N_b atan2(sqrt(sin^2 w - q), cos w), so log|cot theta / theta'| moves by
+    1/root - N_b cos w / ((1 - q) sin theta cos theta) per unit of root; the
+    phase split adds N_b ulp of pi to theta.
+    """
+    nb, q = ring.n_spins, ring._transfer[1]
+    s2, c = np.sin(w) ** 2, np.cos(w)
+    root = np.sqrt(s2 - q)
+    theta = nb * np.arctan2(root, c)
+    sin_cos = np.sin(theta) * np.cos(theta)
+    per_root = np.abs(1.0 / root - nb * c / ((1.0 - q) * sin_cos))
+    return 2.0**-53 * s2 / root * per_root + nb * 2.0**-53 * np.pi / np.abs(sin_cos)
+
+
+class TestArcNewtonStep:
+    """The Newton step -A/A' the detection solver reads, from the arc phase of A."""
+
+    @pytest.mark.parametrize("nb,beta_lambda", [(10, 0.5), (97, 0.54), (300, 10.0), (1000, 0.5), (10_000, 0.5)])
+    def test_step_matches_mpmath(self, nb, beta_lambda):
+        # against -A/A' at 50 digits, A' by mpmath's derivative of the transfer
+        # eigenvalue powers: 1e-12 relative, or 4x the first-order rounding error
+        # of the arc phase where that is larger (next to the edge of large rings,
+        # and where sin 2 theta -> 0; the error reaches 1.2x the estimate); at
+        # 1e-6 ... 1e-12 rad inside both arc edges and a mirror past pi, and
+        # across the arc
+        ring = ring_at(nb, beta_lambda)
+        edge = math.asin(math.sqrt(ring._transfer[1]))
+        near = np.array([1e-6, 3e-7, 1e-7, 1e-9, 1e-12])
+        w = np.concatenate(
+            [
+                edge + near,
+                np.pi - edge - near,
+                np.pi + edge + near,
+                np.linspace(edge, np.pi - edge, 25)[1:-1],
+                np.linspace(np.pi + edge, TWO_PI - edge, 9)[1:-1],
+            ]
+        )
+        off_arc = np.array([0.0, 0.5 * edge, np.pi])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, steps = ising_bath._factor_and_newton_steps(ring, np.concatenate([w, off_arc]))
+            assert np.array_equal(values, factor_values(ring, np.concatenate([w, off_arc])))
+        assert np.isnan(steps[w.size:]).all()
+        expected = mp_transfer_newton_steps(nb, beta_lambda, w)
+        error = np.abs(steps[: w.size] / expected - 1.0)
+        assert np.all(error <= 1e-12 + 4.0 * arc_rounding_allowance(ring, w))
 
 
 class TestDephasingFactor:
