@@ -165,21 +165,22 @@ def oat_reduced_state(params: OatParameters) -> TwoQubitXState:
 
     with v_pm = (1 pm 2<s_z> + <s_1z s_2z>)/4 and w = (1 - <s_1z s_2z>)/4 = y.
     """
-    n = params.n_probes
-    theta = params.twist_angle
-    twist = np.cos(theta) ** (n - 2)
-    sz = -np.cos(0.5 * theta) ** (n - 1)
+    return TwoQubitXState(*_oat_entries(params.n_probes, params.twist_angle))
+
+
+def _oat_entries(n: int, theta: float) -> tuple[float, float, float, float, complex]:
+    """The entries (v_plus, v_minus, w, y, u) of ``oat_reduced_state``, on Python floats.
+
+    math.cos, math.sin and float ** int are libm's, as numpy's scalar calls
+    are, so they keep those calls' bits; a stacked np.power may not (AVX-512).
+    """
+    twist = math.cos(theta) ** (n - 2)
+    sz = -math.cos(0.5 * theta) ** (n - 1)
     szsz = 0.5 * (1.0 + twist)
     y = 0.125 * (1.0 - twist)
     # -y is -0.125 (1 - twist) bit for bit: negation is exact
-    u = -y - 0.5j * np.sin(0.5 * theta) * np.cos(0.5 * theta) ** (n - 2)
-    return TwoQubitXState(
-        v_plus=0.25 * (1.0 + 2.0 * sz + szsz),
-        v_minus=0.25 * (1.0 - 2.0 * sz + szsz),
-        w=0.25 * (1.0 - szsz),
-        y=y,
-        u=complex(u),
-    )
+    u = -y - 0.5j * math.sin(0.5 * theta) * math.cos(0.5 * theta) ** (n - 2)
+    return 0.25 * (1.0 + 2.0 * sz + szsz), 0.25 * (1.0 - 2.0 * sz + szsz), 0.25 * (1.0 - szsz), y, u
 
 
 def _factor_value(factor):

@@ -272,8 +272,8 @@ def default_steps(
     return max(int(steps), 2)
 
 
-def _newton_roots(f, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
-    """Roots in the sign-change brackets [lo, hi], where the function is f_lo and f_hi.
+def _newton_roots(f, lo, hi, f_lo, f_hi, xtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots in the sign-change brackets [lo, hi], where f is f_lo and f_hi, and f near each root.
 
     Bracketed Newton on all brackets at once: f maps points to values and
     Newton steps -f/f' (nan where there is none).  Each step calls f once on
@@ -281,9 +281,11 @@ def _newton_roots(f, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
     the sign change bracketed.  A Newton point that is not finite, outside
     the bracket or more than half the step two before it becomes the
     midpoint.  A root is the Newton point once the step is within tol = xtol
-    + 8.9e-16 max(|lo|, |hi|), or the midpoint once the bracket is.
+    + 8.9e-16 max(|lo|, |hi|), or the midpoint once the bracket is.  f near
+    a root is f at the last point of its bracket: within tol of the root, or
+    exactly 0 there.
     """
-    roots = np.empty(lo.shape)
+    roots, near = np.empty(lo.shape), np.empty(lo.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         step = (hi - lo) * (f_lo / (f_lo - f_hi))  # from lo to the secant point
     left, x, last, before = np.arange(roots.size), lo, 2.0 * (hi - lo), 2.0 * (hi - lo)
@@ -301,10 +303,11 @@ def _newton_roots(f, lo, hi, f_lo, f_hi, xtol: float) -> np.ndarray:
         close = exact | (np.abs(step) <= tol)
         done = close | (hi - lo <= tol)
         roots[left[done]] = np.where(close, x + step, 0.5 * (lo + hi))[done]
+        near[left[done]] = value[done]
         left, x, step, last, before, lo, hi, f_lo = (
             v[~done] for v in (left, x, step, last, before, lo, hi, f_lo)
         )
-    return roots
+    return roots, near
 
 
 def _golden_minima(f, lo: np.ndarray, hi: np.ndarray, xatol: float) -> np.ndarray:
@@ -361,7 +364,9 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     |t|: 1-2 evaluations of A on the default grid at beta * lambda >= 5,
     4-5 at 0.42-0.58 (N_b 73-97).  The same-sign minima are refined together
     by a golden-section search on |A|.  A refined point is kept if its
-    coherence is below ``_COLLAPSE_THRESHOLD`` (1e-6) times the maximum.
+    coherence is below ``_COLLAPSE_THRESHOLD`` (1e-6) times the maximum: at a
+    root from A at the solver's last point, within the stop width, and at a
+    minimum from A evaluated there.
     """
     t = series.times
     if t.size < 3:
@@ -392,11 +397,12 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
         value, step = _factor_and_newton_steps(series.ring, rate * x)
         return value, step / rate
 
-    roots = _newton_roots(newton_of_t, times[flips], times[flips + 1], a[flips], a[flips + 1], 1e-15)
+    roots, near = _newton_roots(newton_of_t, times[flips], times[flips + 1], a[flips], a[flips + 1], 1e-15)
     lo, hi = times[dips - 1], times[dips + 1]
     minima = _golden_minima(lambda x: np.abs(a_of_t(x)), lo, hi, 1e-12 * max(1.0, t[-1]))
     refined = np.concatenate([roots, minima])
-    values = x_state_observables(state, series.channel, a_of_t(refined), series.probe.n_probes)
+    a_refined = np.concatenate([near, a_of_t(minima) if minima.size else minima])
+    values = x_state_observables(state, series.channel, a_refined, series.probe.n_probes)
     zeros = np.sort(refined[values.coherence < _COLLAPSE_THRESHOLD * series.coherence.max()])
     if zeros.size == 0:
         return zeros

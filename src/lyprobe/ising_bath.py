@@ -47,6 +47,10 @@ _LOG_DOUBLE_MAX = math.log(float(np.finfo(float).max))
 # largest double below 1: keeps log1p(-x) finite where an eigenvalue is 0
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
+# cells of one block of the coefficient recurrence: one set of numpy calls
+# builds the factors of as many rows as fit (64 KB a temporary, in cache)
+_RECURRENCE_CELLS = 8192
+
 
 @dataclass(frozen=True)
 class IsingRing:
@@ -138,10 +142,13 @@ class IsingRing:
         multiplicative term recurrence in m runs over every n <= N/2 at once
         (block counts run up to min(n, N-n) = n); all terms are positive, so
         the sum is stable.  O(N_b^2); beta_lambda = 0 gives exactly C(N, n).
-        The recurrence stops once every active term has underflowed to 0: a
-        zero term stays zero and adds nothing, so the stop leaves every bit
-        unchanged, and a ring past the underflow limit (N_b * q == 0) is
-        refused after one step.
+        The rows m run in blocks of ``_RECURRENCE_CELLS`` cells: one set of
+        numpy calls builds a block's factors, then each row multiplies the
+        running terms and adds them, in the order of one row at a time.  The
+        recurrence stops at a block's start once every active term has
+        underflowed to 0: a zero term adds nothing, so the stop leaves every
+        bit unchanged, and a ring past the underflow limit (N_b * q == 0) is
+        refused before its first block.
 
         Raises:
             OverflowError: if the normalised coefficient sum
@@ -164,14 +171,17 @@ class IsingRing:
         n = np.arange(1, nb // 2 + 1)
         term = np.full(n.size, nb * q)
         total = term.copy()
-        for m in range(1, n.size):
-            # the last term (n = N_b // 2) is the largest in exact arithmetic,
-            # so it filters the full test cheaply
-            if term[-1] == 0.0 and not term[m:].any():
-                break
-            active = n[m:]
-            term[m:] *= (active - m) * (nb - active - m) * q / (m * (m + 1))
-            total[m:] += term[m:]
+        m0 = 1
+        # the last term (n = N_b // 2) is the largest in exact arithmetic, so it
+        # filters the full test cheaply
+        while m0 < n.size and (term[-1] != 0.0 or term[m0:].any()):
+            active, running, summed = n[m0:], term[m0:], total[m0:]
+            m = np.arange(m0, min(n.size, m0 + max(1, _RECURRENCE_CELLS // active.size)))[:, None]
+            # n <= m has factor 0: its term becomes 0 and adds 0 from there on
+            for factor in np.maximum(active - m, 0) * (nb - active - m) * q / (m * (m + 1)):
+                running *= factor
+                summed += running
+            m0 += m.size
         coeffs = np.empty(nb + 1)
         coeffs[0] = coeffs[nb] = 1.0
         coeffs[n] = total

@@ -5,7 +5,7 @@ different numerics than the package itself: arbitrary-precision coefficient
 sums for the dephasing factor, arbitrary-precision simultaneous root iteration
 for the zero phases and unit-circle certificates, matrix-exponential
 state-vector evolution for the twisted pair state, and the textbook
-non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Twelve
+non-Hermitian eigenvalue formulation of the spin-flip spectrum.  Thirteen
 entries are reference implementations rather than independent routes: the
 transfer-matrix phase formula, in double and at 40 digits (the package
 now uses it in atan2 form), the
@@ -14,8 +14,10 @@ double-precision branch split; the only reference cheap enough for rings
 whose coefficients overflow; differentiated by mpmath, it gives the Newton
 steps of the package's arc phase), the scalar double loop the package's
 coefficient recurrence was vectorised from, that vectorised recurrence
-before it stopped at underflow, the np.savetxt call the package's CSV
-writer reproduces byte for byte, the per-domain loop the package's array
+before it stopped at underflow or ran in row blocks, the numpy scalar
+calls the package's twisted pair state now makes on Python floats, the
+np.savetxt call the package's CSV writer reproduces byte for byte, the
+per-domain loop the package's array
 form of ``vanishing_domains`` replaced, the inline series formulas the
 package's X-state kernel replaced, the per-operator ``np.kron`` products and
 loop sum the package's stacked Kraus sets replaced, the per-bracket bounded
@@ -99,6 +101,29 @@ def ring_closed_form_loop(n_spins: int, wall_weight: float) -> np.ndarray:
         coeffs[n] = total
         coeffs[nb - n] = total
     return coeffs
+
+
+def oat_entries_numpy_scalars(n: int, theta: float) -> tuple:
+    """(v_plus, v_minus, w, y, u) of the twisted pair state by numpy scalar calls.
+
+    The reference for the package's float helper ``channels._oat_entries``:
+    ``oat_reduced_state``'s arithmetic before it moved to Python floats,
+    copied verbatim (np.cos, np.sin, np.float64 ** int), so the two must
+    agree bit for bit.
+    """
+    twist = np.cos(theta) ** (n - 2)
+    sz = -np.cos(0.5 * theta) ** (n - 1)
+    szsz = 0.5 * (1.0 + twist)
+    y = 0.125 * (1.0 - twist)
+    # -y is -0.125 (1 - twist) bit for bit: negation is exact
+    u = -y - 0.5j * np.sin(0.5 * theta) * np.cos(0.5 * theta) ** (n - 2)
+    return (
+        0.25 * (1.0 + 2.0 * sz + szsz),
+        0.25 * (1.0 - 2.0 * sz + szsz),
+        0.25 * (1.0 - szsz),
+        y,
+        complex(u),
+    )
 
 
 def ring_coefficients_full_recurrence(n_spins: int, beta_lambda: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Twisted pair states, the two dephasing channels, and their Kraus forms."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from lyprobe import (
     oat_reduced_state,
 )
 
-from lyprobe.channels import Channel, XStateStack, _factor_value, x_state_observables
+from lyprobe.channels import Channel, XStateStack, _factor_value, _oat_entries, x_state_observables
 from lyprobe.verify import _random_probes
 
 from .oracles import (
@@ -28,6 +30,7 @@ from .oracles import (
     exact_pair_state,
     kraus_apply_loop,
     kraus_tensor_kron,
+    oat_entries_numpy_scalars,
 )
 
 
@@ -155,6 +158,24 @@ class TestOatReducedState:
         np.testing.assert_allclose(
             closed.to_matrix(), reference, rtol=0.0, atol=1e-12
         )
+
+    def test_float_helper_keeps_the_numpy_scalar_bits(self):
+        # 10^4 seeded draws: N from 2 to 10^9, log-uniform, theta over
+        # (-8 pi, 8 pi) and at 0, +-pi, multiples of 2 pi and a few past them
+        rng = np.random.default_rng(2035)
+        ns = np.rint(np.exp(rng.uniform(math.log(2.0), math.log(1e9), 10_000))).astype(int)
+        thetas = rng.uniform(-8.0 * np.pi, 8.0 * np.pi, ns.size)
+        special = [0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, -2.0 * np.pi, 3.0 * np.pi, 7.5, 1e3, -1e6]
+        thetas[: 10 * len(special)] = np.repeat(special, 10)
+        ns[:10] = [2, 3, 4, 5, 1_000_000_000, 999_999_999, 6, 64, 10_000, 2]
+        for n, theta in zip(ns.tolist(), thetas.tolist()):
+            entries = _oat_entries(n, theta)
+            reference = oat_entries_numpy_scalars(n, theta)
+            assert all(type(value) in (float, complex) for value in entries)
+            assert np.array_equal(
+                np.array(entries, dtype=complex).view(np.uint64),
+                np.array(reference, dtype=complex).view(np.uint64),
+            ), (n, theta)
 
 
 class TestEvolve:

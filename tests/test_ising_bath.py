@@ -54,6 +54,37 @@ def ring_at(nb, beta_lambda):
     return IsingRing(n_spins=nb, coupling=1.0, inverse_temperature=beta_lambda)
 
 
+# the rings whose coefficients verify builds: its enumeration, coefficient
+# structure, zero set and companion-root checks
+VERIFY_RINGS = sorted(
+    {(nb, bl) for nb in (3, 6, 10, 13) for bl in (0.0, 0.3, 1.0)}
+    | {(nb, bl) for nb in (4, 7, 10, 40, 100) for bl in (0.25, 2.0, 10.0)}
+)
+
+
+def block_boundary_rings():
+    """Rings at, one below and one above two block boundaries of the coefficient recurrence.
+
+    The first block's width N_b // 2 - 1 at the cell budget (one row a block,
+    and none that fits past it), and N_b // 2 at the largest ring whose rows
+    all fit in the first block.
+    """
+    cells = ising_bath._RECURRENCE_CELLS
+    one_block = max(half for half in range(2, cells) if cells // (half - 1) >= half - 1)
+    halves = [cells + 1 + d for d in (-1, 0, 1)] + [one_block + d for d in (-1, 0, 1)]
+    return [(2 * half + odd, bl) for half in halves for odd in (0, 1) for bl in (3.4, 200.0)]
+
+
+# the full-recurrence rings: a grid of N_b x beta * lambda from both
+# coefficient limits to past them, verify's rings and the block boundaries
+EARLY_STOP_RINGS = list(
+    dict.fromkeys(
+        [(nb, bl) for bl in (0.0, 0.05, 0.5, 3.4, 12.0, 94.5, 150.0, 200.0) for nb in (3, 10, 101, 1000, 3691)]
+        + VERIFY_RINGS
+        + block_boundary_rings()
+    )
+)
+
 # the rings on which the Newton step is bounded: N_b x beta * lambda
 CERTIFICATE_GRID = [(nb, bl) for nb in (10, 100, 1000, 10_000) for bl in (0.05, 0.5, 5.0)]
 
@@ -228,11 +259,13 @@ class TestCoefficients:
         reference = ring_closed_form_loop(nb, np.exp(-4.0 * beta_lambda))
         assert np.array_equal(ring.coefficients, reference)
 
-    @pytest.mark.parametrize("nb", [3, 10, 101, 1000, 3691])
-    @pytest.mark.parametrize("beta_lambda", [0.0, 0.05, 0.5, 3.4, 12.0, 94.5, 150.0, 200.0])
+    @pytest.mark.parametrize(
+        "nb,beta_lambda", [pytest.param(nb, bl, id=f"{bl}-{nb}") for nb, bl in EARLY_STOP_RINGS]
+    )
     def test_early_stop_matches_full_recurrence(self, nb, beta_lambda):
-        # the recurrence stops once every active term is 0; run to the end,
-        # it gives the same bits, or raises the same error
+        # the recurrence stops once every active term is 0, and runs in row
+        # blocks; run to the end one row at a time, it gives the same bits, or
+        # raises the same error
         ring = ring_at(nb, beta_lambda)
         try:
             reference = ring_coefficients_full_recurrence(nb, beta_lambda)
