@@ -131,8 +131,7 @@ class TwoQubitXState:
 class XStateStack(NamedTuple):
     """The five entries of a stack of X states, one array of one shape each.
 
-    ``of`` builds it from validated ``TwoQubitXState``s, each entry with its
-    state's bits; a stack is not validated again.
+    A stack is built from its columns and is not validated again.
     """
 
     v_plus: np.ndarray
@@ -140,10 +139,6 @@ class XStateStack(NamedTuple):
     w: np.ndarray
     y: np.ndarray
     u: np.ndarray
-
-    @classmethod
-    def of(cls, states) -> XStateStack:
-        return cls(*(np.array([getattr(state, name) for state in states]) for name in cls._fields))
 
     def to_matrix(self) -> np.ndarray:
         """Dense (..., 4, 4) stack of density matrices, one per state."""

@@ -11,14 +11,14 @@ eigenvalues of its transfer matrix.  The factor and the zeros use that form:
 the dephasing factor costs O(1) per point (log-polar ``2 r^N cos(N*gamma)``
 where the eigenvalues are a complex pair), and the zero phases have a closed form.
 A grid costs its trigonometry: the phase N w is split at a multiple of 2**-20
-by an exact power-of-two remainder, not by np.fmod's libm loop.  Every
-caller of ``factor_values`` takes this array route, a scalar as a one-element
-vector.  The float route, the same formulas on Python floats with the ring's
-constants (``IsingRing._transfer``) built once per ring, serves only the
-point API ``dephasing_factor``.  ``math`` gives the array route's bits for
-sqrt, copysign, sin and cos (libm in both), and ``math.fmod`` is exact, like
-the array route's remainder; arctan2, exp and log1p stay numpy calls, since
-numpy may run them through SIMD loops that differ from libm in the last bit.
+by an exact power-of-two remainder, not by np.fmod's libm loop.  One array
+route, ``_factor_split``, splits the angles by branch once for
+``factor_values`` (a scalar as a one-element vector), the detection solver's
+Newton steps and ``zero_certificates``.  The float route, the same formulas
+on Python floats, serves only the point API ``dephasing_factor``.  ``math``
+gives the array route's bits for sqrt, copysign, sin and cos (libm in both),
+and ``math.fmod`` is exact, like the array route's remainder; arctan2, exp and
+log1p stay numpy calls: numpy may run them through SIMD loops that differ from libm.
 
 One type, ``IsingRing``, is both the ring and its polynomial: ``(N_b,
 beta*lambda)``, with ``beta`` read only where ``dephasing_factor`` turns a
@@ -128,7 +128,7 @@ class IsingRing:
         q = root_q * root_q
         x0 = 2.0 * root_q / (1.0 + root_q)  # 1 - t
         amplitude = 2.0 * math.exp(0.5 * nb * math.log1p(-x0)) if x0 < 1.0 else 0.0
-        norm = float(_transfer_power_sum(nb, root_q, q, amplitude, np.zeros(1), _ARRAY)[0])
+        norm = float(_real_pair_sum(nb, root_q, q, np.zeros(1), np.ones(1), _ARRAY)[0])
         return root_q, q, amplitude, norm
 
     @cached_property
@@ -281,14 +281,11 @@ def zero_certificates(ring: IsingRing, phases: np.ndarray) -> np.ndarray:
     2 |cos theta| / theta', cos theta at unit amplitude and 1/theta' from the
     arc phase of A and of the detection solver's Newton steps (``_arc_phase``).
     O(N_b), no coefficients, no underflow; sin^2 w <= q (beta_lambda = 0) gives 0.
+    A phase whose w, or N_b * w, is not finite is refused as ``factor_values`` refuses it.
     """
-    nb, q = ring.n_spins, ring._transfer[1]
     w = 0.5 * np.asarray(phases, dtype=float)
-    s, c = np.sin(w), np.cos(w)
-    s2 = s * s
-    arc = s2 > q
+    _, arc, (cos_theta, _, dw_dtheta) = _factor_split(ring, w, slope=True)
     steps = np.zeros(w.shape)
-    cos_theta, _, dw_dtheta = _arc_phase(nb, q, w[arc], s[arc], c[arc], s2[arc], _ARRAY, True)
     steps[arc] = 2.0 * np.abs(cos_theta) * dw_dtheta
     return steps
 
@@ -365,39 +362,39 @@ def _arc_phase(nb, q, w, s, c, s2, f, slope=False):
     return cos_theta, sin_head * cos_tail + cos_head * sin_tail, root / (nb * abs_s)
 
 
-def _transfer_power_sum(
-    nb: int, root_q: float, q: float, amplitude: float, w: float | np.ndarray, f: SimpleNamespace
-) -> float | np.ndarray:
-    """(lambda_+^N + lambda_-^N) / lambda_+(0)^N at rotation angles w.
+def _factor_split(ring: IsingRing, w: np.ndarray, slope: bool = False) -> tuple:
+    """Pair sum at angles w, split once by branch: (sum, arc points, arc parts).
 
-    The scaled eigenvalues are r_+- = (cos w +- sqrt(q - sin^2 w)) / (1 + sqrt q),
-    q = exp(-4 beta_lambda): a real pair where sin^2 w <= q, a complex pair
-    elsewhere.  ``root_q``, ``q`` and the arc's ``amplitude`` are the ring's
-    constants (``IsingRing._transfer``).  ``f`` is ``_ARRAY`` for an array,
-    which is split by branch with a mask, or ``_FLOAT`` for the Python float
-    of ``dephasing_factor``, which takes its one branch directly and returns
-    a float.  Both run the same formulas with the same bits: the remainder
-    that splits the phase is exact on both (``_pow2_fmod``, ``math.fmod``).
-    On an array the six sin and cos take about two thirds of the time.
+    r_+- = (cos w +- sqrt(q - sin^2 w)) / (1 + sqrt q), q = exp(-4 beta_lambda),
+    are a real pair where sin^2 w <= q (``_real_pair_sum``) and a complex pair
+    on the arc elsewhere (``_arc_phase`` times the ring's amplitude).  sin, cos
+    and sin^2 are computed once; on a grid the six sin and cos take about two
+    thirds of the time.  An all-arc array is read whole (arc points ``...``),
+    an all-real one makes no arc call (empty arc parts); only a mixed one is
+    masked.  The arc parts are cos theta, or with ``slope`` (cos theta, sin
+    theta, 1/theta') for the Newton steps.  Angles are checked first
+    (``_check_angles``); callers divide by the normaliser after the return,
+    when a grid's division can reuse this frame's freed arrays.
     """
-    s = f.sin(w)
-    c = f.cos(w)
+    nb = ring.n_spins
+    _check_angles(nb, w)
+    root_q, q, amplitude, _ = ring._transfer
+    s, c = np.sin(w), np.cos(w)
     s2 = s * s
     arc = s2 > q
-    if f is _FLOAT:
-        if arc:
-            return amplitude * _arc_phase(nb, q, w, s, c, s2, f)
-        return _real_pair_sum(nb, root_q, q, s2, c, f)
     on_arc = np.count_nonzero(arc)
-    if on_arc == arc.size:
-        return amplitude * _arc_phase(nb, q, w, s, c, s2, f)
     if not on_arc:
-        return _real_pair_sum(nb, root_q, q, s2, c, f)
-    out = np.empty(w.shape)
-    out[arc] = amplitude * _arc_phase(nb, q, w[arc], s[arc], c[arc], s2[arc], f)
-    real = ~arc
-    out[real] = _real_pair_sum(nb, root_q, q, s2[real], c[real], f)
-    return out
+        return _real_pair_sum(nb, root_q, q, s2, c, _ARRAY), arc, np.empty((3, 0))
+    if on_arc < arc.size:
+        values, real = np.empty(w.shape), ~arc
+        values[real] = _real_pair_sum(nb, root_q, q, s2[real], c[real], _ARRAY)
+        w, s, c, s2 = w[arc], s[arc], c[arc], s2[arc]
+    phase = _arc_phase(nb, q, w, s, c, s2, _ARRAY, slope)
+    on = amplitude * (phase[0] if slope else phase)
+    if on_arc == arc.size:
+        return on, ..., phase
+    values[arc] = on
+    return values, arc, phase
 
 
 def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
@@ -415,12 +412,8 @@ def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:
         ValueError: if an angle is not finite, or its phase N_b * w is not;
             checked before anything is evaluated.
     """
-    nb = ring.n_spins
     angles = np.asarray(angles, dtype=float)
-    flat = angles.reshape(-1)
-    _check_angles(nb, flat)
-    root_q, q, amplitude, norm = ring._transfer
-    values = _transfer_power_sum(nb, root_q, q, amplitude, flat, _ARRAY) / norm
+    values = _factor_split(ring, angles.reshape(-1))[0] / ring._transfer[3]
     return values.reshape(angles.shape) if angles.ndim else values[0]
 
 
@@ -430,20 +423,11 @@ def _factor_and_newton_steps(ring: IsingRing, w: np.ndarray) -> tuple[np.ndarray
     On the arc the step is cos theta / sin theta / theta' (``_arc_phase``), free
     of the amplitude that A underflows with; off the arc it is nan.
     """
-    nb = ring.n_spins
-    _check_angles(nb, w)
-    root_q, q, amplitude, norm = ring._transfer
-    s, c = np.sin(w), np.cos(w)
-    s2 = s * s
-    arc = s2 > q
-    values, steps = np.empty(w.shape), np.full(w.shape, np.nan)
-    cos_theta, sin_theta, dw_dtheta = _arc_phase(nb, q, w[arc], s[arc], c[arc], s2[arc], _ARRAY, True)
-    values[arc] = amplitude * cos_theta
+    values, arc, (cos_theta, sin_theta, dw_dtheta) = _factor_split(ring, w, slope=True)
+    steps = np.full(w.shape, np.nan)
     with np.errstate(divide="ignore"):  # sin theta = 0: an infinite step, never taken
         steps[arc] = cos_theta / sin_theta * dw_dtheta
-    if not arc.all():
-        values[~arc] = _real_pair_sum(nb, root_q, q, s2[~arc], c[~arc], _ARRAY)
-    return values / norm, steps
+    return values / ring._transfer[3], steps
 
 
 def _check_angles(nb: int, angles: np.ndarray) -> None:
@@ -479,5 +463,10 @@ def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
     if not math.isfinite(float(nb) * w):
         raise _angle_error(nb, w)
     root_q, q, amplitude, norm = ring._transfer
-    value = _transfer_power_sum(nb, root_q, q, amplitude, w, _FLOAT) / norm
-    return DephasingFactor(value=value, argument=float(x))
+    s, c = math.sin(w), math.cos(w)
+    s2 = s * s
+    if s2 > q:
+        value = amplitude * _arc_phase(nb, q, w, s, c, s2, _FLOAT)
+    else:
+        value = _real_pair_sum(nb, root_q, q, s2, c, _FLOAT)
+    return DephasingFactor(value=value / norm, argument=float(x))

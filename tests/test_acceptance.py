@@ -4,6 +4,8 @@ Each test records one PASS/FAIL line (shown in the terminal summary) and then
 asserts.  Tolerances are the contractual ones, not implementation-tuned.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -330,7 +332,7 @@ def test_criterion_13_closed_form_vs_kraus_and_wootters():
     for _ in range(500):
         states.append(random_x_state(rng))
         factors.append(rng.uniform(-1.0, 1.0))
-    stack, factors = XStateStack.of(states), np.array(factors)
+    stack, factors = XStateStack(*map(np.array, zip(*map(astuple, states)))), np.array(factors)
     worst_state, via_kraus = _kraus_deviation(stack, factors)
     worst_conc = _concurrence_deviation(stack, factors, via_kraus)
     ok = worst_state <= 1e-12 and worst_conc <= 1e-10

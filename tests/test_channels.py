@@ -1,6 +1,7 @@
 """Twisted pair states, the two dephasing channels, and their Kraus forms."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -289,6 +290,11 @@ def verify_draws(seed, count, n_stop):
     return states, factors
 
 
+def stack_of(states):
+    """The stack of validated states, built from their columns with each state's bits."""
+    return XStateStack(*map(np.array, zip(*map(astuple, states))))
+
+
 def stack_cases():
     """verify's draws, then N = 2 states and a drawn one at the edge factors."""
     states, factors = [], []
@@ -310,7 +316,7 @@ class TestStackRoute:
 
     @pytest.fixture(scope="class")
     def stack(self):
-        return XStateStack.of(self.STATES), np.array(self.FACTORS)
+        return stack_of(self.STATES), np.array(self.FACTORS)
 
     @pytest.mark.parametrize("draw", VERIFY_DRAWS, ids=["seed-11", "seed-7"])
     def test_verify_draws_each_state_alone(self, draw):
@@ -318,7 +324,7 @@ class TestStackRoute:
         # the states are made one by one, in the rng's draw order
         stack, factors = _random_probes(*draw)
         states, drawn = verify_draws(*draw)
-        assert all(np.array_equal(a, b) for a, b in zip(stack, XStateStack.of(states)))
+        assert all(np.array_equal(a, b) for a, b in zip(stack, stack_of(states)))
         assert np.array_equal(factors, drawn)
 
     def test_stack_keeps_each_entry(self, stack):

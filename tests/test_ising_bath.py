@@ -451,6 +451,16 @@ class TestZeroExtraction:
         errors = mp_phase_errors(nb, beta_lambda, lee_yang_zeros(ring).phases)
         assert 0.1 <= certificates(ring).max() / errors.max() <= 10.0
 
+    @pytest.mark.parametrize("phase", [np.inf, -np.inf, np.nan, 1e308])
+    def test_nonfinite_phase_refused(self, phase):
+        # the certificates share factor_values' angle check: a phase whose w,
+        # or N_b * w (1e308 / 2 * 6), is not finite is refused before any
+        # evaluation, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"the angle w must be finite, with a finite phase N_b \* w"):
+                zero_certificates(ring_at(6, 0.5), np.array([1.0, phase]))
+
     def test_companion_roots_diagnostic(self):
         ring = ring_at(10, 0.5)
         roots = np.roots(ring.coefficients[::-1])
@@ -923,14 +933,17 @@ class TestSingleArrayRoute:
 
     @pytest.fixture
     def routes(self, monkeypatch):
+        # the two branch helpers are where either route enters the pair-sum
+        # formulas; each takes the elementwise namespace (_ARRAY or _FLOAT)
         taken = []
-        original = ising_bath._transfer_power_sum
+        for name in ("_arc_phase", "_real_pair_sum"):
+            original = getattr(ising_bath, name)
 
-        def spy(nb, root_q, q, amplitude, w, f):
-            taken.append(f)
-            return original(nb, root_q, q, amplitude, w, f)
+            def spy(*args, original=original):
+                taken.append(next(a for a in args if a is ising_bath._ARRAY or a is ising_bath._FLOAT))
+                return original(*args)
 
-        monkeypatch.setattr(ising_bath, "_transfer_power_sum", spy)
+            monkeypatch.setattr(ising_bath, name, spy)
         return taken
 
     def test_verify_battery_takes_no_float_route(self, routes):
@@ -970,6 +983,62 @@ class TestSingleArrayRoute:
         assert verify.check_zero_time_collapse() == "|A| <= 4.91e-16 at all predicted collapse times"
         # N_b = 7: one call on all seven collapse angles
         assert calls == [(7,)]
+
+
+# beta * lambda from no arc (0) and a narrow arc (1e-3) to an edge that
+# underflows to 0 (200, q = 0)
+SPLIT_COUPLINGS = [0.0, 1e-3, 0.5, 5.0, 40.0, 200.0]
+EDGE_OFFSETS = [10.0**-k for k in range(6, 13)]
+
+
+@st.composite
+def split_cases(draw):
+    """A ring and 1-D angles: all on the arc, all real, mixed, one point, or at the arc edge."""
+    ring = ring_at(draw(st.integers(3, 2000)), draw(st.sampled_from(SPLIT_COUPLINGS)))
+    q = ring._transfer[1]
+    edge = math.asin(math.sqrt(q))
+    on_arc = st.floats(0.01, 0.99).map(lambda u: edge + u * (math.pi - 2.0 * edge))
+    real = st.floats(-1.0, 1.0).map(lambda u: u * edge)
+    # asin sqrt q and pi minus it, 1e-6 ... 1e-12 rad either side, and the last
+    # float of the real branch with its neighbours
+    last_real = np.array([branch_boundary(q)]).view(np.int64)
+    near_edge = st.one_of(
+        st.builds(
+            lambda mirror, side, offset: (math.pi - edge if mirror else edge) + side * offset,
+            st.booleans(),
+            st.sampled_from([-1.0, 1.0]),
+            st.sampled_from(EDGE_OFFSETS),
+        ),
+        st.integers(-2, 2).map(lambda d: float((last_real + d).view(np.float64)[0])),
+    )
+    kind = draw(st.sampled_from(["arc", "real", "mixed", "single", "edge"]))
+    point = {"arc": on_arc, "real": real, "edge": near_edge}.get(kind, st.one_of(on_arc, real, near_edge))
+    size = (1, 1) if kind == "single" else (2, 40)
+    base = draw(st.lists(point, min_size=size[0], max_size=size[1]))
+    # whole turns of pi either way keep sin^2 w, up to its rounding
+    turns = draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)))
+    return ring, np.array(base) + np.pi * np.array(turns)
+
+
+class TestBranchSplit:
+    """A, its Newton steps and the zero certificates share one split of the angles by branch."""
+
+    @settings(max_examples=200)
+    @given(split_cases())
+    def test_split_keeps_each_value_and_step(self, case):
+        ring, w = case
+        off_arc = np.sin(w) * np.sin(w) <= ring._transfer[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, steps = ising_bath._factor_and_newton_steps(ring, w)
+            expected = factor_values(ring, w)
+            alone = np.array([factor_values(ring, w[i : i + 1])[0] for i in range(w.size)])
+            certificates = zero_certificates(ring, 2.0 * w)
+        # bit for bit, and a value does not depend on its array's branch mix
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(values.view(np.uint64), alone.view(np.uint64))
+        assert np.array_equal(np.isnan(steps), off_arc)
+        assert np.array_equal(certificates == 0.0, off_arc)
 
 
 class TestPastCoefficientLimit:
