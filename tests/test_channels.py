@@ -280,14 +280,11 @@ EDGE_FACTORS = [1.0, -1.0, 0.0, -0.0, 1e-300]
 
 
 def verify_draws(seed, count, n_stop):
-    """The pair states and factors verify draws, one oat_reduced_state call per draw."""
+    """The pair states and factors verify draws: three array draws, one oat_reduced_state call a state."""
     rng = np.random.default_rng(seed)
-    states, factors = [], []
-    for _ in range(count):
-        n, theta = int(rng.integers(2, n_stop)), float(rng.uniform(0.05, np.pi - 0.05))
-        states.append(oat_reduced_state(OatParameters(n, theta)))
-        factors.append(float(rng.uniform(-1.0, 1.0)))
-    return states, factors
+    ns, thetas = rng.integers(2, n_stop, count), rng.uniform(0.05, np.pi - 0.05, count)
+    states = [oat_reduced_state(OatParameters(int(n), float(theta))) for n, theta in zip(ns, thetas)]
+    return states, rng.uniform(-1.0, 1.0, count).tolist()
 
 
 def stack_of(states):
@@ -321,7 +318,7 @@ class TestStackRoute:
     @pytest.mark.parametrize("draw", VERIFY_DRAWS, ids=["seed-11", "seed-7"])
     def test_verify_draws_each_state_alone(self, draw):
         # a stacked np.power differs from the scalar power on some (N, theta):
-        # the states are made one by one, in the rng's draw order
+        # the states are made one by one, in the order of the drawn arrays
         stack, factors = _random_probes(*draw)
         states, drawn = verify_draws(*draw)
         assert all(np.array_equal(a, b) for a, b in zip(stack, stack_of(states)))
