@@ -26,7 +26,6 @@ from lyprobe import (
     count_recovery_peaks,
     default_steps,
     detect_coherence_zeros,
-    emit_csv,
     lee_yang_zeros,
     oat_reduced_state,
     run_scenario,
@@ -44,7 +43,6 @@ def main() -> None:
     ap.add_argument("--channel", choices=["I", "II"], default="I", help="bath geometry (default I)")
     ap.add_argument("--periods", type=int, default=1, help="number of coherence periods (default 1)")
     ap.add_argument("--steps", type=int, default=0, help="grid points; 0 picks a zero-resolving default")
-    ap.add_argument("--out", default=None, help="optional CSV output path")
     args = ap.parse_args()
 
     ring = IsingRing(args.nb, inverse_temperature=args.beta)
@@ -93,10 +91,6 @@ def main() -> None:
         print("factor zeros (coherence dips to the floor, no full collapse):")
         for tp in tiled:
             print(f"{tp:14.6f}")
-
-    if args.out:
-        emit_csv(series, args.out)
-        print(f"wrote {series.times.size} rows to {args.out}")
 
 
 if __name__ == "__main__":

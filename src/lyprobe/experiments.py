@@ -385,8 +385,6 @@ def detect_coherence_zeros(series: ObservableSeries) -> np.ndarray:
     flips = np.flatnonzero(pairs < 0)
     mag, same = np.abs(a), pairs > 0
     dips = 1 + np.flatnonzero(same[:-1] & same[1:] & (mag[1:-1] < np.minimum(mag[:-2], mag[2:])))
-    if flips.size == 0 and dips.size == 0:
-        return np.array([])
 
     rate = series.channel.rate * series.eta
 
@@ -534,9 +532,8 @@ def _words(codes) -> np.ndarray:
 
 # Tables of the %.12g kernel.  A field is four NUL-padded words: the lead (sign
 # at byte 0, "0.000" right-aligned), a 16-byte body of digits and point, and the
-# exponent with the separator at byte 7 (at body byte 15 in a block without
-# exponent forms, which drops the fourth word).  Each 4-digit group as text,
-# and its zero digits as a mask (bit k: digit k from the right):
+# exponent with the separator at byte 7.  Each 4-digit group as text, and its
+# zero digits as a mask (bit k: digit k from the right):
 _DIGIT = np.ix_(*[np.arange(48, 58, dtype=np.uint64)] * 4)
 _DIGITS4 = (_DIGIT[0] | _DIGIT[1] << 8 | _DIGIT[2] << 16 | _DIGIT[3] << 24).ravel()
 _ZERO_DIGITS = sum((_DIGIT[3 - k] == 48).astype(np.uint16) << k for k in range(4)).ravel()
@@ -563,11 +560,11 @@ _MIDDLE, _HALF_WIDTH = (1e11 - 0.01 + 1e12 - 0.51) / 2, (1e12 - 0.51 - 1e11 + 0.
 # body bytes at and after the point, which move up one byte to make room for it
 _ABOVE_LO, _ABOVE_HI = ~_FIRST_LO[_SPLIT], ~_FIRST_HI[_SPLIT]
 # body bytes kept, at 13 * (digits before the point + 3) + trailing zeros:
-# zeros after the point go, and the point with them (byte 15 always stays)
+# zeros after the point go, and the point with them
 _KEEP_ROW = 13 * (_POINT + 3)
 _BEFORE, _ZEROS = np.arange(-3, 13)[:, None], np.arange(13)
 _KEEP = np.where(_ZEROS + _BEFORE >= 12, _BEFORE, 13 - _ZEROS - (_BEFORE <= 0)).ravel()
-_KEEP_LO, _KEEP_HI = _FIRST_LO[_KEEP], _FIRST_HI[_KEEP] | np.uint64(255 << 56)
+_KEEP_LO, _KEEP_HI = _FIRST_LO[_KEEP], _FIRST_HI[_KEEP]
 # a field's four words before its digits and sign: "0." and -p zeros, the
 # point, and "e-324" ... "e+308" (exponent form) with "," at byte 7
 _LEAD_SIZE = np.where(_POINT <= 0, 2 - _POINT, 0)[:, None]
@@ -579,10 +576,7 @@ _EXPONENT = np.where(
     | _DIGITS4[np.abs(_E)] >> np.where(np.abs(_E) >= 100, 8, 16).astype(np.uint64) << 16,
 ).astype(np.uint64) | np.uint64(ord(",") << 56)
 _ROW = np.stack([_LEAD, _POINT_LO[_SPLIT], _POINT_HI[_SPLIT], _EXPONENT], axis=1)
-_ROW_FIXED = _ROW[:, :3] | np.array([0, 0, ord(",") << 56], dtype=np.uint64)
 _NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 56)
-# the text of a field's bytes: 1, the sign bit set in byte 0, is written "-"
-_TEXT = bytes(range(256)).replace(b"\1", b"-", 1)
 
 
 def _exact_digits(values: np.ndarray) -> tuple[list[int], list[int]]:
@@ -629,15 +623,14 @@ def _format_rows(block: np.ndarray) -> bytes:
     hi = _DIGITS4.take(low)
     moved = lo & _ABOVE_LO.take(i)
     shifted = hi & _ABOVE_HI.take(i)
-    fixed = i.min() >= 320 and i.max() <= 335  # -4 <= e <= 11 for every value
-    fields = (_ROW_FIXED if fixed else _ROW).take(i, axis=0)
-    fields[:, 0] |= x.view(np.uint64) >> 63
+    fields = _ROW.take(i, axis=0)
+    fields[:, 0] |= (x.view(np.uint64) >> 63) * np.uint64(ord("-"))
     np.bitwise_and(lo + moved * 255 | fields[:, 1], _KEEP_LO.take(keep), out=fields[:, 1])
     np.bitwise_and(
         hi + shifted * 255 + (moved >> 56) | fields[:, 2], _KEEP_HI.take(keep), out=fields[:, 2]
     )
     fields.reshape(*block.shape, -1)[:, -1, -1] ^= _NEWLINE
-    return fields.astype("<u8", copy=False).tobytes().translate(_TEXT, b"\0")
+    return fields.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
 
 def _write_csv(path, header: str, columns) -> None:

@@ -22,11 +22,12 @@ log1p stay numpy calls: numpy may run them through SIMD loops that differ from l
 
 One type, ``IsingRing``, is both the ring and its polynomial: ``(N_b,
 beta*lambda)``, with ``beta`` read only where ``dephasing_factor`` turns a
-field into an angle, and the coefficients built (closed form) only when the
-cross-checks in ``verify`` read them.  So ``A``, the zeros and their Newton
-step certificate ``zero_certificates`` run past both coefficient limits.
-Nothing here takes time or the probe coupling eta: the map from a zero
-phase to a collapse time, and every check of eta, live in ``experiments``.
+field into an angle, and the coefficients built (closed form) only when they
+are read: by the cross-checks in ``verify``, and by the benchmark's
+``zero_map`` residual (``perfbench/workloads.py``).  So ``A``, the zeros and
+their Newton step certificate ``zero_certificates`` run past both coefficient
+limits.  Nothing here takes time or the probe coupling eta: the map from a
+zero phase to a collapse time, and every check of eta, live in ``experiments``.
 """
 
 from __future__ import annotations
@@ -369,12 +370,12 @@ def _factor_split(ring: IsingRing, w: np.ndarray, slope: bool = False) -> tuple:
     are a real pair where sin^2 w <= q (``_real_pair_sum``) and a complex pair
     on the arc elsewhere (``_arc_phase`` times the ring's amplitude).  sin, cos
     and sin^2 are computed once; on a grid the six sin and cos take about two
-    thirds of the time.  An all-arc array is read whole (arc points ``...``),
-    an all-real one makes no arc call (empty arc parts); only a mixed one is
-    masked.  The arc parts are cos theta, or with ``slope`` (cos theta, sin
-    theta, 1/theta') for the Newton steps.  Angles are checked first
-    (``_check_angles``); callers divide by the normaliser after the return,
-    when a grid's division can reuse this frame's freed arrays.
+    thirds of the time.  An all-arc array is read whole (arc points ``...``);
+    any other is masked, an all-real one with empty arc parts.  The arc parts
+    are cos theta, or with ``slope`` (cos theta, sin theta, 1/theta') for the
+    Newton steps.  Angles are checked first (``_check_angles``); callers
+    divide by the normaliser after the return, when a grid's division can
+    reuse this frame's freed arrays.
     """
     nb = ring.n_spins
     _check_angles(nb, w)
@@ -382,16 +383,14 @@ def _factor_split(ring: IsingRing, w: np.ndarray, slope: bool = False) -> tuple:
     s, c = np.sin(w), np.cos(w)
     s2 = s * s
     arc = s2 > q
-    on_arc = np.count_nonzero(arc)
-    if not on_arc:
-        return _real_pair_sum(nb, root_q, q, s2, c, _ARRAY), arc, np.empty((3, 0))
-    if on_arc < arc.size:
+    whole = arc.all()
+    if not whole:
         values, real = np.empty(w.shape), ~arc
         values[real] = _real_pair_sum(nb, root_q, q, s2[real], c[real], _ARRAY)
         w, s, c, s2 = w[arc], s[arc], c[arc], s2[arc]
     phase = _arc_phase(nb, q, w, s, c, s2, _ARRAY, slope)
     on = amplitude * (phase[0] if slope else phase)
-    if on_arc == arc.size:
+    if whole:
         return on, ..., phase
     values[arc] = on
     return values, arc, phase

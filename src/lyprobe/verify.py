@@ -156,13 +156,12 @@ class KrausSet:
 def _phase_flip(factor) -> np.ndarray:
     """Operators {sqrt((1+A)/2) I, sqrt((1-A)/2) sigma_z}, (2, 2, 2), or a stack (..., 2, 2, 2).
 
-    One factor runs on Python floats.  An array is checked at its largest |A|
-    or first NaN as one factor is, and each set keeps the bits of its own
+    An array is checked at its largest |A| or first NaN as one factor is; the
+    square roots are correctly rounded, so each set keeps the bits of its own
     factor's.
     """
     a = _factor_value(factor)
-    sqrt = np.sqrt if isinstance(a, np.ndarray) else math.sqrt
-    s, r = sqrt(0.5 * (1.0 + a)), sqrt(0.5 * (1.0 - a))
+    s, r = np.sqrt(0.5 * (1.0 + a)), np.sqrt(0.5 * (1.0 - a))
     ops = np.zeros((*np.shape(a), 2, 2, 2), dtype=complex)
     ops[..., 0, 0, 0] = ops[..., 0, 1, 1] = s
     ops[..., 1, 0, 0], ops[..., 1, 1, 1] = r, -r

@@ -1319,6 +1319,16 @@ def test_writer_vectorized_route_alone(csv_dir):
         0.5, 0.0123, 0.000123, 7e-5, 6.02214076e23, 2.5e100, 1.6e-290,
     ]
     assert not _writer_matches_savetxt(csv_dir, _with_negatives(values))
+    # and one full block of signed values without exponent forms
+    # (-4 <= e <= 11), at 1 to 12 significant digits
+    rng = np.random.default_rng(20261020)
+    magnitudes = (10.0 ** rng.uniform(-4.0, 11.9, 6 * BLOCK)).tolist()
+    digits = rng.integers(1, 13, len(magnitudes)).tolist()
+    rounded = np.array([float(f"{v:.{k}g}") for v, k in zip(magnitudes, digits)])
+    signed = np.where(rng.random(rounded.size) < 0.5, -rounded, rounded)
+    assert not _writer_matches_savetxt(csv_dir, signed)
+    text = (csv_dir / "kernel.csv").read_text()
+    assert text.count("\n") == 1 + BLOCK and "-" in text and "e" not in text
 
 
 # 12-digit ties at a decade with an exact power of ten (-11 <= e <= 11):

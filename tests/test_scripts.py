@@ -128,6 +128,14 @@ def test_domain_script_takes_no_threshold():
     assert "unrecognized arguments: --epsilon 1e-9" in result.stderr
 
 
+def test_scan_script_writes_no_csv(tmp_path):
+    # the series CSV has one writer, lyprobe simulate --out (exit 2 from argparse)
+    result = run_python([str(ROOT / "scripts" / "coherence_scan.py"), "--out", "x.csv"], cwd=tmp_path)
+    assert result.returncode == 2
+    assert "unrecognized arguments: --out x.csv" in result.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_import_leaves_scipy_out():
     # scipy is a test-side oracle, not a runtime dependency
     result = run_python(["-c", "import sys, lyprobe.cli; print('scipy' in sys.modules)"])
