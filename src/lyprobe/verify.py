@@ -11,15 +11,17 @@ too, the arithmetic is one private measurement (``_*_deviation``,
 returns the worst deviation, and the check and the test call it on their
 own samples at their own tolerances.  The pair-layer measurements run the
 production closed forms once per channel on an ``XStateStack``, each element
-with the bits of its one-state call.  ``run_checks`` takes 0.017-0.025 s on a
-shared 2-vCPU Xeon VM (CPython 3.11.7, numpy 2.4.6); every check runs and
-reports, and `lyprobe verify` exits 2 if any fails.
+with the bits of its one-state call.  ``run_checks`` builds each ring cell
+once a run and takes 0.013-0.022 s on a shared 2-vCPU Xeon VM (CPython
+3.11.7, numpy 2.4.6); every check runs and reports, and `lyprobe verify`
+exits 2 if any fails.
 """
 
 from __future__ import annotations
 
 import math
 import tempfile
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -285,6 +287,17 @@ def concurrence_generic(rho: np.ndarray, n_probes: int = 2) -> ConcurrenceResult
     return ConcurrenceResult(concurrence=conc, rescaled=(n_probes - 1) * conc, lambdas=lams)
 
 
+# one run_checks call's cell table, set only in the context its checks run in, which ends with
+# the run; outside it each call gets a new table, so a check called on its own builds its own rings
+_RUN_CELLS: ContextVar[dict] = ContextVar("_RUN_CELLS")
+
+
+def _cell(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, made once per distinct call in a ``run_checks`` run, anew outside one."""
+    cells, key = _RUN_CELLS.get({}), (build, args, tuple(kwargs.items()))
+    return cells[key] if key in cells else cells.setdefault(key, build(*args, **kwargs))
+
+
 def _enumeration_deviation(rings) -> float:
     """Worst |closed - brute| / brute over the coefficients of the rings, brute by enumeration."""
     worst = 0.0
@@ -304,7 +317,7 @@ def check_coefficients_vs_enumeration() -> str:
 def check_coefficient_structure() -> str:
     for nb in (10, 40, 100):
         for bl in (0.25, 2.0, 10.0):
-            coeffs = IsingRing(n_spins=nb, inverse_temperature=bl).coefficients
+            coeffs = _cell(IsingRing, nb, inverse_temperature=bl).coefficients
             _require(bool(np.all(coeffs == coeffs[::-1])), f"palindrome broken nb={nb}")
             _require(coeffs[0] == 1.0 and coeffs[-1] == 1.0, f"end coefficients nb={nb}")
             _require(bool(np.all(coeffs > 0.0)), f"positivity broken nb={nb}")
@@ -312,22 +325,32 @@ def check_coefficient_structure() -> str:
 
 
 def _zero_set_deviation(rings) -> float:
-    """Worst |P(e^{i phi})| / P(1) on the rings' zero sets, each N_b phases, closed, pi on odd N_b."""
-    worst = 0.0
+    """Worst |P(e^{i phi})| / P(1) on the rings' zero sets, each N_b phases, closed, pi on odd N_b.
+
+    The rings of one degree share one Horner loop in polyval's order: each residual keeps its bits.
+    """
+    degrees = {}
     for ring in rings:
-        nb, phases = ring.n_spins, lee_yang_zeros(ring).phases
+        nb, phases = ring.n_spins, _cell(lee_yang_zeros, ring).phases
         _require(phases.size == nb, f"zero count {phases.size} != {nb}")
-        closed = np.allclose(phases, np.sort(2.0 * np.pi - phases), rtol=0.0, atol=1e-9)
+        closed = np.abs(phases - np.sort(2.0 * np.pi - phases)).max() <= 1e-9
         _require(bool(closed), f"conjugate closure broken nb={nb} bl={ring.beta_lambda}")
         _require(nb % 2 == 0 or np.abs(phases - np.pi).min() <= 1e-12, f"odd ring missing phase pi nb={nb}")
-        coeffs = ring.coefficients
-        worst = max(worst, float(np.abs(np.polyval(coeffs[::-1], np.exp(1j * phases))).max() / coeffs.sum()))
+        degrees.setdefault(nb, []).append((ring.coefficients, phases))
+    worst = 0.0
+    for cells in degrees.values():
+        coeffs, phases = map(np.array, zip(*cells))
+        x = np.exp(1j * phases)
+        value = np.zeros_like(x)
+        for column in coeffs.T[::-1, :, None]:  # highest degree first, as polyval reads coeffs[::-1]
+            value = np.add(np.multiply(value, x, out=value), column, out=value)
+        worst = max(worst, float((np.abs(value).max(axis=1) / coeffs.sum(axis=1)).max()))
     return worst
 
 
 def check_zero_set_geometry() -> str:
-    rings = [IsingRing(nb, inverse_temperature=bl) for nb in (4, 7, 10, 40, 100) for bl in (0.25, 2.0, 10.0)]
-    worst_res = _zero_set_deviation(rings)
+    cells = [(nb, bl) for nb in (4, 7, 10, 40, 100) for bl in (0.25, 2.0, 10.0)]
+    worst_res = _zero_set_deviation([_cell(IsingRing, nb, inverse_temperature=bl) for nb, bl in cells])
     _require(worst_res <= 1e-8, f"residual bound {worst_res}")
     return f"counts, closure, pi membership; max residual {worst_res:.2e}"
 
@@ -341,11 +364,11 @@ def check_companion_cross_check() -> str:
     worst_mod = 0.0
     worst_phase = 0.0
     for nb, bl in cells:
-        ring = IsingRing(n_spins=nb, inverse_temperature=bl)
+        ring = _cell(IsingRing, nb, inverse_temperature=bl)
         roots = np.roots(ring.coefficients[::-1])
         worst_mod = max(worst_mod, float(np.max(np.abs(np.abs(roots) - 1.0))))
         angles = np.sort(np.mod(np.angle(roots), 2.0 * np.pi))
-        phases = lee_yang_zeros(ring).phases
+        phases = _cell(lee_yang_zeros, ring).phases
         worst_phase = max(worst_phase, float(np.max(np.abs(angles - phases))))
     _require(worst_mod <= 1e-8, f"companion modulus deviation {worst_mod}")
     _require(worst_phase <= 1e-8, f"companion phase deviation {worst_phase}")
@@ -358,9 +381,9 @@ def check_factor_form_agreement() -> str:
     worst = 0.0
     for nb in (5, 10, 40):
         for bl in (0.5, 2.0):
-            ring = IsingRing(n_spins=nb, inverse_temperature=bl)
+            ring = _cell(IsingRing, nb, inverse_temperature=bl)
             transfer = factor_values(ring, w)
-            product = dephasing_factor_product(lee_yang_zeros(ring), w)
+            product = dephasing_factor_product(_cell(lee_yang_zeros, ring), w)
             worst = max(worst, float(np.abs(transfer - product).max()))
     _require(worst <= 1e-8, f"factor form disagreement {worst}")
     # the decade above worst, not its digits, which numpy's AVX-512 and AVX2 loops round differently
@@ -387,7 +410,7 @@ def check_zero_time_collapse() -> str:
     ring = IsingRing(n_spins=7, inverse_temperature=0.5)
     eta = 0.01
     # channel-I angle at every collapse time, in one call
-    w = Channel.I.rate * eta * zero_times(lee_yang_zeros(ring), eta)
+    w = Channel.I.rate * eta * zero_times(_cell(lee_yang_zeros, ring), eta)
     worst = float(np.abs(factor_values(ring, w)).max())
     _require(worst <= 1e-9, f"factor at collapse times {worst}")
     return f"|A| <= {worst:.2e} at all predicted collapse times"
@@ -507,7 +530,7 @@ def check_series_consistency() -> str:
     _require(abs(series.a_factor[0] - 1.0) <= 1e-12, "A(0) != 1")
 
     detected = detect_coherence_zeros(series)
-    predicted = zero_times(lee_yang_zeros(scenario.ring), eta)
+    predicted = zero_times(_cell(lee_yang_zeros, scenario.ring), eta)
     predicted = np.sort(np.concatenate([predicted, predicted + period]))
     _require(detected.size == predicted.size, f"{detected.size} zeros, expected {predicted.size}")
     _require(
@@ -574,11 +597,13 @@ ALL_CHECKS = (
 
 
 def run_checks(verbose: bool = True) -> bool:
-    """Run every check; report pass/fail per line; True when all pass."""
+    """Run every check, with one cell table for the run; report pass/fail per line; True when all pass."""
     all_ok = True
+    run = copy_context()
+    run.run(_RUN_CELLS.set, {})
     for name, fn in ALL_CHECKS:
         try:
-            line = f"PASS  {name}: {fn()}"
+            line = f"PASS  {name}: {run.run(fn)}"
         except CheckFailure as exc:
             line = f"FAIL  {name}: {exc}"
         except Exception as exc:  # noqa: BLE001 - surface unexpected breakage as failure

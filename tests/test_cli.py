@@ -1,8 +1,10 @@
 """Exit codes, file outputs, and console text of the four subcommands."""
 
 import argparse
+import collections
 import contextlib
 import dataclasses
+import functools
 import gc
 import io
 import math
@@ -305,6 +307,46 @@ class TestVerify:
             "FAIL  breaks: unexpected ZeroDivisionError: division by zero",
         ]
         assert cli.main(["verify"]) == 2
+
+    def test_builds_each_ring_cell_once_a_run(self, monkeypatch):
+        # the ring checks read 27 (N_b, beta * lambda) cells' coefficients and 20 cells' zero sets
+        built, zeros = collections.Counter(), collections.Counter()
+        build, route = IsingRing.__dict__["coefficients"].func, verify.lee_yang_zeros
+
+        def counted_build(ring):
+            built[ring.n_spins, ring.beta_lambda] += 1
+            return build(ring)
+
+        def counted_zeros(ring):
+            zeros[ring.n_spins, ring.beta_lambda] += 1
+            return route(ring)
+
+        coefficients = functools.cached_property(counted_build)
+        coefficients.__set_name__(IsingRing, "coefficients")
+        monkeypatch.setattr(IsingRing, "coefficients", coefficients)
+        monkeypatch.setattr(verify, "lee_yang_zeros", counted_zeros)
+        for runs in (1, 2):
+            assert verify.run_checks(verbose=False)
+            assert (len(built), len(zeros)) == (27, 20)
+            assert set(built.values()) == set(zeros.values()) == {runs}
+
+    def test_no_cell_outlives_a_run(self, monkeypatch):
+        # a check called on its own after a run, returned or raised, builds its own
+        # rings, so a planted defect reaches it
+        class Stop(BaseException):
+            pass
+
+        def stops():
+            raise Stop
+
+        assert verify.run_checks(verbose=False)
+        monkeypatch.setattr(verify, "ALL_CHECKS", (("zero set", verify.check_zero_set_geometry), ("stops", stops)))
+        with pytest.raises(Stop):
+            verify.run_checks(verbose=False)
+        route = verify.lee_yang_zeros
+        monkeypatch.setattr(verify, "lee_yang_zeros", lambda ring: closure_broken(route(ring)))
+        with pytest.raises(verify.CheckFailure, match="conjugate closure"):
+            verify.check_zero_set_geometry()
 
     def test_leaves_no_file_open(self):
         with warnings.catch_warnings(record=True) as caught:

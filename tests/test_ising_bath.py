@@ -410,6 +410,23 @@ class TestZeroExtraction:
 
     def test_residual_bound_large_ring(self):
         assert verify._zero_set_deviation([ring_at(100, 0.5)]) < 1e-8
+        # the rings of one degree share one Horner loop: over lists that mix and
+        # repeat degrees, each residual keeps its own np.polyval call's bits
+        rng = np.random.default_rng(39)
+        nbs = np.repeat(np.concatenate([[3, 200], rng.integers(3, 201, 14)]), 3)
+        drawn = [ring_at(int(nb), float(bl)) for nb, bl in zip(nbs, rng.uniform(0.05, 10.0, nbs.size))]
+        drawn = [drawn[i] for i in rng.permutation(len(drawn))]
+        assert {ring.n_spins % 2 for ring in drawn} == {0, 1}
+        battery = [ring_at(nb, bl) for nb in (4, 7, 10, 40, 100) for bl in (0.25, 2.0, 10.0)]
+        for rings in (battery, drawn):
+            degrees = {ring.n_spins for ring in rings}
+            for group in [rings] + [[ring for ring in rings if ring.n_spins == nb] for nb in degrees]:
+                residuals = [
+                    np.abs(np.polyval(r.coefficients[::-1], np.exp(1j * lee_yang_zeros(r).phases))).max()
+                    / r.coefficients.sum()
+                    for r in group
+                ]
+                assert verify._zero_set_deviation(group) == max(residuals)
 
     @pytest.mark.parametrize(
         "ring",
