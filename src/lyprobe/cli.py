@@ -108,6 +108,13 @@ def _cmd_simulate(args) -> int:
         f"wrote {series.times.size} rows to {args.out} "
         f"(channel {channel.value}, period {coherence_period(args.eta, channel):.6g})"
     )
+    # a sample that underflowed to 0 has no sign, so detection cannot see a collapse there
+    lost = int(np.count_nonzero(series.a_factor == 0.0))
+    if lost:
+        print(
+            f"note: A underflowed to exactly 0 at {lost} of {series.times.size} samples "
+            f"({lost / series.times.size:.1%}); collapses among them cannot be detected"
+        )
     return 0
 
 

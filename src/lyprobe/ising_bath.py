@@ -14,11 +14,12 @@ A grid costs its trigonometry: the phase N w is split at a multiple of 2**-20
 by an exact power-of-two remainder, not by np.fmod's libm loop.  One array
 route, ``_factor_split``, splits the angles by branch once for
 ``factor_values`` (a scalar as a one-element vector), the detection solver's
-Newton steps and ``zero_certificates``.  The float route, the same formulas
-on Python floats, serves only the point API ``dephasing_factor``.  ``math``
-gives the array route's bits for sqrt, copysign, sin and cos (libm in both),
-and ``math.fmod`` is exact, like the array route's remainder; arctan2, exp and
-log1p stay numpy calls: numpy may run them through SIMD loops that differ from libm.
+Newton steps and ``zero_certificates``; its helpers ``_real_pair_sum`` and
+``_arc_phase`` call numpy directly.  The point API ``dephasing_factor`` runs
+``_arc_phase``'s formula on Python floats, in its order (``math`` gives
+numpy's bits but for arctan2, whose SIMD loop may differ from libm), and a
+real-branch point calls ``_real_pair_sum`` on floats: numpy's scalar calls
+give its array loops' bits.
 
 One type, ``IsingRing``, is both the ring and its polynomial: ``(N_b,
 beta*lambda)``, with ``beta`` read only where ``dephasing_factor`` turns a
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,7 +130,7 @@ class IsingRing:
         q = root_q * root_q
         x0 = 2.0 * root_q / (1.0 + root_q)  # 1 - t
         amplitude = 2.0 * math.exp(0.5 * nb * math.log1p(-x0)) if x0 < 1.0 else 0.0
-        norm = float(_real_pair_sum(nb, root_q, q, np.zeros(1), np.ones(1), _ARRAY)[0])
+        norm = float(_real_pair_sum(nb, root_q, q, np.zeros(1), np.ones(1))[0])
         return root_q, q, amplitude, norm
 
     @cached_property
@@ -228,23 +229,22 @@ class LeeYangZeroSet:
         object.__setattr__(self, "phases", phases)
 
 
-@dataclass(frozen=True)
-class DephasingFactor:
-    """Value of the probe dephasing factor at one field argument.
+class DephasingFactor(NamedTuple("_FactorFields", [("value", float), ("argument", float)])):
+    """Value of the probe dephasing factor at one field argument, as a tuple.
 
     ``value`` is the real factor A at imaginary field i*x; |value| <= 1
-    (within 1e-9).
+    (within 1e-9).  Immutable, and equal to any factor with equal fields.
     """
 
-    value: float
-    argument: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.argument):
-            raise ValueError(f"argument must be finite, got {self.argument!r}")
+    def __new__(cls, value: float, argument: float) -> DephasingFactor:
+        if not math.isfinite(argument):
+            raise ValueError(f"argument must be finite, got {argument!r}")
         # not <=: a nan value is refused too
-        if not abs(self.value) <= 1.0 + 1e-9:
-            raise ValueError(f"value must be finite and must not exceed 1, got {self.value!r}")
+        if not abs(value) <= 1.0 + 1e-9:
+            raise ValueError(f"value must be finite and must not exceed 1, got {value!r}")
+        return tuple.__new__(cls, (value, argument))
 
 
 def partition_coefficients(ring: IsingRing) -> IsingRing:
@@ -312,53 +312,34 @@ def _pow2_fmod(w: np.ndarray, d: float) -> np.ndarray:
     return np.copysign(low, w, out=low)
 
 
-# The elementwise functions the pair-sum formulas run on.  math gives the
-# bits of the numpy loops for the IEEE-exact steps and for sin/cos (libm in
-# both; pinned by a test).  numpy's arctan2, exp and log1p loops may be SVML,
-# which differs from libm in the last bit, so on floats they stay numpy calls
-# and become floats at once.  The arrays take fmod from ``_pow2_fmod``: exact,
-# like math.fmod, so it gives np.fmod's bits without np.fmod's libm loop.
-_ARRAY = SimpleNamespace(
-    sin=np.sin, cos=np.cos, sqrt=np.sqrt, abs=np.abs, minimum=np.minimum,
-    copysign=np.copysign, fmod=_pow2_fmod, arctan2=np.arctan2, exp=np.exp, log1p=np.log1p,
-)
-_FLOAT = SimpleNamespace(
-    sin=math.sin, cos=math.cos, sqrt=math.sqrt, abs=abs, minimum=min,
-    copysign=math.copysign, fmod=math.fmod,
-    arctan2=lambda y, x: float(np.arctan2(y, x)),
-    exp=lambda v: float(np.exp(v)),
-    log1p=lambda v: float(np.log1p(v)),
-)
-
-
-def _real_pair_sum(nb, root_q, q, s2, c, f):
+def _real_pair_sum(nb, root_q, q, s2, c):
     # both eigenvalues real, with the sign of c: |r_+-| = 1 - x_+-, each x a
     # sum of positive terms (1 - |c| = s2 / (1 + |c|)), so exp(N log1p(-x))
     # keeps relative accuracy at large N
-    bend = s2 / (1.0 + f.abs(c))
-    root = f.sqrt(q - s2)
-    x_plus = f.minimum((bend + s2 / (root_q + root)) / (1.0 + root_q), _BELOW_ONE)
-    x_minus = f.minimum((bend + root_q + root) / (1.0 + root_q), _BELOW_ONE)
-    total = f.exp(nb * f.log1p(-x_plus)) + f.exp(nb * f.log1p(-x_minus))
-    return f.copysign(total, c) if nb % 2 else total
+    bend = s2 / (1.0 + np.abs(c))
+    root = np.sqrt(q - s2)
+    x_plus = np.minimum((bend + s2 / (root_q + root)) / (1.0 + root_q), _BELOW_ONE)
+    x_minus = np.minimum((bend + root_q + root) / (1.0 + root_q), _BELOW_ONE)
+    total = np.exp(nb * np.log1p(-x_plus)) + np.exp(nb * np.log1p(-x_minus))
+    return np.copysign(total, c) if nb % 2 else total
 
 
-def _arc_phase(nb, q, w, s, c, s2, f, slope=False):
+def _arc_phase(nb, q, w, s, c, s2, slope=False):
     # on the arc r_+- = sqrt(t) e^{+-i gamma}, t = (1 - sqrt q) / (1 + sqrt q):
     # the pair sum is amplitude * cos theta, theta = N gamma.  N gamma = N w +
     # N (gamma - |w| folded to (0, pi)): N w is split so its large part is an
     # exact product (|w| < 32) and the offset is written without cancellation,
     # so the phase is good to a few ulp of 1, not of N gamma.  Returns cos
     # theta; with slope, also sin theta and 1/theta' = sqrt(s2 - q) / (N |s|)
-    abs_s = f.abs(s)
-    root = f.sqrt(s2 - q)
-    offset = f.arctan2(-c * q / (root + abs_s), c * c + root * abs_s)
-    low = f.fmod(w, 2.0**-20)
+    abs_s = np.abs(s)
+    root = np.sqrt(s2 - q)
+    offset = np.arctan2(-c * q / (root + abs_s), c * c + root * abs_s)
+    low = _pow2_fmod(w, 2.0**-20)
     head = nb * (w - low)
-    tail = nb * low + f.copysign(nb, s) * offset
+    tail = nb * low + np.copysign(nb, s) * offset
     if not slope:  # two of the four trig arrays at a time: a grid's peak memory
-        return f.cos(head) * f.cos(tail) - f.sin(head) * f.sin(tail)
-    cos_head, sin_head, cos_tail, sin_tail = f.cos(head), f.sin(head), f.cos(tail), f.sin(tail)
+        return np.cos(head) * np.cos(tail) - np.sin(head) * np.sin(tail)
+    cos_head, sin_head, cos_tail, sin_tail = np.cos(head), np.sin(head), np.cos(tail), np.sin(tail)
     cos_theta = cos_head * cos_tail - sin_head * sin_tail
     return cos_theta, sin_head * cos_tail + cos_head * sin_tail, root / (nb * abs_s)
 
@@ -386,9 +367,9 @@ def _factor_split(ring: IsingRing, w: np.ndarray, slope: bool = False) -> tuple:
     whole = arc.all()
     if not whole:
         values, real = np.empty(w.shape), ~arc
-        values[real] = _real_pair_sum(nb, root_q, q, s2[real], c[real], _ARRAY)
+        values[real] = _real_pair_sum(nb, root_q, q, s2[real], c[real])
         w, s, c, s2 = w[arc], s[arc], c[arc], s2[arc]
-    phase = _arc_phase(nb, q, w, s, c, s2, _ARRAY, slope)
+    phase = _arc_phase(nb, q, w, s, c, s2, slope)
     on = amplitude * (phase[0] if slope else phase)
     if whole:
         return on, ..., phase
@@ -447,9 +428,9 @@ def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
 
     Real and even in x for the symmetric ring polynomial; |A| <= 1 with
     equality at x = 0.  Periodic in beta*x with period pi.  The one place a
-    ring's beta is read, and the one caller of the float route: the angle
-    beta * x runs the pair-sum formulas on Python floats, and the value is
-    bit-identical to the one :func:`factor_values` gives at that angle.
+    ring's beta is read: the angle beta * x runs the pair-sum formulas on
+    Python floats, and the value is bit-identical to the one
+    :func:`factor_values` gives at that angle.
 
     Raises:
         ValueError: if the angle w = beta * x, or its phase N_b * w, is not
@@ -465,7 +446,17 @@ def dephasing_factor(ring: IsingRing, x: float) -> DephasingFactor:
     s, c = math.sin(w), math.cos(w)
     s2 = s * s
     if s2 > q:
-        value = amplitude * _arc_phase(nb, q, w, s, c, s2, _FLOAT)
+        # _arc_phase on floats, in its operation order.  math gives numpy's bits
+        # for sqrt, copysign, sin and cos (libm in both; a test pins sin and
+        # cos), and math.fmod is exact, like _pow2_fmod; arctan2 stays a numpy
+        # call, since its SIMD loop (SVML on AVX-512) may differ from libm
+        abs_s = abs(s)
+        root = math.sqrt(s2 - q)
+        offset = float(np.arctan2(-c * q / (root + abs_s), c * c + root * abs_s))
+        low = math.fmod(w, 2.0**-20)
+        head = nb * (w - low)
+        tail = nb * low + math.copysign(nb, s) * offset
+        value = amplitude * (math.cos(head) * math.cos(tail) - math.sin(head) * math.sin(tail))
     else:
-        value = _real_pair_sum(nb, root_q, q, s2, c, _FLOAT)
-    return DephasingFactor(value=value / norm, argument=float(x))
+        value = float(_real_pair_sum(nb, root_q, q, s2, c))
+    return DephasingFactor(value / norm, float(x))

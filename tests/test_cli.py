@@ -64,6 +64,37 @@ class TestSimulate:
         assert len(lines) == 42
         assert "wrote 41 rows" in capsys.readouterr().out
 
+    def test_notes_the_samples_where_a_underflowed(self, tmp_path, capsys):
+        # past the factor's underflow A is exactly 0 between collapses: a second
+        # line gives the count and the share; the first line and the CSV stay
+        out = tmp_path / "weak.csv"
+        argv = [
+            "simulate", "--nb", "700", "--beta", "0.05", "--probes", "3", "--theta", "1",
+            "--channel", "I", "--t-max", "157.08", "--steps", "20001", "--out", str(out),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        first, note = captured.out.splitlines()
+        assert first == f"wrote 20001 rows to {out} (channel I, period 157.08)"
+        lost = np.count_nonzero(np.genfromtxt(out, delimiter=",", names=True)["a_factor"] == 0.0)
+        assert 0 < lost < 20001
+        assert note == (
+            f"note: A underflowed to exactly 0 at {lost} of 20001 samples "
+            f"({lost / 20001:.1%}); collapses among them cannot be detected"
+        )
+
+    def test_readme_command_prints_no_note(self, tmp_path, capsys):
+        out = tmp_path / "series.csv"
+        argv = [
+            "simulate", "--nb", "10", "--beta", "0.5", "--probes", "3", "--theta", "1.5707963",
+            "--channel", "I", "--t-max", "157.08", "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == f"wrote 402 rows to {out} (channel I, period 157.08)\n"
+
     def test_default_steps_resolve_grid(self, tmp_path):
         # 40 samples per mean gap between the 6 collapse times, >= 4 in the narrowest
         out = tmp_path / "auto.csv"

@@ -542,6 +542,26 @@ class TestArcNewtonStep:
 
 
 class TestDephasingFactor:
+    def test_is_an_immutable_validated_tuple(self):
+        keyword = DephasingFactor(value=-0.25, argument=1.5)
+        positional = DephasingFactor(-0.25, 1.5)
+        assert keyword == positional == (-0.25, 1.5)
+        assert isinstance(keyword, tuple) and type(positional) is DephasingFactor
+        assert (keyword.value, keyword.argument) == (-0.25, 1.5)
+        assert hash(keyword) == hash(positional)
+        assert DephasingFactor(0.5, 1.5) != keyword
+        for name in ("value", "argument", "other"):
+            with pytest.raises(AttributeError):
+                setattr(keyword, name, 0.0)
+        assert keyword == (-0.25, 1.5)
+        # both messages, with the offending value
+        with pytest.raises(ValueError, match=r"^argument must be finite, got nan$"):
+            DephasingFactor(value=0.5, argument=math.nan)
+        with pytest.raises(
+            ValueError, match=r"^value must be finite and must not exceed 1, got 1\.5$"
+        ):
+            DephasingFactor(1.5, 0.0)
+
     def test_value_bound_enforced(self):
         with pytest.raises(ValueError, match="exceed 1"):
             DephasingFactor(value=1.5, argument=0.0)
@@ -883,7 +903,7 @@ class TestExactRemainder:
         assert w.size > 1_000_000 and np.all(np.isfinite(w))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            low = ising_bath._ARRAY.fmod(w, PHASE_STEP)
+            low = ising_bath._pow2_fmod(w, PHASE_STEP)
             expected = np.fmod(w, PHASE_STEP)
         mismatched = np.flatnonzero(low.view(np.uint64) != expected.view(np.uint64))
         assert mismatched.size == 0, f"{mismatched.size} remainders differ, first at w = {w[mismatched[:5]]}"
@@ -893,7 +913,7 @@ class TestExactRemainder:
     def test_array_fmod_keeps_the_input(self):
         w = np.array([-0.0, 3.5, -1e20])
         kept = w.copy()
-        ising_bath._ARRAY.fmod(w, PHASE_STEP)
+        ising_bath._pow2_fmod(w, PHASE_STEP)
         assert np.array_equal(w.view(np.uint64), kept.view(np.uint64))
 
     @pytest.mark.parametrize("w", [5e307, -5e307, 2.0**32 + 2.0**-20, -1e15])
@@ -946,18 +966,18 @@ class TestRingConstants:
 
 
 class TestSingleArrayRoute:
-    """The package evaluates A on arrays; the float route serves dephasing_factor alone."""
+    """The package evaluates A on arrays; dephasing_factor alone runs floats."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        # the two branch helpers are where either route enters the pair-sum
-        # formulas; each takes the elementwise namespace (_ARRAY or _FLOAT)
+        # the two branch helpers hold the pair-sum formulas; each call is kept
+        # as (helper, type of its per-point s or s2)
         taken = []
         for name in ("_arc_phase", "_real_pair_sum"):
             original = getattr(ising_bath, name)
 
-            def spy(*args, original=original):
-                taken.append(next(a for a in args if a is ising_bath._ARRAY or a is ising_bath._FLOAT))
+            def spy(*args, name=name, original=original):
+                taken.append((name, type(args[3])))
                 return original(*args)
 
             monkeypatch.setattr(ising_bath, name, spy)
@@ -965,7 +985,7 @@ class TestSingleArrayRoute:
 
     def test_verify_battery_takes_no_float_route(self, routes):
         assert verify.run_checks(verbose=False)
-        assert routes and not any(f is ising_bath._FLOAT for f in routes)
+        assert routes and all(kind is np.ndarray for _, kind in routes)
 
     def test_series_and_detection_take_no_float_route(self, routes):
         series = run_scenario(
@@ -978,16 +998,29 @@ class TestSingleArrayRoute:
             )
         )
         assert detect_coherence_zeros(series).size > 0
-        assert routes and not any(f is ising_bath._FLOAT for f in routes)
+        assert routes and all(kind is np.ndarray for _, kind in routes)
 
-    def test_point_api_is_the_float_route(self, routes):
+    def test_point_api_is_the_float_route(self, routes, monkeypatch):
         ring = ring_at(6, 0.5)
         ring._transfer  # the ring's constants are built by an array call
         routes.clear()
-        dephasing_factor(ring, 0.3)
         factor_values(ring, 0.3)
         # the array route's real sums, then its arc call on the empty arc points
-        assert routes == [ising_bath._FLOAT, ising_bath._ARRAY, ising_bath._ARRAY]
+        assert routes == [("_real_pair_sum", np.ndarray), ("_arc_phase", np.ndarray)]
+        routes.clear()
+
+        def refuse(*args):
+            raise AssertionError("the point API evaluated an array")
+
+        monkeypatch.setattr(ising_bath, "factor_values", refuse)
+        monkeypatch.setattr(ising_bath, "_factor_split", refuse)
+        # an arc point (a collapse angle) runs the arc formula inline, on floats
+        arc = dephasing_factor(ring, lee_yang_zeros(ring).phases[1] / (2.0 * ring.beta))
+        assert routes == []
+        # a real-branch point (sin^2 w <= q) calls the pair sum once, on floats
+        real = dephasing_factor(ring, 0.3)
+        assert routes == [("_real_pair_sum", float)]
+        assert type(arc.value) is float and type(real.value) is float
 
     def test_collapse_check_is_one_factor_call(self, monkeypatch):
         calls = []
