@@ -43,14 +43,7 @@ from .ising_bath import (
     lee_yang_zeros,
     partition_coefficients,
 )
-from .verify import (
-    KrausSet,
-    concurrence_generic,
-    kraus_apply,
-    kraus_channel_I,
-    kraus_channel_II,
-    kraus_tensor,
-)
+from .verify import concurrence_generic, kraus_apply, kraus_channel_I, kraus_tensor
 
 __version__ = "0.1.0"
 
@@ -60,7 +53,6 @@ __all__ = [
     "DephasingFactor",
     "FitResult",
     "IsingRing",
-    "KrausSet",
     "LeeYangZeroSet",
     "OatParameters",
     "ObservableSeries",
@@ -83,7 +75,6 @@ __all__ = [
     "fit_cmax_scaling",
     "kraus_apply",
     "kraus_channel_I",
-    "kraus_channel_II",
     "kraus_tensor",
     "lee_yang_zeros",
     "oat_reduced_state",

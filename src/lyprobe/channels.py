@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -222,42 +222,21 @@ def evolve_channel_II(state: TwoQubitXState, factor) -> TwoQubitXState:
     return type(state)(state.v_plus, state.v_minus, state.w, state.y, a * state.u)
 
 
-@dataclass(frozen=True)
-class ConcurrenceResult:
+class ConcurrenceResult(NamedTuple):
     """Wootters concurrence of a probe pair and its ensemble-rescaled value.
 
-    ``lambdas`` are the four spin-flip singular values sorted descending;
-    ``concurrence`` equals max(0, lambdas[0] - sum(lambdas[1:])) and
-    ``rescaled`` is (N - 1) times that, the pairwise entanglement summed over
-    one probe's N - 1 partners.  ``lambdas`` is a read-only view, not a copy.
+    ``lambdas`` are the four spin-flip singular values sorted descending, in a
+    read-only array; ``concurrence`` equals max(0, lambdas[0] -
+    sum(lambdas[1:])) and ``rescaled`` is (N - 1) times that, the pairwise
+    entanglement summed over one probe's N - 1 partners.
     """
 
     concurrence: float
     rescaled: float
     lambdas: np.ndarray
 
-    def __post_init__(self) -> None:
-        lams = np.asarray(self.lambdas, dtype=float).view()
-        if lams.shape != (4,):
-            raise ValueError(f"lambdas must have exactly 4 entries, got {lams.shape}")
-        l0, l1, l2, l3 = values = lams.tolist()
-        if not all(map(math.isfinite, values)) or min(values) < -1e-12:
-            raise ValueError("lambdas must be finite and nonnegative")
-        if l1 - l0 > 1e-12 or l2 - l1 > 1e-12 or l3 - l2 > 1e-12:
-            raise ValueError("lambdas must be sorted descending")
-        expected = max(0.0, l0 - l1 - l2 - l3)
-        if abs(self.concurrence - expected) > 1e-9:
-            raise ValueError("concurrence inconsistent with lambdas")
-        if not (0.0 <= self.concurrence <= 1.0 + 1e-9):
-            raise ValueError(f"concurrence must lie in [0, 1], got {self.concurrence}")
-        if self.rescaled < -1e-12:
-            raise ValueError(f"rescaled concurrence must be >= 0, got {self.rescaled}")
-        lams.flags.writeable = False
-        object.__setattr__(self, "lambdas", lams)
 
-
-@dataclass(frozen=True)
-class SqueezingReport:
+class SqueezingReport(NamedTuple):
     """Squeezing parameter, its entanglement-limited bound, and their gap.
 
     ``xi2`` is the transverse spin-squeezing parameter of the dephased
@@ -271,13 +250,6 @@ class SqueezingReport:
     xi2_prime: float
     improvement: float
     improvement_max: float
-
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            if not math.isfinite(getattr(self, field.name)):
-                raise ValueError(f"{field.name} must be finite")
-        if abs(self.improvement - (self.xi2_prime - self.xi2)) > 1e-12:
-            raise ValueError("improvement must equal xi2_prime - xi2")
 
 
 class XStateObservables(NamedTuple):
@@ -360,10 +332,10 @@ def _closed_form_concurrence(
     state: TwoQubitXState, channel: Channel, factor, n_probes: int
 ) -> ConcurrenceResult:
     values = x_state_observables(state, channel, _factor_value(factor), n_probes)
+    lambdas = np.sort(np.array(values.lambdas, dtype=float))[::-1]
+    lambdas.flags.writeable = False
     return ConcurrenceResult(
-        concurrence=float(values.concurrence),
-        rescaled=float(values.rescaled),
-        lambdas=np.sort(np.array(values.lambdas, dtype=float))[::-1],
+        concurrence=float(values.concurrence), rescaled=float(values.rescaled), lambdas=lambdas
     )
 
 

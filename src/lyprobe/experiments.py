@@ -16,8 +16,11 @@ size.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +120,7 @@ class ObservableSeries:
         _check_eta(self.eta)
 
 
-@dataclass(frozen=True)
-class VanishingDomain:
+class VanishingDomain(NamedTuple):
     """Maximal interval where the rescaled concurrence stays at or below ``_VANISHING_THRESHOLD``.
 
     ``clipped`` marks domains touching the grid boundary, whose true extent
@@ -131,13 +133,8 @@ class VanishingDomain:
     end: float
     clipped: bool
 
-    def __post_init__(self) -> None:
-        if not (self.start <= self.center <= self.end):
-            raise ValueError("domain must satisfy start <= center <= end")
 
-
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Least-squares line through ln C_max against (N - 2)."""
 
     alpha: float
@@ -145,13 +142,6 @@ class FitResult:
     residual: float
     n_values: np.ndarray
     log_cmax: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "intercept", "residual"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.residual < 0.0:
-            raise ValueError(f"residual must be >= 0, got {self.residual}")
 
 
 def coherence_period(eta: float, channel: Channel) -> float:
@@ -423,15 +413,8 @@ def vanishing_domains(series: ObservableSeries) -> list[VanishingDomain]:
     ends = np.flatnonzero(edges == -1) - 1
     t = series.times
     clipped = (starts == 0) | (ends == below.size - 1)
-    return [
-        VanishingDomain(start=s, center=c, end=e, clipped=k)
-        for s, c, e, k in zip(
-            t[starts].tolist(),
-            (0.5 * (t[starts] + t[ends])).tolist(),
-            t[ends].tolist(),
-            clipped.tolist(),
-        )
-    ]
+    columns = (t[starts], 0.5 * (t[starts] + t[ends]), t[ends], clipped)
+    return list(map(VanishingDomain, *(column.tolist() for column in columns)))
 
 
 def count_recovery_peaks(series: ObservableSeries) -> int:
@@ -641,6 +624,13 @@ def _write_csv(path, header: str, columns) -> None:
     is assembled in numpy from per-decade and digit-group tables, 2,048
     rows at a time (see ``_format_rows``).
 
+    An existing file is overwritten in place, not truncated first, and is
+    cut to the new length once the write ends, on success or on error; so a
+    reader of the file during the write may see old bytes past the write
+    point.  A target that is not a regular file (``/dev/null``, a pipe) is
+    written and not cut.  A new file gets the mode ``open(path, "wb")``
+    gives it.
+
     Raises:
         ValueError: if there is no column, a column is not 1-D, the columns
             differ in length or a value is not finite; nothing is written.
@@ -653,11 +643,20 @@ def _write_csv(path, header: str, columns) -> None:
     if not all(np.isfinite(c).all() for c in columns):
         raise ValueError(f"CSV values for {path!r} must be finite")
     try:
-        with open(path, "wb") as handle:
-            handle.write(header.encode("ascii") + b"\n")
-            for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
-                block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
-                handle.write(_format_rows(block))
+        # open's "wb" flags and mode without O_TRUNC: freeing the file's blocks and
+        # allocating them again costs more than overwriting them
+        in_place = lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)  # noqa: E731
+        with open(path, "wb", opener=in_place) as handle:
+            try:
+                handle.write(header.encode("ascii") + b"\n")
+                for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
+                    block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
+                    handle.write(_format_rows(block))
+            finally:
+                handle.flush()
+                # a device or a pipe refuses ftruncate, and has no old bytes to cut
+                if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                    os.ftruncate(handle.fileno(), handle.tell())
     except OSError as exc:
         raise OSError(f"failed to write CSV to {path!r}: {exc}") from exc
 
@@ -672,7 +671,9 @@ def emit_csv(series: ObservableSeries, path) -> None:
     plain text: unlike numpy's savetxt, a path ending in ``.gz`` is not
     compressed.  The text is assembled in numpy from per-decade and
     digit-group tables, 2,048 rows at a time (``_write_csv``, ``_format_rows``);
-    ``lyprobe zeros`` writes its CSV through the same writer.
+    ``lyprobe zeros`` writes its CSV through the same writer.  An existing
+    file is overwritten in place and cut to the new length, so a concurrent
+    reader may see old bytes past the write point.
 
     Raises:
         OSError: naming the path, if the file cannot be written.

@@ -246,6 +246,11 @@ class DephasingFactor(NamedTuple("_FactorFields", [("value", float), ("argument"
             raise ValueError(f"value must be finite and must not exceed 1, got {value!r}")
         return tuple.__new__(cls, (value, argument))
 
+    @classmethod
+    def _make(cls, iterable) -> DephasingFactor:
+        """A factor checked as the constructor checks it; ``_replace`` builds through this too."""
+        return cls(*iterable)
+
 
 def partition_coefficients(ring: IsingRing) -> IsingRing:
     """The ring's fugacity polynomial, which is the ring itself: builds nothing.

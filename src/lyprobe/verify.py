@@ -283,6 +283,7 @@ def concurrence_generic(rho: np.ndarray, n_probes: int = 2) -> ConcurrenceResult
     if np.shape(rho) != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {np.shape(rho)}")
     lams, conc = _wootters_stack(rho)
+    lams.flags.writeable = False
     conc = float(conc)
     return ConcurrenceResult(concurrence=conc, rescaled=(n_probes - 1) * conc, lambdas=lams)
 

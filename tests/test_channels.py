@@ -10,20 +10,18 @@ from hypothesis import strategies as st
 
 from lyprobe import (
     DephasingFactor,
-    KrausSet,
     OatParameters,
     TwoQubitXState,
     evolve_channel_I,
     evolve_channel_II,
     kraus_apply,
     kraus_channel_I,
-    kraus_channel_II,
     kraus_tensor,
     oat_reduced_state,
 )
 
 from lyprobe.channels import Channel, XStateStack, _factor_value, _oat_entries, x_state_observables
-from lyprobe.verify import _random_probes
+from lyprobe.verify import KrausSet, _random_probes, kraus_channel_II
 
 from .oracles import (
     evolve_channel_I_explicit,

@@ -8,8 +8,10 @@ import functools
 import gc
 import io
 import math
+import os
 import sys
 import tempfile
+import threading
 import types
 import warnings
 from pathlib import Path
@@ -212,6 +214,29 @@ class TestZeros:
         out = tmp_path / "missing" / "zeros.csv"
         assert cli.main(["zeros", "--nb", "10", "--beta", "0.5", "--out", str(out)]) == 3
         assert "failed to write CSV" in capsys.readouterr().err
+
+    def test_writes_to_the_null_device(self, capsys):
+        argv = ["zeros", "--nb", "100", "--beta", "0.25", "--out", os.devnull]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("wrote 100 zero phases to ")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_writes_to_a_pipe(self, tmp_path):
+        fifo, regular = tmp_path / "zeros.fifo", tmp_path / "zeros.csv"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            assert cli.main(["zeros", "--nb", "100", "--beta", "0.25", "--out", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=30.0)
+            if reader.is_alive():  # the writer never opened the pipe: let the reader see its end
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(timeout=30.0)
+        assert not reader.is_alive()
+        assert cli.main(["zeros", "--nb", "100", "--beta", "0.25", "--out", str(regular)]) == 0
+        assert received == [regular.read_bytes()]
 
     @pytest.mark.parametrize("nb,beta", [("2000", "0.25"), ("10", "300"), ("10000", "0.05")])
     def test_runs_past_the_coefficient_limits(self, nb, beta, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Scenario pipeline, zero detection, domain statistics, scaling fit, CSV."""
 
 import math
+import os
 import sys
 import warnings
 from unittest import mock
@@ -15,22 +16,21 @@ import lyprobe.experiments as experiments
 
 from lyprobe import (
     Channel,
-    ConcurrenceResult,
-    FitResult,
     IsingRing,
     LeeYangZeroSet,
     OatParameters,
     ObservableSeries,
     Scenario,
-    VanishingDomain,
     coherence,
     coherence_period,
     concurrence_channel_I,
     concurrence_channel_II,
+    concurrence_generic,
     count_recovery_peaks,
     default_steps,
     detect_coherence_zeros,
     emit_csv,
+    evolve_channel_I,
     fit_cmax_scaling,
     lee_yang_zeros,
     oat_reduced_state,
@@ -167,18 +167,24 @@ class TestObservableSeriesValidation:
             series.coherence[0] = 2.0
 
     def test_domain_ordering_enforced(self):
-        with pytest.raises(ValueError, match="start <= center <= end"):
-            VanishingDomain(start=2.0, center=1.0, end=3.0, clipped=False)
+        # strong and weak coupling, both channels, and a domain clipped at the grid end
+        first = float(zero_times(lee_yang_zeros(IsingRing(6, inverse_temperature=0.5)), ETA)[0])
+        scenarios = [
+            make_scenario(nb=6, beta=10.0, steps=2401),
+            make_scenario(nb=10, beta=0.5, steps=1201),
+            make_scenario(nb=6, beta=10.0, channel=Channel.II, steps=1201),
+            make_scenario(nb=6, t_max=first, steps=601),
+        ]
+        domains = [d for scenario in scenarios for d in vanishing_domains(run_scenario(scenario))]
+        assert len(domains) > 10 and any(d.clipped for d in domains)
+        for domain in domains:
+            assert domain.start <= domain.center <= domain.end
 
-    def test_fit_result_rejects_negative_residual(self):
-        with pytest.raises(ValueError, match="residual"):
-            FitResult(
-                alpha=-0.5,
-                intercept=0.0,
-                residual=-1e-3,
-                n_values=np.array([3, 4, 5]),
-                log_cmax=np.zeros(3),
-            )
+    def test_fit_fields_finite_residual_nonnegative(self):
+        for sizes, theta in ((range(3, 9), np.pi / 2), (range(20, 29), np.pi / 3), (range(2, 12), 0.5)):
+            result = fit_cmax_scaling(sizes, theta)
+            assert all(math.isfinite(v) for v in (result.alpha, result.intercept, result.residual))
+            assert result.residual >= 0.0
 
 
 class TestSeriesPipeline:
@@ -264,7 +270,7 @@ class TestSeriesPipeline:
 
 
 class TestCallerArraysStayWritable:
-    """A constructor freezes a view of the array it is given, not the caller's array."""
+    """A constructor freezes a view of the array it is given, and a result its own array, not the caller's."""
 
     def test_series_times(self):
         t = np.linspace(0.0, 10.0, 11)
@@ -284,10 +290,12 @@ class TestCallerArraysStayWritable:
         assert np.shares_memory(zeros.phases, p)
 
     def test_concurrence_lambdas(self):
-        lams = np.array([0.5, 0.25, 0.15, 0.1])
-        result = ConcurrenceResult(0.0, 0.0, lams)
-        assert lams.flags.writeable and not result.lambdas.flags.writeable
-        assert np.shares_memory(result.lambdas, lams)
+        state = oat_reduced_state(OatParameters(3, np.pi / 2))
+        rho = evolve_channel_I(state, 0.5).to_matrix()
+        generic = concurrence_generic(rho, 3)
+        assert rho.flags.writeable and not generic.lambdas.flags.writeable
+        for closed_form in (concurrence_channel_I, concurrence_channel_II):
+            assert not closed_form(state, 0.5, 3).lambdas.flags.writeable
 
 
 class TestZeroDetection:
@@ -1135,6 +1143,49 @@ class TestCsvOutput:
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(OSError, match="out.csv"):
             emit_csv(series, target)
+
+    @pytest.mark.parametrize("extra", [4096, 0, -1000], ids=["longer", "equal-length", "shorter"])
+    def test_rewrite_over_an_existing_file_gives_the_fresh_bytes(self, tmp_path, extra):
+        series = run_scenario(make_scenario(steps=801))
+        fresh = tmp_path / "fresh.csv"
+        emit_csv(series, fresh)
+        expected = fresh.read_bytes()
+        target = tmp_path / "old.csv"
+        target.write_bytes(b"9" * (len(expected) + extra))
+        emit_csv(series, target)
+        assert target.read_bytes() == expected
+        # and over its own bytes again
+        emit_csv(series, target)
+        assert target.read_bytes() == expected
+
+    def test_failed_write_ends_the_file_at_the_last_block_written(self, tmp_path):
+        columns = [np.arange(10.0), np.arange(10.0) ** 2]
+        target = tmp_path / "partial.csv"
+        target.write_bytes(b"x" * 10_000)
+        calls, format_rows = [], experiments._format_rows
+
+        def first_block_only(block):
+            calls.append(block)
+            if len(calls) > 1:
+                raise RuntimeError("formatter failed")
+            return format_rows(block)
+
+        with mock.patch.object(experiments, "_CSV_BLOCK_ROWS", 3):
+            with mock.patch.object(experiments, "_format_rows", side_effect=first_block_only):
+                with pytest.raises(RuntimeError, match="formatter failed"):
+                    experiments._write_csv(target, "h", columns)
+        assert target.read_bytes() == b"h\n0,0\n1,1\n2,4\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_gets_the_mode_of_a_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            experiments._write_csv(tmp_path / "new.csv", "h", [np.ones(2)])
+            with open(tmp_path / "plain.csv", "wb"):
+                pass
+        finally:
+            os.umask(old)
+        assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
 
 
 def _series(nb, beta, channel, steps, probes=4, theta=1.2):

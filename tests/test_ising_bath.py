@@ -566,6 +566,23 @@ class TestDephasingFactor:
         with pytest.raises(ValueError, match="exceed 1"):
             DephasingFactor(value=1.5, argument=0.0)
 
+    def test_replace_checks_as_the_constructor_does(self):
+        factor = DephasingFactor(0.5, 0.0)
+        with pytest.raises(ValueError, match=r"^value must be finite and must not exceed 1, got 5\.0$"):
+            factor._replace(value=5.0)
+        with pytest.raises(ValueError, match=r"^argument must be finite, got inf$"):
+            factor._replace(argument=math.inf)
+        replaced = factor._replace(value=-0.25)
+        assert type(replaced) is DephasingFactor and replaced == (-0.25, 0.0)
+
+    def test_make_checks_as_the_constructor_does(self):
+        with pytest.raises(ValueError, match=r"^value must be finite and must not exceed 1, got nan$"):
+            DephasingFactor._make((math.nan, 1.0))
+        with pytest.raises(ValueError, match=r"^argument must be finite, got nan$"):
+            DephasingFactor._make([0.5, math.nan])
+        made = DephasingFactor._make(iter((0.5, 1.0)))
+        assert type(made) is DephasingFactor and made == DephasingFactor(0.5, 1.0)
+
     def test_nonfinite_argument_rejected(self):
         ring = ring_at(5, 0.5)
         with pytest.raises(ValueError, match="finite"):

@@ -11,7 +11,6 @@ from lyprobe import (
     Channel,
     ConcurrenceResult,
     OatParameters,
-    SqueezingReport,
     coherence,
     concurrence_channel_I,
     concurrence_channel_II,
@@ -53,49 +52,59 @@ def oat_inputs():
     )
 
 
+@pytest.fixture(scope="module")
+def public_results():
+    """The concurrence results and squeezing reports of the public calls over a grid of probes.
+
+    N = 2..8 at four twists, 21 signed factors and both channels: the closed
+    forms, and the generic route on the closed-form evolved matrix.
+    """
+    concurrences, reports = [], []
+    for n in range(2, 9):
+        for theta in (0.3, 1.0, np.pi / 2, 2.8):
+            state = oat_reduced_state(OatParameters(n, theta))
+            for a in np.linspace(-1.0, 1.0, 21).tolist():
+                for channel, closed_form, evolve in (
+                    (Channel.I, concurrence_channel_I, evolve_channel_I),
+                    (Channel.II, concurrence_channel_II, evolve_channel_II),
+                ):
+                    concurrences.append(closed_form(state, a, n))
+                    concurrences.append(concurrence_generic(evolve(state, a).to_matrix(), n))
+                    reports.append(spin_squeezing(state, channel, a, n))
+    return concurrences, reports
+
+
 class TestResultValidation:
-    def test_concurrence_needs_four_lambdas(self):
-        with pytest.raises(ValueError, match="4 entries"):
-            ConcurrenceResult(0.0, 0.0, np.array([1.0, 0.5, 0.25]))
+    """What the result types once checked when built, asserted over the public calls' results."""
 
-    def test_concurrence_needs_sorted_lambdas(self):
-        with pytest.raises(ValueError, match="descending"):
-            ConcurrenceResult(0.0, 0.0, np.array([0.1, 0.5, 0.25, 0.1]))
+    def test_concurrence_needs_four_lambdas(self, public_results):
+        for result in public_results[0]:
+            assert result.lambdas.shape == (4,)
 
-    def test_concurrence_must_match_lambdas(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            ConcurrenceResult(0.9, 1.8, np.array([0.5, 0.25, 0.15, 0.1]))
+    def test_concurrence_needs_sorted_lambdas(self, public_results):
+        lams = np.array([result.lambdas for result in public_results[0]])
+        assert np.diff(lams, axis=1).max() <= 1e-12
 
-    def test_rescaled_must_be_nonnegative(self):
-        with pytest.raises(ValueError, match="rescaled"):
-            ConcurrenceResult(0.0, -0.5, np.array([0.5, 0.25, 0.15, 0.1]))
+    def test_concurrence_lambdas_are_finite_and_nonnegative(self, public_results):
+        lams = np.array([result.lambdas for result in public_results[0]])
+        assert np.isfinite(lams).all() and lams.min() >= -1e-12
 
-    @pytest.mark.parametrize(
-        "lams", [[0.5, 0.25, 0.1, -2e-12], [0.5, 0.25, np.nan, 0.1], [np.inf, 0.25, 0.15, 0.1]]
-    )
-    def test_concurrence_needs_finite_nonnegative_lambdas(self, lams):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            ConcurrenceResult(0.0, 0.0, np.array(lams))
+    def test_concurrence_must_match_lambdas(self, public_results):
+        for result in public_results[0]:
+            l0, l1, l2, l3 = result.lambdas.tolist()
+            assert abs(result.concurrence - max(0.0, l0 - l1 - l2 - l3)) <= 1e-9
+            assert 0.0 <= result.concurrence <= 1.0 + 1e-9
 
-    def test_concurrence_tolerates_rounding_in_lambdas(self):
-        # a negative below 1e-12 and an inversion below 1e-12 are noise
-        result = ConcurrenceResult(0.0, 0.0, np.array([0.5, 0.5 + 0.5e-12, 0.25, -0.5e-12]))
-        assert not result.lambdas.flags.writeable
-
-    @pytest.mark.parametrize("lams", [[0.5, 0.5 + 2e-12, 0.25, 0.0], [0.5, 0.25, 0.1, 0.1 + 2e-12]])
-    def test_concurrence_rejects_inversion_past_1e12(self, lams):
-        with pytest.raises(ValueError, match="descending"):
-            ConcurrenceResult(0.0, 0.0, np.array(lams))
+    def test_rescaled_must_be_nonnegative(self, public_results):
+        assert min(result.rescaled for result in public_results[0]) >= -1e-12
 
     @pytest.mark.parametrize("name", ["xi2", "xi2_prime", "improvement", "improvement_max"])
-    def test_squeezing_fields_must_be_finite(self, name):
-        fields = {"xi2": 0.5, "xi2_prime": 0.6, "improvement": 0.1, "improvement_max": 0.3}
-        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-            SqueezingReport(**{**fields, name: np.inf})
+    def test_squeezing_fields_must_be_finite(self, public_results, name):
+        assert np.isfinite([getattr(report, name) for report in public_results[1]]).all()
 
-    def test_squeezing_gap_consistency(self):
-        with pytest.raises(ValueError, match="improvement"):
-            SqueezingReport(xi2=0.5, xi2_prime=0.6, improvement=0.2, improvement_max=0.3)
+    def test_squeezing_gap_consistency(self, public_results):
+        for report in public_results[1]:
+            assert abs(report.improvement - (report.xi2_prime - report.xi2)) <= 1e-12
 
 
 class TestCoherence:
