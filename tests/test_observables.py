@@ -85,9 +85,16 @@ class TestResultValidation:
         lams = np.array([result.lambdas for result in public_results[0]])
         assert np.diff(lams, axis=1).max() <= 1e-12
 
-    def test_concurrence_lambdas_are_finite_and_nonnegative(self, public_results):
-        lams = np.array([result.lambdas for result in public_results[0]])
-        assert np.isfinite(lams).all() and lams.min() >= -1e-12
+    @pytest.mark.parametrize(
+        "lams", [[0.5, 0.25, 0.1, -2e-12], [0.5, 0.25, np.nan, 0.1], [np.inf, 0.25, 0.15, 0.1]]
+    )
+    def test_concurrence_needs_finite_nonnegative_lambdas(self, public_results, lams):
+        def finite_and_nonnegative(values):
+            return bool(np.isfinite(values).all() and values.min() >= -1e-12)
+
+        # the check refuses each hand-built defect, and every public result passes it
+        assert not finite_and_nonnegative(np.array(lams))
+        assert finite_and_nonnegative(np.array([result.lambdas for result in public_results[0]]))
 
     def test_concurrence_must_match_lambdas(self, public_results):
         for result in public_results[0]:
