@@ -302,8 +302,8 @@ def x_state_observables(
     elif channel is Channel.II:
         damp_u = np.abs(a) * mod_u
         damp_y = mod_y
-        coh = 2.0 * (np.abs(a) * mod_u + mod_y)
-        xi2 = 1.0 + 2.0 * (n_probes - 1) * (state.y - np.abs(a) * mod_u)
+        coh = 2.0 * (damp_u + mod_y)
+        xi2 = 1.0 + 2.0 * (n_probes - 1) * (state.y - damp_u)
     else:
         raise TypeError(f"channel must be a Channel member, got {channel!r}")
 

@@ -16,8 +16,6 @@ size.
 from __future__ import annotations
 
 import math
-import os
-import stat
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -590,28 +588,37 @@ def _format_rows(block: np.ndarray) -> bytes:
     scaled = a * _SCALE.take(i)
     m = np.rint(scaled)
     # a zero is exact, though its M = 0 lies outside [1e11, 1e12)
-    near = ((np.abs(scaled - m) >= _TIE.take(i)) | (np.abs(scaled - _MIDDLE) > _HALF_WIDTH)) > zero
-    redo = np.flatnonzero(near)
+    near = np.abs(scaled - _MIDDLE) > _HALF_WIDTH
+    scaled -= m
+    near |= np.abs(scaled, out=scaled) >= _TIE.take(i)
+    redo = np.flatnonzero(near > zero)
     if redo.size:
         m[redo], e = _exact_digits(a[redo])
         i[redo] = np.add(e, 324)
+    # arrays are updated in place and dropped once read: a block's peak memory
+    # is the pages it faults in anew after the heap is trimmed
+    del a, zero, scaled, near
     m = m.astype(np.int64)
     top = m // 100_000_000
-    rest = m - top * 100_000_000
-    mid = rest // 10_000
-    low = rest - mid * 10_000
-    zeros = _ZERO_DIGITS.take(low) | _ZERO_DIGITS.take(mid) << 4 | _ZERO_DIGITS.take(top) << 8
+    m -= top * 100_000_000
+    mid = m // 10_000
+    m -= mid * 10_000  # the low group
+    zeros = _ZERO_DIGITS.take(m) | _ZERO_DIGITS.take(mid) << 4 | _ZERO_DIGITS.take(top) << 8
     keep = _KEEP_ROW.take(i) + _TRAILING.take(zeros)
     lo = _DIGITS4.take(top) | _DIGITS4.take(mid) << 32
-    hi = _DIGITS4.take(low)
+    hi = _DIGITS4.take(m)
+    del m, top, mid, zeros
     moved = lo & _ABOVE_LO.take(i)
-    shifted = hi & _ABOVE_HI.take(i)
+    lo += moved * 255
+    hi += (hi & _ABOVE_HI.take(i)) * 255
+    hi += moved >> 56
     fields = _ROW.take(i, axis=0)
     fields[:, 0] |= (x.view(np.uint64) >> 63) * np.uint64(ord("-"))
-    np.bitwise_and(lo + moved * 255 | fields[:, 1], _KEEP_LO.take(keep), out=fields[:, 1])
-    np.bitwise_and(
-        hi + shifted * 255 + (moved >> 56) | fields[:, 2], _KEEP_HI.take(keep), out=fields[:, 2]
-    )
+    lo |= fields[:, 1]
+    np.bitwise_and(lo, _KEEP_LO.take(keep), out=fields[:, 1])
+    hi |= fields[:, 2]
+    np.bitwise_and(hi, _KEEP_HI.take(keep), out=fields[:, 2])
+    del i, keep, lo, hi, moved
     fields.reshape(*block.shape, -1)[:, -1, -1] ^= _NEWLINE
     return fields.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
@@ -622,14 +629,9 @@ def _write_csv(path, header: str, columns) -> None:
     The bytes equal numpy's savetxt with fmt="%.12g" and delimiter=",":
     each value is written as ``'%.12g' % v`` would write it, but the text
     is assembled in numpy from per-decade and digit-group tables, 2,048
-    rows at a time (see ``_format_rows``).
-
-    An existing file is overwritten in place, not truncated first, and is
-    cut to the new length once the write ends, on success or on error; so a
-    reader of the file during the write may see old bytes past the write
-    point.  A target that is not a regular file (``/dev/null``, a pipe) is
-    written and not cut.  A new file gets the mode ``open(path, "wb")``
-    gives it.
+    rows at a time (see ``_format_rows``).  An existing file is emptied when
+    it is opened, so a write that fails partway leaves the header and the
+    blocks written before the failure.
 
     Raises:
         ValueError: if there is no column, a column is not 1-D, the columns
@@ -643,20 +645,15 @@ def _write_csv(path, header: str, columns) -> None:
     if not all(np.isfinite(c).all() for c in columns):
         raise ValueError(f"CSV values for {path!r} must be finite")
     try:
-        # open's "wb" flags and mode without O_TRUNC: freeing the file's blocks and
-        # allocating them again costs more than overwriting them
-        in_place = lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)  # noqa: E731
-        with open(path, "wb", opener=in_place) as handle:
-            try:
-                handle.write(header.encode("ascii") + b"\n")
-                for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
-                    block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
-                    handle.write(_format_rows(block))
-            finally:
-                handle.flush()
-                # a device or a pipe refuses ftruncate, and has no old bytes to cut
-                if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                    os.ftruncate(handle.fileno(), handle.tell())
+        with open(path, "wb") as handle:
+            handle.write(header.encode("ascii") + b"\n")
+            # one block buffer, its columns assigned: half the time of a column_stack a block
+            buffer = np.empty((min(columns[0].size, _CSV_BLOCK_ROWS), len(columns)))
+            for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
+                block = buffer[: columns[0].size - start]
+                for k, column in enumerate(columns):
+                    block[:, k] = column[start : start + _CSV_BLOCK_ROWS]
+                handle.write(_format_rows(block))
     except OSError as exc:
         raise OSError(f"failed to write CSV to {path!r}: {exc}") from exc
 
@@ -672,8 +669,7 @@ def emit_csv(series: ObservableSeries, path) -> None:
     compressed.  The text is assembled in numpy from per-decade and
     digit-group tables, 2,048 rows at a time (``_write_csv``, ``_format_rows``);
     ``lyprobe zeros`` writes its CSV through the same writer.  An existing
-    file is overwritten in place and cut to the new length, so a concurrent
-    reader may see old bytes past the write point.
+    file at ``path`` is replaced.
 
     Raises:
         OSError: naming the path, if the file cannot be written.

@@ -342,7 +342,8 @@ def _arc_phase(nb, q, w, s, c, s2, slope=False):
     low = _pow2_fmod(w, 2.0**-20)
     head = nb * (w - low)
     tail = nb * low + np.copysign(nb, s) * offset
-    if not slope:  # two of the four trig arrays at a time: a grid's peak memory
+    if not slope:  # two of the four trig arrays at a time, no spent ones: a grid's peak memory
+        del abs_s, root, offset, low
         return np.cos(head) * np.cos(tail) - np.sin(head) * np.sin(tail)
     cos_head, sin_head, cos_tail, sin_tail = np.cos(head), np.sin(head), np.cos(tail), np.sin(tail)
     cos_theta = cos_head * cos_tail - sin_head * sin_tail
@@ -356,12 +357,14 @@ def _factor_split(ring: IsingRing, w: np.ndarray, slope: bool = False) -> tuple:
     are a real pair where sin^2 w <= q (``_real_pair_sum``) and a complex pair
     on the arc elsewhere (``_arc_phase`` times the ring's amplitude).  sin, cos
     and sin^2 are computed once; on a grid the six sin and cos take about two
-    thirds of the time.  An all-arc array is read whole (arc points ``...``);
-    any other is masked, an all-real one with empty arc parts.  The arc parts
-    are cos theta, or with ``slope`` (cos theta, sin theta, 1/theta') for the
-    Newton steps.  Angles are checked first (``_check_angles``); callers
-    divide by the normaliser after the return, when a grid's division can
-    reuse this frame's freed arrays.
+    thirds of the time.  An all-arc array is read whole (arc points ``...``),
+    and so, without ``slope``, is one at most an eighth real (a strong-coupling
+    grid): the arc formulas on every point, the real sums written over them,
+    cost less than masking.  Any other array is masked.  The arc parts are cos
+    theta, or with ``slope`` (cos theta, sin theta, 1/theta') for the Newton
+    steps.  Angles are checked first (``_check_angles``); callers divide by the
+    normaliser after the return, when a grid's division can reuse this
+    frame's freed arrays.
     """
     nb = ring.n_spins
     _check_angles(nb, w)
@@ -369,17 +372,23 @@ def _factor_split(ring: IsingRing, w: np.ndarray, slope: bool = False) -> tuple:
     s, c = np.sin(w), np.cos(w)
     s2 = s * s
     arc = s2 > q
-    whole = arc.all()
-    if not whole:
-        values, real = np.empty(w.shape), ~arc
+    real = ~arc
+    count = np.count_nonzero(real)
+    if count and (slope or 8 * count > w.size):
+        values = np.empty(w.shape)
         values[real] = _real_pair_sum(nb, root_q, q, s2[real], c[real])
         w, s, c, s2 = w[arc], s[arc], c[arc], s2[arc]
+        phase = _arc_phase(nb, q, w, s, c, s2, slope)
+        values[arc] = amplitude * (phase[0] if slope else phase)
+        return values, arc, phase
+    if count:
+        with np.errstate(invalid="ignore"):  # sqrt(s2 - q) at the real points, written over
+            phase = _arc_phase(nb, q, w, s, c, s2)
+        values = amplitude * phase
+        values[real] = _real_pair_sum(nb, root_q, q, s2[real], c[real])
+        return values, ..., phase
     phase = _arc_phase(nb, q, w, s, c, s2, slope)
-    on = amplitude * (phase[0] if slope else phase)
-    if whole:
-        return on, ..., phase
-    values[arc] = on
-    return values, arc, phase
+    return amplitude * (phase[0] if slope else phase), ..., phase
 
 
 def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:

@@ -1,7 +1,6 @@
 """Scenario pipeline, zero detection, domain statistics, scaling fit, CSV."""
 
 import math
-import os
 import sys
 import warnings
 from unittest import mock
@@ -1175,17 +1174,6 @@ class TestCsvOutput:
                 with pytest.raises(RuntimeError, match="formatter failed"):
                     experiments._write_csv(target, "h", columns)
         assert target.read_bytes() == b"h\n0,0\n1,1\n2,4\n"
-
-    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
-    def test_new_file_gets_the_mode_of_a_plain_open(self, tmp_path, umask):
-        old = os.umask(umask)
-        try:
-            experiments._write_csv(tmp_path / "new.csv", "h", [np.ones(2)])
-            with open(tmp_path / "plain.csv", "wb"):
-                pass
-        finally:
-            os.umask(old)
-        assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
 
 
 def _series(nb, beta, channel, steps, probes=4, theta=1.2):

@@ -1061,7 +1061,7 @@ EDGE_OFFSETS = [10.0**-k for k in range(6, 13)]
 
 @st.composite
 def split_cases(draw):
-    """A ring and 1-D angles: all on the arc, all real, mixed, one point, or at the arc edge."""
+    """A ring and 1-D angles: on the arc, real, mixed, all but one on the arc, one point, or at the edge."""
     ring = ring_at(draw(st.integers(3, 2000)), draw(st.sampled_from(SPLIT_COUPLINGS)))
     q = ring._transfer[1]
     edge = math.asin(math.sqrt(q))
@@ -1079,10 +1079,14 @@ def split_cases(draw):
         ),
         st.integers(-2, 2).map(lambda d: float((last_real + d).view(np.float64)[0])),
     )
-    kind = draw(st.sampled_from(["arc", "real", "mixed", "single", "edge"]))
-    point = {"arc": on_arc, "real": real, "edge": near_edge}.get(kind, st.one_of(on_arc, real, near_edge))
-    size = (1, 1) if kind == "single" else (2, 40)
+    kind = draw(st.sampled_from(["arc", "real", "mixed", "sparse", "single", "edge"]))
+    point = {"arc": on_arc, "real": real, "edge": near_edge, "sparse": on_arc}.get(
+        kind, st.one_of(on_arc, real, near_edge)
+    )
+    size = {"single": (1, 1), "sparse": (16, 40)}.get(kind, (2, 40))
     base = draw(st.lists(point, min_size=size[0], max_size=size[1]))
+    if kind == "sparse":  # one point that may be real: A runs the arc formulas on every point
+        base[draw(st.integers(0, len(base) - 1))] = draw(st.one_of(real, near_edge))
     # whole turns of pi either way keep sin^2 w, up to its rounding
     turns = draw(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)))
     return ring, np.array(base) + np.pi * np.array(turns)
