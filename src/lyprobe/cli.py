@@ -11,6 +11,9 @@ import numpy as np
 from . import verify as verify_module
 from .channels import Channel, OatParameters
 from .experiments import (
+    _MAX_DEFAULT_STEPS,
+    _MEAN_GAP_SAMPLES,
+    _NARROWEST_GAP_SAMPLES,
     Scenario,
     _write_csv,
     coherence_period,
@@ -52,12 +55,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--eta", type=float, default=0.01, help="probe-ring coupling (default 0.01)")
     sim.add_argument("--channel", choices=["I", "II"], required=True, help="bath geometry")
     sim.add_argument("--t-max", type=float, required=True, help="end of the time grid")
-    sim.add_argument(
-        "--steps",
-        type=int,
-        default=None,
-        help="grid points (default: 40 per mean collapse gap, >= 4 in the narrowest; <= 10,000,000)",
-    )
+    rule = f"{_MEAN_GAP_SAMPLES} per mean collapse gap, >= {_NARROWEST_GAP_SAMPLES} in the narrowest"
+    sim.add_argument("--steps", type=int, help=f"grid points (default: {rule}; <= {_MAX_DEFAULT_STEPS:,})")
     sim.add_argument("--out", required=True, help="output CSV path")
 
     zer = sub.add_parser("zeros", help="write the zero phases and their Newton steps as CSV")
@@ -104,10 +103,15 @@ def _cmd_simulate(args) -> int:
     )
     series = run_scenario(scenario)
     emit_csv(series, args.out)
-    print(
-        f"wrote {series.times.size} rows to {args.out} "
-        f"(channel {channel.value}, period {coherence_period(args.eta, channel):.6g})"
-    )
+    period = coherence_period(args.eta, channel)
+    print(f"wrote {series.times.size} rows to {args.out} (channel {channel.value}, period {period:.6g})")
+    # N_b collapses a period on both channels; on Python floats an extreme input gives inf, no note
+    per_gap = (steps - 1) / args.t_max * period / args.nb
+    if per_gap < _NARROWEST_GAP_SAMPLES:
+        print(
+            f"note: the grid puts {per_gap:.3g} samples in the mean collapse gap, fewer than "
+            f"{_NARROWEST_GAP_SAMPLES}; collapses between samples can go undetected"
+        )
     # a sample that underflowed to 0 has no sign, so detection cannot see a collapse there
     lost = int(np.count_nonzero(series.a_factor == 0.0))
     if lost:

@@ -624,26 +624,21 @@ def _format_rows(block: np.ndarray) -> bytes:
 
 
 def _write_csv(path, header: str, columns) -> None:
-    """Write equal-length 1-D columns of finite values as CSV under a header line.
+    """Write equal-length 1-D float arrays of finite values as CSV under a header line.
 
-    The bytes equal numpy's savetxt with fmt="%.12g" and delimiter=",":
-    each value is written as ``'%.12g' % v`` would write it, but the text
-    is assembled in numpy from per-decade and digit-group tables, 2,048
-    rows at a time (see ``_format_rows``).  An existing file is emptied when
-    it is opened, so a write that fails partway leaves the header and the
-    blocks written before the failure.
+    The columns are not checked: ``emit_csv`` passes an ``ObservableSeries``'s
+    and ``lyprobe zeros`` a ``LeeYangZeroSet``'s phases with their
+    ``zero_certificates``, valid by construction.  The bytes equal
+    numpy's savetxt with fmt="%.12g" and delimiter=",": each value is written
+    as ``'%.12g' % v`` would write it, but the text is assembled in numpy
+    from per-decade and digit-group tables, 2,048 rows at a time (see
+    ``_format_rows``).  An existing file is emptied when it is opened, so a
+    write that fails partway leaves the header and the blocks written before
+    the failure.
 
     Raises:
-        ValueError: if there is no column, a column is not 1-D, the columns
-            differ in length or a value is not finite; nothing is written.
         OSError: naming the path, if the file cannot be opened or written.
     """
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    shapes = [c.shape for c in columns]
-    if not shapes or any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
-        raise ValueError(f"CSV for {path!r} needs 1-D columns of equal length, got shapes {shapes}")
-    if not all(np.isfinite(c).all() for c in columns):
-        raise ValueError(f"CSV values for {path!r} must be finite")
     try:
         with open(path, "wb") as handle:
             handle.write(header.encode("ascii") + b"\n")
@@ -668,8 +663,9 @@ def emit_csv(series: ObservableSeries, path) -> None:
     plain text: unlike numpy's savetxt, a path ending in ``.gz`` is not
     compressed.  The text is assembled in numpy from per-decade and
     digit-group tables, 2,048 rows at a time (``_write_csv``, ``_format_rows``);
-    ``lyprobe zeros`` writes its CSV through the same writer.  An existing
-    file at ``path`` is replaced.
+    ``lyprobe zeros`` writes its CSV through the same writer.  The series'
+    columns are 1-D, of one length and finite since it was built, so they are
+    written unchecked.  An existing file at ``path`` is replaced.
 
     Raises:
         OSError: naming the path, if the file cannot be written.

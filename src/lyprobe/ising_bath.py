@@ -229,27 +229,16 @@ class LeeYangZeroSet:
         object.__setattr__(self, "phases", phases)
 
 
-class DephasingFactor(NamedTuple("_FactorFields", [("value", float), ("argument", float)])):
-    """Value of the probe dephasing factor at one field argument, as a tuple.
+class DephasingFactor(NamedTuple):
+    """The real dephasing factor ``value`` = A at imaginary field i*x, ``argument`` = x.
 
-    ``value`` is the real factor A at imaginary field i*x; |value| <= 1
-    (within 1e-9).  Immutable, and equal to any factor with equal fields.
+    A plain named tuple: ``dephasing_factor``'s angle check keeps the argument
+    finite, and ``channels._factor_value`` refuses a value that is not finite
+    or exceeds 1 (within 1e-9) where a factor is used.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, value: float, argument: float) -> DephasingFactor:
-        if not math.isfinite(argument):
-            raise ValueError(f"argument must be finite, got {argument!r}")
-        # not <=: a nan value is refused too
-        if not abs(value) <= 1.0 + 1e-9:
-            raise ValueError(f"value must be finite and must not exceed 1, got {value!r}")
-        return tuple.__new__(cls, (value, argument))
-
-    @classmethod
-    def _make(cls, iterable) -> DephasingFactor:
-        """A factor checked as the constructor checks it; ``_replace`` builds through this too."""
-        return cls(*iterable)
+    value: float
+    argument: float
 
 
 def partition_coefficients(ring: IsingRing) -> IsingRing:

@@ -188,6 +188,92 @@ class TestSimulate:
         assert "collapse times coincide" in capsys.readouterr().err
 
 
+def coarse_note(per_gap: str) -> str:
+    return (
+        f"note: the grid puts {per_gap} samples in the mean collapse gap, fewer than 4; "
+        "collapses between samples can go undetected"
+    )
+
+
+RING_1000 = ["simulate", "--nb", "1000", "--beta", "0.5", "--probes", "3", "--theta", "1"]
+
+
+class TestCoarseGridNote:
+    """A grid with fewer samples per mean collapse gap than the default's floor of 4 is noted.
+
+    The density is (steps - 1) / t_max * period / N_b: N_b collapses a period on both channels.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,period,per_gap",
+        [
+            # two periods of channel I, 2,000 collapses: 247 of them are found at 1,001 steps
+            ([*RING_1000, "--channel", "I", "--t-max", "314.16", "--steps", "1001"], "157.08", "0.5"),
+            ([*RING_1000, "--channel", "I", "--t-max", "314.16", "--steps", "4001"], "157.08", "2"),
+            # channel II's period is half of channel I's, so its collapses are twice as dense
+            ([*RING_1000, "--channel", "II", "--t-max", "314.16", "--steps", "1001"], "78.5398", "0.25"),
+            # the weak-coupling golden run
+            (
+                [
+                    "simulate", "--nb", "1200", "--beta", "0.5", "--probes", "3", "--theta", "1.5707963",
+                    "--channel", "I", "--t-max", "157.08", "--steps", "3001",
+                ],
+                "157.08",
+                "2.5",
+            ),
+        ],
+        ids=["I-1001", "I-4001", "II-1001", "golden-1200"],
+    )
+    def test_notes_a_coarse_grid(self, tmp_path, monkeypatch, argv, period, per_gap):
+        out = tmp_path / "coarse.csv"
+        argv = [*argv, "--out", str(out)]
+        steps = argv[argv.index("--steps") + 1]
+        first = f"wrote {steps} rows to {out} (channel {argv[argv.index('--channel') + 1]}, period {period})"
+        assert run_main(argv) == (0, f"{first}\n{coarse_note(per_gap)}\n", "")
+        noted = out.read_bytes()
+        # without the note (a floor of 0) the first line and the CSV bytes are the same
+        monkeypatch.setattr(cli, "_NARROWEST_GAP_SAMPLES", 0)
+        assert run_main(argv) == (0, f"{first}\n", "")
+        assert out.read_bytes() == noted
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*RING_1000, "--channel", "I", "--t-max", "314.16", "--steps", "40001"],
+            # the CI's default 1000-spin grid; the README's 10-spin and 700-spin commands pin
+            # their whole stdout in TestSimulate
+            [*RING_1000, "--channel", "I", "--t-max", "157.08"],
+            # the other commands of this file and of the golden tests
+            simulate_args("-")[:-2],
+            [a for a in simulate_args("-")[:-2] if a not in ("--steps", "41")],
+            [
+                "simulate", "--nb", "6", "--beta", "0", "--probes", "3", "--theta", "1",
+                "--channel", "I", "--t-max", "10", "--steps", "5",
+            ],
+            # a subnormal t_max makes the density inf: no note, and no warning
+            [
+                "simulate", "--nb", "6", "--beta", "1", "--probes", "3", "--theta", "1",
+                "--channel", "I", "--t-max", "1e-320", "--steps", "3",
+            ],
+            *(
+                [
+                    "simulate", "--nb", "200", "--beta", "7", "--probes", "4", "--theta", "1.2",
+                    "--t-max", "314.159", "--steps", "16001", "--channel", channel,
+                ]
+                for channel in ("I", "II")
+            ),
+        ],
+        ids=[
+            "I-40001", "ring-1000-default", "test-cli", "test-cli-default",
+            "infinite-temperature", "subnormal-t-max", "golden-I", "golden-II",
+        ],
+    )
+    def test_a_fine_grid_prints_no_note(self, tmp_path, argv):
+        code, stdout, stderr = run_main([*argv, "--out", str(tmp_path / "fine.csv")])
+        assert (code, stderr) == (0, "")
+        assert "samples in the mean collapse gap" not in stdout
+
+
 class TestZeros:
     def test_writes_phases(self, tmp_path, capsys):
         out = tmp_path / "zeros.csv"

@@ -1,5 +1,6 @@
 """Scenario pipeline, zero detection, domain statistics, scaling fit, CSV."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -1393,20 +1394,22 @@ def test_writer_matches_savetxt_on_ties_at_exact_powers(csv_dir):
 
 
 @pytest.mark.parametrize(
-    "columns",
-    [[np.ones(3), np.ones(2)], [np.ones((2, 2)), np.ones((2, 2))], []],
-    ids=["unequal-lengths", "two-dimensional", "no-column"],
+    "column,match",
+    [(np.ones(2), r"^coherence length 2 != times length 3$"), (np.ones((3, 1)), r"^coherence must be 1-D")],
+    ids=["unequal-lengths", "two-dimensional"],
 )
-def test_writer_checks_columns_before_opening_the_file(tmp_path, columns):
+def test_writer_checks_columns_before_opening_the_file(tmp_path, column, match):
+    # the writer checks nothing: the series refuses the column when it is built, before any file
     target = tmp_path / "out.csv"
-    with pytest.raises(ValueError, match="1-D columns of equal length"):
-        experiments._write_csv(target, "h", columns)
+    with pytest.raises(ValueError, match=match):
+        emit_csv(dataclasses.replace(_series(6, 0.5, Channel.I, 3), coherence=column), target)
     assert not target.exists()
 
 
 def test_writer_rejects_non_finite_values(tmp_path):
     target = tmp_path / "out.csv"
+    series = _series(6, 0.5, Channel.I, 2)
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            experiments._write_csv(target, "h", [np.array([1.0, bad])])
+        with pytest.raises(ValueError, match=r"^xi2 must be finite$"):
+            emit_csv(dataclasses.replace(series, xi2=np.array([1.0, bad])), target)
         assert not target.exists()

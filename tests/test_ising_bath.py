@@ -20,7 +20,9 @@ from lyprobe import (
     Scenario,
     dephasing_factor,
     detect_coherence_zeros,
+    evolve_channel_I,
     lee_yang_zeros,
+    oat_reduced_state,
     partition_coefficients,
     run_scenario,
     zero_times,
@@ -542,6 +544,10 @@ class TestArcNewtonStep:
 
 
 class TestDephasingFactor:
+    # a factor is a plain tuple, checked where it is used: the channel layer
+    # (channels._factor_value) refuses a value that is not finite or exceeds 1
+    PAIR = oat_reduced_state(OatParameters(3, 1.0))
+
     def test_is_an_immutable_validated_tuple(self):
         keyword = DephasingFactor(value=-0.25, argument=1.5)
         positional = DephasingFactor(-0.25, 1.5)
@@ -554,32 +560,25 @@ class TestDephasingFactor:
             with pytest.raises(AttributeError):
                 setattr(keyword, name, 0.0)
         assert keyword == (-0.25, 1.5)
-        # both messages, with the offending value
-        with pytest.raises(ValueError, match=r"^argument must be finite, got nan$"):
-            DephasingFactor(value=0.5, argument=math.nan)
-        with pytest.raises(
-            ValueError, match=r"^value must be finite and must not exceed 1, got 1\.5$"
-        ):
-            DephasingFactor(1.5, 0.0)
+        # the message names the offending value
+        with pytest.raises(ValueError, match=r"^\|factor\| must not exceed 1, got 1\.5$"):
+            evolve_channel_I(self.PAIR, DephasingFactor(1.5, 0.0))
 
     def test_value_bound_enforced(self):
         with pytest.raises(ValueError, match="exceed 1"):
-            DephasingFactor(value=1.5, argument=0.0)
+            evolve_channel_I(self.PAIR, DephasingFactor(value=1.5, argument=0.0))
 
     def test_replace_checks_as_the_constructor_does(self):
+        # neither checks: the channel layer refuses what _replace built
         factor = DephasingFactor(0.5, 0.0)
-        with pytest.raises(ValueError, match=r"^value must be finite and must not exceed 1, got 5\.0$"):
-            factor._replace(value=5.0)
-        with pytest.raises(ValueError, match=r"^argument must be finite, got inf$"):
-            factor._replace(argument=math.inf)
+        with pytest.raises(ValueError, match=r"^\|factor\| must not exceed 1, got 5\.0$"):
+            evolve_channel_I(self.PAIR, factor._replace(value=5.0))
         replaced = factor._replace(value=-0.25)
         assert type(replaced) is DephasingFactor and replaced == (-0.25, 0.0)
 
     def test_make_checks_as_the_constructor_does(self):
-        with pytest.raises(ValueError, match=r"^value must be finite and must not exceed 1, got nan$"):
-            DephasingFactor._make((math.nan, 1.0))
-        with pytest.raises(ValueError, match=r"^argument must be finite, got nan$"):
-            DephasingFactor._make([0.5, math.nan])
+        with pytest.raises(ValueError, match=r"^dephasing factor must be finite, got nan$"):
+            evolve_channel_I(self.PAIR, DephasingFactor._make((math.nan, 1.0)))
         made = DephasingFactor._make(iter((0.5, 1.0)))
         assert type(made) is DephasingFactor and made == DephasingFactor(0.5, 1.0)
 
@@ -623,23 +622,36 @@ class TestDephasingFactor:
                     call()
 
     @pytest.mark.parametrize(
-        "value,argument,match",
+        "value,match",
         [
-            (complex(np.nan, 0.0), 0.0, "value must be finite"),
-            (complex(0.0, np.inf), 0.0, "value must be finite"),
-            (complex(-np.inf, 0.0), 0.0, "value must be finite"),
-            (0.5 + 0.0j, np.nan, "argument must be finite"),
-            (0.5 + 0.0j, -np.inf, "argument must be finite"),
-            (1.0 + 2e-9 + 0.0j, 0.0, "exceed 1"),
-            (complex(0.0, -1.0 - 2e-9), 0.0, "exceed 1"),
+            (np.nan, "dephasing factor must be finite"),
+            (np.inf, "dephasing factor must be finite"),
+            (-np.inf, "dephasing factor must be finite"),
+            (1.0 + 2e-9, "exceed 1"),
+            (-1.0 - 2e-9, "exceed 1"),
         ],
+        ids=["nan", "inf", "-inf", "1+2e-9", "-1-2e-9"],
     )
-    def test_rejects_invalid_fields(self, value, argument, match):
+    def test_rejects_invalid_fields(self, value, match):
         with pytest.raises(ValueError, match=match):
-            DephasingFactor(value=value, argument=argument)
+            evolve_channel_I(self.PAIR, DephasingFactor(value=value, argument=0.0))
 
     def test_accepts_value_within_tolerance(self):
-        assert DephasingFactor(value=1.0 + 5e-10, argument=1.0).value > 1.0
+        factor = DephasingFactor(value=1.0 + 5e-10, argument=1.0)
+        assert factor.value > 1.0
+        # the channel layer clips it to 1
+        assert evolve_channel_I(self.PAIR, factor) == evolve_channel_I(self.PAIR, 1.0)
+
+    def test_every_output_is_finite_and_bounded(self):
+        # what the channel layer checks holds for every factor dephasing_factor returns
+        rng = np.random.default_rng(20261020)
+        for _ in range(400):
+            ring = IsingRing(int(rng.integers(3, 3000)), inverse_temperature=10.0 ** rng.uniform(-3, 2.5))
+            x = np.float64(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, 6))
+            factor = dephasing_factor(ring, x)
+            assert type(factor.argument) is float and factor.argument == float(x)
+            assert math.isfinite(factor.argument)
+            assert math.isfinite(factor.value) and abs(factor.value) <= 1.0 + 1e-9
 
     def test_unity_at_zero_field(self):
         factor = dephasing_factor(ring_at(8, 0.7), 0.0)
