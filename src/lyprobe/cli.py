@@ -11,14 +11,17 @@ import numpy as np
 from . import verify as verify_module
 from .channels import Channel, OatParameters
 from .experiments import (
+    _GRID_BLOCK_ROWS,
     _MAX_DEFAULT_STEPS,
     _MEAN_GAP_SAMPLES,
     _NARROWEST_GAP_SAMPLES,
+    _SERIES_COLUMNS,
+    _SERIES_HEADER,
     Scenario,
+    _series_blocks,
     _write_csv,
     coherence_period,
     default_steps,
-    emit_csv,
     fit_cmax_scaling,
     run_scenario,
 )
@@ -91,20 +94,23 @@ def _cmd_simulate(args) -> int:
     channel = Channel(args.channel)
     steps = args.steps
     if steps is None:
-        zeros = lee_yang_zeros(ring)
-        steps = default_steps(zeros, args.eta, args.t_max, channel)
-    scenario = Scenario(
-        ring=ring,
-        oat=OatParameters(n_probes=args.probes, twist_angle=args.theta),
-        channel=channel,
-        t_max=args.t_max,
-        steps=steps,
-        eta=args.eta,
-    )
-    series = run_scenario(scenario)
-    emit_csv(series, args.out)
+        steps = default_steps(lee_yang_zeros(ring), args.eta, args.t_max, channel)
+    scenario = Scenario(ring, OatParameters(args.probes, args.theta), channel, args.t_max, steps, args.eta)
+    # a grid of one block runs as a series; a longer one streams, holding only its time column
+    if steps <= _GRID_BLOCK_ROWS:
+        blocks = [run_scenario(scenario)]
+    else:
+        blocks = _series_blocks(scenario, np.linspace(0.0, args.t_max, steps))
+    lost = []  # per block, the samples where A underflowed to exactly 0
+
+    def columns(block):
+        lost.append(int(np.count_nonzero(block.a_factor == 0.0)))
+        return [getattr(block, name) for name in _SERIES_COLUMNS]
+
+    _write_csv(args.out, _SERIES_HEADER, map(columns, blocks))
+    lost = sum(lost)
     period = coherence_period(args.eta, channel)
-    print(f"wrote {series.times.size} rows to {args.out} (channel {channel.value}, period {period:.6g})")
+    print(f"wrote {steps} rows to {args.out} (channel {channel.value}, period {period:.6g})")
     # N_b collapses a period on both channels; on Python floats an extreme input gives inf, no note
     per_gap = (steps - 1) / args.t_max * period / args.nb
     if per_gap < _NARROWEST_GAP_SAMPLES:
@@ -113,11 +119,10 @@ def _cmd_simulate(args) -> int:
             f"{_NARROWEST_GAP_SAMPLES}; collapses between samples can go undetected"
         )
     # a sample that underflowed to 0 has no sign, so detection cannot see a collapse there
-    lost = int(np.count_nonzero(series.a_factor == 0.0))
     if lost:
         print(
-            f"note: A underflowed to exactly 0 at {lost} of {series.times.size} samples "
-            f"({lost / series.times.size:.1%}); collapses among them cannot be detected"
+            f"note: A underflowed to exactly 0 at {lost} of {steps} samples "
+            f"({lost / steps:.1%}); collapses among them cannot be detected"
         )
     return 0
 
@@ -126,7 +131,7 @@ def _cmd_zeros(args) -> int:
     ring = IsingRing(n_spins=args.nb, inverse_temperature=args.beta)
     phases = lee_yang_zeros(ring).phases
     steps = zero_certificates(ring, phases)
-    _write_csv(args.out, "phase,newton_step", [phases, steps])
+    _write_csv(args.out, "phase,newton_step", [[phases, steps]])
     print(f"wrote {phases.size} zero phases to {args.out} (largest Newton step {steps.max():.3g})")
     return 0
 

@@ -30,7 +30,7 @@ from .channels import (
     x_state_observables,
 )
 from .ising_bath import IsingRing, LeeYangZeroSet, factor_values, lee_yang_zeros
-from .ising_bath import _factor_and_newton_steps
+from .ising_bath import _check_angles, _factor_and_newton_steps
 
 
 def _check_eta(eta: float) -> None:
@@ -71,8 +71,9 @@ class Scenario:
         _check_eta(self.eta)
 
 
-# the six sampled columns of an ObservableSeries, in CSV order
+# the six sampled columns of an ObservableSeries, in CSV order, and the CSV header
 _SERIES_COLUMNS = ("times", "a_factor", "coherence", "concurrence_rescaled", "xi2", "xi2_prime")
+_SERIES_HEADER = ",".join(("t", *_SERIES_COLUMNS[1:]))
 
 
 @dataclass(frozen=True)
@@ -160,52 +161,75 @@ def zero_times(zeros: LeeYangZeroSet, eta: float, channel: Channel = Channel.I) 
     return zeros.phases / (4.0 * eta) * (2.0 / Channel(channel).rate)
 
 
+def _grid_block(s: Scenario, state, times: np.ndarray) -> tuple:
+    """a_factor, coherence, concurrence_rescaled, xi2 and xi2_prime at a slice of the grid."""
+    with np.errstate(over="ignore"):  # an angle past the double range is inf, refused by factor_values
+        angles = s.channel.rate * s.eta * times
+    a = factor_values(s.ring, angles)
+    values = x_state_observables(state, s.channel, a, s.oat.n_probes)
+    return a, values.coherence, values.rescaled, values.xi2, values.xi2_prime
+
+
+def _named(s: Scenario, exc: Exception) -> Exception:
+    """``exc`` again, its message prefixed with the scenario's inputs."""
+    return type(exc)(
+        f"scenario(n_spins={s.ring.n_spins}, beta_lambda={s.ring.beta_lambda}, n_probes={s.oat.n_probes}, "
+        f"channel={s.channel.value}, steps={s.steps}, eta={s.eta}, t_max={s.t_max}): {exc}"
+    )
+
+
 def run_scenario(s: Scenario) -> ObservableSeries:
     """Evaluate the closed-form observable pipeline over a scenario's uniform grid.
 
     Vectorized over ``np.linspace(0, t_max, steps)``: one dephasing-factor
     evaluation per point, then coherence, rescaled concurrence and both
-    squeezing parameters from the X-state kernel
-    ``channels.x_state_observables``.
+    squeezing parameters from the X-state kernel ``channels.x_state_observables``,
+    ``_GRID_BLOCK_ROWS`` rows at a time, so the scratch memory is a block's.
 
     Raises:
         ValueError: if a field angle w = channel.rate * eta * t, or the phase
             N_b * w the transfer form takes, is not finite (``factor_values``
-            refuses the grid, with one message for the angle limit, before any
-            point is evaluated), or if the grid is not strictly increasing.
-            Every error is re-raised with a prefix naming the scenario's
-            inputs, ``steps``, ``eta`` and ``t_max`` among them.
+            refuses the block, with one message for the angle limit, before
+            any of its points is evaluated), or if the grid is not strictly
+            increasing.  Every error is re-raised with a prefix naming the
+            scenario's inputs, ``steps``, ``eta`` and ``t_max`` among them.
     """
     try:
         times = np.linspace(0.0, s.t_max, s.steps)
-        # rate * eta is finite: an angle past the double range is inf, refused by factor_values
-        with np.errstate(over="ignore"):
-            angles = s.channel.rate * s.eta * times
-        a = factor_values(s.ring, angles)
-        values = x_state_observables(oat_reduced_state(s.oat), s.channel, a, s.oat.n_probes)
-        return ObservableSeries(
-            times=times,
-            a_factor=a,
-            coherence=values.coherence,
-            concurrence_rescaled=values.rescaled,
-            xi2=values.xi2,
-            xi2_prime=values.xi2_prime,
-            probe=s.oat,
-            eta=s.eta,
-            channel=s.channel,
-            ring=s.ring,
-        )
+        state = oat_reduced_state(s.oat)
+        if s.steps <= _GRID_BLOCK_ROWS:
+            columns = _grid_block(s, state, times)
+        else:
+            columns = np.empty((len(_SERIES_COLUMNS) - 1, s.steps))
+            for start in range(0, s.steps, _GRID_BLOCK_ROWS):
+                rows = slice(start, start + _GRID_BLOCK_ROWS)
+                for column, values in zip(columns, _grid_block(s, state, times[rows])):
+                    column[rows] = values
+        return ObservableSeries(times, *columns, s.oat, s.eta, s.channel, s.ring)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
-        context = (
-            f"scenario(n_spins={s.ring.n_spins}, beta_lambda={s.ring.beta_lambda}, "
-            f"n_probes={s.oat.n_probes}, channel={s.channel.value}, steps={s.steps}, "
-            f"eta={s.eta}, t_max={s.t_max})"
-        )
-        raise type(exc)(f"{context}: {exc}") from exc
+        raise _named(s, exc) from exc
 
 
-# largest grid default_steps returns (about 0.5 GB for the six series arrays)
+def _series_blocks(s: Scenario, times: np.ndarray):
+    """One ``ObservableSeries`` per block of the grid ``times``, its angles and order checked first."""
+    try:
+        blocks = [times[start : start + _GRID_BLOCK_ROWS] for start in range(0, times.size, _GRID_BLOCK_ROWS)]
+        with np.errstate(over="ignore"):
+            for rows in blocks:
+                _check_angles(s.ring.n_spins, s.channel.rate * s.eta * rows)
+        if np.any(times[1:] <= times[:-1]):
+            raise ValueError("times must be strictly increasing")
+        state = oat_reduced_state(s.oat)
+        for rows in blocks:
+            yield ObservableSeries(rows, *_grid_block(s, state, rows), s.oat, s.eta, s.channel, s.ring)
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        raise _named(s, exc) from exc
+
+
+# largest grid default_steps returns (run_scenario's series 0.5 GB; simulate holds 80 MB of times)
 _MAX_DEFAULT_STEPS = 10_000_000
+# rows of the grid evaluated at a time (64 KB an array)
+_GRID_BLOCK_ROWS = 8192
 # default grid: samples per mean gap between collapse times, and the fewest in the
 # narrowest gap (a sign change of A in every gap, a sampled maximum in every lobe)
 _MEAN_GAP_SAMPLES = 40
@@ -623,32 +647,32 @@ def _format_rows(block: np.ndarray) -> bytes:
     return fields.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
 
-def _write_csv(path, header: str, columns) -> None:
-    """Write equal-length 1-D float arrays of finite values as CSV under a header line.
+def _write_csv(path, header: str, blocks) -> None:
+    """Write blocks of columns (equal-length 1-D float arrays of finite values) as CSV under a header.
 
-    The columns are not checked: ``emit_csv`` passes an ``ObservableSeries``'s
-    and ``lyprobe zeros`` a ``LeeYangZeroSet``'s phases with their
-    ``zero_certificates``, valid by construction.  The bytes equal
-    numpy's savetxt with fmt="%.12g" and delimiter=",": each value is written
-    as ``'%.12g' % v`` would write it, but the text is assembled in numpy
-    from per-decade and digit-group tables, 2,048 rows at a time (see
-    ``_format_rows``).  An existing file is emptied when it is opened, so a
-    write that fails partway leaves the header and the blocks written before
-    the failure.
+    The first block is made before the file is opened, so an error in making
+    it leaves no file.  The columns come checked (``ObservableSeries``,
+    ``LeeYangZeroSet``) and are not checked again.  The bytes are numpy
+    savetxt's with fmt="%.12g" and delimiter=",", assembled in numpy 2,048 rows
+    at a time (``_format_rows``).  An existing file is emptied when it is
+    opened, so a write that fails partway leaves the rows written before.
 
     Raises:
         OSError: naming the path, if the file cannot be opened or written.
     """
+    columns = next(blocks := iter(blocks))
     try:
         with open(path, "wb") as handle:
             handle.write(header.encode("ascii") + b"\n")
             # one block buffer, its columns assigned: half the time of a column_stack a block
-            buffer = np.empty((min(columns[0].size, _CSV_BLOCK_ROWS), len(columns)))
-            for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
-                block = buffer[: columns[0].size - start]
-                for k, column in enumerate(columns):
-                    block[:, k] = column[start : start + _CSV_BLOCK_ROWS]
-                handle.write(_format_rows(block))
+            buffer = np.empty((_CSV_BLOCK_ROWS, len(columns)))
+            while columns is not None:
+                for start in range(0, columns[0].size, _CSV_BLOCK_ROWS):
+                    block = buffer[: columns[0].size - start]
+                    for k, column in enumerate(columns):
+                        block[:, k] = column[start : start + _CSV_BLOCK_ROWS]
+                    handle.write(_format_rows(block))
+                columns = next(blocks, None)
     except OSError as exc:
         raise OSError(f"failed to write CSV to {path!r}: {exc}") from exc
 
@@ -661,14 +685,10 @@ def emit_csv(series: ObservableSeries, path) -> None:
     per grid point, each value formatted as ``'%.12g' % v`` formats it,
     separated by commas, every line ended by ``\\n``.  The file is always
     plain text: unlike numpy's savetxt, a path ending in ``.gz`` is not
-    compressed.  The text is assembled in numpy from per-decade and
-    digit-group tables, 2,048 rows at a time (``_write_csv``, ``_format_rows``);
-    ``lyprobe zeros`` writes its CSV through the same writer.  The series'
-    columns are 1-D, of one length and finite since it was built, so they are
-    written unchecked.  An existing file at ``path`` is replaced.
+    compressed.  The series is one block of ``_write_csv``, which ``lyprobe
+    simulate`` streams a longer grid's blocks into.  An existing file is replaced.
 
     Raises:
         OSError: naming the path, if the file cannot be written.
     """
-    header = ",".join(("t", *_SERIES_COLUMNS[1:]))
-    _write_csv(path, header, [getattr(series, name) for name in _SERIES_COLUMNS])
+    _write_csv(path, _SERIES_HEADER, [[getattr(series, name) for name in _SERIES_COLUMNS]])

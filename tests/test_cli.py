@@ -30,6 +30,7 @@ from lyprobe import (
     Scenario,
     coherence_period,
     default_steps,
+    emit_csv,
     lee_yang_zeros,
     run_scenario,
 )
@@ -38,6 +39,7 @@ from lyprobe.ising_bath import zero_certificates
 from . import criterion_log
 from . import test_acceptance as acceptance
 from .oracles import savetxt_csv
+from .test_experiments import traced_peak
 
 CSV_HEADER = "t,a_factor,coherence,concurrence_rescaled,xi2,xi2_prime"
 
@@ -615,6 +617,17 @@ class TestProbeTimeOverflow:
                 [*SIMULATE, "--t-max", "5e-324", "--steps", "5"],
                 "steps=5, eta=0.01, t_max=5e-324): times must be strictly increasing",
             ),
+            # a grid past one block streams: its angles and its order are checked whole
+            # before the file opens; 6 w first overflows at row 14,981, in the second block
+            (
+                [*SIMULATE, "--t-max", "1e10", "--eta", "2e297", "--steps", "20001"],
+                "eta=2e+297, t_max=10000000000.0): the angle w must be finite, "
+                "with a finite phase N_b * w, got w = 2.9962e+307 at N_b = 6",
+            ),
+            (
+                [*SIMULATE, "--t-max", "1e-320", "--steps", "10001"],
+                "steps=10001, eta=0.01, t_max=1e-320): times must be strictly increasing",
+            ),
         ],
         ids=[
             "field-angle",
@@ -623,6 +636,8 @@ class TestProbeTimeOverflow:
             "nan-t-max",
             "subnormal-eta-simulate",
             "grid-without-distinct-times",
+            "field-angle-streamed",
+            "grid-without-distinct-times-streamed",
         ],
     )
     def test_exits_one_naming_the_limit(self, tmp_path, capsys, argv, limit):
@@ -643,6 +658,40 @@ class TestProbeTimeOverflow:
             warnings.simplefilter("error")
             assert cli.main(argv) == 0
         assert len(out.read_text().splitlines()) == 1 + 3
+
+
+class TestStreamedSeries:
+    """Around the 8,192-row block edge, simulate writes the bytes emit_csv writes for the whole series."""
+
+    @pytest.mark.parametrize("steps", [8191, 8192, 8193, 16385, 24577])
+    @pytest.mark.parametrize("channel", ["I", "II"])
+    @pytest.mark.parametrize("nb,beta", [(300, 10.0), (85, 0.5)])
+    def test_writes_the_bytes_of_the_series(self, tmp_path, capsys, nb, beta, channel, steps):
+        out = tmp_path / "streamed.csv"
+        argv = [
+            "simulate", "--nb", str(nb), "--beta", str(beta), "--probes", "3", "--theta", "1",
+            "--channel", channel, "--t-max", "157.08", "--steps", str(steps), "--out", str(out),
+        ]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"wrote {steps} rows to {out} (channel {channel},")
+        ring = IsingRing(nb, inverse_temperature=beta)
+        emit_csv(run_scenario(Scenario(ring, OatParameters(3, 1.0), channel, 157.08, steps)), tmp_path / "api.csv")
+        assert out.read_bytes() == (tmp_path / "api.csv").read_bytes()
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # the time column, 8 bytes a row, is the one array as long as the grid
+        # (with the order check's mask, a byte a row, while it lives)
+        def simulate(steps):
+            argv = [
+                "simulate", "--nb", "300", "--beta", "10", "--probes", "3", "--theta", "1",
+                "--channel", "I", "--t-max", "314.16", "--steps", str(steps), "--out", os.devnull,
+            ]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+
+        simulate(10_001)
+        small, large = (traced_peak(functools.partial(simulate, steps)) for steps in (100_001, 400_001))
+        assert (large - small) / 300_000 <= 10.0
 
 
 def run_main(argv):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -41,6 +42,7 @@ from lyprobe import (
 )
 
 from lyprobe.channels import x_state_observables
+from lyprobe.ising_bath import factor_values
 from lyprobe.verify import _period_mismatch
 
 from .oracles import (
@@ -267,6 +269,78 @@ class TestSeriesPipeline:
         assert series.channel is Channel.I
         assert series.ring == IsingRing(n_spins=6, inverse_temperature=0.5)
         assert series.probe is not None
+
+
+# grids at and around the edges of run_scenario's 8,192-row blocks
+GRID_EDGES = [8191, 8192, 8193, 16385, 24577]
+# a strongly coupled ring, whose blocks are read whole, and a weakly coupled
+# one, some of whose blocks _factor_split masks by branch
+BLOCK_RINGS = {"strong": (300, 10.0), "weak": (85, 0.5)}
+
+
+def block_scenario(ring, channel, steps):
+    nb, beta = BLOCK_RINGS[ring]
+    return Scenario(
+        IsingRing(nb, inverse_temperature=beta), OatParameters(3, 1.0), channel,
+        coherence_period(ETA, channel), steps, ETA,
+    )
+
+
+def whole_grid_columns(s):
+    """The six series columns from one factor_values and one x_state_observables call over the grid."""
+    times = np.linspace(0.0, s.t_max, s.steps)
+    a = factor_values(s.ring, s.channel.rate * s.eta * times)
+    values = x_state_observables(oat_reduced_state(s.oat), s.channel, a, s.oat.n_probes)
+    return [times, a, values.coherence, values.rescaled, values.xi2, values.xi2_prime]
+
+
+def traced_peak(run) -> int:
+    """The largest traced allocation total, in bytes, while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridBlocks:
+    @pytest.mark.parametrize("steps", GRID_EDGES)
+    @pytest.mark.parametrize("channel", [Channel.I, Channel.II])
+    @pytest.mark.parametrize("ring", ["strong", "weak"])
+    def test_blocks_match_the_whole_grid_bit_for_bit(self, ring, channel, steps):
+        s = block_scenario(ring, channel, steps)
+        series = run_scenario(s)
+        assert experiments._GRID_BLOCK_ROWS == 8192
+        for name, want in zip(experiments._SERIES_COLUMNS, whole_grid_columns(s)):
+            assert np.array_equal(getattr(series, name).view(np.int64), want.view(np.int64)), name
+
+    @pytest.mark.parametrize("ring", ["strong", "weak"])
+    def test_the_blocks_take_both_branch_layouts(self, ring):
+        # the premise of the test above: _factor_split masks some blocks by
+        # branch (more than an eighth of them real) and reads others whole, so
+        # both layouts are held against the one the whole grid takes
+        nb, beta = BLOCK_RINGS[ring]
+        q = math.exp(-4.0 * beta)
+        masked = set()
+        for channel in Channel:
+            for steps in GRID_EDGES:
+                w = channel.rate * ETA * np.linspace(0.0, coherence_period(ETA, channel), steps)
+                for start in range(0, steps, experiments._GRID_BLOCK_ROWS):
+                    block = w[start : start + experiments._GRID_BLOCK_ROWS]
+                    real = np.count_nonzero(np.sin(block) ** 2 <= q)
+                    masked.add(bool(real) and 8 * real > block.size)
+        assert masked == {True, False}
+
+    def test_scratch_memory_does_not_grow_with_the_grid(self):
+        # beyond its six 8-byte columns, a series of n rows holds a block's
+        # scratch and, while it is checked, a mask and a difference of the times
+        run_scenario(block_scenario("strong", Channel.I, 1001))
+        small, large = (
+            traced_peak(lambda: run_scenario(block_scenario("strong", Channel.I, steps)))
+            for steps in (100_001, 400_001)
+        )
+        assert (large - small) / 300_000 <= 60.0
 
 
 class TestCallerArraysStayWritable:
@@ -1173,7 +1247,7 @@ class TestCsvOutput:
         with mock.patch.object(experiments, "_CSV_BLOCK_ROWS", 3):
             with mock.patch.object(experiments, "_format_rows", side_effect=first_block_only):
                 with pytest.raises(RuntimeError, match="formatter failed"):
-                    experiments._write_csv(target, "h", columns)
+                    experiments._write_csv(target, "h", [columns])
         assert target.read_bytes() == b"h\n0,0\n1,1\n2,4\n"
 
 
@@ -1296,7 +1370,7 @@ def csv_dir(tmp_path_factory):
 )
 def test_block_writer_matches_savetxt(csv_dir, data, block):
     with mock.patch.object(experiments, "_CSV_BLOCK_ROWS", block):
-        experiments._write_csv(csv_dir / "block.csv", "h", list(data.T))
+        experiments._write_csv(csv_dir / "block.csv", "h", [list(data.T)])
     savetxt_csv(csv_dir / "savetxt.csv", "h", data)
     assert (csv_dir / "block.csv").read_bytes() == (csv_dir / "savetxt.csv").read_bytes()
 
@@ -1305,7 +1379,7 @@ def _writer_matches_savetxt(csv_dir, values) -> bool:
     """Write values as 6-column rows both ways; report whether the exact route ran."""
     values = np.concatenate([values, np.zeros(-len(values) % 6)]).reshape(-1, 6)
     with mock.patch.object(experiments, "_exact_digits", wraps=experiments._exact_digits) as spy:
-        experiments._write_csv(csv_dir / "kernel.csv", "h", list(values.T))
+        experiments._write_csv(csv_dir / "kernel.csv", "h", [list(values.T)])
     savetxt_csv(csv_dir / "savetxt.csv", "h", values)
     assert (csv_dir / "kernel.csv").read_bytes() == (csv_dir / "savetxt.csv").read_bytes()
     return spy.called
