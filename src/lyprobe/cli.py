@@ -11,19 +11,15 @@ import numpy as np
 from . import verify as verify_module
 from .channels import Channel, OatParameters
 from .experiments import (
-    _GRID_BLOCK_ROWS,
     _MAX_DEFAULT_STEPS,
     _MEAN_GAP_SAMPLES,
     _NARROWEST_GAP_SAMPLES,
-    _SERIES_COLUMNS,
-    _SERIES_HEADER,
     Scenario,
-    _series_blocks,
     _write_csv,
+    _write_series_csv,
     coherence_period,
     default_steps,
     fit_cmax_scaling,
-    run_scenario,
 )
 from .ising_bath import IsingRing, lee_yang_zeros, zero_certificates
 
@@ -96,19 +92,7 @@ def _cmd_simulate(args) -> int:
     if steps is None:
         steps = default_steps(lee_yang_zeros(ring), args.eta, args.t_max, channel)
     scenario = Scenario(ring, OatParameters(args.probes, args.theta), channel, args.t_max, steps, args.eta)
-    # a grid of one block runs as a series; a longer one streams, holding only its time column
-    if steps <= _GRID_BLOCK_ROWS:
-        blocks = [run_scenario(scenario)]
-    else:
-        blocks = _series_blocks(scenario, np.linspace(0.0, args.t_max, steps))
-    lost = []  # per block, the samples where A underflowed to exactly 0
-
-    def columns(block):
-        lost.append(int(np.count_nonzero(block.a_factor == 0.0)))
-        return [getattr(block, name) for name in _SERIES_COLUMNS]
-
-    _write_csv(args.out, _SERIES_HEADER, map(columns, blocks))
-    lost = sum(lost)
+    lost = _write_series_csv(scenario, args.out)
     period = coherence_period(args.eta, channel)
     print(f"wrote {steps} rows to {args.out} (channel {channel.value}, period {period:.6g})")
     # N_b collapses a period on both channels; on Python floats an extreme input gives inf, no note

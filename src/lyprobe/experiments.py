@@ -210,20 +210,33 @@ def run_scenario(s: Scenario) -> ObservableSeries:
         raise _named(s, exc) from exc
 
 
-def _series_blocks(s: Scenario, times: np.ndarray):
-    """One ``ObservableSeries`` per block of the grid ``times``, its angles and order checked first."""
-    try:
-        blocks = [times[start : start + _GRID_BLOCK_ROWS] for start in range(0, times.size, _GRID_BLOCK_ROWS)]
-        with np.errstate(over="ignore"):
-            for rows in blocks:
-                _check_angles(s.ring.n_spins, s.channel.rate * s.eta * rows)
-        if np.any(times[1:] <= times[:-1]):
-            raise ValueError("times must be strictly increasing")
-        state = oat_reduced_state(s.oat)
-        for rows in blocks:
-            yield ObservableSeries(rows, *_grid_block(s, state, rows), s.oat, s.eta, s.channel, s.ring)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        raise _named(s, exc) from exc
+def _write_series_csv(s: Scenario, path) -> int:
+    """Write ``emit_csv(run_scenario(s), path)``'s bytes a block at a time; return the samples where A is 0.
+
+    Only the times are held whole, each block an ``ObservableSeries``.  Every block's angles, then the
+    order, are checked and the first block made before the file exists: a refusal leaves no file.
+    """
+    lost = []  # per block, the samples where A underflowed to exactly 0
+
+    def blocks():
+        try:
+            times = np.linspace(0.0, s.t_max, s.steps)
+            grid = [times[start : start + _GRID_BLOCK_ROWS] for start in range(0, s.steps, _GRID_BLOCK_ROWS)]
+            with np.errstate(over="ignore"):
+                for rows in grid:
+                    _check_angles(s.ring.n_spins, s.channel.rate * s.eta * rows)
+            if np.any(times[1:] <= times[:-1]):
+                raise ValueError("times must be strictly increasing")
+            state = oat_reduced_state(s.oat)
+            for rows in grid:
+                block = ObservableSeries(rows, *_grid_block(s, state, rows), s.oat, s.eta, s.channel, s.ring)
+                lost.append(int(np.count_nonzero(block.a_factor == 0.0)))
+                yield [getattr(block, name) for name in _SERIES_COLUMNS]
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            raise _named(s, exc) from exc
+
+    _write_csv(path, _SERIES_HEADER, blocks())
+    return sum(lost)
 
 
 # largest grid default_steps returns (run_scenario's series 0.5 GB; simulate holds 80 MB of times)
@@ -650,9 +663,9 @@ def _format_rows(block: np.ndarray) -> bytes:
 def _write_csv(path, header: str, blocks) -> None:
     """Write blocks of columns (equal-length 1-D float arrays of finite values) as CSV under a header.
 
-    The first block is made before the file is opened, so an error in making
-    it leaves no file.  The columns come checked (``ObservableSeries``,
-    ``LeeYangZeroSet``) and are not checked again.  The bytes are numpy
+    The first block is made before the file is opened, so an error in making it leaves no file; a
+    generator's next block is made once the one before is written.  The columns come checked
+    (``ObservableSeries``, ``LeeYangZeroSet``) and are not checked again.  The bytes are numpy
     savetxt's with fmt="%.12g" and delimiter=",", assembled in numpy 2,048 rows
     at a time (``_format_rows``).  An existing file is emptied when it is
     opened, so a write that fails partway leaves the rows written before.
@@ -685,8 +698,8 @@ def emit_csv(series: ObservableSeries, path) -> None:
     per grid point, each value formatted as ``'%.12g' % v`` formats it,
     separated by commas, every line ended by ``\\n``.  The file is always
     plain text: unlike numpy's savetxt, a path ending in ``.gz`` is not
-    compressed.  The series is one block of ``_write_csv``, which ``lyprobe
-    simulate`` streams a longer grid's blocks into.  An existing file is replaced.
+    compressed.  The series is one block of ``_write_csv``; ``lyprobe simulate``
+    writes the same bytes a block at a time.  An existing file is replaced.
 
     Raises:
         OSError: naming the path, if the file cannot be written.

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import lyprobe.cli as cli
-from lyprobe import verify
+from lyprobe import experiments, verify
 from lyprobe import (
     Channel,
     IsingRing,
@@ -133,12 +133,15 @@ class TestSimulate:
         assert "i/o error" in capsys.readouterr().err
 
     def test_numerical_exit_code(self, tmp_path, capsys, monkeypatch):
-        def explode(_scenario):
+        # the first block fails before the file is opened
+        def explode(_scenario, _state, _times):
             raise RuntimeError("synthetic numerical failure")
 
-        monkeypatch.setattr(cli, "run_scenario", explode)
-        assert cli.main(simulate_args(tmp_path / "x.csv")) == 2
+        monkeypatch.setattr(experiments, "_grid_block", explode)
+        out = tmp_path / "x.csv"
+        assert cli.main(simulate_args(out)) == 2
         assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("beta", ["0", "1e-40"])
     def test_default_steps_with_coincident_collapses(self, tmp_path, capsys, beta):
@@ -661,9 +664,9 @@ class TestProbeTimeOverflow:
 
 
 class TestStreamedSeries:
-    """Around the 8,192-row block edge, simulate writes the bytes emit_csv writes for the whole series."""
+    """On one block and around the 8,192-row block edge, simulate writes the bytes emit_csv writes."""
 
-    @pytest.mark.parametrize("steps", [8191, 8192, 8193, 16385, 24577])
+    @pytest.mark.parametrize("steps", [2, 3, 8191, 8192, 8193, 16385, 24577])
     @pytest.mark.parametrize("channel", ["I", "II"])
     @pytest.mark.parametrize("nb,beta", [(300, 10.0), (85, 0.5)])
     def test_writes_the_bytes_of_the_series(self, tmp_path, capsys, nb, beta, channel, steps):
