@@ -161,79 +161,74 @@ def zero_times(zeros: LeeYangZeroSet, eta: float, channel: Channel = Channel.I) 
     return zeros.phases / (4.0 * eta) * (2.0 / Channel(channel).rate)
 
 
-def _grid_block(s: Scenario, state, times: np.ndarray) -> tuple:
-    """a_factor, coherence, concurrence_rescaled, xi2 and xi2_prime at a slice of the grid."""
-    with np.errstate(over="ignore"):  # an angle past the double range is inf, refused by factor_values
-        angles = s.channel.rate * s.eta * times
-    a = factor_values(s.ring, angles)
-    values = x_state_observables(state, s.channel, a, s.oat.n_probes)
-    return a, values.coherence, values.rescaled, values.xi2, values.xi2_prime
+def _series_blocks(s: Scenario, times: np.ndarray):
+    """The six series columns (``_SERIES_COLUMNS``) at each ``_GRID_BLOCK_ROWS``-row block of ``times``.
 
+    The angles w = channel.rate * eta * t, then the order of the times, are checked before any block
+    is evaluated; the times ascend from 0, so the last angle tells, and a scan of the blocks names
+    the first one refused.  A block takes one dephasing-factor evaluation per point, then the
+    coherence, rescaled concurrence and both squeezing parameters (``x_state_observables``).
 
-def _named(s: Scenario, exc: Exception) -> Exception:
-    """``exc`` again, its message prefixed with the scenario's inputs."""
-    return type(exc)(
-        f"scenario(n_spins={s.ring.n_spins}, beta_lambda={s.ring.beta_lambda}, n_probes={s.oat.n_probes}, "
-        f"channel={s.channel.value}, steps={s.steps}, eta={s.eta}, t_max={s.t_max}): {exc}"
-    )
+    Raises:
+        ValueError: if an angle, or the phase N_b * w the transfer form takes, is not finite, or
+            if the times are not strictly increasing.  Every error is re-raised with a prefix
+            naming the scenario's inputs, ``steps``, ``eta`` and ``t_max`` among them.
+    """
+    try:
+        grid = [times[start : start + _GRID_BLOCK_ROWS] for start in range(0, times.size, _GRID_BLOCK_ROWS)]
+        with np.errstate(over="ignore"):  # an angle past the double range is inf, refused by name
+            if not math.isfinite(s.ring.n_spins * float(s.channel.rate * s.eta * times[-1])):
+                for rows in grid:
+                    _check_angles(s.ring.n_spins, s.channel.rate * s.eta * rows)
+        if np.any(times[1:] <= times[:-1]):
+            raise ValueError("times must be strictly increasing")
+        state = oat_reduced_state(s.oat)
+        for rows in grid:
+            a = factor_values(s.ring, s.channel.rate * s.eta * rows)
+            values = x_state_observables(state, s.channel, a, s.oat.n_probes)
+            yield rows, a, values.coherence, values.rescaled, values.xi2, values.xi2_prime
+            del a, values  # the next block is made without this one's scratch
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
+        raise type(exc)(
+            f"scenario(n_spins={s.ring.n_spins}, beta_lambda={s.ring.beta_lambda}, n_probes={s.oat.n_probes}, "
+            f"channel={s.channel.value}, steps={s.steps}, eta={s.eta}, t_max={s.t_max}): {exc}"
+        ) from exc
 
 
 def run_scenario(s: Scenario) -> ObservableSeries:
     """Evaluate the closed-form observable pipeline over a scenario's uniform grid.
 
-    Vectorized over ``np.linspace(0, t_max, steps)``: one dephasing-factor
-    evaluation per point, then coherence, rescaled concurrence and both
-    squeezing parameters from the X-state kernel ``channels.x_state_observables``,
-    ``_GRID_BLOCK_ROWS`` rows at a time, so the scratch memory is a block's.
+    The series of ``np.linspace(0, t_max, steps)`` is ``_series_blocks``' columns: a one-block
+    grid's as they are, a longer grid's filled in a block at a time (a block's scratch memory).
 
     Raises:
-        ValueError: if a field angle w = channel.rate * eta * t, or the phase
-            N_b * w the transfer form takes, is not finite (``factor_values``
-            refuses the block, with one message for the angle limit, before
-            any of its points is evaluated), or if the grid is not strictly
-            increasing.  Every error is re-raised with a prefix naming the
-            scenario's inputs, ``steps``, ``eta`` and ``t_max`` among them.
+        ValueError: as ``_series_blocks`` raises, before any block is evaluated.
     """
-    try:
-        times = np.linspace(0.0, s.t_max, s.steps)
-        state = oat_reduced_state(s.oat)
-        if s.steps <= _GRID_BLOCK_ROWS:
-            columns = _grid_block(s, state, times)
-        else:
-            columns = np.empty((len(_SERIES_COLUMNS) - 1, s.steps))
-            for start in range(0, s.steps, _GRID_BLOCK_ROWS):
-                rows = slice(start, start + _GRID_BLOCK_ROWS)
-                for column, values in zip(columns, _grid_block(s, state, times[rows])):
-                    column[rows] = values
-        return ObservableSeries(times, *columns, s.oat, s.eta, s.channel, s.ring)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
-        raise _named(s, exc) from exc
+    times = np.linspace(0.0, s.t_max, s.steps)
+    blocks = _series_blocks(s, times)
+    if s.steps <= _GRID_BLOCK_ROWS:
+        columns = next(blocks)[1:]
+    else:
+        columns = np.empty((len(_SERIES_COLUMNS) - 1, s.steps))
+        for start in range(0, s.steps, _GRID_BLOCK_ROWS):
+            for column, values in zip(columns, next(blocks)[1:]):
+                column[start : start + _GRID_BLOCK_ROWS] = values
+    return ObservableSeries(times, *columns, s.oat, s.eta, s.channel, s.ring)
 
 
 def _write_series_csv(s: Scenario, path) -> int:
     """Write ``emit_csv(run_scenario(s), path)``'s bytes a block at a time; return the samples where A is 0.
 
-    Only the times are held whole, each block an ``ObservableSeries``.  Every block's angles, then the
-    order, are checked and the first block made before the file exists: a refusal leaves no file.
+    Only the times are held whole, each block of ``_series_blocks`` an ``ObservableSeries``.  The
+    grid's checks and the first block come before the file exists: a refusal leaves no file.
     """
     lost = []  # per block, the samples where A underflowed to exactly 0
 
     def blocks():
-        try:
-            times = np.linspace(0.0, s.t_max, s.steps)
-            grid = [times[start : start + _GRID_BLOCK_ROWS] for start in range(0, s.steps, _GRID_BLOCK_ROWS)]
-            with np.errstate(over="ignore"):
-                for rows in grid:
-                    _check_angles(s.ring.n_spins, s.channel.rate * s.eta * rows)
-            if np.any(times[1:] <= times[:-1]):
-                raise ValueError("times must be strictly increasing")
-            state = oat_reduced_state(s.oat)
-            for rows in grid:
-                block = ObservableSeries(rows, *_grid_block(s, state, rows), s.oat, s.eta, s.channel, s.ring)
-                lost.append(int(np.count_nonzero(block.a_factor == 0.0)))
-                yield [getattr(block, name) for name in _SERIES_COLUMNS]
-        except (ValueError, RuntimeError, ArithmeticError) as exc:
-            raise _named(s, exc) from exc
+        for columns in _series_blocks(s, np.linspace(0.0, s.t_max, s.steps)):
+            block = ObservableSeries(*columns, s.oat, s.eta, s.channel, s.ring)
+            lost.append(int(np.count_nonzero(block.a_factor == 0.0)))
+            yield [getattr(block, name) for name in _SERIES_COLUMNS]
 
     _write_csv(path, _SERIES_HEADER, blocks())
     return sum(lost)

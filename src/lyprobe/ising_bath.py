@@ -346,14 +346,14 @@ def _factor_split(ring: IsingRing, w: np.ndarray, slope: bool = False) -> tuple:
     are a real pair where sin^2 w <= q (``_real_pair_sum``) and a complex pair
     on the arc elsewhere (``_arc_phase`` times the ring's amplitude).  sin, cos
     and sin^2 are computed once; on a grid the six sin and cos take about two
-    thirds of the time.  An all-arc array is read whole (arc points ``...``),
-    and so, without ``slope``, is one at most an eighth real (a strong-coupling
-    grid): the arc formulas on every point, the real sums written over them,
-    cost less than masking.  Any other array is masked.  The arc parts are cos
-    theta, or with ``slope`` (cos theta, sin theta, 1/theta') for the Newton
-    steps.  Angles are checked first (``_check_angles``); callers divide by the
-    normaliser after the return, when a grid's division can reuse this
-    frame's freed arrays.
+    thirds of the time.  An array with a real point is masked when more than
+    an eighth of it is real, or with ``slope``; any other (all arc, or a
+    strong-coupling grid) is read whole, arc points ``...``: the arc formulas
+    on every point, then any real sums written over them, cost less than
+    masking.  The arc parts are cos theta, or with ``slope`` (cos theta, sin
+    theta, 1/theta') for the Newton steps.  Angles are checked first
+    (``_check_angles``); callers divide by the normaliser after the return,
+    when a grid's division can reuse this frame's freed arrays.
     """
     nb = ring.n_spins
     _check_angles(nb, w)
@@ -370,14 +370,12 @@ def _factor_split(ring: IsingRing, w: np.ndarray, slope: bool = False) -> tuple:
         phase = _arc_phase(nb, q, w, s, c, s2, slope)
         values[arc] = amplitude * (phase[0] if slope else phase)
         return values, arc, phase
+    with np.errstate(invalid="ignore"):  # sqrt(s2 - q) at any real points, written over
+        phase = _arc_phase(nb, q, w, s, c, s2, slope)
+    values = amplitude * (phase[0] if slope else phase)
     if count:
-        with np.errstate(invalid="ignore"):  # sqrt(s2 - q) at the real points, written over
-            phase = _arc_phase(nb, q, w, s, c, s2)
-        values = amplitude * phase
         values[real] = _real_pair_sum(nb, root_q, q, s2[real], c[real])
-        return values, ..., phase
-    phase = _arc_phase(nb, q, w, s, c, s2, slope)
-    return amplitude * (phase[0] if slope else phase), ..., phase
+    return values, ..., phase
 
 
 def factor_values(ring: IsingRing, angles) -> np.ndarray | np.float64:

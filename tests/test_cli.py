@@ -134,10 +134,10 @@ class TestSimulate:
 
     def test_numerical_exit_code(self, tmp_path, capsys, monkeypatch):
         # the first block fails before the file is opened
-        def explode(_scenario, _state, _times):
+        def explode(_state, _channel, _a, _n_probes):
             raise RuntimeError("synthetic numerical failure")
 
-        monkeypatch.setattr(experiments, "_grid_block", explode)
+        monkeypatch.setattr(experiments, "x_state_observables", explode)
         out = tmp_path / "x.csv"
         assert cli.main(simulate_args(out)) == 2
         assert "numerical failure" in capsys.readouterr().err

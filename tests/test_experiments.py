@@ -342,6 +342,30 @@ class TestGridBlocks:
         )
         assert (large - small) / 300_000 <= 60.0
 
+    @pytest.mark.parametrize(
+        "t_max,eta,steps,limit",
+        [
+            # 6 w first overflows at row 14,981, in the second block
+            (
+                1e10, 2e297, 20_001,
+                "eta=2e+297, t_max=10000000000.0): the angle w must be finite, "
+                "with a finite phase N_b * w, got w = 2.9962e+307 at N_b = 6",
+            ),
+            (1e-320, 0.01, 10_001, "eta=0.01, t_max=1e-320): times must be strictly increasing"),
+        ],
+        ids=["angle-in-the-second-block", "repeated-times"],
+    )
+    def test_a_refused_grid_evaluates_no_block(self, t_max, eta, steps, limit):
+        s = Scenario(IsingRing(6, inverse_temperature=1.0), OatParameters(3, 1.0), Channel.I, t_max, steps, eta)
+        prefix = f"scenario(n_spins=6, beta_lambda=1.0, n_probes=3, channel=I, steps={steps}, "
+        spy = mock.Mock(wraps=experiments.x_state_observables)
+        with mock.patch.object(experiments, "x_state_observables", spy), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                run_scenario(s)
+        assert str(info.value) == prefix + limit
+        assert spy.call_count == 0
+
 
 class TestCallerArraysStayWritable:
     """A constructor freezes a view of the array it is given, and a result its own array, not the caller's."""
